@@ -10,7 +10,7 @@ Run:  python3 demos/density_basics.py
 import numpy as np
 
 from hesspec import (ProblemSpec, ScaledIdentity, ResponseModel, WeightFn,
-                     solve_point, density, support, default_scan_range)
+                     analyze, solve_point)
 
 p, n = 512, 2048
 spec = ProblemSpec(p=p, n=n, mu=np.zeros(p), cov=ScaledIdentity(1.0),
@@ -31,15 +31,15 @@ print(f"m({z})          solver  {pt.m.real:.8f}")
 print(f"m({z})          exact   {4 * m_mp4:.8f}")
 
 # --- the density curve ------------------------------------------------
-lo, hi = default_scan_range(spec)
-grid = np.linspace(lo, hi, 400)
-curve = density(spec, grid)
-mass = np.trapezoid(np.nan_to_num(curve.density), grid)
+# analyze() picks a scan window that contains the bulk and inverts the
+# Stieltjes transform on a 400-point grid across it.
+an = analyze(spec)
+curve = an.curve
+mass = np.trapezoid(np.nan_to_num(curve.density), curve.grid)
 print(f"total mass              {mass:.4f}   (should be ~1)")
 
 # --- support edges ----------------------------------------------------
-rep = support(spec, (lo, hi), curve=curve)
-left, right = rep.intervals[0]
+left, right = an.support.intervals[0]
 print(f"support edges  solver   [{left:.6f}, {right:.6f}]")
 print(f"support edges  exact    [{0.25 * (1 - np.sqrt(c)) ** 2:.6f},"
       f" {0.25 * (1 + np.sqrt(c)) ** 2:.6f}]")

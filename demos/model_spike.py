@@ -13,10 +13,7 @@ exists for this rotation-invariant special case.
 
 Run:  python3 demos/model_spike.py
 """
-import numpy as np
-
-from hesspec import (build_spec, default_scan_range, density, support,
-                     find_spikes, model_spike_scalar)
+from hesspec import analyze, build_spec, model_spike_scalar
 
 p, n = 800, 8000
 print(f"{'|w|':>6} {'gap':>12} {'cos^2(v,w)':>12} {'scalar gap':>12} {'scalar cos^2':>13}")
@@ -24,14 +21,11 @@ for w_norm in [0.5, 1.46, 2.01, 3.37, 6.0]:
     cfg = {"p": p, "n": n, "w": "pm_block(%.17g)" % w_norm,
            "model": "logistic", "loss": "logistic", "seed": 3}
     spec, _ = build_spec(cfg)
-    lo, hi = default_scan_range(spec)
-    curve = density(spec, np.linspace(lo, hi, 400))
-    sup = support(spec, (lo, hi), curve=curve)
-    left_spikes = [s for s in find_spikes(spec, sup) if s.side == "left"]
+    left_spikes = [s for s in analyze(spec).spikes if s.side == "left"]
     gap_s, align_s, _, _ = model_spike_scalar(w_norm, spec.c)
     if left_spikes:
         s = left_spikes[0]
-        cos2 = s.alignment[2, 2] / (spec.w @ spec.w)
+        cos2 = s.cos2(spec.V)[2]   # C = I, so the column C w is w
         print(f"{w_norm:6.2f} {s.gap:12.6f} {cos2:12.6f} "
               f"{gap_s if gap_s else float('nan'):12.6f} "
               f"{align_s if align_s else float('nan'):13.6f}")

@@ -10,8 +10,7 @@ Run:  python3 demos/preprocessing_spike.py
 """
 import numpy as np
 
-from hesspec import (build_spec, default_scan_range, density, support,
-                     find_spikes)
+from hesspec import analyze, build_spec
 
 p, n = 800, 4000
 print(f"{'|w*|':>6} {'spike':>10} {'gap':>10} {'cos^2(v,w*)':>12}")
@@ -21,14 +20,11 @@ for w_star in [0.4, 0.76, 0.95, 1.4, 2.0]:
            "w": "pm_block(%.17g)" % (w_star * np.sqrt(2.0 / 3.0)),
            "model": "phase_retrieval", "weight": "trim", "seed": 5}
     spec, _ = build_spec(cfg)
-    lo, hi = default_scan_range(spec)
-    curve = density(spec, np.linspace(lo, hi, 400))
-    sup = support(spec, (lo, hi), curve=curve)
-    spikes = find_spikes(spec, sup)
+    spikes = analyze(spec).spikes
     if spikes:
+        # the column C w* of V is the teacher direction
         s = max(spikes, key=lambda r: r.alignment[1, 1])
-        cw = spec.cov.apply(spec.w_star)
-        cos2 = s.alignment[1, 1] / (cw @ cw)
+        cos2 = s.cos2(spec.V)[1]
         print(f"{w_star:6.2f} {s.location:10.5f} {s.gap:10.5f} {cos2:12.6f}")
     else:
         print(f"{w_star:6.2f} {'(no spike)':>10}")

@@ -11,8 +11,7 @@ Run:  python3 demos/signal_spike.py
 """
 import numpy as np
 
-from hesspec import (build_spec, default_scan_range, density, support,
-                     find_spikes, signal_spike_closed_form, compare)
+from hesspec import analyze, build_spec, signal_spike_closed_form
 
 rho = 0.8   # |mu|^2
 cfg = {"p": 512, "n": 2048, "mu": "pm_block(%.17g)" % np.sqrt(rho),
@@ -20,21 +19,18 @@ cfg = {"p": 512, "n": 2048, "mu": "pm_block(%.17g)" % np.sqrt(rho),
 spec, seed = build_spec(cfg)
 c = spec.c
 
-lo, hi = default_scan_range(spec)
-curve = density(spec, np.linspace(lo, hi, 400))
-sup = support(spec, (lo, hi), curve=curve)
-spikes = find_spikes(spec, sup)
-spike = spikes[0]
-cos2 = spike.alignment[0, 0] / (spec.mu @ spec.mu)
+an = analyze(spec)
+spike = an.spikes[0]
+cos2 = spike.cos2(spec.V)[0]   # the first column of V is mu
 
 lam_exact, align_exact = signal_spike_closed_form(rho, c)
 print(f"spike location   generic {spike.location:.8f}   closed form {lam_exact:.8f}")
 print(f"cos^2(v, mu)     generic {cos2:.8f}   closed form {align_exact:.8f}")
 
 # --- finite-size check ------------------------------------------------
-rep = compare(spec, curve, spikes, trials=5, base_seed=seed)
-emp_lam, theo_lam, err_lam = rep.spike_errors[0]
-emp_c, theo_c, err_c = rep.alignment_errors[0]
+rep = an.monte_carlo(trials=5, seed=seed)[0]["comparison"]
+emp_lam, theo_lam, err_lam = rep["spike_errors"][0]
+emp_c, theo_c, err_c = rep["alignment_errors"][0]
 print(f"top eigenvalue   5-trial mean {emp_lam:.5f}   theory {theo_lam:.5f}")
 print(f"alignment        5-trial mean {emp_c:.5f}   theory {theo_c:.5f}")
-print(f"density L1 discrepancy {rep.density_l1:.4f}")
+print(f"density L1 discrepancy {rep['density_l1']:.4f}")

@@ -8,26 +8,20 @@ compared against one theory curve.
 
 Run:  python3 demos/universality.py
 """
-import numpy as np
-
-from hesspec import (build_spec, default_scan_range, density, support,
-                     find_spikes, compare)
+from hesspec import analyze, build_spec
 
 cfg = {"p": 800, "n": 1200, "mu": "gaussian_norm(1.0)", "w": "mu",
        "model": "logistic", "loss": "logistic", "seed": 21}
 spec, seed = build_spec(cfg)
 
-lo, hi = default_scan_range(spec)
-curve = density(spec, np.linspace(lo, hi, 400))
-sup = support(spec, (lo, hi), curve=curve)
-spikes = find_spikes(spec, sup)
-print("support:", [(round(a, 4), round(b, 4)) for a, b in sup.intervals])
-print("spikes: ", [round(s.location, 4) for s in spikes])
+an = analyze(spec)
+print("support:", [(round(a, 4), round(b, 4)) for a, b in an.support.intervals])
+print("spikes: ", [round(s.location, 4) for s in an.spikes])
 
 for dist in ["gaussian", "rademacher", "student_t:7"]:
-    rep = compare(spec, curve, spikes, trials=5, base_seed=seed, dist=dist)
-    line = f"{dist:14s} density L1 {rep.density_l1:.4f}"
-    if rep.spike_errors:
-        emp, theo, err = rep.spike_errors[0]
+    rep = an.monte_carlo(trials=5, seed=seed, dist=dist)[0]["comparison"]
+    line = f"{dist:14s} density L1 {rep['density_l1']:.4f}"
+    if rep["spike_errors"]:
+        emp, theo, err = rep["spike_errors"][0]
         line += f"   spike {emp:.4f} (theory {theo:.4f})"
     print(line)

@@ -30,4 +30,4 @@ from .empirical import (ComparisonReport, EmpiricalSpectrum, build_hessian,
                         run_trial, worker_count)
 from .config import build_spec, load_config, resolve_vector, spec_echo
 from .report import emit_document, emit_table
-from .presets import PRESETS, run_preset
+from .presets import PRESETS, Analysis, analyze, run_preset

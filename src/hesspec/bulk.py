@@ -59,8 +59,7 @@ class SupportReport:
     bounded: bool
 
 
-def _iterate(eng, t, wts, c, z, delta0, tol=FP_TOL, max_iter=FP_MAX_ITER,
-             accelerate=True):
+def _iterate(eng, t, wts, c, z, delta0, accelerate=True):
     """Damped fixed-point iteration for delta; returns (delta, iterations).
 
     Baseline is a damped Picard step (eta = 0.5, halved when consecutive
@@ -74,12 +73,12 @@ def _iterate(eng, t, wts, c, z, delta0, tol=FP_TOL, max_iter=FP_MAX_ITER,
     prev = None          # (delta, F) of the previous iterate
     prev_aF = np.inf
     best = None          # (delta, F, |F|)
-    for it in range(1, max_iter + 1):
+    for it in range(1, FP_MAX_ITER + 1):
         e = eng.e1(delta)
         target = np.sum(wts * c * t / (e * t - z))
         F = target - delta
         aF = abs(F)
-        if aF < tol:
+        if aF < FP_TOL:
             return target, it
         if best is None or aF < best[2]:
             best = (delta, F, aF)
@@ -103,7 +102,8 @@ def _iterate(eng, t, wts, c, z, delta0, tol=FP_TOL, max_iter=FP_MAX_ITER,
         prev_aF = aF
         delta = cand if cand is not None else delta + eta * F
     raise NonConvergence(
-        f"fixed point did not reach {tol:g} in {max_iter} iterations at z={z}",
+        f"fixed point did not reach {FP_TOL:g} in {FP_MAX_ITER} iterations "
+        f"at z={z}",
         residual=aF)
 
 
@@ -136,8 +136,7 @@ def stieltjes_derivatives(spec, point, order=None):
     return delta_prime, m_prime, e2
 
 
-def solve_point(spec, z, warm_start=None, order=None,
-                tol=FP_TOL, max_iter=FP_MAX_ITER):
+def solve_point(spec, z, warm_start=None, order=None):
     """Solve the (delta, m) fixed point at one complex or real-exterior z."""
     eng = expectation_engine(spec, order)
     t, wts = spec.atoms
@@ -155,8 +154,7 @@ def solve_point(spec, z, warm_start=None, order=None,
         if real_axis:
             delta0 = complex(delta0.real)
         try:
-            delta, it = _iterate(eng, t, wts, c, z, delta0, tol, max_iter,
-                                 accelerate=accel)
+            delta, it = _iterate(eng, t, wts, c, z, delta0, accelerate=accel)
         except NonConvergence as err:
             last_err = err
             continue

@@ -3,7 +3,7 @@
 Subcommands:
     density   -- limiting density table on a grid
     spikes    -- support intervals plus isolated eigenvalues
-    align     -- eigenvector projection matrices at each spike
+    align     -- the spikes report plus each spike's projection matrix
     simulate  -- one finite-size trial, eigenvalues to a table
     compare   -- Monte Carlo vs. theory discrepancy report
     sweep     -- spike location/alignment along a parameter path
@@ -11,7 +11,9 @@ Subcommands:
 
 All subcommands read the problem from a JSON config (--config) and
 write '#'-headed comma tables or JSON documents (--out, default
-stdout).  Exit codes: 0 ok, 1 config error, 2 numerical failure.
+stdout).  The theory comes from presets.analyze and presets.sweep,
+the same pipeline the presets run.  Exit codes: 0 ok, 1 config error
+(including out-of-range numeric arguments), 2 numerical failure.
 """
 from __future__ import annotations
 
@@ -21,13 +23,11 @@ import sys
 import numpy as np
 
 from . import __version__
-from .bulk import default_scan_range, density, support
 from .config import build_spec, load_config, spec_echo
-from .empirical import compare, run_trial
+from .empirical import run_trial
 from .errors import ConfigError, HesspecError
-from .presets import PRESETS, run_preset
+from .presets import PRESETS, analyze, run_preset, sweep
 from .report import emit_document, emit_table
-from .spikes import find_spikes
 
 __all__ = ["main"]
 
@@ -50,27 +50,10 @@ def _parse_values(text):
         raise ConfigError(f"values must be 'a:b:n', got {text!r}")
 
 
-def _emit(args, kind, *payload):
-    out = args.out
-    if kind == "table":
-        header, rows = payload
-        if out:
-            emit_table(out, header, rows)
-        else:
-            sys.stdout.write("# " + ",".join(header) + "\n")
-            for row in rows:
-                sys.stdout.write(",".join("%.17g" % float(v) for v in row) + "\n")
-    else:
-        echo, results, seeds = payload
-        if out:
-            emit_document(out, echo, results, seeds, __version__)
-        else:
-            import json
-            from .report import _jsonable
-            json.dump({"spec_echo": _jsonable(echo), "results": _jsonable(results),
-                       "seeds": _jsonable(seeds), "tool_version": __version__},
-                      sys.stdout, indent=1, sort_keys=True)
-            sys.stdout.write("\n")
+def _scan_args(args):
+    """analyze() keyword arguments from --range, --grid, --eps, --quad-order."""
+    return {"scan_range": _parse_range(args.range) if args.range else None,
+            "grid": args.grid, "epsilon": args.eps, "order": args.quad_order}
 
 
 def _load(args):
@@ -80,100 +63,48 @@ def _load(args):
     return spec, seed
 
 
-def _scan(spec, args):
-    rng = _parse_range(args.range) if args.range else default_scan_range(
-        spec, args.quad_order)
-    grid = np.linspace(rng[0], rng[1], args.grid)
-    curve = density(spec, grid, epsilon=args.eps, order=args.quad_order)
-    sup = support(spec, rng, order=args.quad_order, curve=curve)
-    return curve, sup
-
-
-def _spike_results(spec, sup, spikes):
-    out = []
-    for s in spikes:
-        cos2 = []
-        for k in range(3):
-            nrm2 = spec.V[:, k] @ spec.V[:, k]
-            cos2.append(float(s.alignment[k, k] / nrm2) if nrm2 > 0 else 0.0)
-        out.append({"lambda": s.location, "side": s.side, "gap": s.gap,
-                    "cos2": cos2, "det_residual": s.det_residual})
-    return {"support": {"intervals": sup.intervals,
-                        "bulk_count": sup.bulk_count, "bounded": sup.bounded},
-            "spikes": out}
-
-
 def _cmd_density(args):
     spec, _ = _load(args)
-    curve, _ = _scan(spec, args)
-    _emit(args, "table", ["x", "density"],
-          zip(curve.grid, np.nan_to_num(curve.density)))
+    curve = analyze(spec, **_scan_args(args)).curve
+    emit_table(args.out, ["x", "density"],
+               zip(curve.grid, np.nan_to_num(curve.density)))
 
 
 def _cmd_spikes(args):
     spec, seed = _load(args)
-    _, sup = _scan(spec, args)
-    spikes = find_spikes(spec, sup, order=args.quad_order) if sup.intervals else []
-    _emit(args, "doc", spec_echo(spec, seed), _spike_results(spec, sup, spikes), [])
-
-
-def _cmd_align(args):
-    spec, seed = _load(args)
-    _, sup = _scan(spec, args)
-    spikes = find_spikes(spec, sup, order=args.quad_order) if sup.intervals else []
-    results = _spike_results(spec, sup, spikes)
-    for entry, s in zip(results["spikes"], spikes):
-        entry["projection"] = s.alignment.tolist()
-    _emit(args, "doc", spec_echo(spec, seed), results, [])
+    an = analyze(spec, **_scan_args(args))
+    results = an.results()
+    if args.command == "align":
+        for entry, s in zip(results["spikes"], an.spikes):
+            entry["projection"] = s.alignment.tolist()
+    emit_document(args.out, spec_echo(spec, seed), results, [], __version__)
 
 
 def _cmd_simulate(args):
     spec, seed = _load(args)
     spectrum = run_trial(spec, args.dist, seed)
-    _emit(args, "table", ["eigenvalue"],
-          [[v] for v in spectrum.eigenvalues])
+    emit_table(args.out, ["eigenvalue"], [[v] for v in spectrum.eigenvalues])
 
 
 def _cmd_compare(args):
     spec, seed = _load(args)
-    curve, sup = _scan(spec, args)
-    spikes = find_spikes(spec, sup, order=args.quad_order) if sup.intervals else []
-    rep = compare(spec, curve, spikes, args.trials, base_seed=seed,
-                  dist=args.dist, support_report=sup)
-    results = _spike_results(spec, sup, spikes)
-    results["comparison"] = {
-        "density_l1": rep.density_l1,
-        "spike_errors": rep.spike_errors,
-        "alignment_errors": rep.alignment_errors,
-        "trials": rep.trials,
-        "dist": args.dist,
-    }
-    _emit(args, "doc", spec_echo(spec, seed), results, rep.seeds)
+    an = analyze(spec, **_scan_args(args))
+    results, seeds = an.monte_carlo(args.trials, seed, args.dist)
+    emit_document(args.out, spec_echo(spec, seed), results, seeds, __version__)
 
 
 _SWEEP_KEYS = {"w_norm": "w", "w_star_norm": "w_star", "mu_norm": "mu"}
 
 
 def _cmd_sweep(args):
-    cfg = load_config(args.config)
     key = _SWEEP_KEYS[args.param]
-    rows = []
-    for val in _parse_values(args.values):
-        c = dict(cfg)
+
+    def rescale(c, val):
         c[key] = "pm_block(%.17g)" % val
-        spec, _ = build_spec(c)
-        curve, sup = _scan(spec, args)
-        spikes = find_spikes(spec, sup, order=args.quad_order) if sup.intervals else []
-        if spikes:
-            s = spikes[0]
-            cos2 = max(
-                float(s.alignment[k, k] / (spec.V[:, k] @ spec.V[:, k]))
-                if spec.V[:, k] @ spec.V[:, k] > 0 else 0.0
-                for k in range(3))
-            rows.append([val, s.location, s.gap, cos2])
-        else:
-            rows.append([val, np.nan, 0.0, 0.0])
-    _emit(args, "table", [args.param, "lambda", "gap", "alignment"], rows)
+        return c
+
+    sweep(load_config(args.config), _parse_values(args.values), rescale,
+          args.out, args.param, **_scan_args(args))
 
 
 def _cmd_preset(args):
@@ -216,7 +147,7 @@ def main(argv=None):
     s.add_argument("--config", required=True)
     _add_scan_opts(s)
 
-    s = sub("align", _cmd_align, help="spike eigenvector projections")
+    s = sub("align", _cmd_spikes, help="spike eigenvector projections")
     s.add_argument("--config", required=True)
     _add_scan_opts(s)
 

@@ -135,19 +135,31 @@ def _resolve_weight(cfg, p, n):
 
 
 def build_spec(cfg):
-    """Resolve a parsed config dict into a ProblemSpec and its seed."""
+    """Resolve a parsed config dict into a ProblemSpec and its seed.
+
+    Every rejection of the config's values (missing keys, entries that
+    are not numbers, an unknown loss, p <= 0, ...) is a ConfigError.
+    """
+    for key in ("p", "n"):
+        if key not in cfg:
+            raise ConfigError(f"config missing required key {key!r}")
     try:
         p = int(cfg["p"])
         n = int(cfg["n"])
-    except KeyError as err:
-        raise ConfigError(f"config missing required key {err}")
-    seed = int(cfg.get("seed", 0))
-    mu = resolve_vector(cfg.get("mu", "zeros"), p, seed, "mu")
-    w_star = resolve_vector(cfg.get("w_star", "zeros"), p, seed, "w_star", mu=mu)
-    w = resolve_vector(cfg.get("w", "zeros"), p, seed, "w", mu=mu)
-    spec = ProblemSpec(p=p, n=n, mu=mu, cov=_resolve_cov(cfg.get("cov"), p),
-                       w_star=w_star, w=w, model=_resolve_model(cfg.get("model")),
-                       weight=_resolve_weight(cfg, p, n))
+        seed = int(cfg.get("seed", 0))
+        mu = resolve_vector(cfg.get("mu", "zeros"), p, seed, "mu")
+        w_star = resolve_vector(cfg.get("w_star", "zeros"), p, seed, "w_star",
+                                mu=mu)
+        w = resolve_vector(cfg.get("w", "zeros"), p, seed, "w", mu=mu)
+        spec = ProblemSpec(p=p, n=n, mu=mu, cov=_resolve_cov(cfg.get("cov"), p),
+                           w_star=w_star, w=w,
+                           model=_resolve_model(cfg.get("model")),
+                           weight=_resolve_weight(cfg, p, n))
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as err:
+        # DomainError is a ValueError: the spec classes reject the values
+        raise ConfigError(f"invalid config: {err}") from err
     return spec, seed
 
 

@@ -156,7 +156,7 @@ def compare(spec, theory_density, spike_reports, trials, base_seed,
         # dominant structural direction of this spike
         col = int(np.argmax(np.diag(rep.alignment)))
         target = spec.V[:, col]
-        theo_cos2 = rep.alignment[col, col] / (target @ target)
+        theo_cos2 = rep.cos2(spec.V)[col]
         emp_lams = []
         emp_cos2 = []
         for s in spectra:
@@ -169,8 +169,7 @@ def compare(spec, theory_density, spike_reports, trials, base_seed,
         emp_lam = float(np.mean(emp_lams))
         emp_c = float(np.mean(emp_cos2))
         spike_errors.append((emp_lam, rep.location, abs(emp_lam - rep.location)))
-        alignment_errors.append((emp_c, float(theo_cos2),
-                                 abs(emp_c - theo_cos2)))
+        alignment_errors.append((emp_c, theo_cos2, abs(emp_c - theo_cos2)))
     return ComparisonReport(density_l1=density_l1, spike_errors=spike_errors,
                             alignment_errors=alignment_errors, trials=trials,
                             seeds=seeds)

@@ -1,4 +1,10 @@
-"""Named experiment presets for the built-in reference studies.
+"""The theory pipeline, the parameter sweep and the named experiment presets.
+
+analyze() runs the chain the theory defines -- scan window, density,
+support, spikes -- and its Analysis turns the result into the report
+dict that every document carries, optionally with a Monte Carlo
+comparison.  sweep() tabulates the first spike along a parameter path.
+The CLI and the presets both go through these two functions.
 
 Each preset pins a full setting (p, n, vectors, covariance, model,
 weight) and writes density tables, spike/sweep tables and comparison
@@ -9,18 +15,22 @@ config parser.
 from __future__ import annotations
 
 import os
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from ._version import __version__ as _version
-from .bulk import default_scan_range, density, support
+from .bulk import DensityCurve, default_scan_range, density, support
 from .config import build_spec, spec_echo
 from .empirical import compare, run_trial
 from .errors import ConfigError
+from .features import ProblemSpec
 from .report import emit_document, emit_table
 from .spikes import find_spikes
 
-__all__ = ["PRESETS", "preset_config", "run_preset"]
+__all__ = ["Analysis", "analyze", "sweep", "PRESETS", "preset_config",
+           "run_preset"]
 
 
 def _base(p, n, **kw):
@@ -65,6 +75,9 @@ _FIG5_RHO2 = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0,
               1.1, 1.2, 1.3, 1.4, 1.5]
 _FIG6_WNORM = np.linspace(0.1, 8.0, 30)
 _FIG7_WNORM = np.linspace(0.1, 2.0, 30)
+# Monte Carlo trials when run_preset is given none (fig4: seeds pooled
+# per feature law; fig5-7: trials per sweep value); the others use 1
+_DEFAULT_TRIALS = {"fig4": 10, "fig5": 50, "fig6": 50, "fig7": 50}
 
 
 def preset_config(name):
@@ -74,129 +87,152 @@ def preset_config(name):
         raise ConfigError(f"unknown preset {name!r}; have {sorted(PRESETS)}")
 
 
-def _theory(spec, order=None):
-    lo, hi = default_scan_range(spec, order)
-    grid = np.linspace(lo, hi, 400)
-    curve = density(spec, grid, order=order)
-    sup = support(spec, (lo, hi), order=order, curve=curve)
-    spikes = find_spikes(spec, sup, order=order) if sup.intervals else []
-    return curve, sup, spikes
+@dataclass(frozen=True, eq=False)
+class Analysis:
+    """One theory run: the density curve on a scan window, plus the
+    support and spikes, each computed on first use."""
 
+    spec: ProblemSpec
+    scan_range: tuple
+    curve: DensityCurve
+    order: int | None = None
 
-def _write_theory(out, stem, spec, seed, curve, sup, spikes, trials,
-                  dist="gaussian"):
-    files = []
-    files.append(emit_table(os.path.join(out, f"{stem}_density.csv"),
-                            ["x", "density"],
-                            zip(curve.grid, np.nan_to_num(curve.density))))
-    results = {
-        "support": {"intervals": sup.intervals, "bulk_count": sup.bulk_count,
-                    "bounded": sup.bounded},
-        "spikes": [{"lambda": s.location, "side": s.side, "gap": s.gap,
-                    "cos2": _cos2(spec, s)} for s in spikes],
-    }
-    seeds = []
-    if trials:
-        rep = compare(spec, curve, spikes, trials, base_seed=seed, dist=dist,
-                      support_report=sup)
-        seeds = rep.seeds
+    @cached_property
+    def support(self):
+        # the module-level support(), not this property
+        return support(self.spec, self.scan_range, order=self.order,
+                       curve=self.curve)
+
+    @cached_property
+    def spikes(self):
+        return find_spikes(self.spec, self.support, order=self.order)
+
+    def results(self):
+        """The report dict: support, then per spike its location, side,
+        gap, cos2 with each column of V and det G residual."""
+        sup = self.support
+        return {
+            "support": {"intervals": sup.intervals,
+                        "bulk_count": sup.bulk_count, "bounded": sup.bounded},
+            "spikes": [{"lambda": s.location, "side": s.side, "gap": s.gap,
+                        "cos2": s.cos2(self.spec.V),
+                        "det_residual": s.det_residual} for s in self.spikes],
+        }
+
+    def monte_carlo(self, trials, seed, dist="gaussian"):
+        """results() plus a 'comparison' entry from `trials` finite-size
+        trials seeded seed, seed+1, ...; returns (results, seeds)."""
+        if trials < 1:
+            raise ConfigError(f"Monte Carlo needs trials >= 1, got {trials}")
+        rep = compare(self.spec, self.curve, self.spikes, trials,
+                      base_seed=seed, dist=dist, support_report=self.support)
+        results = self.results()
         results["comparison"] = {
             "density_l1": rep.density_l1,
             "spike_errors": rep.spike_errors,
             "alignment_errors": rep.alignment_errors,
             "trials": rep.trials,
+            "dist": dist,
         }
-    files.append(emit_document(os.path.join(out, f"{stem}_report.json"),
-                               spec_echo(spec, seed), results, seeds, _version))
-    return files
+        return results, rep.seeds
 
 
-def _cos2(spec, spike):
-    out = []
-    for k in range(3):
-        nrm2 = spec.V[:, k] @ spec.V[:, k]
-        out.append(float(spike.alignment[k, k] / nrm2) if nrm2 > 0 else 0.0)
-    return out
+def analyze(spec, scan_range=None, grid=400, epsilon=None, order=None):
+    """Limiting density on `grid` points of scan_range (default: the
+    automatic window); support and spikes follow on first use."""
+    if grid < 2:
+        raise ConfigError(f"grid needs at least 2 points, got {grid}")
+    lo, hi = scan_range if scan_range is not None else default_scan_range(
+        spec, order)
+    curve = density(spec, np.linspace(lo, hi, grid), epsilon=epsilon,
+                    order=order)
+    return Analysis(spec, (lo, hi), curve, order)
 
 
-def _sweep_rows(cfg, values, rescale, trials, dist="gaussian", order=None):
+def sweep(cfg, values, rescale, path, label, trials=0, scan_range=None,
+          grid=400, epsilon=None, order=None):
+    """Tabulate the first spike of rescale(cfg, v) for each v in values.
+
+    Rows are [v, lambda, gap, alignment] with alignment the largest
+    cos2 (NaN, 0, 0 when there is no spike); with trials, the mean
+    empirical eigenvalue and cos2 paired with that spike follow.  The
+    table goes to path, or to stdout when path is None.
+    """
     rows = []
     for val in values:
         spec, seed = build_spec(rescale(dict(cfg), val))
-        curve, sup, spikes = _theory(spec, order)
-        spike = spikes[0] if spikes else None
-        gap = spike.gap if spike else 0.0
-        cos2 = max(_cos2(spec, spike)) if spike else 0.0
-        row = [val, spike.location if spike else np.nan, gap, cos2]
+        an = analyze(spec, scan_range, grid, epsilon, order)
+        res = an.monte_carlo(trials, seed)[0] if trials else an.results()
+        first = res["spikes"][0] if res["spikes"] else None
+        row = ([val, first["lambda"], first["gap"], max(first["cos2"])]
+               if first else [val, np.nan, 0.0, 0.0])
         if trials:
-            rep = compare(spec, curve, spikes if spikes else [], trials,
-                          base_seed=seed, dist=dist, support_report=sup)
-            if rep.spike_errors:
-                row += [rep.spike_errors[0][0], rep.alignment_errors[0][0]]
-            else:
-                row += [np.nan, np.nan]
+            cmp = res["comparison"]
+            row += ([cmp["spike_errors"][0][0], cmp["alignment_errors"][0][0]]
+                    if cmp["spike_errors"] else [np.nan, np.nan])
         rows.append(row)
-    return rows
+    header = [label, "lambda", "gap", "alignment"]
+    if trials:
+        header += ["empirical_lambda", "empirical_alignment"]
+    return emit_table(path, header, rows)
+
+
+def _write_theory(out, stem, cfg, trials, order):
+    """Density table and report document of one preset setting."""
+    spec, seed = build_spec(cfg)
+    an = analyze(spec, order=order)
+    files = [emit_table(os.path.join(out, f"{stem}_density.csv"),
+                        ["x", "density"],
+                        zip(an.curve.grid, np.nan_to_num(an.curve.density)))]
+    results, seeds = an.monte_carlo(trials, seed) if trials else (
+        an.results(), [])
+    files.append(emit_document(os.path.join(out, f"{stem}_report.json"),
+                               spec_echo(spec, seed), results, seeds,
+                               _version))
+    return files
 
 
 def run_preset(name, out, trials=None, order=None):
     """Run one preset; returns the list of files written."""
-    os.makedirs(out, exist_ok=True)
     cfg = preset_config(name)
+    if trials is None:
+        trials = _DEFAULT_TRIALS.get(name, 1)
+    if trials < (1 if name == "fig4" else 0):
+        raise ConfigError(f"preset {name} cannot run {trials} trials")
+    os.makedirs(out, exist_ok=True)
     files = []
 
     if name in ("fig1a", "fig1b", "fig1cd"):
-        spec, seed = build_spec(cfg)
-        curve, sup, spikes = _theory(spec, order)
-        files += _write_theory(out, name, spec, seed, curve, sup, spikes,
-                               trials if trials is not None else 1)
+        files += _write_theory(out, name, cfg, trials, order)
     elif name == "fig2":
         for loss in ("logistic", "exponential"):
-            c = dict(cfg, loss=loss)
-            spec, seed = build_spec(c)
-            lo, hi = default_scan_range(spec, order)
-            curve = density(spec, np.linspace(lo, hi, 400), order=order)
-            sup = support(spec, (lo, hi), order=order, curve=curve)
-            files += _write_theory(out, f"fig2_{loss}", spec, seed, curve, sup,
-                                   [], trials if trials is not None else 1)
+            files += _write_theory(out, f"fig2_{loss}", dict(cfg, loss=loss),
+                                   trials, order)
     elif name == "fig3":
         for tag, top in (("two", 2.0), ("four", 4.0)):
             c = dict(cfg, cov={"diag_blocks": [[1.0, 400], [top, 400]]})
-            spec, seed = build_spec(c)
-            curve, sup, spikes = _theory(spec, order)
-            files += _write_theory(out, f"fig3_{tag}", spec, seed, curve, sup,
-                                   spikes, trials if trials is not None else 1)
+            files += _write_theory(out, f"fig3_{tag}", c, trials, order)
     elif name == "fig4":
+        files += _write_theory(out, "fig4_theory", cfg, 0, order)
         spec, seed = build_spec(cfg)
-        curve, sup, spikes = _theory(spec, order)
-        files += _write_theory(out, "fig4_theory", spec, seed, curve, sup,
-                               spikes, 0)
-        n_seeds = trials if trials is not None else 10
         for dist in ("gaussian", "rademacher", "student_t:7"):
             pooled = np.concatenate(
                 [run_trial(spec, dist, seed + k).eigenvalues
-                 for k in range(n_seeds)])
+                 for k in range(trials)])
             tag = dist.replace(":", "")
             files.append(emit_table(os.path.join(out, f"fig4_{tag}.csv"),
                                     ["eigenvalue"], [[v] for v in pooled]))
     elif name == "fig5":
-        spec, seed = build_spec(dict(cfg))
-        curve, sup, spikes = _theory(spec, order)
-        files += _write_theory(out, "fig5", spec, seed, curve, sup, spikes, 0)
+        files += _write_theory(out, "fig5", cfg, 0, order)
 
         def rescale(c, rho2):
             c["mu"] = "pm_block(%.17g)" % np.sqrt(rho2)
             return c
 
-        rows = _sweep_rows(cfg, _FIG5_RHO2, rescale,
-                           trials if trials is not None else 50, order=order)
-        files.append(emit_table(
-            os.path.join(out, "fig5_sweep.csv"),
-            ["mu_norm2", "lambda", "gap", "alignment",
-             "empirical_lambda", "empirical_alignment"], rows))
-    elif name in ("fig6", "fig7"):
-        values = _FIG6_WNORM if name == "fig6" else _FIG7_WNORM
-
+        files.append(sweep(cfg, _FIG5_RHO2, rescale,
+                           os.path.join(out, "fig5_sweep.csv"), "mu_norm2",
+                           trials, order=order))
+    else:  # fig6, fig7
         def rescale(c, val):
             if name == "fig6":
                 c["w"] = "pm_block(%.17g)" % val
@@ -205,12 +241,7 @@ def run_preset(name, out, trials=None, order=None):
                 c["w"] = "pm_block(%.17g)" % (val * np.sqrt(2.0 / 3.0))
             return c
 
-        rows = _sweep_rows(cfg, values, rescale,
-                           trials if trials is not None else 50, order=order)
-        files.append(emit_table(
-            os.path.join(out, f"{name}_sweep.csv"),
-            ["norm", "lambda", "gap", "alignment",
-             "empirical_lambda", "empirical_alignment"], rows))
-    else:
-        raise ConfigError(f"unknown preset {name!r}")
+        files.append(sweep(cfg, _FIG6_WNORM if name == "fig6" else _FIG7_WNORM,
+                           rescale, os.path.join(out, f"{name}_sweep.csv"),
+                           "norm", trials, order=order))
     return files

@@ -3,11 +3,13 @@
 Tables are one '#'-prefixed header line followed by comma-separated
 columns at 17 significant digits.  Documents are JSON objects with the
 fixed top-level keys {spec_echo, results, seeds, tool_version}, so any
-report can be reproduced from its own file.
+report can be reproduced from its own file.  Both writers print to
+stdout when the path is None.
 """
 from __future__ import annotations
 
 import json
+import sys
 
 import numpy as np
 
@@ -16,14 +18,21 @@ def _fmt(x):
     return "%.17g" % float(x)
 
 
+def _write(path, text):
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        with open(path, "w") as fh:
+            fh.write(text)
+    return path
+
+
 def emit_table(path, header, rows):
     """Write a table file: '# a,b,...' then one comma-joined row per line."""
     lines = ["# " + ",".join(header)]
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    return path
+    return _write(path, "\n".join(lines) + "\n")
 
 
 def _jsonable(obj):
@@ -46,7 +55,4 @@ def emit_document(path, spec_echo, results, seeds, tool_version):
         "seeds": _jsonable(seeds),
         "tool_version": tool_version,
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    return path
+    return _write(path, json.dumps(doc, indent=1, sort_keys=True) + "\n")

@@ -38,6 +38,9 @@ __all__ = [
     "model_spike_scalar",
 ]
 
+SCAN_MARGIN = 3.0   # exterior scan reach beyond the hull, in support widths
+MESH = 200          # determinant evaluations per scanned segment
+
 
 @dataclass(frozen=True, eq=False)
 class SpikeMatrix:
@@ -58,6 +61,15 @@ class SpikeReport:
     gap: float
     alignment: np.ndarray      # 3x3 projection matrix V^T u u^T V
     det_residual: float
+
+    def cos2(self, V):
+        """Squared cosines between the spike eigenvector and each column
+        of V (0 for a zero column)."""
+        out = []
+        for k in range(3):
+            nrm2 = V[:, k] @ V[:, k]
+            out.append(float(self.alignment[k, k] / nrm2) if nrm2 > 0 else 0.0)
+        return out
 
 
 def _active_columns(spec):
@@ -146,29 +158,28 @@ def _edge_distance(support_report, lam):
     return best
 
 
-def find_spikes(spec, support_report, scan_margin=None, order=None,
-                mesh=200):
+def find_spikes(spec, support_report, order=None):
     """Locate all real exterior roots of det G and attach alignments.
 
-    Each complement interval of the support (and a margin beyond the
-    outermost edges, default 3x the support width) is scanned on a mesh
-    for sign changes of the determinant; brackets are polished to 1e-10.
+    Each complement interval of the support (and a margin of
+    SCAN_MARGIN support widths beyond the outermost edges) is scanned on
+    MESH points for sign changes of the determinant; brackets are
+    polished to 1e-10.  An empty support has no spikes.
     """
     if not support_report.intervals:
         return []
     lo, hi = _support_hull(support_report)
     width = max(hi - lo, 1e-12)
-    if scan_margin is None:
-        scan_margin = 3.0 * width
+    margin = SCAN_MARGIN * width
     standoff = max(1e-6, 1e-4 * width)
 
     segments = []
     left_ends = [lo] + [iv[0] for iv in support_report.intervals[1:]]
     right_ends = [iv[1] for iv in support_report.intervals]
-    segments.append(((lo - scan_margin, lo - standoff), "near_b"))
+    segments.append(((lo - margin, lo - standoff), "near_b"))
     for gap_l, gap_r in zip(right_ends[:-1], left_ends[1:]):
         segments.append(((gap_l + standoff, gap_r - standoff), "center"))
-    segments.append(((hi + standoff, hi + scan_margin), "near_a"))
+    segments.append(((hi + standoff, hi + margin), "near_a"))
 
     def det_at(x, warm):
         pt = solve_point(spec, x, warm_start=warm[0], order=order)
@@ -179,18 +190,18 @@ def find_spikes(spec, support_report, scan_margin=None, order=None,
     for (a, b), hard_end in segments:
         if b <= a:
             continue
-        xs = np.linspace(a, b, mesh)
+        xs = np.linspace(a, b, MESH)
         # visit the easy (far-from-edge) points first so the warm-start
         # chain is established before the near-edge points are attempted
         if hard_end == "near_a":
-            visit = range(mesh - 1, -1, -1)
+            visit = range(MESH - 1, -1, -1)
         elif hard_end == "near_b":
-            visit = range(mesh)
+            visit = range(MESH)
         else:
-            mid = mesh // 2
-            visit = sorted(range(mesh), key=lambda k: abs(k - mid))
-        vals = np.empty(mesh)
-        deltas = np.full(mesh, np.nan, dtype=complex)
+            mid = MESH // 2
+            visit = sorted(range(MESH), key=lambda k: abs(k - mid))
+        vals = np.empty(MESH)
+        deltas = np.full(MESH, np.nan, dtype=complex)
         warm = [None]
         for i in visit:
             try:
@@ -199,7 +210,7 @@ def find_spikes(spec, support_report, scan_margin=None, order=None,
             except (NonConvergence, BranchViolation, ImaginaryLeak):
                 vals[i] = np.nan
                 warm[0] = None
-        for i in range(mesh - 1):
+        for i in range(MESH - 1):
             v0, v1 = vals[i], vals[i + 1]
             if not (np.isfinite(v0) and np.isfinite(v1)) or v0 * v1 > 0:
                 continue

@@ -14,8 +14,8 @@ import pytest
 from scipy import stats
 
 from hesspec import (ProblemSpec, ResponseModel, ScaledIdentity, WeightFn,
-                     build_spec, classify_g_support, compare, curvature,
-                     default_scan_range, density, find_spikes, loss_value,
+                     analyze, build_spec, classify_g_support, compare,
+                     curvature, default_scan_range, density, loss_value,
                      measure_alignment, model_spike_scalar, pinv2, run_trial,
                      signal_spike_closed_form, solve_point, spike_matrix,
                      spike_matrix_deriv, support)
@@ -23,11 +23,8 @@ from hesspec import (ProblemSpec, ResponseModel, ScaledIdentity, WeightFn,
 
 def theory_pipeline(cfg, grid=400):
     spec, seed = build_spec(cfg)
-    lo, hi = default_scan_range(spec)
-    curve = density(spec, np.linspace(lo, hi, grid))
-    sup = support(spec, (lo, hi), curve=curve)
-    spikes = find_spikes(spec, sup) if sup.intervals else []
-    return spec, seed, curve, sup, spikes
+    an = analyze(spec, grid=grid)
+    return spec, seed, an.curve, an.support, an.spikes
 
 
 def signal_cfg(rho, p=512, n=2048, seed=101):

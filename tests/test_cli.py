@@ -144,3 +144,59 @@ class TestErrors:
     def test_bad_range_exits_one(self, mp_config):
         assert main(["density", "--config", mp_config,
                      "--range", "1.0:0.5"]) == 1
+
+    @pytest.mark.parametrize("cfg", [
+        {"p": "abc", "n": 16},
+        {"p": 8, "n": 16, "cov": {"diag_blocks": [[1.0, "four"], [2.0, 4]]}},
+        {"p": 8, "n": 16, "loss": "hinge"},
+        {"p": 0, "n": 16},
+    ], ids=["p_not_integer", "diag_blocks_count", "unknown_loss", "p_zero"])
+    def test_invalid_config_value_exits_one(self, tmp_path, capsys, cfg):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["spikes", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("config error:")
+
+    @pytest.mark.parametrize("grid", ["0", "1"])
+    def test_grid_below_two_exits_one(self, mp_config, grid):
+        assert main(["density", "--config", mp_config, "--grid", grid]) == 1
+
+    def test_compare_without_trials_exits_one(self, mp_config):
+        assert main(["compare", "--config", mp_config, "--trials", "0",
+                     "--grid", "50"]) == 1
+
+    def test_negative_preset_trials_exits_one(self, tmp_path):
+        out = tmp_path / "p"
+        assert main(["preset", "fig2", "--trials", "-1",
+                     "--out", str(out)]) == 1
+        assert not out.exists()
+
+    def test_fig4_without_trials_exits_one(self, tmp_path):
+        assert main(["preset", "fig4", "--trials", "0",
+                     "--out", str(tmp_path)]) == 1
+
+
+class TestStdout:
+    @pytest.mark.parametrize("command", ["density", "spikes"])
+    def test_stdout_matches_out_file(self, signal_config, tmp_path, capsys,
+                                     command):
+        args = [command, "--config", signal_config, "--grid", "100"]
+        out = tmp_path / "out"
+        assert main(args + ["--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(args) == 0
+        assert capsys.readouterr().out.encode() == out.read_bytes()
+
+    def test_density_computes_no_support(self, mp_config, capsys,
+                                         monkeypatch):
+        import hesspec.bulk
+        import hesspec.cli
+        import hesspec.presets
+
+        def no_support(*args, **kwargs):
+            raise AssertionError("density must not compute the support")
+
+        for module in (hesspec.bulk, hesspec.presets, hesspec.cli):
+            monkeypatch.setattr(module, "support", no_support, raising=False)
+        assert main(["density", "--config", mp_config, "--grid", "20"]) == 0
+        assert capsys.readouterr().out.startswith("# x,density\n")

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from hesspec import (ProblemSpec, ResponseModel, ScaledIdentity, WeightFn,
-                     build_hessian, build_spec, compare, default_scan_range,
-                     density, extract_outliers, find_spikes, measure_alignment,
+                     analyze, build_hessian, build_spec, compare,
+                     default_scan_range, extract_outliers, measure_alignment,
                      run_trial, support, worker_count)
 from hesspec.bulk import SupportReport
 from hesspec.empirical import EmpiricalSpectrum
@@ -117,10 +117,8 @@ class TestMeasureAlignment:
 class TestCompare:
     def test_deterministic_and_close_to_theory(self):
         spec, seed = signal_spec()
-        lo, hi = default_scan_range(spec)
-        curve = density(spec, np.linspace(lo, hi, 400))
-        sup = support(spec, (lo, hi), curve=curve)
-        spikes = find_spikes(spec, sup)
+        an = analyze(spec)
+        curve, spikes = an.curve, an.spikes
         rep1 = compare(spec, curve, spikes, trials=4, base_seed=seed)
         rep2 = compare(spec, curve, spikes, trials=4, base_seed=seed)
         assert rep1.seeds == rep2.seeds == [seed + k for k in range(4)]

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from hesspec import (Diagonal, ProblemSpec, ResponseModel, ScaledIdentity,
-                     WeightFn, alignment, default_scan_range, density,
-                     find_spikes, model_spike_scalar, resolvent_forms,
-                     signal_spike_closed_form, solve_point, spike_det,
-                     spike_matrix, spike_matrix_deriv, support)
+                     WeightFn, alignment, analyze, model_spike_scalar,
+                     resolvent_forms, signal_spike_closed_form, solve_point,
+                     spike_det, spike_matrix, spike_matrix_deriv)
 
 
 def make_spec(p, n, mu=0.0, w_star=0.0, w=0.0, cov=None, model=None,
@@ -24,10 +23,8 @@ def make_spec(p, n, mu=0.0, w_star=0.0, w=0.0, cov=None, model=None,
 
 
 def theory(spec):
-    lo, hi = default_scan_range(spec)
-    curve = density(spec, np.linspace(lo, hi, 400))
-    sup = support(spec, (lo, hi), curve=curve)
-    return sup, find_spikes(spec, sup)
+    an = analyze(spec)
+    return an.support, an.spikes
 
 
 class TestResolventForms:
