@@ -1,4 +1,5 @@
-"""Fixed-point solver for the limiting spectral measure.
+"""The limiting spectral measure: a fixed point off the real axis, an
+inverse map on it.
 
 The companion Stieltjes pair (delta(z), m(z)) solves
 
@@ -6,18 +7,34 @@ The companion Stieltjes pair (delta(z), m(z)) solves
     m     = sum_j w_j / (e(delta) t_j - z),
 
 where (t_j, w_j) are the spectral atoms of C and e(delta) is the
-effective curvature E[g/(1+g delta)].  The density follows by Stieltjes
-inversion, and the support is detected by thresholding a density sweep
-and refining the edges by bisection.
+effective curvature E[g/(1+g delta)].  Off the real axis the pair is a
+damped fixed point, and the density follows by Stieltjes inversion.
+
+On the real axis outside the support the first equation is inverted
+instead (Silverstein and Choi, 1995).  Every admissible delta, one with
+1 + g delta != 0 wherever the weight g can fall, gives one z per branch:
+z(delta) = s e(delta) - c s / delta for C = s I, and for several atoms
+the root of the increasing secular equation left or right of all poles
+e(delta) t_j (the outer branch) or between two of them (a gap branch).
+The real exterior is exactly the set of z(delta) where dz/ddelta > 0.
+Its boundary points, the support edges, are the zeros of the slope
+numerator 1 - E2 (1/n) tr CQCQ, or an end of the admissible delta range
+where the slope has no zero (a hard edge), and the support is the
+complement of the exterior.  Edges therefore depend on no density
+threshold, grid or scan window.  The admissible range comes from the
+bounds of the weight law (classify_g_support), not from the quadrature
+nodes; a law unbounded on both sides admits only delta = 0 and has no
+real exterior.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import optimize
 
 from .errors import BranchViolation, NonConvergence
-from .expectations import expectation_engine
+from .expectations import DEFAULT_QUAD_ORDER, expectation_engine
 from .models import classify_g_support
 
 __all__ = [
@@ -33,6 +50,8 @@ __all__ = [
 
 FP_TOL = 1e-11
 FP_MAX_ITER = 10_000
+_SIDE_POINTS = 160    # arc grid points toward 0 and toward each arc end
+_BISECT_MAX = 200     # secular-root halvings; 2 adjacent doubles come first
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,48 +156,33 @@ def stieltjes_derivatives(spec, point, order=None):
 
 
 def solve_point(spec, z, warm_start=None, order=None):
-    """Solve the (delta, m) fixed point at one complex or real-exterior z."""
+    """Solve for (delta, m) at one complex z, or at a real z off the support.
+
+    A complex z runs the damped fixed point, from warm_start if given.  A
+    real z is inverted exactly on the exterior map (warm_start unused),
+    and one inside the support raises BranchViolation.
+    """
+    z = complex(z)
+    if z.imag == 0.0:
+        return _exterior(spec, order).solve(z.real)
     eng = expectation_engine(spec, order)
     t, wts = spec.atoms
     c = spec.c
-    z = complex(z)
-    real_axis = z.imag == 0.0
-
-    starts = []
-    if warm_start is not None:
-        starts.append(complex(warm_start))
-    starts.append(-1.0 / z if z != 0 else complex(-1.0))
+    starts = [] if warm_start is None else [complex(warm_start)]
+    starts.append(-1.0 / z)
 
     last_err = None
     for delta0, accel in [(d, a) for d in starts for a in (True, False)]:
-        if real_axis:
-            delta0 = complex(delta0.real)
         try:
             delta, it = _iterate(eng, t, wts, c, z, delta0, accelerate=accel)
         except NonConvergence as err:
             last_err = err
             continue
         point = _finish(eng, t, wts, c, z, delta, it)
-        if not real_axis:
-            if point.m.imag * z.imag > 0:
-                return point
-            last_err = BranchViolation(
-                f"Im(m)*Im(z) <= 0 at z={z} (wrong Stieltjes branch)")
-            continue
-        # real axis: solution must be real with m'(z) > 0 (genuine
-        # Stieltjes transform of a positive measure off its support)
-        if abs(point.delta.imag) > 1e-9 or abs(point.m.imag) > 1e-9:
-            last_err = BranchViolation(f"complex solution on the real axis at z={z}")
-            continue
-        point = StieltjesPoint(z=z, delta=complex(point.delta.real),
-                               m=complex(point.m.real), e=complex(point.e.real),
-                               iterations=point.iterations, residual=point.residual)
-        _, m_prime, _ = stieltjes_derivatives(spec, point, order)
-        if m_prime.real <= 0:
-            last_err = BranchViolation(
-                f"m'(z) <= 0 at real z={z.real} (wrong branch or z inside support)")
-            continue
-        return point
+        if point.m.imag * z.imag > 0:
+            return point
+        last_err = BranchViolation(
+            f"Im(m)*Im(z) <= 0 at z={z} (wrong Stieltjes branch)")
     raise last_err
 
 
@@ -229,69 +233,232 @@ def density(spec, grid, epsilon=None, order=None):
     return DensityCurve(grid=grid, density=out, epsilon=float(epsilon))
 
 
-def _density_at(spec, x, epsilon, warm=None, order=None):
-    pt = solve_point(spec, complex(x, epsilon), warm_start=warm, order=order)
-    return pt.m.imag / np.pi, pt.delta
+@dataclass(frozen=True, eq=False)
+class _Segment:
+    """An arc interval on which z rises along one branch; its image
+    (z_lo, z_hi) is one interval of the real exterior."""
+
+    gap: object          # None: the outer branch; j: between poles t_j, t_j+1
+    th_lo: float         # arc angles of the ends (see _Exterior)
+    z_lo: float          # -inf where th_lo is 0 on the outer branch
+    th_hi: float
+    z_hi: float          # +inf where th_hi is 0 on the outer branch
+    grid: np.ndarray     # indices of the grid points in [th_lo, th_hi]
+
+
+def _bisect(excess, lo, hi):
+    """Elementwise root of an increasing function between lo and hi,
+    halved until the bracket is two adjacent doubles."""
+    for _ in range(_BISECT_MAX):
+        mid = 0.5 * (lo + hi)
+        if np.all((mid == lo) | (mid == hi)):
+            break
+        up = excess(mid) > 0
+        lo, hi = np.where(up, lo, mid), np.where(up, mid, hi)
+    return 0.5 * (lo + hi)
+
+
+def _branch_z(t, w, c, gap, delta, e):
+    """z at arrays delta and e = e(delta) on one branch of the inverse map.
+
+    z is a root of c sum_j w_j t_j / (e t_j - z) = delta, whose left side
+    increases between consecutive poles e t_j.  The outer branch takes the
+    root left of every pole when delta > 0 and right of every pole when
+    delta < 0 (for one atom z = t e - c t / delta); gap branch j takes the
+    root between the poles of t_j and t_j+1.
+    """
+    poles = np.outer(e, t)
+    if gap is None:
+        pull = c * (w @ t) / delta
+        lo, hi = poles.min(1) - pull, poles.max(1) - pull
+        if len(t) == 1:
+            return lo
+        lo = np.where(delta < 0, np.maximum(lo, poles.max(1)), lo)
+        hi = np.where(delta > 0, np.minimum(hi, poles.min(1)), hi)
+    else:
+        lo = poles[:, gap:gap + 2].min(1)
+        hi = poles[:, gap:gap + 2].max(1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _bisect(lambda x: c * np.sum(w * t / (poles - x[:, None]), 1)
+                       - delta, lo, hi)
+
+
+def _slope_sign(t, w, c, z, e, e2):
+    """1 - E2 (1/n) tr CQCQ at arrays (z, e, E2): the sign of dz/ddelta."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return 1.0 - e2 * c * np.sum(w * t * t / (np.outer(e, t)
+                                                  - z[:, None]) ** 2, 1)
+
+
+def _open_gaps(t, w, c):
+    """Pole gaps whose branch can rise anywhere.
+
+    The slope numerator is 1 - (E2 / e^2) chi(z / e) with chi(x) =
+    c sum_j w_j t_j^2 / (t_j - x)^2, and E2 >= e^2, so a gap branch rises
+    only where chi < 1.  chi is convex on the gap: test its minimum.
+    """
+    def chi(x):
+        return c * np.sum(w * t * t / (t - x) ** 2)
+
+    return [j for j in range(len(t) - 1)
+            if optimize.minimize_scalar(
+                chi, bounds=(t[j], t[j + 1]), method="bounded",
+                options={"xatol": 1e-12 * t[j + 1]}).fun < 1.0]
+
+
+def _arc_side(bound, side, sigma, g):
+    """Grid angles from 0 (exclusive) to one end of the admissible arc.
+
+    1 + g delta = 0 at theta = arctan(sigma g) - pi/2, which increases
+    with g, so the arc around theta = 0 ends at g_max below (side -1) and
+    at g_min above (side +1, shifted by pi); an unknown bound ends it at
+    0.  Points are geometric toward 0, where far spikes sit, and toward
+    the end, where a hard edge may sit.  The end itself is a point when
+    every quadrature node g lies strictly inside the bound.
+    """
+    if bound is None:
+        return np.empty(0)
+    end = np.arctan(sigma * bound) + side * np.pi / 2
+    inside = g.min() - bound if side > 0 else bound - g.max()
+    closed = bound != 0 and inside > 1e-12 * abs(bound)
+    return end * np.concatenate([
+        np.logspace(-10.0, np.log10(0.5), _SIDE_POINTS),
+        1.0 - np.logspace(np.log10(0.5), -10.0, _SIDE_POINTS)[1:],
+        [1.0] if closed else []])
+
+
+class _Exterior:
+    """The real exterior of the support, traced by the inverse map.
+
+    The admissible deltas, those with 1 + g delta != 0 wherever g can
+    fall, form one arc of the projective line around delta = 0, through
+    delta = infinity (z = 0) when g_min > 0.  Along it, delta = sigma
+    tan(theta) with sigma = 1/|E g|, z and its slope are continuous.  The
+    map holds the theta grid, e, E2 and the moment matrices on it, z on
+    each branch, and the rising segments with their edges polished by
+    brentq on the slope.
+    """
+
+    def __init__(self, spec, order):
+        self.eng = eng = expectation_engine(spec, order)
+        rank = np.argsort(spec.atoms[0])
+        self.t, self.w = spec.atoms[0][rank], spec.atoms[1][rank]
+        self.c = spec.c
+        e0 = abs(eng.e1(0.0))
+        self.sigma = 1.0 / e0 if e0 > 0 else 1.0
+        cls = classify_g_support(spec)
+        self.theta = np.concatenate([
+            _arc_side(cls.upper_bound, -1, self.sigma, eng.g)[::-1], [0.0],
+            _arc_side(cls.lower_bound, +1, self.sigma, eng.g)])
+        self.segments = []
+        if len(self.theta) == 1:
+            return                    # g unbounded both ways: no exterior
+        self.e, self.e2, self.moments = eng.sweep(self.delta(self.theta))
+        self.z = {}
+        for gap in [None] + _open_gaps(self.t, self.w, self.c):
+            # the outer branch leaves through z = -inf / +inf at delta = 0
+            ok = self.theta != 0.0 if gap is None else slice(None)
+            self.z[gap] = z = np.full(len(self.theta), np.nan)
+            z[ok] = _branch_z(self.t, self.w, self.c, gap,
+                              self.delta(self.theta[ok]), self.e[ok])
+            rising = np.flatnonzero(
+                _slope_sign(self.t, self.w, self.c, z, self.e, self.e2) > 0)
+            for run in np.split(rising, np.flatnonzero(np.diff(rising) > 1) + 1):
+                if len(run):
+                    self.segments.append(_Segment(
+                        gap, *self._end(gap, run[0], run[0] - 1),
+                        *self._end(gap, run[-1], run[-1] + 1), run))
+
+    def delta(self, theta):
+        return self.sigma * np.tan(theta)
+
+    def at(self, gap, theta):
+        """(z, e, delta) at one angle on a branch."""
+        d = float(self.delta(theta))
+        e = float(self.eng.e1(d))
+        return float(_branch_z(self.t, self.w, self.c, gap, np.array([d]),
+                               np.array([e]))[0]), e, d
+
+    def point(self, gap, theta, z=None):
+        """The StieltjesPoint at one angle (at z if given, which z(theta)
+        matches to rounding), with no fixed-point solve."""
+        z_theta, e, d = self.at(gap, theta)
+        z = z_theta if z is None else z
+        pole = e * self.t - z
+        target = self.c * np.sum(self.w * self.t / pole)
+        return StieltjesPoint(z=complex(z), delta=complex(d),
+                              m=complex(np.sum(self.w / pole)), e=complex(e),
+                              iterations=0, residual=abs(d - target))
+
+    def solve(self, x):
+        """The point at real x, where z(theta) = x on a rising segment."""
+        for seg in self.segments:
+            if seg.z_lo < x < seg.z_hi:
+                ths = np.r_[seg.th_lo, self.theta[seg.grid], seg.th_hi]
+                zs = np.r_[seg.z_lo, self.z[seg.gap][seg.grid], seg.z_hi]
+                # z is -inf (+inf) at theta = 0 on the outer branch's
+                # positive (negative) side: step off it
+                ths[0], ths[-1] = ths[0] or 1e-200, ths[-1] or -1e-200
+                i = int(np.searchsorted(zs, x))
+                th = optimize.brentq(lambda u: self.at(seg.gap, u)[0] - x,
+                                     ths[i - 1], ths[i], xtol=1e-300)
+                return self.point(seg.gap, th, x)
+        raise BranchViolation(f"real z={x} is not outside the support")
+
+    def _slope(self, gap, theta):
+        z, e, d = self.at(gap, theta)
+        return _slope_sign(self.t, self.w, self.c, np.array([z]),
+                           np.array([e]), self.eng.e2(d))[0]
+
+    def _end(self, gap, inside, outside):
+        """(theta, z) of the segment end between grid point inside (rising)
+        and outside (not rising, or past the end of the arc)."""
+        th_in = self.theta[inside]
+        if not 0 <= outside < len(self.theta):
+            return th_in, self.z[gap][inside]
+        th_out = self.theta[outside]
+        if gap is None and th_out == 0.0:
+            return 0.0, -np.inf if outside < inside else np.inf
+        if self._slope(gap, th_out) * self._slope(gap, th_in) > 0:
+            return th_in, self.z[gap][inside]         # sign at rounding level
+        th = optimize.brentq(lambda x: self._slope(gap, x), th_out, th_in,
+                             xtol=1e-15 * abs(th_in))
+        return th, self.at(gap, th)[0]
+
+
+def _exterior(spec, order=None):
+    """The exterior map of the spec, cached per quadrature order."""
+    key = ("exterior", order or DEFAULT_QUAD_ORDER)
+    ext = spec._cache.get(key)
+    if ext is None:
+        ext = spec._cache[key] = _Exterior(spec, order)
+    return ext
 
 
 def support(spec, scan_range, resolution=400, order=None, curve=None):
-    """Support intervals of the limiting measure on a scan window.
+    """Support intervals of the limiting measure within a scan window.
 
-    The support is taken as the closure of {x : density(x) > theta} with
-    theta = 1e-3 of the peak density; each edge is then refined by
-    bisection on the threshold crossing to 1e-6 absolute.  For weight
-    laws of unbounded support the report covers the scanned window only.
+    The support is the exact complement of the real exterior traced by
+    the inverse map (module docstring), clipped to scan_range; its edges
+    are exact up to the quadrature of the weight law.  A weight law
+    unbounded on both sides has no real exterior, so the report is the
+    whole window as one interval.  For c > 1 the atom at 0 is listed as
+    (0, 0) unless an interval holds it.  resolution and curve are unused
+    and kept for callers that pass them: no grid or density enters the
+    edges.
     """
-    bounded = classify_g_support(spec).bounded
     lo, hi = float(scan_range[0]), float(scan_range[1])
-    if curve is None:
-        grid = np.linspace(lo, hi, resolution)
-        curve = density(spec, grid, order=order)
-    grid, dens, eps = curve.grid, curve.density, curve.epsilon
-
-    finite = np.nan_to_num(dens, nan=np.inf)
-    peak = np.nanmax(dens)
-    # a scan that misses the bulk entirely sees only the O(eps) haze of
-    # the regularized inversion; don't mistake its maximum for a peak
-    if not np.isfinite(peak) or peak <= 1e3 * eps:
-        return SupportReport(intervals=[], bulk_count=0, bounded=bounded)
-    theta = 1e-3 * peak
-    inside = finite > theta  # NaN (solver failure) counts as inside
-
-    def refine(x_out, x_in):
-        # bisection on the density threshold between an outside and an
-        # inside point, warm-started from the inside neighbor
-        try:
-            _, warm = _density_at(spec, x_in, eps, order=order)
-        except (NonConvergence, BranchViolation):
-            warm = None
-        for _ in range(64):
-            if abs(x_in - x_out) < 1e-6:
-                break
-            mid = 0.5 * (x_out + x_in)
-            try:
-                d_mid, warm = _density_at(spec, mid, eps, warm=warm,
-                                          order=order)
-            except (NonConvergence, BranchViolation):
-                d_mid, warm = np.inf, None
-            if d_mid > theta:
-                x_in = mid
-            else:
-                x_out = mid
-        return 0.5 * (x_out + x_in)
-
-    intervals = []
-    i = 0
-    while i < len(grid):
-        if inside[i]:
-            j = i
-            while j + 1 < len(grid) and inside[j + 1]:
-                j += 1
-            left = grid[i] if i == 0 else refine(grid[i - 1], grid[i])
-            right = grid[j] if j == len(grid) - 1 else refine(grid[j + 1], grid[j])
-            intervals.append((float(left), float(right)))
-            i = j + 1
-        else:
-            i += 1
+    intervals, cur = [], lo
+    for z_lo, z_hi in sorted((s.z_lo, s.z_hi)
+                             for s in _exterior(spec, order).segments):
+        if cur < min(z_lo, hi):
+            intervals.append((cur, min(z_lo, hi)))
+        cur = max(cur, z_hi)
+    if cur < hi:
+        intervals.append((cur, hi))
+    if spec.c > 1 and lo <= 0.0 <= hi and not any(a <= 0.0 <= b
+                                                 for a, b in intervals):
+        # rank H <= n < p: an atom of mass 1 - 1/c at 0
+        intervals = sorted(intervals + [(0.0, 0.0)])
     return SupportReport(intervals=intervals, bulk_count=len(intervals),
-                         bounded=bounded)
+                         bounded=classify_g_support(spec).bounded)

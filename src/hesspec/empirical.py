@@ -36,6 +36,7 @@ class EmpiricalSpectrum:
     top_vec: np.ndarray
     bottom_vec: np.ndarray
     seed: int
+    paired: tuple = ()         # (index, eigenvector) per requested gap
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,8 +70,22 @@ def build_hessian(X, d):
     return 0.5 * (H + H.T)
 
 
-def run_trial(spec, dist, seed):
-    """Sample one Hessian and return its full spectrum with extreme vectors."""
+def _nearest_in_gap(eigvals, lo, hi, lam):
+    """Index of the eigenvalue nearest lam inside (lo, hi); nearest
+    overall when the gap holds none."""
+    pool = np.flatnonzero((eigvals > lo) & (eigvals < hi))
+    if not len(pool):
+        pool = np.arange(len(eigvals))
+    return int(pool[np.argmin(np.abs(eigvals[pool] - lam))])
+
+
+def run_trial(spec, dist, seed, gaps=()):
+    """Sample one Hessian and return its full spectrum with extreme vectors.
+
+    For each (lo, hi, lam) in gaps, the eigenpair nearest lam inside the
+    support gap (lo, hi) is kept in `paired`.  Only copied vectors are
+    kept, so no p x p matrix outlives the trial.
+    """
     rng = np.random.Generator(np.random.Philox(seed))
     X = sample_features(spec, dist, rng)
     h_star = spec.w_star @ X
@@ -82,8 +97,12 @@ def run_trial(spec, dist, seed):
         eigvals, eigvecs = np.linalg.eigh(H)
     except np.linalg.LinAlgError as err:
         raise NumericError(f"eigensolver failed for seed {seed}: {err}")
-    return EmpiricalSpectrum(eigenvalues=eigvals, top_vec=eigvecs[:, -1],
-                             bottom_vec=eigvecs[:, 0], seed=int(seed))
+    picks = [_nearest_in_gap(eigvals, *gap) for gap in gaps]
+    return EmpiricalSpectrum(eigenvalues=eigvals,
+                             top_vec=eigvecs[:, -1].copy(),
+                             bottom_vec=eigvecs[:, 0].copy(), seed=int(seed),
+                             paired=tuple((k, eigvecs[:, k].copy())
+                                          for k in picks))
 
 
 def extract_outliers(spectrum, support_report, edge_tol=None):
@@ -125,9 +144,19 @@ def measure_alignment(vec, target):
     return float((target @ np.asarray(vec, dtype=float)) ** 2 / nrm2)
 
 
-def _run_trials(spec, dist, seeds):
+def _run_trials(spec, dist, seeds, gaps):
     with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        return list(pool.map(lambda s: run_trial(spec, dist, s), seeds))
+        return list(pool.map(lambda s: run_trial(spec, dist, s, gaps), seeds))
+
+
+def _support_gap(support_report, lam):
+    """(lo, hi) of the gap between two support intervals that holds lam,
+    or None."""
+    ivs = [] if support_report is None else sorted(support_report.intervals)
+    for (_, lo), (hi, _) in zip(ivs, ivs[1:]):
+        if lo < lam < hi:
+            return lo, hi
+    return None
 
 
 def compare(spec, theory_density, spike_reports, trials, base_seed,
@@ -136,11 +165,20 @@ def compare(spec, theory_density, spike_reports, trials, base_seed,
 
     density_l1 is the integrated L1 distance between the pooled
     eigenvalue histogram (Freedman-Diaconis bins) and the theory curve;
-    spike and alignment errors compare per-trial extreme eigenpairs to
-    each theoretical spike.
+    spike and alignment errors compare per-trial eigenpairs to each
+    theoretical spike.  A spike in a gap between two intervals of
+    support_report pairs with the eigenvalue nearest it inside that gap
+    (nearest overall if the gap is empty); any other spike pairs with
+    the extreme eigenpair on its side.
     """
     seeds = [base_seed + k for k in range(trials)]
-    spectra = _run_trials(spec, dist, seeds)
+    slot, gaps = {}, []
+    for i, rep in enumerate(spike_reports):
+        gap = _support_gap(support_report, rep.location)
+        if gap is not None:
+            slot[i] = len(gaps)
+            gaps.append((*gap, rep.location))
+    spectra = _run_trials(spec, dist, seeds, gaps)
 
     pooled = np.concatenate([s.eigenvalues for s in spectra])
     counts, edges = np.histogram(pooled, bins="fd", density=True)
@@ -152,7 +190,7 @@ def compare(spec, theory_density, spike_reports, trials, base_seed,
 
     spike_errors = []
     alignment_errors = []
-    for rep in spike_reports:
+    for i, rep in enumerate(spike_reports):
         # dominant structural direction of this spike
         col = int(np.argmax(np.diag(rep.alignment)))
         target = spec.V[:, col]
@@ -160,12 +198,15 @@ def compare(spec, theory_density, spike_reports, trials, base_seed,
         emp_lams = []
         emp_cos2 = []
         for s in spectra:
-            if rep.side == "left":
-                emp_lams.append(s.eigenvalues[0])
-                emp_cos2.append(measure_alignment(s.bottom_vec, target))
+            if i in slot:
+                k, vec = s.paired[slot[i]]
+                lam = s.eigenvalues[k]
+            elif rep.side == "left":
+                lam, vec = s.eigenvalues[0], s.bottom_vec
             else:
-                emp_lams.append(s.eigenvalues[-1])
-                emp_cos2.append(measure_alignment(s.top_vec, target))
+                lam, vec = s.eigenvalues[-1], s.top_vec
+            emp_lams.append(lam)
+            emp_cos2.append(measure_alignment(vec, target))
         emp_lam = float(np.mean(emp_lams))
         emp_c = float(np.mean(emp_cos2))
         spike_errors.append((emp_lam, rep.location, abs(emp_lam - rep.location)))

@@ -31,6 +31,7 @@ __all__ = [
 
 DEFAULT_QUAD_ORDER = 96
 _INNER_NOISE_ORDER = 32
+_SWEEP_BYTES = 2 << 20   # (delta, node) intermediates of one sweep chunk
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,6 +160,36 @@ class ExpectationEngine:
         entries[1:, 0] = b
         entries[1:, 1:] = block
         return CurvatureMoments(entries=entries, z=z, delta=delta)
+
+    def sweep(self, deltas):
+        """e1, e2 and the moment matrices (k x 3 x 3) at k real deltas.
+
+        The (delta, node) intermediates are built in chunks that together
+        stay within _SWEEP_BYTES, however long the grid is.
+        """
+        deltas = np.asarray(deltas, dtype=float)
+        k = len(deltas)
+        u0, u1 = self.u
+        cols = np.column_stack([np.ones_like(u0), u0, u1, u0 * u0, u0 * u1,
+                                u1 * u1])
+        e2 = np.empty(k)
+        raw = np.empty((k, 6))
+        rows = max(1, _SWEEP_BYTES // (16 * len(self.g)))   # f and fw
+        for start in range(0, k, rows):
+            part = slice(start, start + rows)
+            f = np.outer(deltas[part], self.g)
+            f += 1.0
+            np.divide(self.g, f, out=f)
+            fw = f * self.wt
+            e2[part] = np.einsum("ij,ij->i", fw, f)
+            raw[part] = fw @ cols
+        moments = np.empty((k, 3, 3))
+        moments[:, 0, 0] = raw[:, 0]
+        moments[:, 0, 1:] = raw[:, 1:3]
+        moments[:, 1:, 0] = raw[:, 1:3]
+        moments[:, 1:, 1:] = (raw[:, [[3, 4], [4, 5]]]
+                              - raw[:, 0, None, None] * self.spec.gram_U_pinv)
+        return raw[:, 0], e2, moments
 
 
 def expectation_engine(spec, order=None):

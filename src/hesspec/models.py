@@ -234,7 +234,9 @@ def classify_g_support(spec):
     """Classify the law of g as bounded or unbounded.
 
     Analytic for the built-in (model, loss) pairs; anything else falls
-    back to a Monte Carlo tail estimate (rationale "sampled").
+    back to a Monte Carlo tail estimate (rationale "sampled").  A law
+    unbounded on one side still reports the bound of its other side
+    (the exponential loss: lower_bound 0, upper_bound None).
     """
     w = spec.weight
     law = spec.projection_law()
@@ -253,7 +255,7 @@ def classify_g_support(spec):
         return GSupportClass(True, 1.0, 1.0, "constant curvature")
     if loss == "exponential":
         if var_h > 0:
-            return GSupportClass(False, None, None,
+            return GSupportClass(False, None, 0.0,
                                  "log-normal curvature e^{-yh}, Gaussian h")
         mh = law.mean[1]
         vals = (np.exp(-mh), np.exp(mh))

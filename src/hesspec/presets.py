@@ -100,8 +100,7 @@ class Analysis:
     @cached_property
     def support(self):
         # the module-level support(), not this property
-        return support(self.spec, self.scan_range, order=self.order,
-                       curve=self.curve)
+        return support(self.spec, self.scan_range, order=self.order)
 
     @cached_property
     def spikes(self):

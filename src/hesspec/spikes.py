@@ -6,7 +6,11 @@ An eigenvalue detaches from the bulk at the real exterior zeros of
 
 where V = [mu, C w*, C w], Qbar is the deterministic resolvent
 equivalent and Lambda couples the curvature to the two projections.
-At a root the asymptotic projection matrix V^T u u^T V follows from the
+find_spikes walks the real exterior along the inverse map z(delta) of
+hesspec.bulk, so each (z, delta) pair is exact without a fixed-point
+solve: det G is tabulated on every rising segment of the map, out to
+z = -inf and +inf, and its sign changes are polished by brentq.  At a
+root the asymptotic projection matrix V^T u u^T V follows from the
 left/right null vectors of G and the explicit derivative G'(z).
 
 Columns of V that vanish (e.g. mu = 0 or w = 0) are dropped so G
@@ -20,9 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize
 
-from .errors import (BranchViolation, ImaginaryLeak, MultiplicityViolation,
-                     NonConvergence)
-from .bulk import solve_point, stieltjes_derivatives
+from .errors import ImaginaryLeak, MultiplicityViolation
+from .bulk import _exterior, solve_point, stieltjes_derivatives
 from .expectations import QuadratureGrid, expectation_engine
 
 __all__ = [
@@ -37,9 +40,6 @@ __all__ = [
     "signal_spike_closed_form",
     "model_spike_scalar",
 ]
-
-SCAN_MARGIN = 3.0   # exterior scan reach beyond the hull, in support widths
-MESH = 200          # determinant evaluations per scanned segment
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,105 +136,69 @@ def spike_matrix_deriv(spec, z, point=None, order=None):
     return lam_prime[ix] @ vqv[ix] + lam[ix] @ vqv_prime[ix]
 
 
-def _support_hull(support_report):
-    edges = [e for iv in support_report.intervals for e in iv]
-    return min(edges), max(edges)
-
-
-def _edge_distance(support_report, lam):
-    """(gap, side) of a point relative to the support intervals."""
-    best = (np.inf, "right")
-    for left, right in support_report.intervals:
-        if lam < left:
-            d = left - lam
-            if d < best[0]:
-                best = (d, "left")
-        elif lam > right:
-            d = lam - right
-            if d < best[0]:
-                best = (d, "right")
-        else:
-            return 0.0, "inside"
-    return best
+def _grid_dets(spec, z, e, moments, active):
+    """det G on the active columns at arrays (z, e) and moments."""
+    vqv = sum(gram / (e * t_val - z)[:, None, None]
+              for t_val, gram in spec.grouped_grams)
+    ix = np.ix_(np.arange(len(z)), active, active)
+    return np.linalg.det(np.eye(len(active)) + moments[ix] @ vqv[ix])
 
 
 def find_spikes(spec, support_report, order=None):
     """Locate all real exterior roots of det G and attach alignments.
 
-    Each complement interval of the support (and a margin of
-    SCAN_MARGIN support widths beyond the outermost edges) is scanned on
-    MESH points for sign changes of the determinant; brackets are
-    polished to 1e-10.  An empty support has no spikes.
+    On every rising segment of the inverse map (see hesspec.bulk) det G
+    is tabulated along z(delta), from the cached grid and the segment's
+    edges, and each sign change is polished by brentq on the delta arc
+    until |dz| <= 1e-12.  Each spike point (z, delta) comes straight from
+    the map, with no fixed-point solve; its gap and side refer to the
+    exact edges of its segment.  support_report is unused and kept for
+    callers that pass it: a law without a real exterior has no spikes.
     """
-    if not support_report.intervals:
-        return []
-    lo, hi = _support_hull(support_report)
-    width = max(hi - lo, 1e-12)
-    margin = SCAN_MARGIN * width
-    standoff = max(1e-6, 1e-4 * width)
+    ext = _exterior(spec, order)
+    active = _active_columns(spec)
 
-    segments = []
-    left_ends = [lo] + [iv[0] for iv in support_report.intervals[1:]]
-    right_ends = [iv[1] for iv in support_report.intervals]
-    segments.append(((lo - margin, lo - standoff), "near_b"))
-    for gap_l, gap_r in zip(right_ends[:-1], left_ends[1:]):
-        segments.append(((gap_l + standoff, gap_r - standoff), "center"))
-    segments.append(((hi + standoff, hi + margin), "near_a"))
-
-    def det_at(x, warm):
-        pt = solve_point(spec, x, warm_start=warm[0], order=order)
-        warm[0] = pt.delta
-        return spike_det(spec, x, point=pt, order=order)
+    def det_at(gap, theta):
+        pt = ext.point(gap, theta)
+        return spike_det(spec, pt.z, point=pt, order=order)
 
     reports = []
-    for (a, b), hard_end in segments:
-        if b <= a:
-            continue
-        xs = np.linspace(a, b, MESH)
-        # visit the easy (far-from-edge) points first so the warm-start
-        # chain is established before the near-edge points are attempted
-        if hard_end == "near_a":
-            visit = range(MESH - 1, -1, -1)
-        elif hard_end == "near_b":
-            visit = range(MESH)
-        else:
-            mid = MESH // 2
-            visit = sorted(range(MESH), key=lambda k: abs(k - mid))
-        vals = np.empty(MESH)
-        deltas = np.full(MESH, np.nan, dtype=complex)
-        warm = [None]
-        for i in visit:
-            try:
-                vals[i] = det_at(xs[i], warm)
-                deltas[i] = warm[0]
-            except (NonConvergence, BranchViolation, ImaginaryLeak):
-                vals[i] = np.nan
-                warm[0] = None
-        for i in range(MESH - 1):
-            v0, v1 = vals[i], vals[i + 1]
-            if not (np.isfinite(v0) and np.isfinite(v1)) or v0 * v1 > 0:
-                continue
-            seed = deltas[i] if np.isfinite(deltas[i]) else deltas[i + 1]
-            root = optimize.brentq(lambda x: det_at(x, [seed]),
-                                   xs[i], xs[i + 1], xtol=1e-10)
-            gap, side = _edge_distance(support_report, root)
-            align = alignment(spec, root, order=order)
-            reports.append(SpikeReport(location=float(root), side=side,
-                                       gap=float(gap), alignment=align,
-                                       det_residual=abs(spike_det(spec, root,
-                                                                  order=order))))
+    for seg in ext.segments:
+        k = seg.grid
+        ths, zs = ext.theta[k], ext.z[seg.gap][k]
+        vals = _grid_dets(spec, zs, ext.e[k], ext.moments[k], active)
+        # edges found between grid points join the table
+        for th, z in ((seg.th_lo, seg.z_lo), (seg.th_hi, seg.z_hi)):
+            if np.isfinite(z) and th not in (ths[0], ths[-1]):
+                at = 0 if th < ths[0] else len(ths)
+                ths, zs = np.insert(ths, at, th), np.insert(zs, at, z)
+                vals = np.insert(vals, at, det_at(seg.gap, th))
+        for i in np.flatnonzero(vals[:-1] * vals[1:] < 0):
+            xtol = 1e-12 * (ths[i + 1] - ths[i]) / (zs[i + 1] - zs[i])
+            root = optimize.brentq(lambda th: det_at(seg.gap, th), ths[i],
+                                   ths[i + 1], xtol=xtol)
+            pt = ext.point(seg.gap, root)
+            lam = pt.z.real
+            # the nearer edge of the segment sets side and gap
+            below, above = lam - seg.z_lo, seg.z_hi - lam
+            side, gap = ("right", below) if below < above else ("left", above)
+            reports.append(SpikeReport(
+                location=float(lam), side=side, gap=float(gap),
+                alignment=alignment(spec, lam, order=order, point=pt),
+                det_residual=abs(spike_det(spec, lam, point=pt, order=order))))
     reports.sort(key=lambda r: r.location)
     return reports
 
 
-def alignment(spec, lam, order=None):
+def alignment(spec, lam, order=None, point=None):
     """Asymptotic projection matrix V^T u u^T V at a spike location.
 
     Built from the left/right null vectors of G(lam) and the explicit
     derivative G'(lam); embedded back into the full 3x3 indexing with
-    zero rows/columns for dropped V columns.
+    zero rows/columns for dropped V columns.  point is the solved
+    StieltjesPoint at lam, if known.
     """
-    gm = spike_matrix(spec, lam, order=order)
+    gm = spike_matrix(spec, lam, point=point, order=order)
     G = gm.entries.real
     eigvals, right = np.linalg.eig(G)
     idx = np.argsort(np.abs(eigvals))
@@ -273,86 +237,41 @@ def signal_spike_closed_form(rho, c):
     return float(edge), 0.0
 
 
-def _model_spike_scalar_funcs(w_norm, c, order=400):
-    grid = QuadratureGrid.gauss_hermite(order).normalized()
-    r = w_norm * grid.nodes
-    wq = grid.weights
-    ch = 2.0 + 2.0 * np.cosh(r)          # 2 + e^r + e^{-r}
-    q = grid.nodes ** 2 - 1.0            # r^2/|w|^2 - 1
-
-    def f(m):
-        return 1.0 / (c * m + ch)
-
-    def z_of_m(m):
-        return np.sum(wq * f(m)) - 1.0 / m
-
-    return f, z_of_m, wq, q
-
-
 def model_spike_scalar(w_norm, c, order=400):
     """Scalar solver for the left model spike of the logistic Hessian.
 
     Independent of the generic pipeline: for mu = 0, w* = 0, C = I the
     whole problem reduces to one scalar fixed point
         m(z) = 1 / (E[f(r, z)] - z),  f(t, z) = 1/(c m + 2 + e^t + e^{-t}),
-    with r ~ N(0, |w|^2).  Returns (gap, alignment_cos2, location, edge),
-    with Nones when no exterior root exists.
+    with r ~ N(0, |w|^2), solved through its inverse z(m) = E[f] - 1/m.
+    The left support edge is the maximum of z(m); on the physical branch
+    0 < m < m_edge below it the spike is the root of
+    det(m) = 1 + m E[f q], q = r^2/|w|^2 - 1.  Returns (gap,
+    alignment_cos2, location, edge), with Nones when no root exists.
     """
-    f, z_of_m, wq, q = _model_spike_scalar_funcs(w_norm, c, order)
+    grid = QuadratureGrid.gauss_hermite(order).normalized()
+    wq = grid.weights
+    ch = 2.0 + 2.0 * np.cosh(w_norm * grid.nodes)    # 2 + e^r + e^{-r}
+    q = grid.nodes ** 2 - 1.0                         # r^2/|w|^2 - 1
 
-    # the left support edge is the maximum of z(m) over the real branch
+    def z_of_m(m):
+        return np.sum(wq / (c * m + ch)) - 1.0 / m
+
+    def det(m):
+        return 1.0 + m * np.sum(wq * q / (c * m + ch))
+
     res = optimize.minimize_scalar(lambda u: -z_of_m(np.exp(u)),
                                    bounds=(-8.0, 12.0), method="bounded",
                                    options={"xatol": 1e-12})
     m_edge = float(np.exp(res.x))
     edge = float(z_of_m(m_edge))
-
-    def m_of_z(z, m0):
-        m = m0
-        for _ in range(20_000):
-            target = 1.0 / (np.sum(wq * f(m)) - z)
-            if abs(target - m) < 1e-13:
-                return target
-            m = 0.5 * (m + target)
-        raise NonConvergence("scalar m fixed point stalled", residual=abs(target - m))
-
-    def det_at(z, m0):
-        m = m_of_z(z, m0)
-        return 1.0 + m * np.sum(wq * f(m) * q), m
-
-    # scan the physical branch (m < m_edge) from the edge down to 0+
-    zs = np.linspace(edge * (1.0 - 1e-6), edge * 1e-3, 400)
-    m_warm = m_edge * 0.999
-    prev = None
-    root = None
-    for z in zs:
-        try:
-            val, m_warm = det_at(z, m_warm)
-        except NonConvergence:
-            prev = None
-            continue
-        if prev is not None and prev[1] * val < 0:
-            lo, hi = z, prev[0]
-            m_br = m_warm
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                v, m_br = det_at(mid, m_br)
-                if v * val > 0:
-                    lo = mid
-                else:
-                    hi = mid
-                if hi - lo < 1e-13:
-                    break
-            root = 0.5 * (lo + hi)
-            break
-        prev = (z, val)
-    if root is None:
+    # det -> 1 as m -> 0+ (z -> -inf); a spike needs a sign change
+    if det(m_edge) >= 0:
         return None, None, None, edge
-
-    m = m_of_z(root, m_edge * 0.5)
-    fv = f(m)
-    ef2 = np.sum(wq * fv ** 2)
-    m_prime = m ** 2 / (1.0 - c * m ** 2 * ef2)
-    det_prime = m_prime * (np.sum(wq * fv * q) - c * m * np.sum(wq * fv ** 2 * q))
-    align = -m / det_prime
-    return float(edge - root), float(align), float(root), edge
+    m = optimize.brentq(det, 1e-12 * m_edge, m_edge, xtol=1e-15)
+    fv = 1.0 / (c * m + ch)
+    m_prime = m ** 2 / (1.0 - c * m ** 2 * np.sum(wq * fv ** 2))
+    det_prime = m_prime * (np.sum(wq * fv * q)
+                           - c * m * np.sum(wq * fv ** 2 * q))
+    root = z_of_m(m)
+    return float(edge - root), float(-m / det_prime), float(root), edge

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from hesspec import (Diagonal, ProblemSpec, ResponseModel, ScaledIdentity,
-                     WeightFn, default_scan_range, density, solve_point,
+                     WeightFn, build_spec, classify_g_support,
+                     default_scan_range, density, find_spikes, solve_point,
                      stieltjes_derivatives, support)
 from hesspec.errors import BranchViolation, HesspecError
+from hesspec.presets import preset_config
 
 
 def quarter_wishart(p=512, n=2048):
@@ -188,3 +190,85 @@ class TestMultiBulk:
         narrow = ProblemSpec(cov=Diagonal(np.repeat([1.0, 1.3], p // 2)), **base)
         lo, hi = default_scan_range(narrow)
         assert support(narrow, (lo, hi)).bulk_count == 1
+
+    def test_many_close_atoms(self):
+        # 200 distinct covariance atoms, some far closer than their spread
+        p = 200
+        z = np.zeros(p)
+        cov = Diagonal(np.random.default_rng(3).uniform(1.0, 3.0, p))
+        spec = ProblemSpec(p=p, n=4 * p, mu=z, cov=cov, w_star=z, w=z,
+                           model=ResponseModel.logistic(),
+                           weight=WeightFn.loss_curvature("square"))
+        (left, right), = support(spec, default_scan_range(spec)).intervals
+        d = density(spec, [left - 0.02, left + 0.02, right - 0.02,
+                           right + 0.02]).density
+        assert d[0] < 1e-3 < d[1] and d[3] < 1e-3 < d[2]
+
+
+# The fig3 "four" covariance with w = 0, where the logistic curvature is the
+# constant 1/4.  Edges computed once with perfbench/oracles.py
+# constant_curvature(0.25, atoms, weights, rho, c), an independent two-atom
+# Silverstein-Choi inverse map.
+FIG3_FOUR_TWIN_EDGES = [0.12255924095212181, 0.3648172992221225,
+                        0.5754273169541165, 1.6038628095383056]
+
+
+def fig3_four_twin():
+    cfg = dict(preset_config("fig3"), w="zeros",
+               cov={"diag_blocks": [[1.0, 400], [4.0, 400]]})
+    return build_spec(cfg)[0]
+
+
+class TestExactEdges:
+    @pytest.mark.parametrize("rho", [0.3, 30.0])
+    def test_mp_edges_at_any_mean(self, rho):
+        spec, _ = build_spec({"p": 512, "n": 2048,
+                              "mu": "pm_block(%.17g)" % np.sqrt(rho),
+                              "model": "logistic", "loss": "logistic"})
+        rc = np.sqrt(spec.c)
+        (left, right), = support(spec, default_scan_range(spec)).intervals
+        assert left == pytest.approx(0.25 * (1 - rc) ** 2, abs=1e-9)
+        assert right == pytest.approx(0.25 * (1 + rc) ** 2, abs=1e-9)
+
+    def test_atom_at_zero_for_c_above_one(self):
+        # square loss, C = I, p = 2n: MP edges (1 -+ sqrt 2)^2 plus the atom
+        # of mass 1/2 at 0 that rank H <= n puts there
+        z = np.zeros(400)
+        spec = ProblemSpec(p=400, n=200, mu=z, cov=ScaledIdentity(1.0),
+                           w_star=z, w=z, model=ResponseModel.logistic(),
+                           weight=WeightFn.loss_curvature("square"))
+        rep = support(spec, default_scan_range(spec))
+        assert rep.intervals[0] == (0.0, 0.0)
+        np.testing.assert_allclose(rep.intervals[1],
+                                   [(1 - np.sqrt(2)) ** 2, (1 + np.sqrt(2)) ** 2],
+                                   rtol=1e-12)
+
+    def test_two_atom_edges(self):
+        spec = fig3_four_twin()
+        rep = support(spec, default_scan_range(spec))
+        edges = [e for iv in rep.intervals for e in iv]
+        np.testing.assert_allclose(edges, FIG3_FOUR_TWIN_EDGES, rtol=0,
+                                   atol=1e-9)
+
+
+class TestOneSidedWeightLaw:
+    def test_exponential_loss_has_only_a_left_edge(self):
+        spec, _ = build_spec(dict(preset_config("fig2"), loss="exponential"))
+        cls = classify_g_support(spec)
+        assert (cls.lower_bound, cls.upper_bound) == (0.0, None)
+        lo, hi = default_scan_range(spec)
+        rep = support(spec, (lo, hi))
+        assert not rep.bounded and rep.bulk_count == 1
+        left, right = rep.intervals[0]
+        assert lo < left and right == hi
+        # the complex fixed point agrees: no mass left of the edge
+        curve = density(spec, [left - 0.01, left + 0.01])
+        assert curve.density[0] < 1e-3 < curve.density[1]
+
+    def test_two_sided_unbounded_law_fills_the_window(self):
+        spec, _ = build_spec(preset_config("fig1cd"))
+        lo, hi = default_scan_range(spec)
+        rep = support(spec, (lo, hi))
+        assert rep.intervals == [(lo, hi)]
+        assert not rep.bounded and rep.bulk_count == 1
+        assert find_spikes(spec, rep) == []

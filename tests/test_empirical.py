@@ -130,6 +130,34 @@ class TestCompare:
         assert align_err < 0.05
 
 
+class TestInGapPairing:
+    def test_in_gap_spike_pairs_inside_the_gap(self):
+        # fig3 "four": a two-bulk support with a spike at 0.3366 in the gap
+        from hesspec.presets import preset_config
+        cfg = dict(preset_config("fig3"),
+                   cov={"diag_blocks": [[1.0, 400], [4.0, 400]]})
+        spec, seed = build_spec(cfg)
+        an = analyze(spec)
+        assert an.support.bulk_count == 2 and len(an.spikes) == 1
+        rep = compare(spec, an.curve, an.spikes, trials=2, base_seed=seed,
+                      support_report=an.support)
+        emp, theo, _ = rep.spike_errors[0]
+        assert theo == pytest.approx(0.3366, abs=1e-4)
+        assert emp == pytest.approx(theo, abs=0.02)
+
+    def test_pairing_keeps_only_vectors(self):
+        spec, seed = signal_spec(p=64, n=256)
+        s = run_trial(spec, "gaussian", seed,
+                      gaps=[(0.2, 0.3, 0.25), (10.0, 11.0, 10.5)])
+        (k, vec), (top, top_vec) = s.paired
+        ev = s.eigenvalues
+        assert k == np.argmin(np.abs(ev - 0.25)) and 0.2 < ev[k] < 0.3
+        assert top == len(ev) - 1        # empty gap: nearest overall
+        np.testing.assert_array_equal(top_vec, s.top_vec)
+        for v in (vec, s.top_vec, s.bottom_vec):
+            assert v.base is None        # copies, not views of eigenvectors
+
+
 class TestWorkerCount:
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("HESSPEC_THREADS", "2")

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from hesspec import (Diagonal, ProblemSpec, ResponseModel, ScaledIdentity,
-                     WeightFn, alignment, analyze, model_spike_scalar,
+                     WeightFn, alignment, analyze, build_spec,
+                     default_scan_range, find_spikes, model_spike_scalar,
                      resolvent_forms, signal_spike_closed_form, solve_point,
-                     spike_det, spike_matrix, spike_matrix_deriv)
+                     spike_det, spike_matrix, spike_matrix_deriv, support)
+from hesspec.presets import preset_config
 
 
 def make_spec(p, n, mu=0.0, w_star=0.0, w=0.0, cov=None, model=None,
@@ -180,3 +182,74 @@ class TestMixedSpike:
         right = [s for s in spikes if s.side == "right"]
         assert len(right) == 1
         assert right[0].alignment[0, 0] > 0.1
+
+
+def exact_theory(cfg, order=None):
+    spec, _ = build_spec(cfg)
+    sup = support(spec, default_scan_range(spec, order), order=order)
+    return spec, sup, find_spikes(spec, sup, order=order)
+
+
+class TestExactSpikes:
+    @pytest.mark.parametrize("rho", [0.6, 1.0, 3.0, 10.0, 30.0])
+    def test_signal_spike_closed_form(self, rho):
+        spec, _, spikes = exact_theory({
+            "p": 512, "n": 2048, "mu": "pm_block(%.17g)" % np.sqrt(rho),
+            "model": "logistic", "loss": "logistic"})
+        lam, align = signal_spike_closed_form(rho, spec.c)
+        assert len(spikes) == 1
+        assert spikes[0].location == pytest.approx(lam, abs=1e-9)
+        assert spikes[0].cos2(spec.V)[0] == pytest.approx(align, abs=1e-9)
+
+    @pytest.mark.parametrize("w_norm", [1.46, 2.01, 3.37, 8.0])
+    def test_model_spike_edge_and_gap(self, w_norm):
+        spec, sup, spikes = exact_theory({
+            "p": 800, "n": 8000, "w": "pm_block(%.17g)" % w_norm,
+            "model": "logistic", "loss": "logistic"}, order=400)
+        gap, _, loc, edge = model_spike_scalar(w_norm, spec.c, order=400)
+        assert sup.intervals[0][0] == pytest.approx(edge, abs=1e-9)
+        assert len(spikes) == 1 and spikes[0].side == "left"
+        assert spikes[0].location == pytest.approx(loc, abs=1e-9)
+        assert spikes[0].gap == pytest.approx(gap, abs=1e-9)
+
+    def test_two_atom_mean_spike_in_the_gap(self):
+        # fig3 "four" with w = 0 (constant curvature 1/4); location and cos2
+        # with mu computed once with perfbench/oracles.py constant_curvature
+        cfg = dict(preset_config("fig3"), w="zeros",
+                   cov={"diag_blocks": [[1.0, 400], [4.0, 400]]})
+        spec, _, spikes = exact_theory(cfg)
+        assert len(spikes) == 1
+        assert spikes[0].location == pytest.approx(0.37580201441546773,
+                                                   abs=1e-9)
+        assert spikes[0].cos2(spec.V)[0] == pytest.approx(0.15975939504741854,
+                                                          abs=1e-9)
+
+
+class TestTrimmedRetrieval:
+    """fig7: phase retrieval with the trimming weight, c = 0.2 and
+    w = sqrt(2/3) w*, at points of the preset's |w*| sweep."""
+
+    NORMS = np.linspace(0.1, 2.0, 30)
+
+    def theory(self, r, order=None):
+        cfg = dict(preset_config("fig7"), w_star="pm_block(%.17g)" % r,
+                   w="pm_block(%.17g)" % (r * np.sqrt(2.0 / 3.0)))
+        return exact_theory(cfg, order)
+
+    @pytest.mark.parametrize("k", [6, 7])
+    def test_no_spike_below_threshold(self, k):
+        # |w*| = 0.4931, 0.5586: the trimming oracle has no spike here
+        _, _, spikes = self.theory(self.NORMS[k])
+        assert spikes == []
+
+    def test_hard_edge_and_spike(self):
+        # |w*| = 0.6241; right edge, spike and its cos2 with w* from
+        # perfbench/oracles.py trim_retrieval(0.6241..., 0.2, order=400)
+        spec, sup, spikes = self.theory(self.NORMS[8], order=400)
+        assert sup.intervals[-1][1] == pytest.approx(0.006958177413334821,
+                                                     abs=1e-6)
+        assert len(spikes) == 1
+        assert spikes[0].location == pytest.approx(0.03810378054402788,
+                                                   abs=1e-6)
+        assert spikes[0].cos2(spec.V)[1] == pytest.approx(0.7431531674204144,
+                                                          abs=1e-6)
