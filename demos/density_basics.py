@@ -1,7 +1,7 @@
 """Limiting spectral density of a logistic-loss Hessian, step by step.
 
 We take a pure-noise logistic problem (no mean, no teacher signal) and
-walk from the fixed-point solver to the density curve and the support
+walk from the Stieltjes solver to the density curve and the support
 report.  In this special case the Hessian is a quarter-scaled Wishart
 matrix, so everything can be checked against the Marchenko-Pastur law.
 

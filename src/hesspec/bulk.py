@@ -7,8 +7,9 @@ The companion Stieltjes pair (delta(z), m(z)) solves
     m     = sum_j w_j / (e(delta) t_j - z),
 
 where (t_j, w_j) are the spectral atoms of C and e(delta) is the
-effective curvature E[g/(1+g delta)].  Off the real axis the pair is a
-damped fixed point, and the density follows by Stieltjes inversion.
+effective curvature E[g/(1+g delta)].  Off the real axis delta is the
+root of the first equation, found by a Newton solve guarded to stay on
+the Stieltjes branch, and the density follows by Stieltjes inversion.
 
 On the real axis outside the support the first equation is inverted
 instead (Silverstein and Choi, 1995).  Every admissible delta, one with
@@ -78,60 +79,39 @@ class SupportReport:
     bounded: bool
 
 
-def _iterate(eng, t, wts, c, z, delta0, accelerate=True):
-    """Damped fixed-point iteration for delta; returns (delta, iterations).
+def _iterate(eng, t, wts, c, z, delta):
+    """Newton's method for delta at a complex z from one start; returns
+    the StieltjesPoint of the last evaluation.
 
-    Baseline is a damped Picard step (eta = 0.5, halved when consecutive
-    steps flip sign).  Near support edges the Picard rate degrades to
-    1 - O(sqrt(eps)), so when progress stalls a secant step on the
-    residual F(delta) = rhs(delta) - delta is attempted, guarded by a
-    best-iterate reset.
+    The root is that of F(delta) = c sum_j w_j t_j / (e(delta) t_j - z)
+    - delta, whose derivative F'(delta) = E2 (1/n) tr CQCQ - 1 is the
+    negated slope numerator.  A Newton candidate is taken only if it stays
+    in the half-plane of z, where the Stieltjes branch lies, and lowers
+    |F|; otherwise the step is the damped fixed-point step delta + F/2,
+    which maps that half-plane into itself.
     """
-    delta = complex(delta0)
-    eta = 0.5
-    prev = None          # (delta, F) of the previous iterate
-    prev_aF = np.inf
-    best = None          # (delta, F, |F|)
+    def at(d):
+        e, e2 = eng.e1_e2(d)
+        pole = e * t - z
+        return d, e, e2, pole, c * np.sum(wts * t / pole) - d
+
+    cur = at(complex(delta))
     for it in range(1, FP_MAX_ITER + 1):
-        e = eng.e1(delta)
-        target = np.sum(wts * c * t / (e * t - z))
-        F = target - delta
-        aF = abs(F)
-        if aF < FP_TOL:
-            return target, it
-        if best is None or aF < best[2]:
-            best = (delta, F, aF)
-        elif aF > 1e3 * best[2]:
-            # runaway step: restart from the best iterate, damped only
-            delta, F, aF = best
-            prev, prev_aF = None, np.inf
-            eta = max(eta * 0.5, 0.02)
-        cand = None
-        if accelerate and prev is not None and aF > 0.5 * prev_aF:
-            denom = F - prev[1]
-            if denom != 0:
-                cand = delta - F * (delta - prev[0]) / denom
-                if not (np.isfinite(cand.real) and np.isfinite(cand.imag)) \
-                        or abs(cand - delta) > 1e3 * aF:
-                    cand = None
-        if prev is not None and (F.real * prev[1].real
-                                 + F.imag * prev[1].imag) < 0:
-            eta = max(eta * 0.5, 0.02)
-        prev = (delta, F)
-        prev_aF = aF
-        delta = cand if cand is not None else delta + eta * F
+        d, e, e2, pole, F = cur
+        if abs(F) < FP_TOL:
+            return StieltjesPoint(z=z, delta=d, m=np.sum(wts / pole), e=e,
+                                  iterations=it, residual=abs(F))
+        new = d - F / (e2 * c * np.sum(wts * t * t / pole ** 2) - 1.0)
+        if new.imag * z.imag > 0:
+            cand = at(new)
+            if abs(cand[-1]) < abs(F):
+                cur = cand
+                continue
+        cur = at(d + 0.5 * F)
     raise NonConvergence(
-        f"fixed point did not reach {FP_TOL:g} in {FP_MAX_ITER} iterations "
+        f"Newton solve did not reach {FP_TOL:g} in {FP_MAX_ITER} iterations "
         f"at z={z}",
-        residual=aF)
-
-
-def _finish(eng, t, wts, c, z, delta, iterations):
-    e = eng.e1(delta)
-    target = np.sum(wts * c * t / (e * t - z))
-    m = np.sum(wts / (e * t - z))
-    return StieltjesPoint(z=z, delta=delta, m=m, e=e,
-                          iterations=iterations, residual=abs(delta - target))
+        residual=abs(cur[-1]))
 
 
 def stieltjes_derivatives(spec, point, order=None):
@@ -158,39 +138,29 @@ def stieltjes_derivatives(spec, point, order=None):
 def solve_point(spec, z, warm_start=None, order=None):
     """Solve for (delta, m) at one complex z, or at a real z off the support.
 
-    A complex z runs the damped fixed point, from warm_start if given.  A
-    real z is inverted exactly on the exterior map (warm_start unused),
-    and one inside the support raises BranchViolation.
+    A complex z runs one Newton solve (_iterate) from warm_start, or from
+    -1/z when none is given.  A real z is inverted exactly on the exterior
+    map (warm_start unused), and one inside the support raises
+    BranchViolation.
     """
     z = complex(z)
     if z.imag == 0.0:
         return _exterior(spec, order).solve(z.real)
-    eng = expectation_engine(spec, order)
     t, wts = spec.atoms
-    c = spec.c
-    starts = [] if warm_start is None else [complex(warm_start)]
-    starts.append(-1.0 / z)
-
-    last_err = None
-    for delta0, accel in [(d, a) for d in starts for a in (True, False)]:
-        try:
-            delta, it = _iterate(eng, t, wts, c, z, delta0, accelerate=accel)
-        except NonConvergence as err:
-            last_err = err
-            continue
-        point = _finish(eng, t, wts, c, z, delta, it)
-        if point.m.imag * z.imag > 0:
-            return point
-        last_err = BranchViolation(
-            f"Im(m)*Im(z) <= 0 at z={z} (wrong Stieltjes branch)")
-    raise last_err
+    point = _iterate(expectation_engine(spec, order), t, wts, spec.c, z,
+                     -1.0 / z if warm_start is None else warm_start)
+    if point.m.imag * z.imag > 0:
+        return point
+    raise BranchViolation(
+        f"Im(m)*Im(z) <= 0 at z={z} (wrong Stieltjes branch)")
 
 
 def default_scan_range(spec, order=None):
     """Heuristic window guaranteed to contain the bulk spectrum.
 
-    Uses the curvature bounds (sampled quantiles when the law is
-    unbounded) and the Marchenko-Pastur-type envelope
+    Uses the curvature bounds (the 0.05% and 99.95% quantiles of g under
+    the quadrature weights when the law is unbounded) and the
+    Marchenko-Pastur-type envelope
     |H| <= max(g) * max eig(C) * (1 + sqrt(c))^2, padded by the mean
     shift |mu|^2 and a 30% margin.
     """
@@ -199,8 +169,10 @@ def default_scan_range(spec, order=None):
         g_lo, g_hi = cls.lower_bound, cls.upper_bound
     else:
         eng = expectation_engine(spec, order)
-        g_lo = float(np.quantile(eng.g, 0.0005))
-        g_hi = float(np.quantile(eng.g, 0.9995))
+        rank = np.argsort(eng.g)
+        cdf = np.cumsum(eng.wt[rank])
+        g_lo, g_hi = eng.g[rank][np.searchsorted(cdf, [0.0005 * cdf[-1],
+                                                       0.9995 * cdf[-1]])]
     t_max = float(np.max(spec.atoms[0]))
     envelope = t_max * (1.0 + np.sqrt(spec.c)) ** 2
     shift = float(spec.mu @ spec.mu) * max(abs(g_hi), abs(g_lo), 1e-3)

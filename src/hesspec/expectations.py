@@ -76,7 +76,7 @@ class ExpectationEngine:
 
     Construction whitens the projection law and marginalizes y once; each
     expectation afterwards is a single vectorized reduction, which keeps
-    the fixed-point iterations cheap.
+    the Newton iterations cheap.
     """
 
     def __init__(self, spec, order=DEFAULT_QUAD_ORDER):
@@ -145,6 +145,12 @@ class ExpectationEngine:
     def e2(self, delta):
         """E[g^2 / (1 + g delta)^2]."""
         return np.sum(self.wt * self._damped(delta, square=True))
+
+    def e1_e2(self, delta):
+        """(e1, e2) at one delta from a single pass over the nodes."""
+        f = self._damped(delta)
+        fw = self.wt * f
+        return np.sum(fw), np.dot(fw, f)
 
     def moments(self, z, delta, square=False):
         """The 3x3 moment matrix; with square=True the weight is

@@ -250,7 +250,11 @@ def classify_g_support(spec):
         return _sampled_tail_class(spec)
     loss = w.loss
     if loss == "logistic":
-        return GSupportClass(True, 0.25, 0.0, "logistic curvature <= 1/4")
+        if var_h > 0:
+            return GSupportClass(True, 0.25, 0.0, "logistic curvature <= 1/4")
+        q = np.exp(-abs(law.mean[1]))
+        g0 = float(q / (1.0 + q) ** 2)
+        return GSupportClass(True, g0, g0, "degenerate h: constant curvature")
     if loss == "square":
         return GSupportClass(True, 1.0, 1.0, "constant curvature")
     if loss == "exponential":

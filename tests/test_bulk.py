@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hesspec import (Diagonal, ProblemSpec, ResponseModel, ScaledIdentity,
-                     WeightFn, build_spec, classify_g_support,
+                     WeightFn, analyze, build_spec, classify_g_support,
                      default_scan_range, density, find_spikes, solve_point,
                      stieltjes_derivatives, support)
 from hesspec.errors import BranchViolation, HesspecError
@@ -88,6 +88,13 @@ class TestSolvePoint:
             assert abs(pt.m - mp_stieltjes(z, 0.25)) < 1e-9
             assert pt.m.imag * z.imag > 0
 
+    @pytest.mark.parametrize("eps", [1e-6, 1e-5])
+    def test_converges_at_the_edge(self, eps):
+        # at the right MP edge a fixed-point step contracts by 1 - O(sqrt eps)
+        z = 0.5625 + eps * 1j
+        pt = solve_point(quarter_wishart(), z)
+        assert abs(pt.m - mp_stieltjes(z, 0.25)) < 1e-9
+
 
 class TestDerivatives:
     def test_m_prime_matches_finite_difference(self):
@@ -140,6 +147,13 @@ class TestDensity:
         spec = quarter_wishart()
         grid = np.linspace(0.1, 0.5, 30)
         assert np.all(np.isfinite(density(spec, grid).density))
+
+    def test_stays_on_the_stieltjes_branch(self):
+        # fig1cd's curvature is unbounded both ways; unguarded Newton steps
+        # land on wrong-branch roots (Im m < 0) at some of these points
+        spec, _ = build_spec(preset_config("fig1cd"))
+        curve = density(spec, np.linspace(-10.0, 10.0, 400))
+        assert np.all(curve.density > 0)
 
 
 class TestSupport:
@@ -243,6 +257,28 @@ class TestExactEdges:
                                    [(1 - np.sqrt(2)) ** 2, (1 + np.sqrt(2)) ** 2],
                                    rtol=1e-12)
 
+    def test_logistic_at_zero_weight_vector(self):
+        # at w = 0 the logistic curvature is the constant 1/4, so the
+        # measure is the square loss's with C = I/4, atom at 0 included
+        z = np.zeros(400)
+        base = dict(p=400, n=200, mu=z, w_star=z, w=z,
+                    model=ResponseModel.logistic())
+        logistic = ProblemSpec(cov=ScaledIdentity(1.0),
+                               weight=WeightFn.loss_curvature("logistic"),
+                               **base)
+        square = ProblemSpec(cov=ScaledIdentity(0.25),
+                             weight=WeightFn.loss_curvature("square"), **base)
+        cls = classify_g_support(logistic)
+        assert cls.bounded and cls.lower_bound == cls.upper_bound == 0.25
+        rep = support(logistic, default_scan_range(logistic))
+        assert rep.intervals[0] == (0.0, 0.0)
+        np.testing.assert_allclose(
+            rep.intervals[1],
+            [0.25 * (1 - np.sqrt(2)) ** 2, 0.25 * (1 + np.sqrt(2)) ** 2],
+            rtol=1e-12)
+        assert rep.intervals == support(square,
+                                        default_scan_range(square)).intervals
+
     def test_two_atom_edges(self):
         spec = fig3_four_twin()
         rep = support(spec, default_scan_range(spec))
@@ -264,6 +300,17 @@ class TestOneSidedWeightLaw:
         # the complex fixed point agrees: no mass left of the edge
         curve = density(spec, [left - 0.01, left + 0.01])
         assert curve.density[0] < 1e-3 < curve.density[1]
+
+    @pytest.mark.parametrize("cfg", [
+        preset_config("fig1cd"),
+        dict(preset_config("fig2"), loss="exponential")],
+        ids=["fig1cd", "fig2-exponential"])
+    def test_default_window_holds_the_mass(self, cfg):
+        # the window comes from quantiles of g under the quadrature weights,
+        # not from the extreme nodes
+        curve = analyze(build_spec(cfg)[0]).curve
+        mass = np.trapezoid(np.nan_to_num(curve.density), curve.grid)
+        assert mass == pytest.approx(1.0, abs=0.01)
 
     def test_two_sided_unbounded_law_fills_the_window(self):
         spec, _ = build_spec(preset_config("fig1cd"))
