@@ -26,9 +26,15 @@ threshold, grid or scan window.  The admissible range comes from the
 bounds of the weight law (classify_g_support), not from the quadrature
 nodes; a law unbounded on both sides admits only delta = 0 and has no
 real exterior.
+
+The density is the absolutely continuous part of the measure: exactly 0
+off the support, and Im m(x + i eps) / pi at each grid point inside it,
+where eps only regularises those interior solves.  The atom at 0 that
+c > 1 puts there is reported by support() and not drawn.
 """
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +59,8 @@ FP_TOL = 1e-11
 FP_MAX_ITER = 10_000
 _SIDE_POINTS = 160    # arc grid points toward 0 and toward each arc end
 _BISECT_MAX = 200     # secular-root halvings; 2 adjacent doubles come first
+
+_log = logging.getLogger("hesspec")
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,23 +193,38 @@ def default_scan_range(spec, order=None):
 def density(spec, grid, epsilon=None, order=None):
     """Limiting density on a grid by Stieltjes inversion at x + i*eps.
 
-    Points where the solver fails are reported as NaN.
+    The curve is exactly 0 off the exact support (support(), without the
+    atom at 0 for c > 1, which is not drawn).  Inside, one Newton solve
+    per grid point runs at x + i*eps, in ascending x, warm-started from
+    the previous point of the same interval and from -1/z at the first;
+    eps only regularises these interior solves.  Points where the solver
+    fails are NaN, and their count is logged as a warning.
     """
     grid = np.asarray(grid, dtype=float)
     if epsilon is None:
-        span = float(grid[-1] - grid[0]) if len(grid) > 1 else 1.0
+        span = float(np.ptp(grid)) if len(grid) > 1 else 1.0
         epsilon = max(1e-6, 1e-4 * span / 100.0)
-    out = np.empty(len(grid))
-    warm = None
-    for i, x in enumerate(grid):
-        try:
-            pt = solve_point(spec, complex(x, epsilon), warm_start=warm,
-                             order=order)
-            out[i] = pt.m.imag / np.pi
-            warm = pt.delta
-        except (NonConvergence, BranchViolation):
-            out[i] = np.nan
-            warm = None
+    out = np.zeros(len(grid))
+    rank = np.argsort(grid, kind="stable")
+    xs = grid[rank]
+    interior = failed = 0
+    for a, b in _intervals(spec, -np.inf, np.inf, order):
+        warm = None
+        inside = rank[np.searchsorted(xs, a):np.searchsorted(xs, b, "right")]
+        interior += len(inside)
+        for i in inside:
+            try:
+                pt = solve_point(spec, complex(grid[i], epsilon),
+                                 warm_start=warm, order=order)
+                out[i] = pt.m.imag / np.pi
+                warm = pt.delta
+            except (NonConvergence, BranchViolation):
+                out[i] = np.nan
+                warm = None
+                failed += 1
+    if failed:
+        _log.warning("density: %d of %d points inside the support failed "
+                     "at eps=%g and are NaN", failed, interior, epsilon)
     return DensityCurve(grid=grid, density=out, epsilon=float(epsilon))
 
 
@@ -407,6 +430,20 @@ def _exterior(spec, order=None):
     return ext
 
 
+def _intervals(spec, lo, hi, order=None):
+    """The support within [lo, hi] as the complement of the real exterior,
+    clipped; the atom at 0 is not included."""
+    intervals, cur = [], lo
+    for z_lo, z_hi in sorted((s.z_lo, s.z_hi)
+                             for s in _exterior(spec, order).segments):
+        if cur < min(z_lo, hi):
+            intervals.append((cur, min(z_lo, hi)))
+        cur = max(cur, z_hi)
+    if cur < hi:
+        intervals.append((cur, hi))
+    return intervals
+
+
 def support(spec, scan_range, resolution=400, order=None, curve=None):
     """Support intervals of the limiting measure within a scan window.
 
@@ -420,14 +457,7 @@ def support(spec, scan_range, resolution=400, order=None, curve=None):
     edges.
     """
     lo, hi = float(scan_range[0]), float(scan_range[1])
-    intervals, cur = [], lo
-    for z_lo, z_hi in sorted((s.z_lo, s.z_hi)
-                             for s in _exterior(spec, order).segments):
-        if cur < min(z_lo, hi):
-            intervals.append((cur, min(z_lo, hi)))
-        cur = max(cur, z_hi)
-    if cur < hi:
-        intervals.append((cur, hi))
+    intervals = _intervals(spec, lo, hi, order)
     if spec.c > 1 and lo <= 0.0 <= hi and not any(a <= 0.0 <= b
                                                  for a, b in intervals):
         # rank H <= n < p: an atom of mass 1 - 1/c at 0

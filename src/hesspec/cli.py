@@ -119,7 +119,8 @@ def _add_scan_opts(sub):
     sub.add_argument("--grid", type=int, default=400,
                      help="number of grid points (default 400)")
     sub.add_argument("--eps", type=float, default=None,
-                     help="imaginary offset for Stieltjes inversion")
+                     help="imaginary offset for Stieltjes inversion "
+                     "inside the support")
 
 
 def main(argv=None):

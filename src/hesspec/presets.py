@@ -1,10 +1,11 @@
 """The theory pipeline, the parameter sweep and the named experiment presets.
 
-analyze() runs the chain the theory defines -- scan window, density,
-support, spikes -- and its Analysis turns the result into the report
-dict that every document carries, optionally with a Monte Carlo
-comparison.  sweep() tabulates the first spike along a parameter path.
-The CLI and the presets both go through these two functions.
+analyze() runs the chain the theory defines -- scan window, then the
+density, support and spikes on first use -- and its Analysis turns the
+result into the report dict that every document carries, optionally
+with a Monte Carlo comparison.  sweep() tabulates the first spike along
+a parameter path.  The CLI and the presets both go through these two
+functions.
 
 Each preset pins a full setting (p, n, vectors, covariance, model,
 weight) and writes density tables, spike/sweep tables and comparison
@@ -21,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from ._version import __version__ as _version
-from .bulk import DensityCurve, default_scan_range, density, support
+from .bulk import default_scan_range, density, support
 from .config import build_spec, spec_echo
 from .empirical import compare, run_trial
 from .errors import ConfigError
@@ -89,13 +90,20 @@ def preset_config(name):
 
 @dataclass(frozen=True, eq=False)
 class Analysis:
-    """One theory run: the density curve on a scan window, plus the
-    support and spikes, each computed on first use."""
+    """One theory run on a scan window: the density curve on `grid`
+    points of it, the support and the spikes, each computed on first use."""
 
     spec: ProblemSpec
     scan_range: tuple
-    curve: DensityCurve
+    grid: int = 400
+    epsilon: float | None = None
     order: int | None = None
+
+    @cached_property
+    def curve(self):
+        lo, hi = self.scan_range
+        return density(self.spec, np.linspace(lo, hi, self.grid),
+                       epsilon=self.epsilon, order=self.order)
 
     @cached_property
     def support(self):
@@ -137,15 +145,14 @@ class Analysis:
 
 
 def analyze(spec, scan_range=None, grid=400, epsilon=None, order=None):
-    """Limiting density on `grid` points of scan_range (default: the
-    automatic window); support and spikes follow on first use."""
+    """The Analysis of spec on scan_range (default: the automatic window);
+    the density on `grid` points, the support and the spikes are computed
+    on first use."""
     if grid < 2:
         raise ConfigError(f"grid needs at least 2 points, got {grid}")
     lo, hi = scan_range if scan_range is not None else default_scan_range(
         spec, order)
-    curve = density(spec, np.linspace(lo, hi, grid), epsilon=epsilon,
-                    order=order)
-    return Analysis(spec, (lo, hi), curve, order)
+    return Analysis(spec, (lo, hi), grid, epsilon, order)
 
 
 def sweep(cfg, values, rescale, path, label, trials=0, scan_range=None,

@@ -31,6 +31,21 @@ def mp_stieltjes(z, c, scale=0.25):
     return m1 if abs(m1) < abs(m2) else m2
 
 
+def fig3_four():
+    """The fig3 "four" preset setting: two covariance atoms, logistic loss."""
+    cfg = dict(preset_config("fig3"),
+               cov={"diag_blocks": [[1.0, 400], [4.0, 400]]})
+    return build_spec(cfg)[0]
+
+
+def eps_density(spec, xs):
+    """Im m / pi at x + i*eps for each x, eps as density() picks it for the
+    grid xs: a check of the support edges that does not read them."""
+    eps = max(1e-6, 1e-4 * (max(xs) - min(xs)) / 100.0)
+    return np.array([solve_point(spec, x + 1j * eps).m.imag / np.pi
+                     for x in xs])
+
+
 def mp_density(x, c, scale=0.25):
     lo, hi = scale * (1 - np.sqrt(c)) ** 2, scale * (1 + np.sqrt(c)) ** 2
     inside = (x > lo) & (x < hi)
@@ -155,6 +170,83 @@ class TestDensity:
         curve = density(spec, np.linspace(-10.0, 10.0, 400))
         assert np.all(curve.density > 0)
 
+    @staticmethod
+    def window_and_interior(spec, points=200):
+        lo, hi = default_scan_range(spec)
+        grid = np.linspace(lo, hi, points)
+        inside = np.zeros(points, dtype=bool)
+        for a, b in support(spec, (lo, hi)).intervals:
+            if b > a:
+                inside |= (grid >= a) & (grid <= b)
+        return grid, inside
+
+    @pytest.mark.parametrize("make", [quarter_wishart, fig3_four],
+                             ids=["mp", "fig3-four"])
+    def test_zero_off_the_support_one_solve_per_point_inside(self, make,
+                                                             monkeypatch):
+        import hesspec.bulk
+        spec = make()
+        grid, inside = self.window_and_interior(spec)
+        calls = []
+        solve = hesspec.bulk.solve_point
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(hesspec.bulk, "solve_point", counted)
+        curve = density(spec, grid)
+        assert 0 < inside.sum() < len(grid) and len(calls) == inside.sum()
+        assert np.all(curve.density[~inside] == 0.0)
+        loop = [solve(spec, complex(x, curve.epsilon)).m.imag / np.pi
+                for x in grid[inside]]
+        np.testing.assert_allclose(curve.density[inside], loop, rtol=0,
+                                   atol=1e-8 * max(loop))
+
+    def test_unsorted_grid(self):
+        spec = quarter_wishart()
+        grid, _ = self.window_and_interior(spec)
+        perm = np.random.default_rng(5).permutation(len(grid))
+        curve = density(spec, grid[perm])
+        np.testing.assert_array_equal(curve.grid, grid[perm])
+        np.testing.assert_array_equal(curve.density,
+                                      density(spec, grid).density[perm])
+
+    @pytest.mark.parametrize("loss", ["square", "logistic"])
+    def test_atom_at_zero_is_not_drawn(self, loss):
+        # p = 2n: the continuous part has mass 1/c = 1/2, the atom at 0 the
+        # rest; at w = 0 the logistic curvature is the constant 1/4
+        z = np.zeros(400)
+        spec = ProblemSpec(p=400, n=200, mu=z, cov=ScaledIdentity(1.0),
+                           w_star=z, w=z, model=ResponseModel.logistic(),
+                           weight=WeightFn.loss_curvature(loss))
+        assert density(spec, [0.0]).density[0] == 0.0
+        grid = np.linspace(*default_scan_range(spec), 4000)
+        mass = np.trapezoid(density(spec, grid).density, grid)
+        assert mass == pytest.approx(1.0 / spec.c, abs=1e-3)
+
+    def test_failed_points_are_counted(self, monkeypatch, caplog):
+        import hesspec.bulk
+        from hesspec.errors import NonConvergence
+        spec = quarter_wishart()
+        grid = np.linspace(0.0, 0.7, 50)
+        solve = hesspec.bulk.solve_point
+
+        def fail_at_0_3(spec, z, *args, **kwargs):
+            if z.real == grid[21]:
+                raise NonConvergence("forced", residual=1.0)
+            return solve(spec, z, *args, **kwargs)
+
+        monkeypatch.setattr(hesspec.bulk, "solve_point", fail_at_0_3)
+        with caplog.at_level("WARNING", logger="hesspec"):
+            curve = density(spec, grid)
+        assert np.flatnonzero(np.isnan(curve.density)).tolist() == [21]
+        assert np.all(curve.density[22:35] > 0)
+        warned = [r for r in caplog.records if r.name == "hesspec"]
+        assert len(warned) == 1 and warned[0].levelname == "WARNING"
+        assert "1 of 35 points" in warned[0].getMessage()
+        assert f"eps={curve.epsilon:g}" in warned[0].getMessage()
+
 
 class TestSupport:
     def test_mp_edges(self):
@@ -214,8 +306,8 @@ class TestMultiBulk:
                            model=ResponseModel.logistic(),
                            weight=WeightFn.loss_curvature("square"))
         (left, right), = support(spec, default_scan_range(spec)).intervals
-        d = density(spec, [left - 0.02, left + 0.02, right - 0.02,
-                           right + 0.02]).density
+        d = eps_density(spec, [left - 0.02, left + 0.02, right - 0.02,
+                               right + 0.02])
         assert d[0] < 1e-3 < d[1] and d[3] < 1e-3 < d[2]
 
 
@@ -298,8 +390,8 @@ class TestOneSidedWeightLaw:
         left, right = rep.intervals[0]
         assert lo < left and right == hi
         # the complex fixed point agrees: no mass left of the edge
-        curve = density(spec, [left - 0.01, left + 0.01])
-        assert curve.density[0] < 1e-3 < curve.density[1]
+        d = eps_density(spec, [left - 0.01, left + 0.01])
+        assert d[0] < 1e-3 < d[1]
 
     @pytest.mark.parametrize("cfg", [
         preset_config("fig1cd"),

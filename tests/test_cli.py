@@ -187,16 +187,36 @@ class TestStdout:
         assert main(args) == 0
         assert capsys.readouterr().out.encode() == out.read_bytes()
 
-    def test_density_computes_no_support(self, mp_config, capsys,
-                                         monkeypatch):
+    def test_density_solves_only_inside_the_support(self, mp_config, capsys,
+                                                   monkeypatch):
         import hesspec.bulk
         import hesspec.cli
+        import hesspec.empirical
         import hesspec.presets
+        import hesspec.spikes
+        from hesspec import build_spec, default_scan_range, load_config
+        from hesspec.bulk import support
 
-        def no_support(*args, **kwargs):
-            raise AssertionError("density must not compute the support")
+        def forbidden(*args, **kwargs):
+            raise AssertionError("density needs no spikes and no Monte Carlo")
 
-        for module in (hesspec.bulk, hesspec.presets, hesspec.cli):
-            monkeypatch.setattr(module, "support", no_support, raising=False)
+        for module in (hesspec.spikes, hesspec.presets, hesspec.cli):
+            monkeypatch.setattr(module, "find_spikes", forbidden, raising=False)
+        for module in (hesspec.empirical, hesspec.presets, hesspec.cli):
+            monkeypatch.setattr(module, "compare", forbidden, raising=False)
+        calls = []
+        solve = hesspec.bulk.solve_point
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(hesspec.bulk, "solve_point", counted)
         assert main(["density", "--config", mp_config, "--grid", "20"]) == 0
         assert capsys.readouterr().out.startswith("# x,density\n")
+        spec, _ = build_spec(load_config(mp_config))
+        lo, hi = default_scan_range(spec)
+        grid = np.linspace(lo, hi, 20)
+        inside = sum(int(np.sum((grid >= a) & (grid <= b)))
+                     for a, b in support(spec, (lo, hi)).intervals if b > a)
+        assert 0 < inside < 20 and len(calls) == inside
