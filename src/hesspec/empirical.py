@@ -3,8 +3,12 @@
 One trial samples features X ~ N(mu, C) (or a universality variant),
 draws responses through h*_i = w*^T x_i, evaluates the diagonal
 weights d_i = g(y_i, w^T x_i) and eigendecomposes
-H = (1/n) X diag(d) X^T.  Trials are reproducible: trial k uses the
-counter-based Philox stream seeded with base_seed + k.
+H = (1/n) X diag(d) X^T.  H is built on the trial's own X, scaled in
+place, with numpy's symmetric rank-k product, so it is exactly
+symmetric and needs no p x n temporary.  Trials are reproducible:
+trial k uses the counter-based Philox stream seeded with base_seed + k.
+They run one at a time by default, with OpenBLAS threading each trial;
+HESSPEC_THREADS=k runs k at once.
 """
 from __future__ import annotations
 
@@ -36,7 +40,7 @@ class EmpiricalSpectrum:
     top_vec: np.ndarray
     bottom_vec: np.ndarray
     seed: int
-    paired: tuple = ()         # (index, eigenvector) per requested gap
+    paired: tuple = ()         # (index, eigenvector) per requested pick
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,30 +48,58 @@ class ComparisonReport:
     density_l1: float
     spike_errors: list         # (empirical, theoretical, |difference|)
     alignment_errors: list     # (empirical cos2, theoretical cos2, |difference|)
+    spike_stderr: list         # standard error of each empirical mean;
+    alignment_stderr: list     # None for a single trial
     trials: int
     seeds: list
 
 
 def worker_count():
-    """Worker pool size, capped by the HESSPEC_THREADS environment variable."""
+    """Number of trials run at once: HESSPEC_THREADS, or 1 when unset.
+
+    One trial at a time leaves BLAS as the only parallel layer; with
+    k > 1 set OPENBLAS_NUM_THREADS=1 so the two do not oversubscribe.
+    """
     env = os.environ.get("HESSPEC_THREADS")
     if env:
         try:
             return max(1, int(env))
         except ValueError:
             raise DomainError(f"HESSPEC_THREADS must be an integer, got {env!r}")
-    return max(1, min(4, os.cpu_count() or 1))
+    return 1
+
+
+def _gram(X, d):
+    """(1/n) X diag(d) X^T, overwriting X.
+
+    X is scaled in place by sqrt(|d| / n), so the Gram is A @ A.T on one
+    buffer, which numpy computes as an exactly symmetric rank-k product.
+    The columns of the less frequent sign of d are moved into B first
+    (zeroed in A) and B @ B.T is subtracted, so a mixed sign costs at
+    most 1.5 rank-k products; when most weights are negative the result
+    is negated.
+    """
+    scale = np.sqrt(np.abs(d) / X.shape[1])
+    neg = d < 0
+    flip = 2 * np.count_nonzero(neg) > len(d)
+    minority = ~neg if flip else neg
+    B = np.compress(minority, X, axis=1)
+    B *= scale[minority]
+    scale[minority] = 0.0
+    X *= scale
+    H = X @ X.T
+    if B.shape[1]:
+        H -= B @ B.T
+    return np.negative(H, out=H) if flip else H
 
 
 def build_hessian(X, d):
-    """H = (1/n) X diag(d) X^T, symmetrized against rounding skew."""
-    X = np.asarray(X, dtype=float)
+    """H = (1/n) X diag(d) X^T, exactly symmetric; X is not modified."""
+    X = np.array(X, dtype=float, order="C")
     d = np.asarray(d, dtype=float)
-    n = X.shape[1]
-    if d.shape != (n,):
+    if d.shape != (X.shape[1],):
         raise DomainError("weight vector length must match the sample count")
-    H = (X * d) @ X.T / n
-    return 0.5 * (H + H.T)
+    return _gram(X, d)
 
 
 def _nearest_in_gap(eigvals, lo, hi, lam):
@@ -79,12 +111,14 @@ def _nearest_in_gap(eigvals, lo, hi, lam):
     return int(pool[np.argmin(np.abs(eigvals[pool] - lam))])
 
 
-def run_trial(spec, dist, seed, gaps=()):
+def run_trial(spec, dist, seed, gaps=(), extremes=(0, 0)):
     """Sample one Hessian and return its full spectrum with extreme vectors.
 
-    For each (lo, hi, lam) in gaps, the eigenpair nearest lam inside the
-    support gap (lo, hi) is kept in `paired`.  Only copied vectors are
-    kept, so no p x p matrix outlives the trial.
+    `paired` holds one (index, eigenvector) per pick: for each
+    (lo, hi, lam) in gaps, the eigenpair nearest lam inside the support
+    gap (lo, hi); then, for extremes = (left, right), the `left` lowest
+    and the `right` highest eigenpairs, outermost first.  Only copied
+    vectors are kept, so no p x p matrix outlives the trial.
     """
     rng = np.random.Generator(np.random.Philox(seed))
     X = sample_features(spec, dist, rng)
@@ -92,12 +126,16 @@ def run_trial(spec, dist, seed, gaps=()):
     y = sample_response(spec.model, h_star, rng)
     h = spec.w @ X
     d = np.asarray(curvature(spec.weight, y, h), dtype=float)
-    H = build_hessian(X, d)
+    H = _gram(X, d)
+    del X                      # scaled in place; free it before eigh
     try:
         eigvals, eigvecs = np.linalg.eigh(H)
     except np.linalg.LinAlgError as err:
         raise NumericError(f"eigensolver failed for seed {seed}: {err}")
-    picks = [_nearest_in_gap(eigvals, *gap) for gap in gaps]
+    left, right = extremes
+    p = len(eigvals)
+    picks = [*(_nearest_in_gap(eigvals, *gap) for gap in gaps),
+             *range(left), *range(p - 1, p - 1 - right, -1)]
     return EmpiricalSpectrum(eigenvalues=eigvals,
                              top_vec=eigvecs[:, -1].copy(),
                              bottom_vec=eigvecs[:, 0].copy(), seed=int(seed),
@@ -144,9 +182,10 @@ def measure_alignment(vec, target):
     return float((target @ np.asarray(vec, dtype=float)) ** 2 / nrm2)
 
 
-def _run_trials(spec, dist, seeds, gaps):
+def _run_trials(spec, dist, seeds, gaps, extremes):
     with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        return list(pool.map(lambda s: run_trial(spec, dist, s, gaps), seeds))
+        return list(pool.map(
+            lambda s: run_trial(spec, dist, s, gaps, extremes), seeds))
 
 
 def _support_gap(support_report, lam):
@@ -159,26 +198,44 @@ def _support_gap(support_report, lam):
     return None
 
 
+def _mean_stderr(samples):
+    """Mean and standard error (sample standard deviation over the root
+    of the count) of per-trial values; the error is None for one value."""
+    mean = float(np.mean(samples))
+    if len(samples) < 2:
+        return mean, None
+    return mean, float(np.std(samples, ddof=1) / np.sqrt(len(samples)))
+
+
 def compare(spec, theory_density, spike_reports, trials, base_seed,
             dist="gaussian", support_report=None):
     """Monte Carlo discrepancy metrics against the asymptotic theory.
 
     density_l1 is the integrated L1 distance between the pooled
     eigenvalue histogram (Freedman-Diaconis bins) and the theory curve;
-    spike and alignment errors compare per-trial eigenpairs to each
-    theoretical spike.  A spike in a gap between two intervals of
-    support_report pairs with the eigenvalue nearest it inside that gap
-    (nearest overall if the gap is empty); any other spike pairs with
-    the extreme eigenpair on its side.
+    spike and alignment errors compare the per-trial mean eigenpair to
+    each theoretical spike, with its standard error alongside.  A spike
+    in a gap between two intervals of support_report pairs with the
+    eigenvalue nearest it inside that gap (nearest overall if the gap is
+    empty).  Any other spike is ranked outermost first among those on
+    its side and pairs with the eigenpair of the same rank from that end
+    of the spectrum.
     """
     seeds = [base_seed + k for k in range(trials)]
-    slot, gaps = {}, []
+    gapped, gaps, sides = [], [], {"left": [], "right": []}
     for i, rep in enumerate(spike_reports):
         gap = _support_gap(support_report, rep.location)
         if gap is not None:
-            slot[i] = len(gaps)
+            gapped.append(i)
             gaps.append((*gap, rep.location))
-    spectra = _run_trials(spec, dist, seeds, gaps)
+        else:
+            sides[rep.side].append(i)
+    loc = [rep.location for rep in spike_reports]
+    left = sorted(sides["left"], key=lambda i: loc[i])
+    right = sorted(sides["right"], key=lambda i: -loc[i])
+    # spike i pairs with paired[slot[i]] of every trial
+    slot = {i: k for k, i in enumerate(gapped + left + right)}
+    spectra = _run_trials(spec, dist, seeds, gaps, (len(left), len(right)))
 
     pooled = np.concatenate([s.eigenvalues for s in spectra])
     counts, edges = np.histogram(pooled, bins="fd", density=True)
@@ -188,8 +245,8 @@ def compare(spec, theory_density, spike_reports, trials, base_seed,
                        left=0.0, right=0.0)
     density_l1 = float(np.sum(np.abs(counts - theory) * np.diff(edges)))
 
-    spike_errors = []
-    alignment_errors = []
+    spike_errors, alignment_errors = [], []
+    spike_stderr, alignment_stderr = [], []
     for i, rep in enumerate(spike_reports):
         # dominant structural direction of this spike
         col = int(np.argmax(np.diag(rep.alignment)))
@@ -198,19 +255,17 @@ def compare(spec, theory_density, spike_reports, trials, base_seed,
         emp_lams = []
         emp_cos2 = []
         for s in spectra:
-            if i in slot:
-                k, vec = s.paired[slot[i]]
-                lam = s.eigenvalues[k]
-            elif rep.side == "left":
-                lam, vec = s.eigenvalues[0], s.bottom_vec
-            else:
-                lam, vec = s.eigenvalues[-1], s.top_vec
-            emp_lams.append(lam)
+            k, vec = s.paired[slot[i]]
+            emp_lams.append(s.eigenvalues[k])
             emp_cos2.append(measure_alignment(vec, target))
-        emp_lam = float(np.mean(emp_lams))
-        emp_c = float(np.mean(emp_cos2))
+        emp_lam, lam_err = _mean_stderr(emp_lams)
+        emp_c, c_err = _mean_stderr(emp_cos2)
         spike_errors.append((emp_lam, rep.location, abs(emp_lam - rep.location)))
         alignment_errors.append((emp_c, theo_cos2, abs(emp_c - theo_cos2)))
+        spike_stderr.append(lam_err)
+        alignment_stderr.append(c_err)
     return ComparisonReport(density_l1=density_l1, spike_errors=spike_errors,
-                            alignment_errors=alignment_errors, trials=trials,
+                            alignment_errors=alignment_errors,
+                            spike_stderr=spike_stderr,
+                            alignment_stderr=alignment_stderr, trials=trials,
                             seeds=seeds)

@@ -252,5 +252,6 @@ def _standardized_noise(dist, shape, rng):
 
 def sample_features(spec, dist, rng):
     """Sample the p x n feature matrix X with columns mu + C^{1/2} z_i."""
-    Z = _standardized_noise(dist, (spec.p, spec.n), rng)
-    return spec.mu[:, None] + spec.cov.sqrt_apply(Z)
+    X = spec.cov.sqrt_apply(_standardized_noise(dist, (spec.p, spec.n), rng))
+    X += spec.mu[:, None]
+    return X

@@ -138,6 +138,8 @@ class Analysis:
             "density_l1": rep.density_l1,
             "spike_errors": rep.spike_errors,
             "alignment_errors": rep.alignment_errors,
+            "spike_stderr": rep.spike_stderr,
+            "alignment_stderr": rep.alignment_stderr,
             "trials": rep.trials,
             "dist": dist,
         }

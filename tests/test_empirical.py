@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
 
+import json
+from types import SimpleNamespace
+
 from hesspec import (ProblemSpec, ResponseModel, ScaledIdentity, WeightFn,
-                     analyze, build_hessian, build_spec, compare,
+                     analyze, build_hessian, build_spec, compare, curvature,
                      default_scan_range, extract_outliers, measure_alignment,
-                     run_trial, support, worker_count)
+                     run_trial, sample_features, sample_response, support,
+                     worker_count)
+from hesspec import empirical
 from hesspec.bulk import SupportReport
 from hesspec.empirical import EmpiricalSpectrum
 from hesspec.errors import DomainError
@@ -14,6 +19,24 @@ def signal_spec(rho=0.8, p=512, n=2048, seed=29):
     cfg = {"p": p, "n": n, "mu": "pm_block(%.17g)" % np.sqrt(rho),
            "model": "logistic", "loss": "logistic", "seed": seed}
     return build_spec(cfg)
+
+
+def two_sided_spec(p=200, n=1000):
+    """Trimmed phase retrieval with a left spike and two right spikes
+    (0.5658 and 0.7529 at p = 200); the trimming weight takes both signs."""
+    cfg = {"p": p, "n": n, "mu": "gaussian_norm(2.0)",
+           "w_star": "pm_block(1.5)", "w": "pm_block(1.2247)",
+           "model": "phase_retrieval", "weight": "trim", "seed": 3}
+    return build_spec(cfg)
+
+
+def trial_pieces(spec, seed):
+    """Features and weights of run_trial(spec, "gaussian", seed), rebuilt
+    from the same Philox stream."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    X = sample_features(spec, "gaussian", rng)
+    y = sample_response(spec.model, spec.w_star @ X, rng)
+    return X, np.asarray(curvature(spec.weight, y, spec.w @ X), dtype=float)
 
 
 class TestBuildHessian:
@@ -41,6 +64,21 @@ class TestBuildHessian:
         lhs = np.linalg.eigvalsh(H).sum()
         rhs = np.sum(d * np.sum(X * X, axis=0)) / 200
         assert lhs == pytest.approx(rhs, rel=1e-8)
+
+    @pytest.mark.parametrize("shift", [0.8, -0.8])
+    def test_mixed_sign_weights_match_dense_formula(self, shift):
+        # mostly positive, then mostly negative weights, with some zeros
+        rng = np.random.default_rng(3)
+        X = rng.standard_normal((40, 150))
+        d = rng.standard_normal(150) + shift
+        assert 0 < np.count_nonzero(d < 0) != 75
+        d[:5] = 0.0
+        X0 = X.copy()
+        H = build_hessian(X, d)
+        np.testing.assert_allclose(H, (X0 * d) @ X0.T / 150, rtol=0,
+                                   atol=1e-13 * np.abs(H).max())
+        np.testing.assert_array_equal(H, H.T)
+        np.testing.assert_array_equal(X, X0)     # the argument is untouched
 
     def test_rotation_invariance_of_spectrum(self):
         rng = np.random.default_rng(2)
@@ -71,6 +109,32 @@ class TestRunTrial:
         assert np.all(np.diff(s.eigenvalues) >= 0)
         assert np.linalg.norm(s.top_vec) == pytest.approx(1.0, rel=1e-12)
         assert np.linalg.norm(s.bottom_vec) == pytest.approx(1.0, rel=1e-12)
+
+
+class TestTrialGram:
+    @pytest.mark.parametrize("make", [lambda: signal_spec(p=96, n=384),
+                                      two_sided_spec],
+                             ids=["logistic", "trim"])
+    def test_matches_dense_eigendecomposition(self, make):
+        spec, seed = make()
+        X, d = trial_pieces(spec, seed)
+        if spec.weight.kind == "preprocess":
+            assert (d < 0).any() and (d > 0).any()
+        H = (X * d) @ X.T / spec.n
+        vals, vecs = np.linalg.eigh(0.5 * (H + H.T))
+        np.testing.assert_allclose(np.linalg.eigvalsh(build_hessian(X, d)),
+                                   vals, rtol=0,
+                                   atol=1e-12 * np.abs(vals).max())
+        near10 = 0.8 * vals[10] + 0.2 * vals[11]
+        s = run_trial(spec, "gaussian", seed,
+                      gaps=[(vals[5], vals[15], near10)], extremes=(2, 2))
+        np.testing.assert_allclose(s.eigenvalues, vals, rtol=0,
+                                   atol=1e-12 * np.abs(vals).max())
+        p = spec.p
+        got = [(0, s.bottom_vec), (p - 1, s.top_vec)] + list(s.paired)
+        assert [k for k, _ in s.paired] == [10, 0, 1, p - 1, p - 2]
+        for k, vec in got:
+            assert abs(vec @ vecs[:, k]) >= 1 - 1e-10
 
 
 class TestOutliers:
@@ -130,6 +194,92 @@ class TestCompare:
         assert align_err < 0.05
 
 
+class TestStatistics:
+    def fake_trials(self, monkeypatch, tops):
+        # one right spike; trial k has its top eigenvalue at tops[k] and
+        # the unit top vector e_0, so every cos2 against mu is 1/2
+        def run(spec, dist, seeds, gaps, extremes):
+            assert gaps == [] and extremes == (0, 1)
+            vec = np.eye(4)[0]
+            return [EmpiricalSpectrum(
+                eigenvalues=np.array([0.0, 0.1, 0.2, top]), top_vec=vec,
+                bottom_vec=np.eye(4)[3], seed=s, paired=((3, vec),))
+                for s, top in zip(seeds, tops)]
+        monkeypatch.setattr(empirical, "_run_trials", run)
+
+    def spike(self, spec):
+        from hesspec.spikes import SpikeReport
+        return SpikeReport(location=1.0, side="right", gap=0.5,
+                           alignment=np.diag([1.0, 0.0, 0.0]),
+                           det_residual=0.0)
+
+    def test_standard_error_of_the_mean(self, monkeypatch):
+        tops = [1.0, 1.2, 1.1, 0.9]
+        self.fake_trials(monkeypatch, tops)
+        spec = ProblemSpec(p=4, n=8, mu=np.array([1.0, 1.0, 0.0, 0.0]),
+                           cov=ScaledIdentity(1.0), w_star=np.zeros(4),
+                           w=np.zeros(4), model=ResponseModel.logistic(),
+                           weight=WeightFn.loss_curvature("logistic"))
+        curve = SimpleNamespace(grid=np.array([0.0, 2.0]),
+                                density=np.array([0.5, 0.5]))
+        rep = compare(spec, curve, [self.spike(spec)], trials=4, base_seed=0)
+        emp, theo, err = rep.spike_errors[0]
+        assert emp == pytest.approx(1.05) and err == pytest.approx(0.05)
+        sd = np.sqrt(sum((t - 1.05) ** 2 for t in tops) / 3)
+        assert rep.spike_stderr == [pytest.approx(sd / 2)]
+        assert rep.alignment_errors[0][0] == pytest.approx(0.5)
+        assert rep.alignment_stderr == [0.0]
+
+    def test_single_trial_has_no_standard_error(self):
+        spec, seed = signal_spec(p=64, n=256)
+        results, _ = analyze(spec).monte_carlo(1, seed)
+        cmp = results["comparison"]
+        assert len(cmp["spike_errors"]) == 1
+        assert cmp["spike_stderr"] == [None]
+        assert cmp["alignment_stderr"] == [None]
+        text = json.dumps(results, allow_nan=False)
+        assert '"spike_stderr": [null]' in text
+
+    def test_same_report_for_any_worker_count(self, monkeypatch):
+        spec, seed = signal_spec(p=96, n=384)
+        an = analyze(spec)
+        reports = []
+        for workers in ("1", "2"):
+            monkeypatch.setenv("HESSPEC_THREADS", workers)
+            reports.append(compare(spec, an.curve, an.spikes, trials=3,
+                                   base_seed=seed))
+        a, b = reports
+        assert a.density_l1 == b.density_l1 and a.seeds == b.seeds
+        assert a.spike_errors == b.spike_errors
+        assert a.alignment_errors == b.alignment_errors
+        assert a.spike_stderr == b.spike_stderr
+        assert a.alignment_stderr == b.alignment_stderr
+
+
+class TestSidePairing:
+    def test_kth_spike_pairs_with_kth_extreme(self):
+        spec, seed = two_sided_spec()
+        an = analyze(spec)
+        spikes = an.spikes
+        assert [s.side for s in spikes] == ["left", "right", "right"]
+        rep = compare(spec, an.curve, spikes, trials=3, base_seed=seed,
+                      support_report=an.support)
+        trials = [run_trial(spec, "gaussian", seed + k) for k in range(3)]
+        for rank, spike_no in ((0, 0), (-2, 1), (-1, 2)):
+            emp, theo, err = rep.spike_errors[spike_no]
+            assert emp == pytest.approx(
+                np.mean([t.eigenvalues[rank] for t in trials]), rel=1e-12)
+            assert err < 0.04
+        # the inner right spike pairs with the second eigenvalue from the
+        # top, the outer one with the top eigenvector
+        assert rep.spike_errors[1][0] < rep.spike_errors[2][0]
+        target = spec.V[:, np.argmax(np.diag(spikes[2].alignment))]
+        top_cos2 = np.mean([measure_alignment(t.top_vec, target)
+                            for t in trials])
+        assert rep.alignment_errors[2][0] == pytest.approx(top_cos2,
+                                                           rel=1e-10)
+
+
 class TestInGapPairing:
     def test_in_gap_spike_pairs_inside_the_gap(self):
         # fig3 "four": a two-bulk support with a spike at 0.3366 in the gap
@@ -169,5 +319,6 @@ class TestWorkerCount:
             worker_count()
 
     def test_default_positive(self, monkeypatch):
+        # one trial at a time: BLAS is the only parallel layer
         monkeypatch.delenv("HESSPEC_THREADS", raising=False)
-        assert worker_count() >= 1
+        assert worker_count() == 1

@@ -162,6 +162,19 @@ class TestSampleFeatures:
         X = sample_features(spec, "student_t:7", np.random.default_rng(3))
         assert X.var() == pytest.approx(1.0, rel=0.02)
 
+    @pytest.mark.parametrize("cov", [
+        ScaledIdentity(2.5),
+        Diagonal(np.linspace(0.5, 3.0, 12)),
+        DenseSPD(np.eye(12) + 0.3 * np.ones((12, 12))),
+    ])
+    def test_in_place_mean_is_bit_identical(self, cov):
+        # X += mu must reproduce the allocating form mu + C^{1/2} Z exactly
+        mu = np.linspace(-1.0, 1.0, 12)
+        spec = make_spec(12, 40, mu=mu, cov=cov)
+        X = sample_features(spec, "gaussian", np.random.default_rng(4))
+        Z = np.random.default_rng(4).standard_normal((12, 40))
+        np.testing.assert_array_equal(X, mu[:, None] + cov.sqrt_apply(Z))
+
     def test_unknown_distribution(self):
         spec = make_spec(2, 4)
         with pytest.raises(DomainError):
