@@ -197,8 +197,8 @@ def density(spec, grid, epsilon=None, order=None):
     atom at 0 for c > 1, which is not drawn).  Inside, one Newton solve
     per grid point runs at x + i*eps, in ascending x, warm-started from
     the previous point of the same interval and from -1/z at the first;
-    eps only regularises these interior solves.  Points where the solver
-    fails are NaN, and their count is logged as a warning.
+    eps (default 1e-6 * max(1, grid span)) only regularises these solves.
+    Points where the solver fails are NaN, and their count is logged.
     """
     grid = np.asarray(grid, dtype=float)
     if epsilon is None:
@@ -444,17 +444,17 @@ def _intervals(spec, lo, hi, order=None):
     return intervals
 
 
-def support(spec, scan_range, resolution=400, order=None, curve=None):
+def support(spec, scan_range, order=None, curve=None):
     """Support intervals of the limiting measure within a scan window.
 
     The support is the exact complement of the real exterior traced by
     the inverse map (module docstring), clipped to scan_range; its edges
-    are exact up to the quadrature of the weight law.  A weight law
-    unbounded on both sides has no real exterior, so the report is the
-    whole window as one interval.  For c > 1 the atom at 0 is listed as
-    (0, 0) unless an interval holds it.  resolution and curve are unused
-    and kept for callers that pass them: no grid or density enters the
-    edges.
+    are exact up to the quadrature of the weight law, whose range comes
+    from classify_g_support.  A weight law unbounded on both sides has
+    no real exterior, so the report is the whole window as one interval.
+    For c > 1 the atom at 0 is listed as (0, 0) unless an interval holds
+    it.  curve is unused and kept for callers that pass it: no grid or
+    density enters the edges.
     """
     lo, hi = float(scan_range[0]), float(scan_range[1])
     intervals = _intervals(spec, lo, hi, order)

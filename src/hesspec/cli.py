@@ -9,11 +9,11 @@ Subcommands:
     sweep     -- spike location/alignment along a parameter path
     preset    -- run a named built-in experiment
 
-All subcommands read the problem from a JSON config (--config) and
-write '#'-headed comma tables or JSON documents (--out, default
-stdout).  The theory comes from presets.analyze and presets.sweep,
-the same pipeline the presets run.  Exit codes: 0 ok, 1 config error
-(including out-of-range numeric arguments), 2 numerical failure.
+All but preset read a JSON config (--config; --seed replaces its seed
+before the spec is built) and write '#'-headed comma tables or JSON
+documents (--out, default stdout).  The theory comes from
+presets.analyze and presets.sweep, as in the presets.  Exit codes: 0 ok,
+1 config error (including bad numeric arguments), 2 numerical failure.
 """
 from __future__ import annotations
 
@@ -26,6 +26,7 @@ from . import __version__
 from .config import build_spec, load_config, spec_echo
 from .empirical import run_trial
 from .errors import ConfigError, HesspecError
+from .features import check_dist
 from .presets import PRESETS, analyze, run_preset, sweep
 from .report import emit_document, emit_table
 
@@ -45,33 +46,44 @@ def _parse_range(text):
 def _parse_values(text):
     try:
         a, b, n = text.split(":")
-        return np.linspace(float(a), float(b), int(n))
+        if int(n) >= 1:
+            return np.linspace(float(a), float(b), int(n))
     except ValueError:
-        raise ConfigError(f"values must be 'a:b:n', got {text!r}")
+        pass
+    raise ConfigError(f"values must be 'a:b:n' with n >= 1, got {text!r}")
+
+
+def _dist(args):
+    try:
+        check_dist(args.dist)
+    except ValueError as err:    # DomainError, or a dof that is no number
+        raise ConfigError(f"--dist: {err}") from err
+    return args.dist
 
 
 def _scan_args(args):
-    """analyze() keyword arguments from --range, --grid, --eps, --quad-order."""
+    """analyze() keyword arguments from --range, --grid, --quad-order."""
     return {"scan_range": _parse_range(args.range) if args.range else None,
-            "grid": args.grid, "epsilon": args.eps, "order": args.quad_order}
+            "grid": args.grid, "order": args.quad_order}
 
 
-def _load(args):
-    spec, seed = build_spec(load_config(args.config))
+def _config(args):
+    """The config file, with --seed in place of its seed when given."""
+    cfg = load_config(args.config)
     if args.seed is not None:
-        seed = args.seed
-    return spec, seed
+        cfg["seed"] = args.seed
+    return cfg
 
 
 def _cmd_density(args):
-    spec, _ = _load(args)
+    spec, _ = build_spec(_config(args))
     curve = analyze(spec, **_scan_args(args)).curve
     emit_table(args.out, ["x", "density"],
                zip(curve.grid, np.nan_to_num(curve.density)))
 
 
 def _cmd_spikes(args):
-    spec, seed = _load(args)
+    spec, seed = build_spec(_config(args))
     an = analyze(spec, **_scan_args(args))
     results = an.results()
     if args.command == "align":
@@ -81,15 +93,17 @@ def _cmd_spikes(args):
 
 
 def _cmd_simulate(args):
-    spec, seed = _load(args)
-    spectrum = run_trial(spec, args.dist, seed)
+    dist = _dist(args)
+    spec, seed = build_spec(_config(args))
+    spectrum = run_trial(spec, dist, seed)
     emit_table(args.out, ["eigenvalue"], [[v] for v in spectrum.eigenvalues])
 
 
 def _cmd_compare(args):
-    spec, seed = _load(args)
+    dist = _dist(args)
+    spec, seed = build_spec(_config(args))
     an = analyze(spec, **_scan_args(args))
-    results, seeds = an.monte_carlo(args.trials, seed, args.dist)
+    results, seeds = an.monte_carlo(args.trials, seed, dist)
     emit_document(args.out, spec_echo(spec, seed), results, seeds, __version__)
 
 
@@ -103,7 +117,7 @@ def _cmd_sweep(args):
         c[key] = "pm_block(%.17g)" % val
         return c
 
-    sweep(load_config(args.config), _parse_values(args.values), rescale,
+    sweep(_config(args), _parse_values(args.values), rescale,
           args.out, args.param, **_scan_args(args))
 
 
@@ -118,9 +132,6 @@ def _add_scan_opts(sub):
     sub.add_argument("--range", help="scan window 'a:b' (default: automatic)")
     sub.add_argument("--grid", type=int, default=400,
                      help="number of grid points (default 400)")
-    sub.add_argument("--eps", type=float, default=None,
-                     help="imaginary offset for Stieltjes inversion "
-                     "inside the support")
 
 
 def main(argv=None):
@@ -130,46 +141,39 @@ def main(argv=None):
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
 
-    def sub(name, fn, **kw):
-        s = subs.add_parser(name, **kw)
+    def sub(name, fn, text):
+        s = subs.add_parser(name, help=text)
         s.set_defaults(fn=fn)
         s.add_argument("--out", help="output file (default stdout)")
-        s.add_argument("--quad-order", type=int, default=None,
-                       help="Gauss-Hermite order (default 96)")
-        s.add_argument("--seed", type=int, default=None,
-                       help="override the config seed")
+        if name != "simulate":
+            s.add_argument("--quad-order", type=int, default=None,
+                           help="Gauss-Hermite order (default 96)")
+        if name != "preset":
+            s.add_argument("--config", required=True)
+            s.add_argument("--seed", type=int, default=None,
+                           help="replace the config seed")
         return s
 
-    s = sub("density", _cmd_density, help="limiting density table")
-    s.add_argument("--config", required=True)
-    _add_scan_opts(s)
+    _add_scan_opts(sub("density", _cmd_density, "limiting density table"))
+    _add_scan_opts(sub("spikes", _cmd_spikes,
+                       "support and isolated eigenvalues"))
+    _add_scan_opts(sub("align", _cmd_spikes, "spike eigenvector projections"))
 
-    s = sub("spikes", _cmd_spikes, help="support and isolated eigenvalues")
-    s.add_argument("--config", required=True)
-    _add_scan_opts(s)
-
-    s = sub("align", _cmd_spikes, help="spike eigenvector projections")
-    s.add_argument("--config", required=True)
-    _add_scan_opts(s)
-
-    s = sub("simulate", _cmd_simulate, help="one finite-size spectrum")
-    s.add_argument("--config", required=True)
+    s = sub("simulate", _cmd_simulate, "one finite-size spectrum")
     s.add_argument("--dist", default="gaussian",
                    help="feature law: gaussian, rademacher, student_t:dof")
 
-    s = sub("compare", _cmd_compare, help="Monte Carlo vs theory report")
-    s.add_argument("--config", required=True)
+    s = sub("compare", _cmd_compare, "Monte Carlo vs theory report")
     s.add_argument("--trials", type=int, default=10)
     s.add_argument("--dist", default="gaussian")
     _add_scan_opts(s)
 
-    s = sub("sweep", _cmd_sweep, help="spike curves along a parameter path")
-    s.add_argument("--config", required=True)
+    s = sub("sweep", _cmd_sweep, "spike curves along a parameter path")
     s.add_argument("--param", required=True, choices=sorted(_SWEEP_KEYS))
     s.add_argument("--values", required=True, help="'a:b:n' linspace")
     _add_scan_opts(s)
 
-    s = sub("preset", _cmd_preset, help="run a named experiment")
+    s = sub("preset", _cmd_preset, "run a named experiment")
     s.add_argument("name", choices=sorted(PRESETS))
     s.add_argument("--trials", type=int, default=None)
 

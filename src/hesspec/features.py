@@ -26,6 +26,7 @@ __all__ = [
     "projection_law",
     "pinv2",
     "sample_features",
+    "check_dist",
 ]
 
 
@@ -236,18 +237,27 @@ def projection_law(spec):
     return ProjectionLaw(mean=mean, cov=cov)
 
 
+def check_dist(dist):
+    """The dof of a feature law "student_t[:dof]" (dof > 2, default 7),
+    None for "gaussian" and "rademacher"; ValueError for anything else."""
+    if dist in ("gaussian", "rademacher"):
+        return None
+    name, colon, arg = dist.partition(":")
+    if name != "student_t":
+        raise DomainError(f"unknown feature distribution: {dist!r}")
+    dof = float(arg) if colon else 7.0
+    if not 2 < dof < np.inf:
+        raise DomainError(f"student_t needs dof > 2, got {dist!r}")
+    return dof
+
+
 def _standardized_noise(dist, shape, rng):
+    dof = check_dist(dist)
+    if dof is not None:
+        return rng.standard_t(dof, size=shape) * np.sqrt((dof - 2.0) / dof)
     if dist == "gaussian":
         return rng.standard_normal(shape)
-    if dist == "rademacher":
-        return rng.integers(0, 2, size=shape).astype(float) * 2.0 - 1.0
-    if dist.startswith("student_t"):
-        dof = float(dist.split(":", 1)[1]) if ":" in dist else 7.0
-        if dof <= 2:
-            raise DomainError("student_t needs dof > 2")
-        z = rng.standard_t(dof, size=shape)
-        return z * np.sqrt((dof - 2.0) / dof)
-    raise DomainError(f"unknown feature distribution: {dist!r}")
+    return rng.integers(0, 2, size=shape).astype(float) * 2.0 - 1.0
 
 
 def sample_features(spec, dist, rng):

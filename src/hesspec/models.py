@@ -3,9 +3,9 @@
 The empirical Hessian H = (1/n) X D X^T carries diagonal weights
 D_ii = g(y_i, h_i) with h_i = w^T x_i.  For a twice-differentiable loss
 the weight is the curvature g = d^2 l(y, h) / dh^2; for spectral
-preprocessing it is a bounded map f(y) that ignores h.  Both routes go
-through :class:`WeightFn`, so the "modified matrix" used for spectral
-initialization is the same code path as the true Hessian.
+preprocessing it is a map f(y) that ignores h and declares its range.
+Both go through :class:`WeightFn`, the "modified matrix" of spectral
+initialization included, and classify_g_support reads g's exact range.
 """
 from __future__ import annotations
 
@@ -80,8 +80,9 @@ class WeightFn:
 
     ``kind`` is "loss_curvature" (with ``loss`` naming one of the four
     built-in losses) or "preprocess" (with ``map`` applied to y only).
-    ``bounds`` optionally declares the exact range of a preprocessing
-    map so support classification can stay analytic.
+    A preprocessing map must declare its exact range as ``bounds =
+    (lo, hi)`` over the responses it can see, with None marking a side
+    on which it is unbounded; the support classification reads it.
     """
 
     kind: str
@@ -96,6 +97,11 @@ class WeightFn:
         elif self.kind == "preprocess":
             if self.map is None:
                 raise DomainError("preprocess weight requires a map")
+            if self.bounds is None or len(self.bounds) != 2 or (
+                    None not in self.bounds and
+                    not self.bounds[0] <= self.bounds[1]):
+                raise DomainError("preprocess weight requires bounds (lo, hi), "
+                                  f"lo <= hi or None; got {self.bounds!r}")
         else:
             raise DomainError(f"unknown weight kind: {self.kind!r}")
 
@@ -109,26 +115,30 @@ class WeightFn:
 
     @staticmethod
     def trim(c):
-        """Trimming map f(t) = (max(t,0) - 1)/(max(t,0) + sqrt(2/c) - 1)."""
+        """Trimming map f(t) = (max(t,0) - 1)/(max(t,0) + sqrt(2/c) - 1).
+
+        Range over t >= 0: [f(0), 1) for c < 2, (-inf, 1) at c = 2, and
+        both ways unbounded for c > 2 (a pole at t = 1 - sqrt(2/c))."""
         if c <= 0:
             raise DomainError("dimension ratio c must be positive")
         shift = np.sqrt(2.0 / c) - 1.0
-        bounds = (-1.0 / shift, 1.0) if shift > 0 else None
+        bounds = ((-1.0 / shift, 1.0) if shift > 0 else
+                  (None, 1.0 if shift == 0 else None))
         return WeightFn("preprocess", map=lambda t: preprocess_trim(t, c),
                         bounds=bounds)
 
 
 @dataclass(frozen=True)
 class GSupportClass:
-    bounded: bool
-    upper_bound: Optional[float]
+    """Range [lower_bound, upper_bound] of g, None for an unbounded side."""
+
     lower_bound: Optional[float]
+    upper_bound: Optional[float]
     rationale: str
 
-    def __post_init__(self):
-        if self.bounded:
-            assert self.upper_bound is not None and self.lower_bound is not None
-            assert self.lower_bound <= self.upper_bound
+    @property
+    def bounded(self):
+        return self.lower_bound is not None and self.upper_bound is not None
 
 
 def _check_labels(y):
@@ -209,68 +219,44 @@ def preprocess_trim(t, c):
     return out[()] if out.ndim == 0 else out
 
 
-def _sampled_tail_class(spec, rng=None):
-    """Monte Carlo fallback: crude boundedness guess from sampled g."""
-    rng = rng or np.random.Generator(np.random.Philox(20240917))
-    law = spec.projection_law()
-    # sample (h_star, h) directly from the 2-D law
-    vals, vecs = np.linalg.eigh(law.cov)
-    vals = np.clip(vals, 0.0, None)
-    n = 200_000
-    xi = rng.standard_normal((2, n))
-    hh = law.mean[:, None] + (vecs * np.sqrt(vals)) @ xi
-    y = sample_response(spec.model, hh[0], rng)
-    g = curvature(spec.weight, y, hh[1])
-    g = np.abs(g)
-    q50, q999 = np.quantile(g, [0.5, 0.999])
-    gmax = g.max()
-    bounded = gmax - q999 < 0.5 * (q999 - q50 + 1e-12)
-    if bounded:
-        return GSupportClass(True, float(g.max()), float(np.min(g)), "sampled")
-    return GSupportClass(False, None, None, "sampled")
-
-
 def classify_g_support(spec):
-    """Classify the law of g as bounded or unbounded.
+    """The range of the weight law g under the spec's projections.
 
-    Analytic for the built-in (model, loss) pairs; anything else falls
-    back to a Monte Carlo tail estimate (rationale "sampled").  A law
-    unbounded on one side still reports the bound of its other side
-    (the exponential loss: lower_bound 0, upper_bound None).
+    Exact for every weight: a preprocessing map's declared bounds, and
+    closed forms for the built-in losses.  A law unbounded on one side
+    still reports the bound of its other side (the exponential loss:
+    lower_bound 0, upper_bound None).
     """
     w = spec.weight
+    if w.kind == "preprocess":
+        lo, hi = (None if b is None else float(b) for b in w.bounds)
+        return GSupportClass(lo, hi, "declared range of the preprocessing map")
     law = spec.projection_law()
     var_h = law.cov[1, 1]
     var_hs = law.cov[0, 0]
-    if w.kind == "preprocess":
-        if w.bounds is not None:
-            lo, hi = w.bounds
-            return GSupportClass(True, float(hi), float(lo),
-                                 "bounded preprocessing map")
-        return _sampled_tail_class(spec)
     loss = w.loss
     if loss == "logistic":
         if var_h > 0:
-            return GSupportClass(True, 0.25, 0.0, "logistic curvature <= 1/4")
+            return GSupportClass(0.0, 0.25, "logistic curvature <= 1/4")
         q = np.exp(-abs(law.mean[1]))
         g0 = float(q / (1.0 + q) ** 2)
-        return GSupportClass(True, g0, g0, "degenerate h: constant curvature")
+        return GSupportClass(g0, g0, "degenerate h: constant curvature")
     if loss == "square":
-        return GSupportClass(True, 1.0, 1.0, "constant curvature")
+        return GSupportClass(1.0, 1.0, "constant curvature")
     if loss == "exponential":
         if var_h > 0:
-            return GSupportClass(False, None, 0.0,
+            return GSupportClass(0.0, None,
                                  "log-normal curvature e^{-yh}, Gaussian h")
         mh = law.mean[1]
         vals = (np.exp(-mh), np.exp(mh))
-        return GSupportClass(True, float(max(vals)), float(min(vals)),
+        return GSupportClass(float(min(vals)), float(max(vals)),
                              "degenerate h: two-point curvature law")
     # phase_square: g = 3h^2 - y
     if var_h > 0 or var_hs > 0:
-        return GSupportClass(False, None, None,
+        return GSupportClass(None, None,
                              "chi-square-type curvature 3h^2 - y, Gaussian projections")
     h0 = law.mean[1]
     y0 = sample_response(spec.model, law.mean[0],
                          np.random.Generator(np.random.Philox(0)))
     g0 = float(3.0 * h0 ** 2 - np.asarray(y0))
-    return GSupportClass(True, g0, g0, "degenerate projections: constant curvature")
+    return GSupportClass(g0, g0, "degenerate projections: constant curvature")

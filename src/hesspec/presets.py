@@ -96,14 +96,13 @@ class Analysis:
     spec: ProblemSpec
     scan_range: tuple
     grid: int = 400
-    epsilon: float | None = None
     order: int | None = None
 
     @cached_property
     def curve(self):
         lo, hi = self.scan_range
         return density(self.spec, np.linspace(lo, hi, self.grid),
-                       epsilon=self.epsilon, order=self.order)
+                       order=self.order)
 
     @cached_property
     def support(self):
@@ -146,19 +145,19 @@ class Analysis:
         return results, rep.seeds
 
 
-def analyze(spec, scan_range=None, grid=400, epsilon=None, order=None):
+def analyze(spec, scan_range=None, grid=400, order=None):
     """The Analysis of spec on scan_range (default: the automatic window);
     the density on `grid` points, the support and the spikes are computed
-    on first use."""
+    on first use; order is the Gauss-Hermite order (default 96)."""
     if grid < 2:
         raise ConfigError(f"grid needs at least 2 points, got {grid}")
     lo, hi = scan_range if scan_range is not None else default_scan_range(
         spec, order)
-    return Analysis(spec, (lo, hi), grid, epsilon, order)
+    return Analysis(spec, (lo, hi), grid, order)
 
 
 def sweep(cfg, values, rescale, path, label, trials=0, scan_range=None,
-          grid=400, epsilon=None, order=None):
+          grid=400, order=None):
     """Tabulate the first spike of rescale(cfg, v) for each v in values.
 
     Rows are [v, lambda, gap, alignment] with alignment the largest
@@ -169,7 +168,7 @@ def sweep(cfg, values, rescale, path, label, trials=0, scan_range=None,
     rows = []
     for val in values:
         spec, seed = build_spec(rescale(dict(cfg), val))
-        an = analyze(spec, scan_range, grid, epsilon, order)
+        an = analyze(spec, scan_range, grid, order)
         res = an.monte_carlo(trials, seed)[0] if trials else an.results()
         first = res["spikes"][0] if res["spikes"] else None
         row = ([val, first["lambda"], first["gap"], max(first["cos2"])]

@@ -279,7 +279,7 @@ class TestSupport:
 
     def test_empty_when_scanned_off_support(self):
         spec = quarter_wishart()
-        rep = support(spec, (5.0, 6.0), resolution=50)
+        rep = support(spec, (5.0, 6.0))
         assert rep.intervals == [] and rep.bulk_count == 0
 
 

@@ -137,9 +137,31 @@ class TestErrors:
         path.write_text("{not json")
         assert main(["density", "--config", str(path)]) == 1
 
-    def test_numeric_failure_exits_two(self, mp_config):
-        assert main(["simulate", "--config", mp_config,
-                     "--dist", "cauchy"]) == 2
+    def test_numeric_failure_exits_two(self, mp_config, monkeypatch, capsys):
+        import hesspec.cli
+        from hesspec.errors import NonConvergence
+
+        def diverge(*args, **kwargs):
+            raise NonConvergence("no root")
+
+        monkeypatch.setattr(hesspec.cli, "run_trial", diverge)
+        assert main(["simulate", "--config", mp_config]) == 2
+        assert capsys.readouterr().err.startswith("numerical failure:")
+
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    @pytest.mark.parametrize("dist", ["cauchy", "student_t:2", "student_t:x",
+                                      "gaussian:3"])
+    def test_bad_feature_law_exits_one(self, mp_config, capsys, command, dist):
+        assert main([command, "--config", mp_config, "--dist", dist]) == 1
+        assert capsys.readouterr().err.startswith("config error:")
+
+    @pytest.mark.parametrize("values", ["0.5:1.0:0", "0.5:1.0:-2", "0.5:1.0",
+                                        "0.5:1.0:x"])
+    def test_bad_sweep_values_exit_one(self, mp_config, tmp_path, values):
+        out = tmp_path / "w.csv"
+        assert main(["sweep", "--config", mp_config, "--param", "mu_norm",
+                     "--values", values, "--out", str(out)]) == 1
+        assert not out.exists()
 
     def test_bad_range_exits_one(self, mp_config):
         assert main(["density", "--config", mp_config,
@@ -174,6 +196,35 @@ class TestErrors:
     def test_fig4_without_trials_exits_one(self, tmp_path):
         assert main(["preset", "fig4", "--trials", "0",
                      "--out", str(tmp_path)]) == 1
+
+
+class TestSeedOverride:
+    @pytest.mark.parametrize("args", [
+        ["density", "--grid", "50"],
+        ["spikes"],
+        ["align"],
+        ["simulate"],
+        ["compare", "--trials", "1", "--grid", "50"],
+        ["sweep", "--param", "w_norm", "--values", "0.5:1.5:2"],
+    ], ids=lambda a: a[0])
+    def test_equals_config_with_that_seed(self, tmp_path, args):
+        cfg = {"p": 64, "n": 256, "mu": "gaussian_norm(1.2)",
+               "w": "gaussian_norm(0.8)", "model": "logistic",
+               "loss": "logistic", "seed": 7}
+        paths = {}
+        for seed in (7, 5):
+            paths[seed] = tmp_path / f"s{seed}.json"
+            paths[seed].write_text(json.dumps(dict(cfg, seed=seed)))
+
+        def run(config, *extra):
+            out = tmp_path / "out"
+            assert main(args + ["--config", str(config), "--out", str(out),
+                                *extra]) == 0
+            return out.read_bytes()
+
+        overridden = run(paths[7], "--seed", "5")
+        assert overridden == run(paths[5])
+        assert overridden != run(paths[7])
 
 
 class TestStdout:

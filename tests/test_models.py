@@ -107,6 +107,21 @@ class TestTrim:
         assert preprocess_trim(1e12, c) == pytest.approx(hi, abs=1e-10)
         assert np.all(curvature(w, np.linspace(0, 100, 50), 0.0) <= hi)
 
+    @pytest.mark.parametrize("c, bounds", [
+        (0.2, (-1.0 / (np.sqrt(10.0) - 1.0), 1.0)), (2.0, (None, 1.0)),
+        (3.0, (None, None))])
+    def test_trim_declares_its_range_for_every_ratio(self, c, bounds):
+        assert WeightFn.trim(c).bounds == pytest.approx(bounds)
+        # the map over t >= 0, up to and through the pole for c > 2
+        pole = 1.0 - np.sqrt(2.0 / c)
+        t = np.concatenate([pole + np.geomspace(1e-12, 1e3, 400),
+                            pole - np.geomspace(1e-12, 1.0, 400)])
+        v = preprocess_trim(t[t >= 0.0], c)
+        lo, hi = bounds
+        assert np.nanmax(v) > 1e6 if hi is None else np.nanmax(v) <= hi
+        assert np.nanmin(v) < -1e6 if lo is None else (
+            np.nanmin(v) >= lo - 1e-12)
+
     def test_trim_rejects_bad_ratio(self):
         with pytest.raises(DomainError):
             WeightFn.trim(0.0)
@@ -182,13 +197,21 @@ class TestSupportClassification:
         cls = classify_g_support(spec)
         assert cls.bounded and cls.upper_bound == 1.0
 
-    def test_undeclared_preprocess_falls_back_to_sampling(self):
-        spec = spec_with(weight=WeightFn.preprocess(np.tanh),
+    @pytest.mark.parametrize("bounds", [None, (1.0,), (1.0, -1.0)],
+                             ids=["missing", "one_value", "reversed"])
+    def test_undeclared_preprocess_rejected(self, bounds):
+        with pytest.raises(DomainError):
+            WeightFn.preprocess(np.tanh, bounds)
+
+    def test_declared_half_line_classified_as_declared(self):
+        spec = spec_with(weight=WeightFn.preprocess(np.exp, (0.0, None)),
                          model=ResponseModel.phase_retrieval(), w_norm=1.0)
         cls = classify_g_support(spec)
-        assert cls.rationale == "sampled"
-        assert cls.bounded  # tanh output saturates
+        assert (cls.lower_bound, cls.upper_bound) == (0.0, None)
+        assert not cls.bounded
 
-    def test_invariants_enforced(self):
-        with pytest.raises(AssertionError):
-            GSupportClass(True, None, None, "broken")
+    @pytest.mark.parametrize("lo, hi, bounded", [
+        (0.0, 0.25, True), (1.0, 1.0, True), (0.0, None, False),
+        (None, 1.0, False), (None, None, False)])
+    def test_bounded_means_both_bounds_known(self, lo, hi, bounded):
+        assert GSupportClass(lo, hi, "test").bounded is bounded

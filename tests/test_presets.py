@@ -1,8 +1,11 @@
 import json
 import os
 
+import numpy as np
+import pytest
+
 from hesspec import analyze, build_spec, run_preset
-from hesspec.presets import preset_config
+from hesspec.presets import preset_config, sweep
 
 
 def test_fig2_reports_match_analyze(tmp_path):
@@ -47,3 +50,49 @@ def test_spike_reports_build_no_density(tmp_path, monkeypatch):
     table = tmp_path / "sweep.csv"
     hesspec.presets.sweep(cfg, [0.8, 1.5], rescale, str(table), "mu_norm2")
     assert len(table.read_text().splitlines()) == 3
+
+
+@pytest.mark.parametrize("name, trials, files", [
+    ("fig1a", 0, ["fig1a_density.csv", "fig1a_report.json"]),
+    ("fig1b", 0, ["fig1b_density.csv", "fig1b_report.json"]),
+    ("fig1cd", 0, ["fig1cd_density.csv", "fig1cd_report.json"]),
+    ("fig3", 0, ["fig3_four_density.csv", "fig3_four_report.json",
+                 "fig3_two_density.csv", "fig3_two_report.json"]),
+    ("fig4", 1, ["fig4_gaussian.csv", "fig4_rademacher.csv",
+                 "fig4_student_t7.csv", "fig4_theory_density.csv",
+                 "fig4_theory_report.json"]),
+    ("fig5", 0, ["fig5_density.csv", "fig5_report.json", "fig5_sweep.csv"]),
+    ("fig6", 0, ["fig6_sweep.csv"]),
+    ("fig7", 0, ["fig7_sweep.csv"]),
+])
+def test_preset_writes_its_files(tmp_path, name, trials, files):
+    written = run_preset(name, str(tmp_path), trials=trials)
+    assert sorted(os.path.basename(f) for f in written) == files
+    assert sorted(os.listdir(tmp_path)) == files
+    for f in written:
+        if f.endswith("_sweep.csv"):    # 15 values of |mu|^2, 30 norms
+            rows = np.loadtxt(f, delimiter=",", comments="#", ndmin=2)
+            assert rows.shape == ({"fig5": 15}.get(name, 30), 4)
+        elif name == "fig4" and not f.endswith(("_density.csv", ".json")):
+            assert np.loadtxt(f, comments="#").shape == (800,)
+
+
+def test_sweep_with_trials_adds_empirical_columns(tmp_path):
+    cfg = {"p": 64, "n": 256, "model": "logistic", "loss": "logistic",
+           "seed": 3}
+
+    def rescale(c, rho2):
+        c["mu"] = "pm_block(%.17g)" % rho2 ** 0.5
+        return c
+
+    # |mu|^2 = 0.09 is below the detection threshold sqrt(c) = 0.5
+    path = sweep(cfg, [0.09, 2.25], rescale, str(tmp_path / "s.csv"),
+                 "mu_norm2", trials=2)
+    with open(path) as fh:
+        assert fh.readline() == ("# mu_norm2,lambda,gap,alignment,"
+                                 "empirical_lambda,empirical_alignment\n")
+    rows = np.loadtxt(path, delimiter=",", comments="#")
+    assert rows.shape == (2, 6)
+    assert np.isnan(rows[0, [1, 4, 5]]).all()
+    assert np.isfinite(rows[1]).all()
+    assert rows[1, 4] == pytest.approx(rows[1, 1], abs=0.05)
