@@ -25,7 +25,9 @@ complement of the exterior.  Edges therefore depend on no density
 threshold, grid or scan window.  The admissible range comes from the
 bounds of the weight law (classify_g_support), not from the quadrature
 nodes; a law unbounded on both sides admits only delta = 0 and has no
-real exterior.
+real exterior.  One array kernel (_Exterior.eval) evaluates the grid and
+a single angle alike, and one polisher (_polish) refines the edges, the
+real-axis solves and the spikes of hesspec.spikes.
 
 The density is the absolutely continuous part of the measure: exactly 0
 off the support, and Im m(x + i eps) / pi at each grid point inside it,
@@ -230,15 +232,21 @@ def density(spec, grid, epsilon=None, order=None):
 
 @dataclass(frozen=True, eq=False)
 class _Segment:
-    """An arc interval on which z rises along one branch; its image
-    (z_lo, z_hi) is one interval of the real exterior."""
+    """An arc interval on which z rises along one branch, tabulated at its
+    grid points and ends in ascending theta; (z[0], z[-1]) is one interval
+    of the real exterior (-inf or +inf at theta = 0 on the outer branch)."""
 
     gap: object          # None: the outer branch; j: between poles t_j, t_j+1
-    th_lo: float         # arc angles of the ends (see _Exterior)
-    z_lo: float          # -inf where th_lo is 0 on the outer branch
-    th_hi: float
-    z_hi: float          # +inf where th_hi is 0 on the outer branch
-    grid: np.ndarray     # indices of the grid points in [th_lo, th_hi]
+    theta: np.ndarray    # arc angles (see _Exterior)
+    z: np.ndarray        # z(theta), non-decreasing
+    e: np.ndarray        # e(delta(theta))
+    moments: np.ndarray  # moment matrices at delta(theta), k x 3 x 3
+
+
+def _polish(fn, lo, hi):
+    """The root of fn, which changes sign between lo and hi, to 1e-15
+    relative to the larger end (an arc angle for every caller)."""
+    return optimize.brentq(fn, lo, hi, xtol=1e-15 * max(abs(lo), abs(hi)))
 
 
 def _bisect(excess, lo, hi):
@@ -329,9 +337,8 @@ class _Exterior:
     fall, form one arc of the projective line around delta = 0, through
     delta = infinity (z = 0) when g_min > 0.  Along it, delta = sigma
     tan(theta) with sigma = 1/|E g|, z and its slope are continuous.  The
-    map holds the theta grid, e, E2 and the moment matrices on it, z on
-    each branch, and the rising segments with their edges polished by
-    brentq on the slope.
+    map holds the theta grid and the rising segments, each with its own
+    table and its edges polished on the slope.
     """
 
     def __init__(self, spec, order):
@@ -348,37 +355,38 @@ class _Exterior:
         self.segments = []
         if len(self.theta) == 1:
             return                    # g unbounded both ways: no exterior
-        self.e, self.e2, self.moments = eng.sweep(self.delta(self.theta))
-        self.z = {}
+        e, e2, moments = eng.sweep(self.delta(self.theta))
         for gap in [None] + _open_gaps(self.t, self.w, self.c):
             # the outer branch leaves through z = -inf / +inf at delta = 0
             ok = self.theta != 0.0 if gap is None else slice(None)
-            self.z[gap] = z = np.full(len(self.theta), np.nan)
+            z = np.full(len(self.theta), np.nan)
             z[ok] = _branch_z(self.t, self.w, self.c, gap,
-                              self.delta(self.theta[ok]), self.e[ok])
+                              self.delta(self.theta[ok]), e[ok])
+            grid = (self.theta, z, e, moments)
             rising = np.flatnonzero(
-                _slope_sign(self.t, self.w, self.c, z, self.e, self.e2) > 0)
+                _slope_sign(self.t, self.w, self.c, z, e, e2) > 0)
             for run in np.split(rising, np.flatnonzero(np.diff(rising) > 1) + 1):
                 if len(run):
-                    self.segments.append(_Segment(
-                        gap, *self._end(gap, run[0], run[0] - 1),
-                        *self._end(gap, run[-1], run[-1] + 1), run))
+                    rows = [self._end(gap, grid, run[0], run[0] - 1),
+                            [col[run] for col in grid],
+                            self._end(gap, grid, run[-1], run[-1] + 1)]
+                    self.segments.append(_Segment(gap, *map(
+                        np.concatenate, zip(*filter(None, rows)))))
 
     def delta(self, theta):
         return self.sigma * np.tan(theta)
 
-    def at(self, gap, theta):
-        """(z, e, delta) at one angle on a branch."""
-        d = float(self.delta(theta))
-        e = float(self.eng.e1(d))
-        return float(_branch_z(self.t, self.w, self.c, gap, np.array([d]),
-                               np.array([e]))[0]), e, d
+    def eval(self, gap, theta):
+        """(z, e, E2, moments) at an array of angles on one branch."""
+        d = self.delta(np.asarray(theta, dtype=float))
+        e, e2, moments = self.eng.sweep(d)
+        return _branch_z(self.t, self.w, self.c, gap, d, e), e, e2, moments
 
     def point(self, gap, theta, z=None):
         """The StieltjesPoint at one angle (at z if given, which z(theta)
         matches to rounding), with no fixed-point solve."""
-        z_theta, e, d = self.at(gap, theta)
-        z = z_theta if z is None else z
+        z_theta, e, _, _ = self.eval(gap, [theta])
+        z, e, d = z_theta[0] if z is None else z, e[0], self.delta(theta)
         pole = e * self.t - z
         target = self.c * np.sum(self.w * self.t / pole)
         return StieltjesPoint(z=complex(z), delta=complex(d),
@@ -388,37 +396,34 @@ class _Exterior:
     def solve(self, x):
         """The point at real x, where z(theta) = x on a rising segment."""
         for seg in self.segments:
-            if seg.z_lo < x < seg.z_hi:
-                ths = np.r_[seg.th_lo, self.theta[seg.grid], seg.th_hi]
-                zs = np.r_[seg.z_lo, self.z[seg.gap][seg.grid], seg.z_hi]
+            if seg.z[0] < x < seg.z[-1]:
+                i = int(np.searchsorted(seg.z, x))
                 # z is -inf (+inf) at theta = 0 on the outer branch's
                 # positive (negative) side: step off it
-                ths[0], ths[-1] = ths[0] or 1e-200, ths[-1] or -1e-200
-                i = int(np.searchsorted(zs, x))
-                th = optimize.brentq(lambda u: self.at(seg.gap, u)[0] - x,
-                                     ths[i - 1], ths[i], xtol=1e-300)
+                th = _polish(lambda u: self.eval(seg.gap, [u])[0][0] - x,
+                             seg.theta[i - 1] or 1e-200,
+                             seg.theta[i] or -1e-200)
                 return self.point(seg.gap, th, x)
         raise BranchViolation(f"real z={x} is not outside the support")
 
     def _slope(self, gap, theta):
-        z, e, d = self.at(gap, theta)
-        return _slope_sign(self.t, self.w, self.c, np.array([z]),
-                           np.array([e]), self.eng.e2(d))[0]
+        z, e, e2, _ = self.eval(gap, [theta])
+        return _slope_sign(self.t, self.w, self.c, z, e, e2)[0]
 
-    def _end(self, gap, inside, outside):
-        """(theta, z) of the segment end between grid point inside (rising)
-        and outside (not rising, or past the end of the arc)."""
-        th_in = self.theta[inside]
+    def _end(self, gap, grid, inside, outside):
+        """The table row (theta, z, e, moments) of the segment end between
+        grid point inside (rising) and outside (not rising, or past the end
+        of the arc), or None where inside is itself the end."""
         if not 0 <= outside < len(self.theta):
-            return th_in, self.z[gap][inside]
+            return None
         th_out = self.theta[outside]
         if gap is None and th_out == 0.0:
-            return 0.0, -np.inf if outside < inside else np.inf
-        if self._slope(gap, th_out) * self._slope(gap, th_in) > 0:
-            return th_in, self.z[gap][inside]         # sign at rounding level
-        th = optimize.brentq(lambda x: self._slope(gap, x), th_out, th_in,
-                             xtol=1e-15 * abs(th_in))
-        return th, self.at(gap, th)[0]
+            theta, _, e, moments = (col[[outside]] for col in grid)
+            return theta, [-np.inf if outside < inside else np.inf], e, moments
+        th = [_polish(lambda x: self._slope(gap, x), th_out,
+                      self.theta[inside])]
+        z, e, _, moments = self.eval(gap, th)
+        return th, z, e, moments
 
 
 def _exterior(spec, order=None):
@@ -434,7 +439,7 @@ def _intervals(spec, lo, hi, order=None):
     """The support within [lo, hi] as the complement of the real exterior,
     clipped; the atom at 0 is not included."""
     intervals, cur = [], lo
-    for z_lo, z_hi in sorted((s.z_lo, s.z_hi)
+    for z_lo, z_hi in sorted((float(s.z[0]), float(s.z[-1]))
                              for s in _exterior(spec, order).segments):
         if cur < min(z_lo, hi):
             intervals.append((cur, min(z_lo, hi)))

@@ -62,9 +62,9 @@ def _dist(args):
 
 
 def _scan_args(args):
-    """analyze() keyword arguments from --range, --grid, --quad-order."""
+    """analyze() keyword arguments from --range and --quad-order."""
     return {"scan_range": _parse_range(args.range) if args.range else None,
-            "grid": args.grid, "order": args.quad_order}
+            "order": args.quad_order}
 
 
 def _config(args):
@@ -77,7 +77,7 @@ def _config(args):
 
 def _cmd_density(args):
     spec, _ = build_spec(_config(args))
-    curve = analyze(spec, **_scan_args(args)).curve
+    curve = analyze(spec, grid=args.grid, **_scan_args(args)).curve
     emit_table(args.out, ["x", "density"],
                zip(curve.grid, np.nan_to_num(curve.density)))
 
@@ -102,7 +102,7 @@ def _cmd_simulate(args):
 def _cmd_compare(args):
     dist = _dist(args)
     spec, seed = build_spec(_config(args))
-    an = analyze(spec, **_scan_args(args))
+    an = analyze(spec, grid=args.grid, **_scan_args(args))
     results, seeds = an.monte_carlo(args.trials, seed, dist)
     emit_document(args.out, spec_echo(spec, seed), results, seeds, __version__)
 
@@ -130,8 +130,6 @@ def _cmd_preset(args):
 
 def _add_scan_opts(sub):
     sub.add_argument("--range", help="scan window 'a:b' (default: automatic)")
-    sub.add_argument("--grid", type=int, default=400,
-                     help="number of grid points (default 400)")
 
 
 def main(argv=None):
@@ -152,6 +150,9 @@ def main(argv=None):
             s.add_argument("--config", required=True)
             s.add_argument("--seed", type=int, default=None,
                            help="replace the config seed")
+        if name in ("density", "compare"):     # the ones that draw a density
+            s.add_argument("--grid", type=int, default=400,
+                           help="number of density grid points (default 400)")
         return s
 
     _add_scan_opts(sub("density", _cmd_density, "limiting density table"))

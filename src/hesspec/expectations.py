@@ -126,25 +126,30 @@ class ExpectationEngine:
         self.wt = wts
         self.s = np.vstack([h_star, h]) - law.mean[:, None]
         self.u = spec.gram_U_pinv @ self.s
+        u0, u1 = self.u
+        # the node columns whose weighted sums fill the moment matrix
+        self._cols = np.column_stack([np.ones_like(u0), u0, u1, u0 * u0,
+                                      u0 * u1, u1 * u1])
 
-    def _damped(self, delta, square=False):
-        denom = 1.0 + self.g * delta
-        bad = np.abs(denom) <= 1e-12
+    def _damped(self, delta):
+        """g / (1 + g delta), broadcast over the nodes (last axis)."""
+        f = self.g * delta
+        f += 1.0
+        bad = np.abs(f) <= 1e-12
         if np.any(bad):
-            k = int(np.argmax(bad))
+            g = self.g[np.nonzero(bad)[-1][0]]
             raise PoleError(
-                f"1 + g*delta vanished at a quadrature node (g={self.g[k]:.6g})",
-                node=self.g[k])
-        f = self.g / denom
-        return f * f if square else f
+                f"1 + g*delta vanished at a quadrature node (g={g:.6g})",
+                node=g)
+        return np.divide(self.g, f, out=f)
 
     def e1(self, delta):
         """E[g / (1 + g delta)]."""
-        return np.sum(self.wt * self._damped(delta))
+        return self.e1_e2(delta)[0]
 
     def e2(self, delta):
         """E[g^2 / (1 + g delta)^2]."""
-        return np.sum(self.wt * self._damped(delta, square=True))
+        return self.e1_e2(delta)[1]
 
     def e1_e2(self, delta):
         """(e1, e2) at one delta from a single pass over the nodes."""
@@ -155,47 +160,36 @@ class ExpectationEngine:
     def moments(self, z, delta, square=False):
         """The 3x3 moment matrix; with square=True the weight is
         g^2/(1+g delta)^2 (as needed for the z-derivative)."""
-        f = self.wt * self._damped(delta, square=square)
-        K = self.spec.gram_U_pinv
-        a = np.sum(f)
-        b = self.u @ f
-        block = (self.u * f) @ self.u.T - a * K
-        entries = np.empty((3, 3), dtype=complex)
-        entries[0, 0] = a
-        entries[0, 1:] = b
-        entries[1:, 0] = b
-        entries[1:, 1:] = block
-        return CurvatureMoments(entries=entries, z=z, delta=delta)
+        return CurvatureMoments(entries=self.sweep([delta], square)[2][0],
+                                z=z, delta=delta)
 
-    def sweep(self, deltas):
-        """e1, e2 and the moment matrices (k x 3 x 3) at k real deltas.
+    def sweep(self, deltas, square=False):
+        """e1, e2 and the moment matrices (k x 3 x 3) at k real or complex
+        deltas; with square=True the matrices weigh g^2/(1+g delta)^2.
 
         The (delta, node) intermediates are built in chunks that together
         stay within _SWEEP_BYTES, however long the grid is.
         """
-        deltas = np.asarray(deltas, dtype=float)
+        deltas = np.asarray(deltas)
+        dtype = np.result_type(deltas, float)
         k = len(deltas)
-        u0, u1 = self.u
-        cols = np.column_stack([np.ones_like(u0), u0, u1, u0 * u0, u0 * u1,
-                                u1 * u1])
-        e2 = np.empty(k)
-        raw = np.empty((k, 6))
-        rows = max(1, _SWEEP_BYTES // (16 * len(self.g)))   # f and fw
+        e1, e2 = np.empty(k, dtype), np.empty(k, dtype)
+        raw = np.empty((k, 6), dtype)
+        rows = max(1, _SWEEP_BYTES // (2 * dtype.itemsize * len(self.g)))
         for start in range(0, k, rows):
             part = slice(start, start + rows)
-            f = np.outer(deltas[part], self.g)
-            f += 1.0
-            np.divide(self.g, f, out=f)
+            f = self._damped(deltas[part, None])
             fw = f * self.wt
-            e2[part] = np.einsum("ij,ij->i", fw, f)
-            raw[part] = fw @ cols
-        moments = np.empty((k, 3, 3))
+            f *= fw
+            e1[part], e2[part] = fw.sum(1), f.sum(1)
+            raw[part] = (f if square else fw) @ self._cols
+        moments = np.empty((k, 3, 3), dtype)
         moments[:, 0, 0] = raw[:, 0]
         moments[:, 0, 1:] = raw[:, 1:3]
         moments[:, 1:, 0] = raw[:, 1:3]
         moments[:, 1:, 1:] = (raw[:, [[3, 4], [4, 5]]]
                               - raw[:, 0, None, None] * self.spec.gram_U_pinv)
-        return raw[:, 0], e2, moments
+        return e1, e2, moments
 
 
 def expectation_engine(spec, order=None):

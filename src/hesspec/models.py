@@ -134,7 +134,6 @@ class GSupportClass:
 
     lower_bound: Optional[float]
     upper_bound: Optional[float]
-    rationale: str
 
     @property
     def bounded(self):
@@ -230,33 +229,30 @@ def classify_g_support(spec):
     w = spec.weight
     if w.kind == "preprocess":
         lo, hi = (None if b is None else float(b) for b in w.bounds)
-        return GSupportClass(lo, hi, "declared range of the preprocessing map")
+        return GSupportClass(lo, hi)
     law = spec.projection_law()
     var_h = law.cov[1, 1]
     var_hs = law.cov[0, 0]
     loss = w.loss
     if loss == "logistic":
         if var_h > 0:
-            return GSupportClass(0.0, 0.25, "logistic curvature <= 1/4")
+            return GSupportClass(0.0, 0.25)
         q = np.exp(-abs(law.mean[1]))
         g0 = float(q / (1.0 + q) ** 2)
-        return GSupportClass(g0, g0, "degenerate h: constant curvature")
+        return GSupportClass(g0, g0)
     if loss == "square":
-        return GSupportClass(1.0, 1.0, "constant curvature")
+        return GSupportClass(1.0, 1.0)
     if loss == "exponential":
         if var_h > 0:
-            return GSupportClass(0.0, None,
-                                 "log-normal curvature e^{-yh}, Gaussian h")
+            return GSupportClass(0.0, None)   # log-normal e^{-yh}
         mh = law.mean[1]
         vals = (np.exp(-mh), np.exp(mh))
-        return GSupportClass(float(min(vals)), float(max(vals)),
-                             "degenerate h: two-point curvature law")
+        return GSupportClass(float(min(vals)), float(max(vals)))
     # phase_square: g = 3h^2 - y
     if var_h > 0 or var_hs > 0:
-        return GSupportClass(None, None,
-                             "chi-square-type curvature 3h^2 - y, Gaussian projections")
+        return GSupportClass(None, None)
     h0 = law.mean[1]
     y0 = sample_response(spec.model, law.mean[0],
                          np.random.Generator(np.random.Philox(0)))
     g0 = float(3.0 * h0 ** 2 - np.asarray(y0))
-    return GSupportClass(g0, g0, "degenerate projections: constant curvature")
+    return GSupportClass(g0, g0)

@@ -157,7 +157,7 @@ def analyze(spec, scan_range=None, grid=400, order=None):
 
 
 def sweep(cfg, values, rescale, path, label, trials=0, scan_range=None,
-          grid=400, order=None):
+          order=None):
     """Tabulate the first spike of rescale(cfg, v) for each v in values.
 
     Rows are [v, lambda, gap, alignment] with alignment the largest
@@ -168,7 +168,7 @@ def sweep(cfg, values, rescale, path, label, trials=0, scan_range=None,
     rows = []
     for val in values:
         spec, seed = build_spec(rescale(dict(cfg), val))
-        an = analyze(spec, scan_range, grid, order)
+        an = analyze(spec, scan_range, order=order)
         res = an.monte_carlo(trials, seed)[0] if trials else an.results()
         first = res["spikes"][0] if res["spikes"] else None
         row = ([val, first["lambda"], first["gap"], max(first["cos2"])]

@@ -8,10 +8,13 @@ where V = [mu, C w*, C w], Qbar is the deterministic resolvent
 equivalent and Lambda couples the curvature to the two projections.
 find_spikes walks the real exterior along the inverse map z(delta) of
 hesspec.bulk, so each (z, delta) pair is exact without a fixed-point
-solve: det G is tabulated on every rising segment of the map, out to
-z = -inf and +inf, and its sign changes are polished by brentq.  At a
-root the asymptotic projection matrix V^T u u^T V follows from the
-left/right null vectors of G and the explicit derivative G'(z).
+solve: det G is tabulated on the table of every rising segment of the
+map, edges included and out to z = -inf and +inf, and each sign change
+across a step where z moves is polished by bulk._polish, the root
+polisher of the edges.  V^T Qbar V (with its z-derivative) and G each
+have one kernel, _vqv and _g, that serves a table and a single point
+alike.  At a root the asymptotic projection matrix V^T u u^T V follows
+from the left/right null vectors of G and the explicit derivative G'(z).
 
 Columns of V that vanish (e.g. mu = 0 or w = 0) are dropped so G
 shrinks to 2x2 or 1x1; the pure-signal case w = w* = 0 is exactly the
@@ -25,7 +28,7 @@ import numpy as np
 from scipy import optimize
 
 from .errors import ImaginaryLeak, MultiplicityViolation
-from .bulk import _exterior, solve_point, stieltjes_derivatives
+from .bulk import _exterior, _polish, solve_point, stieltjes_derivatives
 from .expectations import QuadratureGrid, expectation_engine
 
 __all__ = [
@@ -78,36 +81,43 @@ def _active_columns(spec):
     return np.flatnonzero(norms > 1e-12 * scale)
 
 
+def _vqv(spec, z, e, slope=None):
+    """V^T Qbar V at z and e = e(delta(z)), scalars or arrays (k x 3 x 3),
+    through the eigen-grouped partial Grams of C; with slope = E2 delta'(z)
+    also its z-derivative, via Qbar' = Qbar (E2 delta' C + I) Qbar."""
+    z, e = np.asarray(z)[..., None, None], np.asarray(e)[..., None, None]
+    vqv = vqv_prime = 0.0
+    for t_val, gram in spec.grouped_grams:
+        pole = e * t_val - z
+        vqv = vqv + gram / pole
+        if slope is not None:
+            vqv_prime = vqv_prime + gram * (slope * t_val + 1.0) / pole ** 2
+    return vqv if slope is None else (vqv, vqv_prime)
+
+
+def _g(moments, vqv, active):
+    """G = I + Lambda V^T Qbar V on the active columns, for one or a stack
+    of (moments, vqv)."""
+    ix = (..., active[:, None], active)
+    return np.eye(len(active)) + moments[ix] @ vqv[ix]
+
+
 def resolvent_forms(spec, z, point=None, order=None):
     """V^T Qbar(z) V through the eigen-grouped partial Grams of C."""
     if point is None:
         point = solve_point(spec, z, order=order)
-    out = np.zeros((3, 3), dtype=complex)
-    for t_val, gram in spec.grouped_grams:
-        out += gram / (point.e * t_val - point.z)
-    return out
-
-
-def _resolvent_forms_deriv(spec, point, delta_prime, e2):
-    """d/dz of V^T Qbar V via Qbar' = Qbar (E2 delta' C + I) Qbar."""
-    out = np.zeros((3, 3), dtype=complex)
-    for t_val, gram in spec.grouped_grams:
-        out += gram * (e2 * delta_prime * t_val + 1.0) / (point.e * t_val - point.z) ** 2
-    return out
+    return _vqv(spec, point.z, point.e)
 
 
 def spike_matrix(spec, z, point=None, order=None):
     """Assemble G(z) = I + Lambda(z) V^T Qbar(z) V on the active columns."""
     if point is None:
         point = solve_point(spec, z, order=order)
-    eng = expectation_engine(spec, order)
-    moments = eng.moments(point.z, point.delta)
-    vqv = resolvent_forms(spec, z, point=point, order=order)
+    moments = expectation_engine(spec, order).moments(point.z, point.delta)
+    vqv = _vqv(spec, point.z, point.e)
     active = _active_columns(spec)
-    lam_a = moments.entries[np.ix_(active, active)]
-    vqv_a = vqv[np.ix_(active, active)]
-    entries = np.eye(len(active), dtype=complex) + lam_a @ vqv_a
-    return SpikeMatrix(entries=entries, z=float(np.real(z)), vqv=vqv_a,
+    return SpikeMatrix(entries=_g(moments.entries, vqv, active),
+                       z=float(np.real(z)), vqv=vqv[np.ix_(active, active)],
                        moments=moments, active=active, point=point)
 
 
@@ -129,58 +139,45 @@ def spike_matrix_deriv(spec, z, point=None, order=None):
     delta_prime, _, e2 = stieltjes_derivatives(spec, point, order)
     lam = eng.moments(point.z, point.delta).entries
     lam_prime = -delta_prime * eng.moments(point.z, point.delta, square=True).entries
-    vqv = resolvent_forms(spec, z, point=point, order=order)
-    vqv_prime = _resolvent_forms_deriv(spec, point, delta_prime, e2)
+    vqv, vqv_prime = _vqv(spec, point.z, point.e, e2 * delta_prime)
     active = _active_columns(spec)
     ix = np.ix_(active, active)
     return lam_prime[ix] @ vqv[ix] + lam[ix] @ vqv_prime[ix]
-
-
-def _grid_dets(spec, z, e, moments, active):
-    """det G on the active columns at arrays (z, e) and moments."""
-    vqv = sum(gram / (e * t_val - z)[:, None, None]
-              for t_val, gram in spec.grouped_grams)
-    ix = np.ix_(np.arange(len(z)), active, active)
-    return np.linalg.det(np.eye(len(active)) + moments[ix] @ vqv[ix])
 
 
 def find_spikes(spec, support_report, order=None):
     """Locate all real exterior roots of det G and attach alignments.
 
     On every rising segment of the inverse map (see hesspec.bulk) det G
-    is tabulated along z(delta), from the cached grid and the segment's
-    edges, and each sign change is polished by brentq on the delta arc
-    until |dz| <= 1e-12.  Each spike point (z, delta) comes straight from
-    the map, with no fixed-point solve; its gap and side refer to the
+    is tabulated along z(delta) on the segment's table, edges included,
+    and each sign change across a step where z moves is polished on the
+    delta arc by bulk._polish.  Each spike point (z, delta) comes straight
+    from the map, with no fixed-point solve; its gap and side refer to the
     exact edges of its segment.  support_report is unused and kept for
     callers that pass it: a law without a real exterior has no spikes.
     """
     ext = _exterior(spec, order)
     active = _active_columns(spec)
 
+    def dets(z, e, moments):
+        return np.linalg.det(_g(moments, _vqv(spec, z, e), active))
+
     def det_at(gap, theta):
-        pt = ext.point(gap, theta)
-        return spike_det(spec, pt.z, point=pt, order=order)
+        z, e, _, moments = ext.eval(gap, [theta])
+        return dets(z, e, moments)[0]
 
     reports = []
     for seg in ext.segments:
-        k = seg.grid
-        ths, zs = ext.theta[k], ext.z[seg.gap][k]
-        vals = _grid_dets(spec, zs, ext.e[k], ext.moments[k], active)
-        # edges found between grid points join the table
-        for th, z in ((seg.th_lo, seg.z_lo), (seg.th_hi, seg.z_hi)):
-            if np.isfinite(z) and th not in (ths[0], ths[-1]):
-                at = 0 if th < ths[0] else len(ths)
-                ths, zs = np.insert(ths, at, th), np.insert(zs, at, z)
-                vals = np.insert(vals, at, det_at(seg.gap, th))
-        for i in np.flatnonzero(vals[:-1] * vals[1:] < 0):
-            xtol = 1e-12 * (ths[i + 1] - ths[i]) / (zs[i + 1] - zs[i])
-            root = optimize.brentq(lambda th: det_at(seg.gap, th), ths[i],
-                                   ths[i + 1], xtol=xtol)
+        vals = dets(seg.z, seg.e, seg.moments)
+        # no root lies where z is flat (a hard edge at the end of the arc)
+        step = (vals[:-1] * vals[1:] < 0) & (seg.z[1:] > seg.z[:-1])
+        for i in np.flatnonzero(step):
+            root = _polish(lambda th: det_at(seg.gap, th), seg.theta[i],
+                           seg.theta[i + 1])
             pt = ext.point(seg.gap, root)
             lam = pt.z.real
             # the nearer edge of the segment sets side and gap
-            below, above = lam - seg.z_lo, seg.z_hi - lam
+            below, above = lam - seg.z[0], seg.z[-1] - lam
             side, gap = ("right", below) if below < above else ("left", above)
             reports.append(SpikeReport(
                 location=float(lam), side=side, gap=float(gap),

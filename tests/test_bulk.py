@@ -88,11 +88,14 @@ class TestSolvePoint:
             assert pt.residual < 1e-10
 
     def test_warm_start_agrees_with_cold(self):
+        # warm_start only seeds the Newton solve at complex z
         spec = quarter_wishart()
-        cold = solve_point(spec, 0.60)
-        near = solve_point(spec, 0.61)
-        warm = solve_point(spec, 0.60, warm_start=near.delta)
+        z = 0.60 + 1e-3j
+        cold = solve_point(spec, z)
+        near = solve_point(spec, 0.61 + 1e-3j)
+        warm = solve_point(spec, z, warm_start=near.delta)
         assert abs(warm.m - cold.m) < 1e-8
+        assert warm.iterations < cold.iterations
 
     def test_random_upper_half_plane_against_mp(self):
         spec = quarter_wishart()

@@ -115,8 +115,7 @@ class TestSweepCommand:
     def test_row_count_and_threshold(self, mp_config, tmp_path):
         out = str(tmp_path / "w.csv")
         assert main(["sweep", "--config", mp_config, "--param", "mu_norm",
-                     "--values", "0.4:1.0:3", "--grid", "200",
-                     "--out", out]) == 0
+                     "--values", "0.4:1.0:3", "--out", out]) == 0
         data = np.loadtxt(out, delimiter=",", comments="#")
         assert data.shape == (3, 4)
         # 0.4^2 and 0.7^2 are below the detection threshold sqrt(c) = 0.5
@@ -231,7 +230,9 @@ class TestStdout:
     @pytest.mark.parametrize("command", ["density", "spikes"])
     def test_stdout_matches_out_file(self, signal_config, tmp_path, capsys,
                                      command):
-        args = [command, "--config", signal_config, "--grid", "100"]
+        args = [command, "--config", signal_config]
+        if command == "density":
+            args += ["--grid", "100"]
         out = tmp_path / "out"
         assert main(args + ["--out", str(out)]) == 0
         capsys.readouterr()

@@ -156,6 +156,57 @@ class TestEngineNumerics:
         assert effective_curvature(spec, 0.25) == pytest.approx(0.8, rel=1e-12)
 
 
+class TestSweep:
+    """sweep is the one kernel behind moments(); k deltas span several
+    chunks of the node intermediates here (2 x 96^2 logistic nodes)."""
+
+    DELTAS = np.array([0.3 + 0.2j, -1.5 + 0.01j, 2.0 - 0.5j, 1j, 0.7 + 0j,
+                       -0.2 - 0.3j, 4.0 + 4.0j])
+
+    def engine(self):
+        p = 16
+        return expectation_engine(make_spec(w=unit_vec(p, 0.9),
+                                            w_star=unit_vec(p, 0.7, k=1),
+                                            mu=unit_vec(p, 0.5, k=2)))
+
+    @pytest.mark.parametrize("square", [False, True])
+    def test_matches_pointwise_calls(self, square):
+        eng = self.engine()
+        e1, e2, moments = eng.sweep(self.DELTAS, square=square)
+        assert moments.shape == (len(self.DELTAS), 3, 3)
+        for k, d in enumerate(self.DELTAS):
+            np.testing.assert_allclose([e1[k], e2[k]], eng.e1_e2(d),
+                                       rtol=1e-13, atol=1e-13)
+            np.testing.assert_allclose(
+                moments[k], eng.moments(None, d, square=square).entries,
+                rtol=1e-13, atol=1e-13)
+
+    @pytest.mark.parametrize("square", [False, True])
+    def test_matches_direct_moments(self, square):
+        # E[f], E[f u] and E[f (u u^T - K)] summed node by node
+        eng = self.engine()
+        moments = eng.sweep(self.DELTAS, square=square)[2]
+        for k, d in enumerate(self.DELTAS):
+            f = eng.wt * (eng.g / (1.0 + eng.g * d)) ** (2 if square else 1)
+            a, b = np.sum(f), eng.u @ f
+            direct = np.block([[np.array([[a]]), b[None, :]],
+                               [b[:, None], (eng.u * f) @ eng.u.T
+                                - a * eng.spec.gram_U_pinv]])
+            np.testing.assert_allclose(moments[k], direct, rtol=1e-13,
+                                       atol=1e-13)
+
+    def test_pole_raises_through_every_entry(self):
+        spec = make_spec("square")      # g = 1: the pole is delta = -1
+        eng = expectation_engine(spec)
+        for delta in (-1.0, -1.0 + 0j):
+            with pytest.raises(PoleError):
+                eng.sweep([0.5, delta])
+            with pytest.raises(PoleError):
+                eng.moments(None, delta)
+            with pytest.raises(PoleError):
+                effective_curvature(spec, delta)
+
+
 class TestScalarReduction:
     def test_matches_one_dimensional_quadrature(self):
         # mu = w* = 0, |w| = r: h ~ N(0, r^2) and y = +-1 fair coin, so

@@ -214,4 +214,4 @@ class TestSupportClassification:
         (0.0, 0.25, True), (1.0, 1.0, True), (0.0, None, False),
         (None, 1.0, False), (None, None, False)])
     def test_bounded_means_both_bounds_known(self, lo, hi, bounded):
-        assert GSupportClass(lo, hi, "test").bounded is bounded
+        assert GSupportClass(lo, hi).bounded is bounded

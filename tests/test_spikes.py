@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -223,6 +225,24 @@ class TestExactSpikes:
                                                    abs=1e-9)
         assert spikes[0].cos2(spec.V)[0] == pytest.approx(0.15975939504741854,
                                                           abs=1e-9)
+
+
+class TestHardEdge:
+    def test_no_spike_where_z_is_flat(self):
+        # trimmed phase retrieval at c = 2: WeightFn.trim(2) ranges over
+        # (-inf, 1), so the arc ends at delta = -1, a hard right edge at
+        # z = 2 + E[g/(1-g)] = 2 + E[y - 1] = 2 where z(delta) is flat.
+        # det G changes sign between the polished slope zero and the
+        # arc's end, which map to the same z, and no spike lies there
+        spec, _ = build_spec({
+            "p": 400, "n": 200, "w_star": "pm_block(1.0)",
+            "w": "pm_block(0.8)", "model": "phase_retrieval",
+            "weight": "trim"})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            an = analyze(spec)
+            assert an.spikes == []
+        assert an.support.intervals[-1][1] == pytest.approx(2.0, abs=1e-9)
 
 
 class TestTrimmedRetrieval:
