@@ -166,13 +166,14 @@ def solve_point(spec, z, warm_start=None, order=None):
 
 
 def default_scan_range(spec, order=None):
-    """Heuristic window guaranteed to contain the bulk spectrum.
+    """Heuristic window for the bulk spectrum.
 
-    Uses the curvature bounds (the 0.05% and 99.95% quantiles of g under
-    the quadrature weights when the law is unbounded) and the
-    Marchenko-Pastur-type envelope
+    Uses the curvature bounds and the Marchenko-Pastur-type envelope
     |H| <= max(g) * max eig(C) * (1 + sqrt(c))^2, padded by the mean
-    shift |mu|^2 and a 30% margin.
+    shift |mu|^2 and a 30% margin, so it contains the bulk when the law
+    of g is bounded.  When it is unbounded on a side the bulk has no
+    edge there, and the window is a quantile window: both bounds are the
+    0.05% and 99.95% quantiles of g under the quadrature weights.
     """
     cls = classify_g_support(spec)
     if cls.bounded:
@@ -183,7 +184,7 @@ def default_scan_range(spec, order=None):
         cdf = np.cumsum(eng.wt[rank])
         g_lo, g_hi = eng.g[rank][np.searchsorted(cdf, [0.0005 * cdf[-1],
                                                        0.9995 * cdf[-1]])]
-    t_max = float(np.max(spec.atoms[0]))
+    t_max = float(spec.atoms[0][-1])
     envelope = t_max * (1.0 + np.sqrt(spec.c)) ** 2
     shift = float(spec.mu @ spec.mu) * max(abs(g_hi), abs(g_lo), 1e-3)
     hi = max(g_hi, 0.0) * envelope + shift
@@ -343,8 +344,7 @@ class _Exterior:
 
     def __init__(self, spec, order):
         self.eng = eng = expectation_engine(spec, order)
-        rank = np.argsort(spec.atoms[0])
-        self.t, self.w = spec.atoms[0][rank], spec.atoms[1][rank]
+        self.t, self.w = spec.atoms
         self.c = spec.c
         e0 = abs(eng.e1(0.0))
         self.sigma = 1.0 / e0 if e0 > 0 else 1.0

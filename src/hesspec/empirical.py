@@ -221,6 +221,8 @@ def compare(spec, theory_density, spike_reports, trials, base_seed,
     its side and pairs with the eigenpair of the same rank from that end
     of the spectrum.
     """
+    if trials < 1:
+        raise DomainError(f"compare needs trials >= 1, got {trials}")
     seeds = [base_seed + k for k in range(trials)]
     gapped, gaps, sides = [], [], {"left": [], "right": []}
     for i, rep in enumerate(spike_reports):

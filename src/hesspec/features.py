@@ -30,8 +30,19 @@ __all__ = [
 ]
 
 
+class _Covariance:
+    """A covariance C known through eigen(p): its eigenvalues and an
+    orthonormal eigenbasis, the basis None when C is diagonal."""
+
+    def sqrt_apply(self, z):
+        """C^{1/2} z for a length-p vector or a p x n matrix z."""
+        vals, basis = self.eigen(len(z))
+        root = np.sqrt(vals).reshape((-1,) + (1,) * (np.ndim(z) - 1))
+        return root * z if basis is None else basis @ (root * (basis.T @ z))
+
+
 @dataclass(frozen=True)
-class ScaledIdentity:
+class ScaledIdentity(_Covariance):
     """C = s * I."""
 
     scale: float = 1.0
@@ -40,21 +51,15 @@ class ScaledIdentity:
         if self.scale <= 0:
             raise DomainError("covariance scale must be positive")
 
-    def spectrum(self, p):
-        return np.array([self.scale]), np.array([1.0])
-
     def apply(self, v):
         return self.scale * np.asarray(v, dtype=float)
 
-    def sqrt_apply(self, z):
-        return np.sqrt(self.scale) * z
-
-    def grouped_grams(self, V):
-        return [(self.scale, V.T @ V)]
+    def eigen(self, p):
+        return np.full(p, float(self.scale)), None
 
 
 @dataclass(frozen=True, eq=False)
-class Diagonal:
+class Diagonal(_Covariance):
     """C = diag(entries)."""
 
     entries: np.ndarray
@@ -65,29 +70,17 @@ class Diagonal:
             raise DomainError("diagonal covariance needs a positive 1-D vector")
         object.__setattr__(self, "entries", e)
 
-    def spectrum(self, p):
-        if len(self.entries) != p:
-            raise DomainError("diagonal length does not match p")
-        vals, counts = np.unique(self.entries, return_counts=True)
-        return vals, counts / counts.sum()
-
     def apply(self, v):
         return self.entries * np.asarray(v, dtype=float)
 
-    def sqrt_apply(self, z):
-        return np.sqrt(self.entries)[:, None] * z if z.ndim == 2 \
-            else np.sqrt(self.entries) * z
-
-    def grouped_grams(self, V):
-        out = []
-        for val in np.unique(self.entries):
-            rows = V[self.entries == val]
-            out.append((float(val), rows.T @ rows))
-        return out
+    def eigen(self, p):
+        if len(self.entries) != p:
+            raise DomainError("diagonal length does not match p")
+        return self.entries, None
 
 
 @dataclass(frozen=True, eq=False)
-class DenseSPD:
+class DenseSPD(_Covariance):
     """Full symmetric positive-definite covariance."""
 
     matrix: np.ndarray
@@ -100,6 +93,9 @@ class DenseSPD:
             raise DomainError("covariance matrix must be symmetric")
         object.__setattr__(self, "matrix", 0.5 * (m + m.T))
 
+    def apply(self, v):
+        return self.matrix @ np.asarray(v, dtype=float)
+
     @cached_property
     def _eig(self):
         vals, vecs = np.linalg.eigh(self.matrix)
@@ -107,39 +103,10 @@ class DenseSPD:
             raise DomainError("covariance matrix must be positive definite")
         return vals, vecs
 
-    def _grouped_indices(self):
-        vals, _ = self._eig
-        groups, start = [], 0
-        for i in range(1, len(vals) + 1):
-            if i == len(vals) or vals[i] - vals[start] > 1e-9 * max(vals[-1], 1.0):
-                groups.append((float(vals[start:i].mean()), slice(start, i)))
-                start = i
-        return groups
-
-    def spectrum(self, p):
+    def eigen(self, p):
         if self.matrix.shape[0] != p:
             raise DomainError("covariance size does not match p")
-        groups = self._grouped_indices()
-        vals = np.array([g[0] for g in groups])
-        wts = np.array([g[1].stop - g[1].start for g in groups], dtype=float)
-        return vals, wts / wts.sum()
-
-    def apply(self, v):
-        return self.matrix @ np.asarray(v, dtype=float)
-
-    def sqrt_apply(self, z):
-        vals, vecs = self._eig
-        return vecs @ (np.sqrt(vals)[:, None] * (vecs.T @ z)) if z.ndim == 2 \
-            else vecs @ (np.sqrt(vals) * (vecs.T @ z))
-
-    def grouped_grams(self, V):
-        _, vecs = self._eig
-        W = vecs.T @ V
-        out = []
-        for val, sl in self._grouped_indices():
-            rows = W[sl]
-            out.append((val, rows.T @ rows))
-        return out
+        return self._eig
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,9 +117,31 @@ class ProjectionLaw:
     cov: np.ndarray
 
 
+def _group(vals):
+    """Group eigenvalues into ascending atoms.
+
+    Sorted ascending, a value starts a new atom when it exceeds the first
+    value of the current atom by more than 1e-9 * max(largest, 1).  An
+    atom of exactly equal values keeps that value (a mean can be off by
+    an ulp); any other takes their mean.  Returns (values, weights
+    summing to 1, the eigenvalue indices of each atom).
+    """
+    order = np.argsort(vals, kind="stable")
+    vals = vals[order]
+    tol = 1e-9 * max(vals[-1], 1.0)
+    starts = [0]
+    for i in range(1, len(vals)):
+        if vals[i] - vals[starts[-1]] > tol:
+            starts.append(i)
+    atoms = [v[0] if v[0] == v[-1] else v.mean()
+             for v in np.split(vals, starts[1:])]
+    counts = np.diff(starts + [len(vals)])
+    return np.array(atoms), counts / len(vals), np.split(order, starts[1:])
+
+
 def cov_spectrum(cov, p):
     """Atoms (values, weights) of the spectral measure of C; weights sum to 1."""
-    return cov.spectrum(p)
+    return _group(cov.eigen(p)[0])[:2]
 
 
 def pinv2(gram):
@@ -188,6 +177,7 @@ class ProblemSpec:
             if v.shape != (self.p,):
                 raise DomainError(f"{name} must have length p={self.p}")
             object.__setattr__(self, name, v)
+        self.cov.eigen(self.p)    # rejects a wrong size or a non-SPD matrix
 
     @property
     def c(self):
@@ -212,14 +202,25 @@ class ProblemSpec:
         return pinv2(self.gram_U)
 
     @cached_property
+    def _grouping(self):
+        vals, basis = self.cov.eigen(self.p)
+        return _group(vals), basis
+
+    @property
     def atoms(self):
-        """Spectral atoms (values, weights) of C."""
-        return cov_spectrum(self.cov, self.p)
+        """Spectral atoms (values ascending, weights) of C."""
+        return self._grouping[0][:2]
 
     @cached_property
     def grouped_grams(self):
-        """Per-eigenvalue partial Grams of V in the eigenbasis of C."""
-        return self.cov.grouped_grams(self.V)
+        """Per-atom partial Grams of V in the eigenbasis of C."""
+        (atoms, _, groups), basis = self._grouping
+        W = self.V if basis is None else basis.T @ self.V
+        out = []
+        for val, ix in zip(atoms, groups):
+            rows = W[ix]
+            out.append((float(val), rows.T @ rows))
+        return out
 
     def projection_law(self):
         return projection_law(self)

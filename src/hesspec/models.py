@@ -110,7 +110,7 @@ class WeightFn:
         return WeightFn("loss_curvature", loss=loss)
 
     @staticmethod
-    def preprocess(map, bounds=None):
+    def preprocess(map, bounds):
         return WeightFn("preprocess", map=map, bounds=bounds)
 
     @staticmethod

@@ -11,8 +11,6 @@ from __future__ import annotations
 import json
 import sys
 
-import numpy as np
-
 
 def _fmt(x):
     return "%.17g" % float(x)
@@ -35,24 +33,10 @@ def emit_table(path, header, rows):
     return _write(path, "\n".join(lines) + "\n")
 
 
-def _jsonable(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
-
-
 def emit_document(path, spec_echo, results, seeds, tool_version):
     """Write a structured report document as deterministic JSON."""
-    doc = {
-        "spec_echo": _jsonable(spec_echo),
-        "results": _jsonable(results),
-        "seeds": _jsonable(seeds),
-        "tool_version": tool_version,
-    }
-    return _write(path, json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    doc = {"spec_echo": spec_echo, "results": results, "seeds": seeds,
+           "tool_version": tool_version}
+    text = json.dumps(doc, indent=1, sort_keys=True,
+                      default=lambda o: o.tolist())
+    return _write(path, text + "\n")

@@ -35,8 +35,10 @@ class TestCovariance:
         np.testing.assert_array_equal(getattr(cov, field), value)
 
     @pytest.mark.parametrize("entry", [
-        {"diag_blocks": [[1.0, 1], [2.0, 2]]}, {"eigen": [1.0]}, "identity"],
-        ids=["blocks_miss_p", "unknown_dict", "string"])
+        {"diag_blocks": [[1.0, 1], [2.0, 2]]}, {"eigen": [1.0]}, "identity",
+        [1.0, 2.0], {"matrix": np.diag([1.0, 1.0, 1.0, -1.0]).tolist()}],
+        ids=["blocks_miss_p", "unknown_dict", "string", "diag_miss_p",
+             "matrix_not_definite"])
     def test_rejected(self, entry):
         with pytest.raises(ConfigError):
             build_spec(base(cov=entry))

@@ -193,6 +193,12 @@ class TestCompare:
         _, _, align_err = rep1.alignment_errors[0]
         assert align_err < 0.05
 
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_no_trials_rejected(self, trials):
+        spec, seed = signal_spec(p=16, n=64)
+        with pytest.raises(DomainError, match="trials >= 1"):
+            compare(spec, None, [], trials=trials, base_seed=seed)
+
 
 class TestStatistics:
     def fake_trials(self, monkeypatch, tops):

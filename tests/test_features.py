@@ -60,6 +60,57 @@ class TestCovSpectrum:
                                        cov.apply(v), rtol=1e-12)
 
 
+class TestAtomGrouping:
+    """One grouping rule for every covariance form."""
+
+    @staticmethod
+    def spec_for(cov, mu, w_star, w):
+        return make_spec(len(mu), 4 * len(mu), mu=mu, cov=cov,
+                         w_star=w_star, w=w)
+
+    def test_identity_forms_agree(self):
+        p, s = 6, 2.5
+        rng = np.random.default_rng(17)
+        mu, w_star, w = rng.standard_normal((3, p))
+        Z = rng.standard_normal((p, 5))
+        specs = [self.spec_for(cov, mu, w_star, w) for cov in
+                 (ScaledIdentity(s), Diagonal(np.full(p, s)),
+                  DenseSPD(s * np.eye(p)))]
+        ref = specs[0]
+        for spec in specs[1:]:
+            np.testing.assert_array_equal(spec.atoms[0], [s])
+            np.testing.assert_array_equal(spec.atoms[1], [1.0])
+            ((t, gram),) = spec.grouped_grams
+            assert t == s
+            np.testing.assert_allclose(gram, ref.grouped_grams[0][1],
+                                       rtol=1e-12)
+            np.testing.assert_allclose(spec.cov.sqrt_apply(Z),
+                                       ref.cov.sqrt_apply(Z), rtol=1e-12)
+
+    def test_rotation_keeps_atoms_and_grams(self):
+        # C' = Q diag(d) Q^T with mu, w*, w rotated by Q gives V' = Q V,
+        # so every per-atom Gram of V is unchanged
+        d = np.array([3.0, 1.0, 2.0, 1.0, 3.0, 3.0])
+        rng = np.random.default_rng(19)
+        q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+        mu, w_star, w = rng.standard_normal((3, 6))
+        diag = self.spec_for(Diagonal(d), mu, w_star, w)
+        dense = self.spec_for(DenseSPD(q @ np.diag(d) @ q.T),
+                              q @ mu, q @ w_star, q @ w)
+        np.testing.assert_array_equal(diag.atoms[0], [1.0, 2.0, 3.0])
+        np.testing.assert_allclose(dense.atoms[0], diag.atoms[0], rtol=1e-12)
+        np.testing.assert_allclose(dense.atoms[1], [2 / 6, 1 / 6, 3 / 6])
+        np.testing.assert_array_equal(dense.atoms[1], diag.atoms[1])
+        for (t1, g1), (t2, g2) in zip(diag.grouped_grams, dense.grouped_grams):
+            assert t2 == pytest.approx(t1, rel=1e-12)
+            np.testing.assert_allclose(g2, g1, atol=1e-10)
+
+    def test_near_ties_share_an_atom(self):
+        vals, wts = cov_spectrum(Diagonal(np.array([1.0, 1.0 + 1e-12, 2.0])), 3)
+        np.testing.assert_allclose(vals, [1.0, 2.0])
+        np.testing.assert_allclose(wts, [2 / 3, 1 / 3])
+
+
 class TestProjectionLaw:
     def test_identity_cov_small_example(self):
         w_star = np.array([1.0, 0.0, 0.0])
