@@ -27,7 +27,7 @@ from .spikes import (SpikeMatrix, SpikeReport, alignment, find_spikes,
                      spike_matrix_deriv)
 from .empirical import (ComparisonReport, EmpiricalSpectrum, build_hessian,
                         compare, extract_outliers, measure_alignment,
-                        run_trial, worker_count)
+                        run_trial, run_trials, worker_count)
 from .config import build_spec, load_config, resolve_vector, spec_echo
 from .report import emit_document, emit_table
 from .presets import PRESETS, Analysis, analyze, run_preset

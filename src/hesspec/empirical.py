@@ -7,14 +7,21 @@ H = (1/n) X diag(d) X^T.  H is built on the trial's own X, scaled in
 place, with numpy's symmetric rank-k product, so it is exactly
 symmetric and needs no p x n temporary.  Trials are reproducible:
 trial k uses the counter-based Philox stream seeded with base_seed + k.
-They run one at a time by default, with OpenBLAS threading each trial;
-HESSPEC_THREADS=k runs k at once.
+Several trials run at once on threads, one per usable core (at most
+HESSPEC_THREADS), each with one OpenBLAS thread; a trial's peak memory
+is about 8 p n bytes (its feature matrix), so k workers hold k of them.
 """
 from __future__ import annotations
 
+import ctypes
+import glob
+import logging
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -27,11 +34,14 @@ __all__ = [
     "ComparisonReport",
     "build_hessian",
     "run_trial",
+    "run_trials",
     "extract_outliers",
     "measure_alignment",
     "compare",
     "worker_count",
 ]
+
+log = logging.getLogger("hesspec")
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,18 +65,65 @@ class ComparisonReport:
 
 
 def worker_count():
-    """Number of trials run at once: HESSPEC_THREADS, or 1 when unset.
+    """Most trials run at once: HESSPEC_THREADS, else the usable cores.
 
-    One trial at a time leaves BLAS as the only parallel layer; with
-    k > 1 set OPENBLAS_NUM_THREADS=1 so the two do not oversubscribe.
+    Each running trial holds its own p x n feature matrix, about
+    8 p n bytes, and uses one OpenBLAS thread (see run_trials), so the
+    default fills every core the process may run on.
     """
     env = os.environ.get("HESSPEC_THREADS")
     if env:
         try:
-            return max(1, int(env))
+            k = int(env)
         except ValueError:
-            raise DomainError(f"HESSPEC_THREADS must be an integer, got {env!r}")
-    return 1
+            k = 0
+        if k < 1:
+            raise DomainError(
+                f"HESSPEC_THREADS must be a positive integer, got {env!r}")
+        return k
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:     # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+@cache
+def _openblas_threads():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, or
+    None when that library or its symbols are not found."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
+                        "numpy.libs", "libscipy_openblas64_*.so")
+    for path in glob.glob(libs):
+        try:
+            lib = ctypes.CDLL(path)
+            get = lib.scipy_openblas_get_num_threads64_
+            put = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        return get, put
+    return None
+
+
+_BLAS_PIN = threading.Lock()
+
+
+@contextmanager
+def _one_blas_thread(blas):
+    """Hold OpenBLAS at one thread and restore its count on exit.  The
+    count is process-wide, so concurrent callers take turns."""
+    if blas is None:
+        yield
+        return
+    get, put = blas
+    with _BLAS_PIN:
+        before = get()
+        put(1)
+        try:
+            yield
+        finally:
+            put(before)
 
 
 def _gram(X, d):
@@ -182,10 +239,32 @@ def measure_alignment(vec, target):
     return float((target @ np.asarray(vec, dtype=float)) ** 2 / nrm2)
 
 
-def _run_trials(spec, dist, seeds, gaps, extremes):
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        return list(pool.map(
-            lambda s: run_trial(spec, dist, s, gaps, extremes), seeds))
+def run_trials(spec, dist, seeds, gaps=(), extremes=(0, 0)):
+    """run_trial(spec, dist, seed, gaps, extremes) for each seed, in order.
+
+    min(len(seeds), worker_count()) trials run at once, with numpy's
+    OpenBLAS held at one thread while they run, so a trial's result does
+    not depend on the worker count.  One worker runs a plain loop with
+    BLAS threading each trial; so does every run when OpenBLAS's thread
+    count cannot be set and HESSPEC_THREADS is unset.
+    """
+    workers = min(len(seeds), worker_count())
+    blas = _openblas_threads() if workers > 1 else None
+    how = "pinned" if blas else "unpinned"
+    if workers > 1 and blas is None:
+        how = "not-settable"
+        if not os.environ.get("HESSPEC_THREADS"):
+            workers = 1
+    log.debug("run_trials: trials=%d workers=%d blas=%s", len(seeds), workers,
+              how)
+
+    def one(seed):
+        return run_trial(spec, dist, seed, gaps, extremes)
+
+    if workers < 2:
+        return [one(s) for s in seeds]
+    with _one_blas_thread(blas), ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(one, seeds))
 
 
 def _support_gap(support_report, lam):
@@ -237,7 +316,7 @@ def compare(spec, theory_density, spike_reports, trials, base_seed,
     right = sorted(sides["right"], key=lambda i: -loc[i])
     # spike i pairs with paired[slot[i]] of every trial
     slot = {i: k for k, i in enumerate(gapped + left + right)}
-    spectra = _run_trials(spec, dist, seeds, gaps, (len(left), len(right)))
+    spectra = run_trials(spec, dist, seeds, gaps, (len(left), len(right)))
 
     pooled = np.concatenate([s.eigenvalues for s in spectra])
     counts, edges = np.histogram(pooled, bins="fd", density=True)

@@ -253,16 +253,35 @@ def check_dist(dist):
 
 
 def _standardized_noise(dist, shape, rng):
+    """Zero-mean, unit-variance noise of the law dist, scaled in place."""
     dof = check_dist(dist)
     if dof is not None:
-        return rng.standard_t(dof, size=shape) * np.sqrt((dof - 2.0) / dof)
-    if dist == "gaussian":
-        return rng.standard_normal(shape)
-    return rng.integers(0, 2, size=shape).astype(float) * 2.0 - 1.0
+        z = rng.standard_t(dof, size=shape)
+        z *= np.sqrt((dof - 2.0) / dof)
+    elif dist == "gaussian":
+        z = rng.standard_normal(shape)
+    else:
+        z = rng.integers(0, 2, size=shape).astype(float)
+        z *= 2.0
+        z -= 1.0
+    return z
 
 
 def sample_features(spec, dist, rng):
-    """Sample the p x n feature matrix X with columns mu + C^{1/2} z_i."""
-    X = spec.cov.sqrt_apply(_standardized_noise(dist, (spec.p, spec.n), rng))
+    """Sample the p x n feature matrix X with columns mu + C^{1/2} z_i.
+
+    X is the noise buffer itself: C^{1/2} and mu are applied in place,
+    with the values of mu + cov.sqrt_apply(z), so a trial holds one
+    p x n array (two while a dense C is applied).
+    """
+    X = _standardized_noise(dist, (spec.p, spec.n), rng)
+    vals, basis = spec.cov.eigen(spec.p)
+    root = np.sqrt(vals)[:, None]
+    if basis is None:
+        X *= root
+    else:
+        t = basis.T @ X
+        t *= root
+        np.matmul(basis, t, out=X)
     X += spec.mu[:, None]
     return X

@@ -24,7 +24,7 @@ import numpy as np
 from ._version import __version__ as _version
 from .bulk import default_scan_range, density, support
 from .config import build_spec, spec_echo
-from .empirical import compare, run_trial
+from .empirical import compare, run_trials
 from .errors import ConfigError
 from .features import ProblemSpec
 from .report import emit_document, emit_table
@@ -224,8 +224,8 @@ def run_preset(name, out, trials=None, order=None):
         spec, seed = build_spec(cfg)
         for dist in ("gaussian", "rademacher", "student_t:7"):
             pooled = np.concatenate(
-                [run_trial(spec, dist, seed + k).eigenvalues
-                 for k in range(trials)])
+                [s.eigenvalues for s in run_trials(
+                    spec, dist, [seed + k for k in range(trials)])])
             tag = dist.replace(":", "")
             files.append(emit_table(os.path.join(out, f"fig4_{tag}.csv"),
                                     ["eigenvalue"], [[v] for v in pooled]))

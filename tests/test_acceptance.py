@@ -19,8 +19,8 @@ from hesspec import (ProblemSpec, ResponseModel, ScaledIdentity, WeightFn,
                      analyze, build_spec, classify_g_support, compare,
                      curvature, default_scan_range, density, loss_value,
                      measure_alignment, model_spike_scalar, pinv2, run_trial,
-                     signal_spike_closed_form, solve_point, spike_matrix,
-                     spike_matrix_deriv, support)
+                     run_trials, signal_spike_closed_form, solve_point,
+                     spike_matrix, spike_matrix_deriv, support)
 
 
 def theory_pipeline(cfg, grid=400):
@@ -75,9 +75,8 @@ class TestSignalAlignmentSweep:
     def test_empirical_alignment_50_trials(self):
         spec, seed, _, _, spikes = theory_pipeline(signal_cfg(1.0))
         theo = spikes[0].alignment[0, 0] / 1.0
-        vals = [measure_alignment(run_trial(spec, "gaussian", seed + k).top_vec,
-                                  spec.mu)
-                for k in range(50)]
+        vals = [measure_alignment(tr.top_vec, spec.mu) for tr in run_trials(
+            spec, "gaussian", [seed + k for k in range(50)])]
         assert abs(np.mean(vals) - theo) < 0.03
 
 
@@ -103,8 +102,7 @@ class TestEvaluationPointSpike:
         spike = left[0]
         theo_align = spike.alignment[2, 2] / self.W_NORM ** 2
         gaps, aligns = [], []
-        for k in range(50):
-            tr = run_trial(spec, "gaussian", seed + k)
+        for tr in run_trials(spec, "gaussian", [seed + k for k in range(50)]):
             gaps.append(tr.eigenvalues[1] - tr.eigenvalues[0])
             aligns.append(measure_alignment(tr.bottom_vec, spec.w))
         assert abs(np.mean(gaps) - spike.gap) < 0.005
@@ -155,17 +153,14 @@ class TestPreprocessingSpike:
         s = max(spikes, key=lambda r: r.alignment[1, 1])
         cw = spec.cov.apply(spec.w_star)
         theo = s.alignment[1, 1] / (cw @ cw)
-        vals = [measure_alignment(run_trial(spec, "gaussian", seed + k).top_vec,
-                                  cw)
-                for k in range(50)]
+        vals = [measure_alignment(tr.top_vec, cw) for tr in run_trials(
+            spec, "gaussian", [seed + k for k in range(50)])]
         assert abs(np.mean(vals) - theo) < 0.03
 
         spec95, seed95, _, _, spikes95 = theory_pipeline(retrieval_cfg(0.95))
         s95 = max(spikes95, key=lambda r: r.alignment[1, 1])
-        gaps = []
-        for k in range(50):
-            ev = run_trial(spec95, "gaussian", seed95 + k).eigenvalues
-            gaps.append(ev[-1] - ev[-2])
+        gaps = [tr.eigenvalues[-1] - tr.eigenvalues[-2] for tr in run_trials(
+            spec95, "gaussian", [seed95 + k for k in range(50)])]
         assert abs(np.mean(gaps) - s95.gap) < 0.03
 
 

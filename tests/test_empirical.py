@@ -2,17 +2,20 @@ import numpy as np
 import pytest
 
 import json
+import logging
+import os
+import threading
 from types import SimpleNamespace
 
 from hesspec import (ProblemSpec, ResponseModel, ScaledIdentity, WeightFn,
                      analyze, build_hessian, build_spec, compare, curvature,
                      default_scan_range, extract_outliers, measure_alignment,
-                     run_trial, sample_features, sample_response, support,
-                     worker_count)
+                     run_trial, run_trials, sample_features, sample_response,
+                     support, worker_count)
 from hesspec import empirical
 from hesspec.bulk import SupportReport
 from hesspec.empirical import EmpiricalSpectrum
-from hesspec.errors import DomainError
+from hesspec.errors import DomainError, NumericError
 
 
 def signal_spec(rho=0.8, p=512, n=2048, seed=29):
@@ -211,7 +214,7 @@ class TestStatistics:
                 eigenvalues=np.array([0.0, 0.1, 0.2, top]), top_vec=vec,
                 bottom_vec=np.eye(4)[3], seed=s, paired=((3, vec),))
                 for s, top in zip(seeds, tops)]
-        monkeypatch.setattr(empirical, "_run_trials", run)
+        monkeypatch.setattr(empirical, "run_trials", run)
 
     def spike(self, spec):
         from hesspec.spikes import SpikeReport
@@ -246,20 +249,102 @@ class TestStatistics:
         text = json.dumps(results, allow_nan=False)
         assert '"spike_stderr": [null]' in text
 
-    def test_same_report_for_any_worker_count(self, monkeypatch):
-        spec, seed = signal_spec(p=96, n=384)
-        an = analyze(spec)
-        reports = []
-        for workers in ("1", "2"):
+    @staticmethod
+    def reports(monkeypatch, spec, an, seed, worker_counts):
+        out = []
+        for workers in worker_counts:
             monkeypatch.setenv("HESSPEC_THREADS", workers)
-            reports.append(compare(spec, an.curve, an.spikes, trials=3,
-                                   base_seed=seed))
-        a, b = reports
+            out.append(compare(spec, an.curve, an.spikes, trials=3,
+                               base_seed=seed))
+        return out
+
+    def test_same_report_for_any_worker_count(self, monkeypatch):
+        # one worker threads BLAS, two pin it to one thread each: the sums
+        # run in another order, so the reports agree to rounding only
+        spec, seed = signal_spec(p=96, n=384)
+        a, b = self.reports(monkeypatch, spec, analyze(spec), seed, ("1", "2"))
+        assert a.seeds == b.seeds
+        assert a.density_l1 == pytest.approx(b.density_l1, rel=1e-12)
+        for name in ("spike_errors", "alignment_errors", "spike_stderr",
+                     "alignment_stderr"):
+            np.testing.assert_allclose(getattr(a, name), getattr(b, name),
+                                       rtol=1e-12, atol=0, err_msg=name)
+
+    def test_bit_identical_for_two_and_three_workers(self, monkeypatch):
+        spec, seed = signal_spec(p=96, n=384)
+        a, b = self.reports(monkeypatch, spec, analyze(spec), seed, ("2", "3"))
         assert a.density_l1 == b.density_l1 and a.seeds == b.seeds
         assert a.spike_errors == b.spike_errors
         assert a.alignment_errors == b.alignment_errors
         assert a.spike_stderr == b.spike_stderr
         assert a.alignment_stderr == b.alignment_stderr
+
+
+class TestBlasPinning:
+    @pytest.fixture
+    def blas(self):
+        blas = empirical._openblas_threads()
+        if blas is None:
+            pytest.skip("numpy's OpenBLAS thread count cannot be set")
+        return blas
+
+    @pytest.mark.parametrize("fail", [False, True], ids=["ok", "raising"])
+    def test_thread_count_restored(self, monkeypatch, caplog, blas, fail):
+        get, _ = blas
+        before = get()
+        seen = []
+        real = empirical.run_trial
+
+        def trial(spec, dist, seed, gaps, extremes):
+            seen.append(get())
+            if fail:
+                raise NumericError("trial failed")
+            return real(spec, dist, seed, gaps, extremes)
+
+        caplog.set_level(logging.DEBUG, logger="hesspec")
+        monkeypatch.setenv("HESSPEC_THREADS", "2")
+        monkeypatch.setattr(empirical, "run_trial", trial)
+        spec, seed = signal_spec(p=32, n=128)
+        an = analyze(spec)
+        if fail:
+            with pytest.raises(NumericError, match="trial failed"):
+                compare(spec, an.curve, an.spikes, trials=2, base_seed=seed)
+        else:
+            compare(spec, an.curve, an.spikes, trials=2, base_seed=seed)
+        assert seen and set(seen) == {1}     # a failure cancels the rest
+        assert get() == before
+        assert "trials=2 workers=2 blas=pinned" in caplog.text
+
+    @pytest.mark.parametrize("seeds, settable, logged", [
+        ([5], True, "trials=1 workers=1 blas=unpinned"),
+        ([5, 6, 7], False, "workers=1 blas=not-settable"),
+    ], ids=["one_trial", "count_not_settable"])
+    def test_serial_loop(self, monkeypatch, caplog, seeds, settable, logged):
+        # one trial, or a BLAS thread count that cannot be set while
+        # HESSPEC_THREADS is unset: the trials run in order on this thread
+        caplog.set_level(logging.DEBUG, logger="hesspec")
+        monkeypatch.delenv("HESSPEC_THREADS", raising=False)
+        monkeypatch.setattr(empirical, "worker_count", lambda: 2)
+        if not settable:
+            monkeypatch.setattr(empirical, "_openblas_threads", lambda: None)
+        monkeypatch.setattr(empirical, "run_trial",
+                            lambda spec, dist, seed, gaps, extremes:
+                            (seed, threading.current_thread()))
+        here = threading.current_thread()
+        assert run_trials(None, "gaussian", seeds) == [(s, here) for s in seeds]
+        assert logged in caplog.text
+
+    def test_env_runs_a_pool_without_blas_control(self, monkeypatch, caplog):
+        caplog.set_level(logging.DEBUG, logger="hesspec")
+        monkeypatch.setenv("HESSPEC_THREADS", "2")
+        monkeypatch.setattr(empirical, "_openblas_threads", lambda: None)
+        monkeypatch.setattr(empirical, "run_trial",
+                            lambda spec, dist, seed, gaps, extremes:
+                            (seed, threading.current_thread()))
+        out = run_trials(None, "gaussian", [5, 6, 7])
+        assert [s for s, _ in out] == [5, 6, 7]
+        assert threading.current_thread() not in {t for _, t in out}
+        assert "trials=3 workers=2 blas=not-settable" in caplog.text
 
 
 class TestSidePairing:
@@ -321,10 +406,16 @@ class TestWorkerCount:
 
     def test_env_invalid(self, monkeypatch):
         monkeypatch.setenv("HESSPEC_THREADS", "many")
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="positive integer"):
+            worker_count()
+
+    @pytest.mark.parametrize("env", ["0", "-3"])
+    def test_env_not_positive(self, monkeypatch, env):
+        monkeypatch.setenv("HESSPEC_THREADS", env)
+        with pytest.raises(DomainError, match="positive integer"):
             worker_count()
 
     def test_default_positive(self, monkeypatch):
-        # one trial at a time: BLAS is the only parallel layer
+        # every usable core runs a trial
         monkeypatch.delenv("HESSPEC_THREADS", raising=False)
-        assert worker_count() == 1
+        assert worker_count() == len(os.sched_getaffinity(0))

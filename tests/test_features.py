@@ -219,12 +219,22 @@ class TestSampleFeatures:
         DenseSPD(np.eye(12) + 0.3 * np.ones((12, 12))),
     ])
     def test_in_place_mean_is_bit_identical(self, cov):
-        # X += mu must reproduce the allocating form mu + C^{1/2} Z exactly
+        # X built in the noise buffer must reproduce the allocating form
+        # mu + C^{1/2} Z exactly, for every feature law
         mu = np.linspace(-1.0, 1.0, 12)
         spec = make_spec(12, 40, mu=mu, cov=cov)
-        X = sample_features(spec, "gaussian", np.random.default_rng(4))
-        Z = np.random.default_rng(4).standard_normal((12, 40))
-        np.testing.assert_array_equal(X, mu[:, None] + cov.sqrt_apply(Z))
+        noise = {
+            "gaussian": lambda rng: rng.standard_normal((12, 40)),
+            "rademacher": lambda rng: rng.integers(
+                0, 2, size=(12, 40)).astype(float) * 2.0 - 1.0,
+            "student_t:5": lambda rng: rng.standard_t(
+                5.0, size=(12, 40)) * np.sqrt(3.0 / 5.0),
+        }
+        for dist, draw in noise.items():
+            X = sample_features(spec, dist, np.random.default_rng(4))
+            Z = draw(np.random.default_rng(4))
+            np.testing.assert_array_equal(X, mu[:, None] + cov.sqrt_apply(Z),
+                                          err_msg=dist)
 
     def test_unknown_distribution(self):
         spec = make_spec(2, 4)
