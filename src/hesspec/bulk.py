@@ -73,6 +73,7 @@ class StieltjesPoint:
     e: complex
     iterations: int
     residual: float
+    e2: complex            # E[g^2/(1+g delta)^2] at delta
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,9 +90,10 @@ class SupportReport:
     bounded: bool
 
 
-def _iterate(eng, t, wts, c, z, delta):
-    """Newton's method for delta at a complex z from one start; returns
-    the StieltjesPoint of the last evaluation.
+def _iterate(eng, t, wts, c, z, start):
+    """Newton's method for delta at a complex z from one start, given as
+    the evaluation (delta, e(delta), E2(delta)); returns the
+    StieltjesPoint of the last evaluation.
 
     The root is that of F(delta) = c sum_j w_j t_j / (e(delta) t_j - z)
     - delta, whose derivative F'(delta) = E2 (1/n) tr CQCQ - 1 is the
@@ -100,24 +102,26 @@ def _iterate(eng, t, wts, c, z, delta):
     |F|; otherwise the step is the damped fixed-point step delta + F/2,
     which maps that half-plane into itself.
     """
-    def at(d):
-        e, e2 = eng.e1_e2(d)
+    def at(d, e, e2):
         pole = e * t - z
         return d, e, e2, pole, c * np.sum(wts * t / pole) - d
 
-    cur = at(complex(delta))
+    def evaluate(d):
+        return at(d, *eng.e1_e2(d))
+
+    cur = at(*start)
     for it in range(1, FP_MAX_ITER + 1):
         d, e, e2, pole, F = cur
         if abs(F) < FP_TOL:
             return StieltjesPoint(z=z, delta=d, m=np.sum(wts / pole), e=e,
-                                  iterations=it, residual=abs(F))
+                                  iterations=it, residual=abs(F), e2=e2)
         new = d - F / (e2 * c * np.sum(wts * t * t / pole ** 2) - 1.0)
         if new.imag * z.imag > 0:
-            cand = at(new)
+            cand = evaluate(new)
             if abs(cand[-1]) < abs(F):
                 cur = cand
                 continue
-        cur = at(d + 0.5 * F)
+        cur = evaluate(d + 0.5 * F)
     raise NonConvergence(
         f"Newton solve did not reach {FP_TOL:g} in {FP_MAX_ITER} iterations "
         f"at z={z}",
@@ -149,16 +153,23 @@ def solve_point(spec, z, warm_start=None, order=None):
     """Solve for (delta, m) at one complex z, or at a real z off the support.
 
     A complex z runs one Newton solve (_iterate) from warm_start, or from
-    -1/z when none is given.  A real z is inverted exactly on the exterior
-    map (warm_start unused), and one inside the support raises
-    BranchViolation.
+    -1/z when none is given.  warm_start is a delta, or the StieltjesPoint
+    of an earlier complex solve, whose last evaluation (delta, e, E2) is
+    then reused: e and E2 depend on delta alone.  A real z is inverted
+    exactly on the exterior map (warm_start unused), and one inside the
+    support raises BranchViolation.
     """
     z = complex(z)
     if z.imag == 0.0:
         return _exterior(spec, order).solve(z.real)
     t, wts = spec.atoms
-    point = _iterate(expectation_engine(spec, order), t, wts, spec.c, z,
-                     -1.0 / z if warm_start is None else warm_start)
+    eng = expectation_engine(spec, order)
+    if isinstance(warm_start, StieltjesPoint):
+        start = warm_start.delta, warm_start.e, warm_start.e2
+    else:
+        d = complex(-1.0 / z if warm_start is None else warm_start)
+        start = (d, *eng.e1_e2(d))
+    point = _iterate(eng, t, wts, spec.c, z, start)
     if point.m.imag * z.imag > 0:
         return point
     raise BranchViolation(
@@ -199,8 +210,9 @@ def density(spec, grid, epsilon=None, order=None):
     The curve is exactly 0 off the exact support (support(), without the
     atom at 0 for c > 1, which is not drawn).  Inside, one Newton solve
     per grid point runs at x + i*eps, in ascending x, warm-started from
-    the previous point of the same interval and from -1/z at the first;
-    eps (default 1e-6 * max(1, grid span)) only regularises these solves.
+    the last evaluation of the previous point of the same interval and
+    from -1/z at the first; eps (default 1e-6 * max(1, grid span)) only
+    regularises these solves.
     Points where the solver fails are NaN, and their count is logged.
     """
     grid = np.asarray(grid, dtype=float)
@@ -220,7 +232,7 @@ def density(spec, grid, epsilon=None, order=None):
                 pt = solve_point(spec, complex(grid[i], epsilon),
                                  warm_start=warm, order=order)
                 out[i] = pt.m.imag / np.pi
-                warm = pt.delta
+                warm = pt
             except (NonConvergence, BranchViolation):
                 out[i] = np.nan
                 warm = None
@@ -385,13 +397,14 @@ class _Exterior:
     def point(self, gap, theta, z=None):
         """The StieltjesPoint at one angle (at z if given, which z(theta)
         matches to rounding), with no fixed-point solve."""
-        z_theta, e, _, _ = self.eval(gap, [theta])
+        z_theta, e, e2, _ = self.eval(gap, [theta])
         z, e, d = z_theta[0] if z is None else z, e[0], self.delta(theta)
         pole = e * self.t - z
         target = self.c * np.sum(self.w * self.t / pole)
         return StieltjesPoint(z=complex(z), delta=complex(d),
                               m=complex(np.sum(self.w / pole)), e=complex(e),
-                              iterations=0, residual=abs(d - target))
+                              iterations=0, residual=abs(d - target),
+                              e2=complex(e2[0]))
 
     def solve(self, x):
         """The point at real x, where z(theta) = x on a rising segment."""

@@ -6,9 +6,19 @@ h - w^T mu).  The pair (h*, h) is exactly Gaussian with the law given
 by the feature spec, and y is marginalized exactly (two-point sum for
 the logistic model, deterministic substitution for phase retrieval and
 single-layer networks, an inner quadrature for the noisy factor model).
-The Gaussian integral is whitened through the eigenfactor of the 2x2
-projection covariance; rank-deficient laws (w parallel to w*, or zero
-vectors) drop to 1-D or 0-D quadrature automatically.
+
+The Gaussian integral runs on a tensor grid in whitened coordinates.
+When g reads one projection besides y (h for a loss curvature, h* for a
+preprocessing map) the whitening is a Cholesky factor ordered on that
+projection, so it reads the first coordinate only; every set of nodes
+with one g value is then folded into a single node that carries their
+summed weight and weighted u-columns.  That regroups the sums exactly,
+because g is the only node value the delta-dependent factor
+g/(1 + g delta) reads: the logistic loss keeps one node per first
+coordinate, the square loss one node in all.  The phase_square
+curvature 3h^2 - y reads both projections and keeps the eigenfactor of
+the 2x2 covariance and the full grid.  Rank-deficient laws (w parallel
+to w*, or zero vectors) drop to 1-D or 0-D grids automatically.
 """
 from __future__ import annotations
 
@@ -71,38 +81,63 @@ class CurvatureMoments:
     delta: complex
 
 
-class ExpectationEngine:
-    """Precomputed node set (g_k, s_k, weight_k) for one problem spec.
+def _reads(weight):
+    """The projection g reads besides y: 1 (h) for a loss curvature, 0
+    (h*) for a preprocessing map, None for the phase_square curvature
+    3h^2 - y, which reads h and, through y, h*."""
+    if weight.kind == "preprocess":
+        return 0
+    return None if weight.loss == "phase_square" else 1
 
-    Construction whitens the projection law and marginalizes y once; each
+
+def _factor(cov, axis):
+    """A 2 x r factor F with F F^T = cov, r its rank: the count of
+    eigenvalues (or pivots) above 1e-14 max(largest eigenvalue, 1).
+
+    With axis None, F is the eigenfactor.  Otherwise it is the Cholesky
+    factor ordered on projection `axis`: row `axis` is zero past the
+    first column, so that projection reads the first coordinate only.
+    """
+    vals, vecs = np.linalg.eigh(cov)
+    tol = 1e-14 * max(np.max(vals), 1.0)
+    if axis is None:
+        keep = vals > tol
+        return vecs[:, keep] * np.sqrt(vals[keep])
+    cols = []
+    if cov[axis, axis] > tol:
+        cols.append(cov[:, axis] / np.sqrt(cov[axis, axis]))
+        cov = cov - np.outer(cols[0], cols[0])
+    other = 1 - axis
+    if cov[other, other] > tol:
+        cols.append(np.sqrt(cov[other, other]) * np.eye(2)[other])
+    return np.reshape(np.transpose(cols), (2, len(cols)))
+
+
+class ExpectationEngine:
+    """Precomputed node set (g_k, weight_k, weighted u-columns) for one
+    problem spec.
+
+    Construction whitens the projection law, marginalizes y and folds
+    the nodes that share a g value once (module docstring); each
     expectation afterwards is a single vectorized reduction, which keeps
-    the Newton iterations cheap.
+    the Newton iterations cheap.  g and wt are the law of g, on unique
+    values where the nodes are folded.
     """
 
     def __init__(self, spec, order=DEFAULT_QUAD_ORDER):
         self.spec = spec
         self.order = order
         law = spec.projection_law()
-        vals, vecs = np.linalg.eigh(law.cov)
-        scale = max(np.max(vals), 1.0)
-        keep = vals > 1e-14 * scale
-        rank = int(keep.sum())
-
+        axis = _reads(spec.weight)
+        factor = _factor(law.cov, axis)
+        rank = factor.shape[1]
         grid = QuadratureGrid.gauss_hermite(order).normalized()
-        if rank == 0:
-            pts = law.mean[:, None]
-            wts = np.array([1.0])
-        elif rank == 1:
-            direction = vecs[:, keep][:, 0] * np.sqrt(vals[keep][0])
-            pts = law.mean[:, None] + np.outer(direction, grid.nodes)
-            wts = grid.weights.copy()
-        else:
-            xi1, xi2 = np.meshgrid(grid.nodes, grid.nodes, indexing="ij")
-            xi = np.vstack([xi1.ravel(), xi2.ravel()])
-            pts = law.mean[:, None] + (vecs * np.sqrt(np.clip(vals, 0, None))) @ xi
-            wts = np.outer(grid.weights, grid.weights).ravel()
+        xi = np.reshape(np.meshgrid(*[grid.nodes] * rank, indexing="ij"),
+                        (rank, order ** rank))
+        wts = np.prod(np.meshgrid(*[grid.weights] * rank, indexing="ij"),
+                      axis=0).ravel()
+        h_star, h = law.mean[:, None] + factor @ xi
 
-        h_star, h = pts
         model = spec.model
         if model.kind == "logistic":
             prob = 1.0 / (1.0 + np.exp(-h_star))
@@ -122,14 +157,18 @@ class ExpectationEngine:
             rng = np.random.Generator(np.random.Philox(0))
             y = np.asarray(sample_response(model, h_star, rng), dtype=float)
 
-        self.g = np.asarray(curvature(spec.weight, y, h), dtype=float)
-        self.wt = wts
-        self.s = np.vstack([h_star, h]) - law.mean[:, None]
-        self.u = spec.gram_U_pinv @ self.s
-        u0, u1 = self.u
-        # the node columns whose weighted sums fill the moment matrix
-        self._cols = np.column_stack([np.ones_like(u0), u0, u1, u0 * u0,
-                                      u0 * u1, u1 * u1])
+        g = np.asarray(curvature(spec.weight, y, h), dtype=float)
+        u0, u1 = spec.gram_U_pinv @ (np.vstack([h_star, h])
+                                     - law.mean[:, None])
+        # the weighted node columns whose sums fill the moment matrix
+        cols = wts * np.array([np.ones_like(u0), u0, u1, u0 * u0, u0 * u1,
+                               u1 * u1])
+        if axis is not None:
+            g, node = np.unique(g, return_inverse=True)
+            cols = np.array([np.bincount(node, c, len(g)) for c in cols])
+        self.g = g
+        self._cols = cols
+        self.wt = cols[0]
 
     def _damped(self, delta):
         """g / (1 + g delta), broadcast over the nodes (last axis)."""
@@ -179,10 +218,10 @@ class ExpectationEngine:
         for start in range(0, k, rows):
             part = slice(start, start + rows)
             f = self._damped(deltas[part, None])
+            raw[part] = (f * f if square else f) @ self._cols.T
             fw = f * self.wt
             f *= fw
             e1[part], e2[part] = fw.sum(1), f.sum(1)
-            raw[part] = (f if square else fw) @ self._cols
         moments = np.empty((k, 3, 3), dtype)
         moments[:, 0, 0] = raw[:, 0]
         moments[:, 0, 1:] = raw[:, 1:3]

@@ -29,6 +29,8 @@ __all__ = [
     "check_dist",
 ]
 
+_NOISE_BLOCK_BYTES = 1 << 20    # Rademacher signs converted per row block
+
 
 class _Covariance:
     """A covariance C known through eigen(p): its eigenvalues and an
@@ -253,17 +255,22 @@ def check_dist(dist):
 
 
 def _standardized_noise(dist, shape, rng):
-    """Zero-mean, unit-variance noise of the law dist, scaled in place."""
+    """Zero-mean, unit-variance p x n noise of the law dist, built in
+    its draw's buffer: Rademacher signs are converted from the int64
+    draw in place, one row block of _NOISE_BLOCK_BYTES at a time."""
     dof = check_dist(dist)
     if dof is not None:
         z = rng.standard_t(dof, size=shape)
         z *= np.sqrt((dof - 2.0) / dof)
-    elif dist == "gaussian":
-        z = rng.standard_normal(shape)
-    else:
-        z = rng.integers(0, 2, size=shape).astype(float)
-        z *= 2.0
-        z -= 1.0
+        return z
+    if dist == "gaussian":
+        return rng.standard_normal(shape)
+    bits = rng.integers(0, 2, size=shape, dtype=np.int64)
+    z = bits.view(float)
+    rows = max(1, _NOISE_BLOCK_BYTES // (8 * shape[1]))
+    for start in range(0, shape[0], rows):
+        block = slice(start, start + rows)
+        z[block] = 2.0 * bits[block] - 1.0
     return z
 
 

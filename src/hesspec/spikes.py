@@ -10,8 +10,8 @@ find_spikes walks the real exterior along the inverse map z(delta) of
 hesspec.bulk, so each (z, delta) pair is exact without a fixed-point
 solve: det G is tabulated on the table of every rising segment of the
 map, edges included and out to z = -inf and +inf, and each sign change
-across a step where z moves is polished by bulk._polish, the root
-polisher of the edges.  V^T Qbar V (with its z-derivative) and G each
+across a step where z moves by more than 1e-12 relative is polished by
+bulk._polish, the root polisher of the edges.  V^T Qbar V (with its z-derivative) and G each
 have one kernel, _vqv and _g, that serves a table and a single point
 alike.  At a root the asymptotic projection matrix V^T u u^T V follows
 from the left/right null vectors of G and the explicit derivative G'(z).
@@ -43,6 +43,9 @@ __all__ = [
     "signal_spike_closed_form",
     "model_spike_scalar",
 ]
+
+
+_Z_FLAT = 1e-12    # relative z step within rounding: no spike lies on it
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,8 +153,8 @@ def find_spikes(spec, support_report, order=None):
 
     On every rising segment of the inverse map (see hesspec.bulk) det G
     is tabulated along z(delta) on the segment's table, edges included,
-    and each sign change across a step where z moves is polished on the
-    delta arc by bulk._polish.  Each spike point (z, delta) comes straight
+    and each sign change across a step where z moves by more than 1e-12
+    relative (_Z_FLAT) is polished on the delta arc by bulk._polish.  Each spike point (z, delta) comes straight
     from the map, with no fixed-point solve; its gap and side refer to the
     exact edges of its segment.  support_report is unused and kept for
     callers that pass it: a law without a real exterior has no spikes.
@@ -169,8 +172,11 @@ def find_spikes(spec, support_report, order=None):
     reports = []
     for seg in ext.segments:
         vals = dets(seg.z, seg.e, seg.moments)
-        # no root lies where z is flat (a hard edge at the end of the arc)
-        step = (vals[:-1] * vals[1:] < 0) & (seg.z[1:] > seg.z[:-1])
+        # no root lies where z is flat to rounding (a hard edge at the end
+        # of the arc, where det G can change sign in its last digits)
+        moves = np.diff(seg.z) > _Z_FLAT * np.minimum(np.abs(seg.z[:-1]),
+                                                      np.abs(seg.z[1:]))
+        step = (vals[:-1] * vals[1:] < 0) & moves
         for i in np.flatnonzero(step):
             root = _polish(lambda th: det_at(seg.gap, th), seg.theta[i],
                            seg.theta[i + 1])

@@ -326,10 +326,10 @@ class TestUniversality:
                "model": "logistic", "loss": "logistic", "seed": 106}
         spec, seed = build_spec(cfg)
         n_seeds = 10
-        gauss = [run_trial(spec, "gaussian", seed + k).eigenvalues
-                 for k in range(n_seeds)]
-        rade = [run_trial(spec, "rademacher", seed + 100 + k).eigenvalues
-                for k in range(n_seeds)]
+        gauss = [tr.eigenvalues for tr in run_trials(
+            spec, "gaussian", [seed + k for k in range(n_seeds)])]
+        rade = [tr.eigenvalues for tr in run_trials(
+            spec, "rademacher", [seed + 100 + k for k in range(n_seeds)])]
         pooled_ks = stats.ks_2samp(np.concatenate(gauss), np.concatenate(rade),
                                    method="asymp").statistic
         spread = np.mean([stats.ks_2samp(gauss[i], gauss[j],

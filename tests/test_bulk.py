@@ -173,6 +173,39 @@ class TestDensity:
         curve = density(spec, np.linspace(-10.0, 10.0, 400))
         assert np.all(curve.density > 0)
 
+    @pytest.mark.parametrize("make", [
+        fig3_four, lambda: build_spec(preset_config("fig1b"))[0]],
+        ids=["fig3-four", "fig1b"])
+    def test_carried_evaluation_is_bit_identical(self, make, monkeypatch):
+        # a warm-started point reuses the previous point's last (delta, e,
+        # E2): one e1_e2 call fewer than a warm start from its delta alone
+        from hesspec.expectations import ExpectationEngine
+        spec = make()
+        lo, hi = default_scan_range(spec)
+        grid = np.linspace(lo, hi, 200)
+        intervals = support(spec, (lo, hi)).intervals   # builds the map
+        calls = []
+        e1_e2 = ExpectationEngine.e1_e2
+
+        def counted(eng, delta):
+            calls.append(delta)
+            return e1_e2(eng, delta)
+
+        monkeypatch.setattr(ExpectationEngine, "e1_e2", counted)
+        curve = density(spec, grid)
+        carried = len(calls)
+        ref, warm_starts = np.zeros(len(grid)), 0
+        for a, b in intervals:
+            warm = None
+            for i in np.flatnonzero((grid >= a) & (grid <= b)):
+                warm_starts += warm is not None
+                pt = solve_point(spec, complex(grid[i], curve.epsilon),
+                                 warm_start=warm)
+                ref[i], warm = pt.m.imag / np.pi, pt.delta
+        np.testing.assert_array_equal(curve.density, ref)
+        assert warm_starts > 0
+        assert len(calls) - 2 * carried == warm_starts
+
     @staticmethod
     def window_and_interior(spec, points=200):
         lo, hi = default_scan_range(spec)

@@ -162,8 +162,8 @@ class TestOutliers:
         sup = support(spec, (lo, hi))
         hits = 0
         n_seeds = 20
-        for k in range(n_seeds):
-            s = run_trial(spec, "gaussian", seed + k)
+        for s in run_trials(spec, "gaussian",
+                            [seed + k for k in range(n_seeds)]):
             out = extract_outliers(s, sup)
             if sum(1 for o in out if o[1] == "right") == 1:
                 hits += 1

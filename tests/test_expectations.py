@@ -1,11 +1,16 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from hesspec import (ProblemSpec, QuadratureGrid, ResponseModel,
                      ScaledIdentity, WeightFn, curvature, curvature_moments,
                      effective_curvature, effective_curvature_sq,
-                     expectation_engine)
-from hesspec.errors import PoleError
+                     expectation_engine, expectations)
+from hesspec.config import build_spec
+from hesspec.errors import DomainError, PoleError
+from hesspec.models import sample_response
+from hesspec.presets import preset_config
 
 
 def make_spec(loss="logistic", model=None, w=None, w_star=None, mu=None,
@@ -157,21 +162,26 @@ class TestEngineNumerics:
 
 
 class TestSweep:
-    """sweep is the one kernel behind moments(); k deltas span several
-    chunks of the node intermediates here (2 x 96^2 logistic nodes)."""
+    """sweep is the one kernel behind moments(); with _SWEEP_BYTES cut to
+    three rows per chunk, the k deltas span three chunks of the (delta,
+    node) intermediates here."""
 
     DELTAS = np.array([0.3 + 0.2j, -1.5 + 0.01j, 2.0 - 0.5j, 1j, 0.7 + 0j,
                        -0.2 - 0.3j, 4.0 + 4.0j])
 
-    def engine(self):
+    @pytest.fixture
+    def eng(self, monkeypatch):
+        # h* = 0.7 xi_a and h = 0.9 xi_b are independent, both with mean 0
         p = 16
-        return expectation_engine(make_spec(w=unit_vec(p, 0.9),
-                                            w_star=unit_vec(p, 0.7, k=1),
-                                            mu=unit_vec(p, 0.5, k=2)))
+        eng = expectation_engine(make_spec(w=unit_vec(p, 0.9),
+                                           w_star=unit_vec(p, 0.7, k=1),
+                                           mu=unit_vec(p, 0.5, k=2)))
+        monkeypatch.setattr(expectations, "_SWEEP_BYTES",
+                            3 * 2 * 16 * len(eng.g))
+        return eng
 
     @pytest.mark.parametrize("square", [False, True])
-    def test_matches_pointwise_calls(self, square):
-        eng = self.engine()
+    def test_matches_pointwise_calls(self, eng, square):
         e1, e2, moments = eng.sweep(self.DELTAS, square=square)
         assert moments.shape == (len(self.DELTAS), 3, 3)
         for k, d in enumerate(self.DELTAS):
@@ -182,16 +192,26 @@ class TestSweep:
                 rtol=1e-13, atol=1e-13)
 
     @pytest.mark.parametrize("square", [False, True])
-    def test_matches_direct_moments(self, square):
-        # E[f], E[f u] and E[f (u u^T - K)] summed node by node
-        eng = self.engine()
+    def test_matches_direct_moments(self, eng, square):
+        # E[f], E[f u] and E[f (u u^T - K)] summed node by node over the
+        # full tensor grid of (h*, h) and both labels, with u = K s
+        grid = QuadratureGrid.gauss_hermite(eng.order).normalized()
+        xa, xb = np.meshgrid(grid.nodes, grid.nodes, indexing="ij")
+        w2 = np.outer(grid.weights, grid.weights).ravel()
+        h_star, h = 0.7 * xa.ravel(), 0.9 * xb.ravel()
+        prob = 1.0 / (1.0 + np.exp(-h_star))
+        K = np.diag([1 / 0.49, 1 / 0.81])
+        u = K @ np.vstack([h_star, h])
         moments = eng.sweep(self.DELTAS, square=square)[2]
         for k, d in enumerate(self.DELTAS):
-            f = eng.wt * (eng.g / (1.0 + eng.g * d)) ** (2 if square else 1)
-            a, b = np.sum(f), eng.u @ f
-            direct = np.block([[np.array([[a]]), b[None, :]],
-                               [b[:, None], (eng.u * f) @ eng.u.T
-                                - a * eng.spec.gram_U_pinv]])
+            direct = 0.0
+            for y, wy in ((1.0, prob), (-1.0, 1.0 - prob)):
+                g = curvature(eng.spec.weight, y, h)
+                f = w2 * wy * (g / (1.0 + g * d)) ** (2 if square else 1)
+                a, b = np.sum(f), u @ f
+                direct = direct + np.block([[np.array([[a]]), b[None, :]],
+                                            [b[:, None], (u * f) @ u.T
+                                             - a * K]])
             np.testing.assert_allclose(moments[k], direct, rtol=1e-13,
                                        atol=1e-13)
 
@@ -220,3 +240,104 @@ class TestScalarReduction:
         direct = np.sum(grid.weights * g / (1.0 + g * delta))
         assert effective_curvature(spec, delta) == pytest.approx(direct,
                                                                  rel=1e-12)
+
+
+def unfolded_sums(spec, order, deltas):
+    """(e1, e2, moments, squared moments) at each delta, summed node by
+    node over the unfolded tensor grid in the engine's whitening."""
+    law = spec.projection_law()
+    factor = expectations._factor(law.cov,
+                                  expectations._reads(spec.weight))
+    rank = factor.shape[1]
+    grid = QuadratureGrid.gauss_hermite(order).normalized()
+    xi = np.array(list(itertools.product(grid.nodes, repeat=rank)))
+    wt = np.array([np.prod(w) for w in itertools.product(grid.weights,
+                                                          repeat=rank)])
+    h_star, h = law.mean[:, None] + factor @ xi.reshape(len(wt), rank).T
+    model = spec.model
+    if model.kind == "logistic":
+        prob = 1.0 / (1.0 + np.exp(-h_star))
+        branches = [(np.ones_like(h), h_star, h, wt * prob),
+                    (-np.ones_like(h), h_star, h, wt * (1.0 - prob))]
+    elif model.kind == "noisy_factor" and model.sigma > 0:
+        inner = QuadratureGrid.gauss_hermite(
+            expectations._INNER_NOISE_ORDER).normalized()
+        branches = [(model.link(h_star) + model.sigma * x, h_star, h, wt * v)
+                    for x, v in zip(inner.nodes, inner.weights)]
+    else:
+        branches = [(sample_response(model, h_star, None), h_star, h, wt)]
+    K = spec.gram_U_pinv
+    out = []
+    for d in deltas:
+        e1 = e2 = 0.0
+        mom = [np.zeros((3, 3), complex), np.zeros((3, 3), complex)]
+        for y, hs, hh, w in branches:
+            g = curvature(spec.weight, y, hh)
+            u = K @ (np.vstack([hs, hh]) - law.mean[:, None])
+            f = g / (1.0 + g * d)
+            e1 += np.sum(w * f)
+            e2 += np.sum(w * f * f)
+            for m, ff in zip(mom, (w * f, w * f * f)):
+                m[0, 0] += np.sum(ff)
+                m[0, 1:] += u @ ff
+                m[1:, 0] += u @ ff
+                m[1:, 1:] += (u * ff) @ u.T - np.sum(ff) * K
+        out.append((e1, e2, *mom))
+    return out
+
+
+MODELS = ["logistic", "phase_retrieval", {"kind": "noisy_factor"},
+          {"kind": "noisy_factor", "link": "tanh", "sigma": 0.4},
+          {"kind": "single_layer_nn"}]
+WEIGHTS = [{"loss": "logistic"}, {"loss": "exponential"}, {"loss": "square"},
+           {"loss": "phase_square"}, {"weight": "trim"}]
+RANKS = {
+    "rank0": {"mu": "gaussian_norm(0.6)"},
+    "rank1_h": {"mu": "gaussian_norm(0.6)", "w": "gaussian_norm(1.1)"},
+    "rank1_hstar": {"mu": "gaussian_norm(0.6)",
+                    "w_star": "gaussian_norm(1.2)"},
+    "rank1_parallel": {"mu": "gaussian_norm(0.9)", "w_star": "mu", "w": "mu"},
+    "rank2": {"mu": "gaussian_norm(0.6)", "w_star": "pm_block(1.2)",
+              "w": "gaussian_norm(1.1)"},
+}
+
+
+class TestFold:
+    """The folded node set regroups the tensor-grid sums exactly."""
+
+    DELTAS = np.array([0.0, 0.37, -0.2 + 0.5j, 1.3 - 0.8j, 0.9 + 1e-3j])
+
+    @pytest.mark.parametrize("rank", sorted(RANKS))
+    @pytest.mark.parametrize("weight", WEIGHTS, ids=lambda w: str(
+        list(w.values())[0]))
+    @pytest.mark.parametrize("model", MODELS, ids=lambda m: m if isinstance(
+        m, str) else "-".join(map(str, m.values())))
+    def test_matches_unfolded_sums(self, model, weight, rank):
+        cfg = {"p": 16, "n": 64, "model": model, "seed": 3, **weight,
+               **RANKS[rank]}
+        spec, _ = build_spec(cfg)
+        if weight.get("loss") in ("logistic", "exponential") and \
+                model != "logistic":
+            with pytest.raises(DomainError):
+                expectation_engine(spec, 24)
+            return
+        eng = expectation_engine(spec, 24)
+        assert np.all(np.diff(eng.g) > 0) or weight.get("loss") == \
+            "phase_square"
+        pointwise = np.array([eng.e1_e2(d) for d in self.DELTAS]).T
+        got = [*eng.sweep(self.DELTAS), *pointwise,
+               eng.sweep(self.DELTAS, square=True)[2]]
+        e1, e2, moments, moments_sq = map(np.array, zip(
+            *unfolded_sums(spec, 24, self.DELTAS)))
+        # each quantity against its largest magnitude over the deltas
+        for have, want in zip(got, (e1, e2, moments, e1, e2, moments_sq)):
+            assert np.max(np.abs(have - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("name, loss, nodes", [
+        ("fig1b", "logistic", 96), ("fig1b", "square", 1),
+        ("fig1b", "exponential", 192), ("fig1cd", "phase_square", 96 ** 2)])
+    def test_node_counts(self, name, loss, nodes):
+        spec, _ = build_spec(dict(preset_config(name), loss=loss))
+        eng = expectation_engine(spec)
+        assert len(eng.g) == len(eng.wt) == nodes
+        assert eng.wt.sum() == pytest.approx(1.0, rel=1e-13)

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import integrate
 
+from hesspec import features
 from hesspec import (DenseSPD, Diagonal, ProblemSpec, ResponseModel,
                      ScaledIdentity, WeightFn, cov_spectrum, pinv2,
                      projection_law, sample_features)
@@ -235,6 +238,26 @@ class TestSampleFeatures:
             Z = draw(np.random.default_rng(4))
             np.testing.assert_array_equal(X, mu[:, None] + cov.sqrt_apply(Z),
                                           err_msg=dist)
+
+    def test_rademacher_blocks_keep_the_int64_draw(self, monkeypatch):
+        # five rows per block: 12 rows convert in two full blocks and a
+        # remainder, bit for bit as the int64 draw cast to float
+        monkeypatch.setattr(features, "_NOISE_BLOCK_BYTES", 8 * 40 * 5)
+        X = sample_features(make_spec(12, 40), "rademacher",
+                            np.random.default_rng(6))
+        Z = np.random.default_rng(6).integers(0, 2, size=(12, 40))
+        np.testing.assert_array_equal(X, Z.astype(float) * 2.0 - 1.0)
+
+    def test_rademacher_peak_is_one_array_and_a_block(self):
+        spec = make_spec(400, 3000)
+        tracemalloc.start()
+        try:
+            X = sample_features(spec, "rademacher", np.random.default_rng(7))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert X.nbytes == 8 * 400 * 3000
+        assert X.nbytes < peak < X.nbytes + 2 * features._NOISE_BLOCK_BYTES
 
     def test_unknown_distribution(self):
         spec = make_spec(2, 4)
