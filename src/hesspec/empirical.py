@@ -10,6 +10,13 @@ trial k uses the counter-based Philox stream seeded with base_seed + k.
 Several trials run at once on threads, one per usable core (at most
 HESSPEC_THREADS), each with one OpenBLAS thread; a trial's peak memory
 is about 8 p n bytes (its feature matrix), so k workers hold k of them.
+
+A caller that runs the same seeds under the same feature law many times
+(a sweep) may pass a holder of shared draws, a dict, as `shared`: each
+seed's centred draw C^{1/2} Z is kept there, read-only, and every later
+trial of that seed under the same law builds X = mu + C^{1/2} Z from it
+instead of drawing again, bit-identical to a fresh draw.  The holder
+keeps one more p x n array, 8 p n bytes, per seed.
 """
 from __future__ import annotations
 
@@ -26,7 +33,7 @@ from functools import cache
 import numpy as np
 
 from .errors import DomainError, NumericError
-from .features import sample_features
+from .features import _centred_features, sample_features
 from .models import curvature, sample_response
 
 __all__ = [
@@ -159,6 +166,32 @@ def build_hessian(X, d):
     return _gram(X, d)
 
 
+@dataclass(frozen=True, eq=False)
+class _Draw:
+    """One seed's centred features in a holder of shared draws."""
+
+    law: tuple                 # (dist, n, eigenvalues of C, eigenbasis)
+    centred: np.ndarray        # C^{1/2} Z, read-only
+    state: dict                # the Philox state after the draw
+
+
+def _shared_features(spec, dist, seed, rng, shared):
+    """mu + C^{1/2} Z for seed in a fresh buffer, with C^{1/2} Z taken
+    from the holder `shared` when it was drawn there under the same law
+    (rng then continues from the state after that draw), else drawn from
+    rng and stored for the next call."""
+    law = (dist, spec.n, *spec.cov.eigen(spec.p))
+    held = shared.get(seed)
+    if held is not None and all(map(np.array_equal, held.law, law)):
+        rng.bit_generator.state = held.state
+    else:
+        shared.pop(seed, None)     # free the stale draw before the new one
+        centred = _centred_features(spec, dist, rng)
+        centred.flags.writeable = False
+        held = shared[seed] = _Draw(law, centred, rng.bit_generator.state)
+    return held.centred + spec.mu[:, None]
+
+
 def _nearest_in_gap(eigvals, lo, hi, lam):
     """Index of the eigenvalue nearest lam inside (lo, hi); nearest
     overall when the gap holds none."""
@@ -168,7 +201,7 @@ def _nearest_in_gap(eigvals, lo, hi, lam):
     return int(pool[np.argmin(np.abs(eigvals[pool] - lam))])
 
 
-def run_trial(spec, dist, seed, gaps=(), extremes=(0, 0)):
+def run_trial(spec, dist, seed, gaps=(), extremes=(0, 0), shared=None):
     """Sample one Hessian and return its full spectrum with extreme vectors.
 
     `paired` holds one (index, eigenvector) per pick: for each
@@ -176,9 +209,17 @@ def run_trial(spec, dist, seed, gaps=(), extremes=(0, 0)):
     gap (lo, hi); then, for extremes = (left, right), the `left` lowest
     and the `right` highest eigenpairs, outermost first.  Only copied
     vectors are kept, so no p x p matrix outlives the trial.
+
+    With a holder `shared` (a dict), the centred features of seed are
+    reused from it when they were drawn under the same feature law
+    (dist, n and the eigen-decomposition of C), and drawn and stored
+    there otherwise; the spectrum is bit-identical to shared=None.
     """
     rng = np.random.Generator(np.random.Philox(seed))
-    X = sample_features(spec, dist, rng)
+    if shared is None:
+        X = sample_features(spec, dist, rng)
+    else:
+        X = _shared_features(spec, dist, seed, rng, shared)
     h_star = spec.w_star @ X
     y = sample_response(spec.model, h_star, rng)
     h = spec.w @ X
@@ -239,14 +280,16 @@ def measure_alignment(vec, target):
     return float((target @ np.asarray(vec, dtype=float)) ** 2 / nrm2)
 
 
-def run_trials(spec, dist, seeds, gaps=(), extremes=(0, 0)):
-    """run_trial(spec, dist, seed, gaps, extremes) for each seed, in order.
+def run_trials(spec, dist, seeds, gaps=(), extremes=(0, 0), shared=None):
+    """run_trial(spec, dist, seed, gaps, extremes, shared) for each seed,
+    in order.
 
     min(len(seeds), worker_count()) trials run at once, with numpy's
     OpenBLAS held at one thread while they run, so a trial's result does
     not depend on the worker count.  One worker runs a plain loop with
     BLAS threading each trial; so does every run when OpenBLAS's thread
-    count cannot be set and HESSPEC_THREADS is unset.
+    count cannot be set and HESSPEC_THREADS is unset.  Draws that a
+    holder `shared` keeps for seeds not in this run are dropped first.
     """
     workers = min(len(seeds), worker_count())
     blas = _openblas_threads() if workers > 1 else None
@@ -255,11 +298,14 @@ def run_trials(spec, dist, seeds, gaps=(), extremes=(0, 0)):
         how = "not-settable"
         if not os.environ.get("HESSPEC_THREADS"):
             workers = 1
-    log.debug("run_trials: trials=%d workers=%d blas=%s", len(seeds), workers,
-              how)
+    log.debug("run_trials: trials=%d workers=%d blas=%s draws=%s", len(seeds),
+              workers, how, "fresh" if shared is None else "shared")
+    if shared is not None:
+        for stale in shared.keys() - set(seeds):
+            del shared[stale]
 
     def one(seed):
-        return run_trial(spec, dist, seed, gaps, extremes)
+        return run_trial(spec, dist, seed, gaps, extremes, shared=shared)
 
     if workers < 2:
         return [one(s) for s in seeds]
@@ -287,7 +333,7 @@ def _mean_stderr(samples):
 
 
 def compare(spec, theory_density, spike_reports, trials, base_seed,
-            dist="gaussian", support_report=None):
+            dist="gaussian", support_report=None, shared=None):
     """Monte Carlo discrepancy metrics against the asymptotic theory.
 
     density_l1 is the integrated L1 distance between the pooled
@@ -298,7 +344,9 @@ def compare(spec, theory_density, spike_reports, trials, base_seed,
     eigenvalue nearest it inside that gap (nearest overall if the gap is
     empty).  Any other spike is ranked outermost first among those on
     its side and pairs with the eigenpair of the same rank from that end
-    of the spectrum.
+    of the spectrum.  `shared` is passed to run_trials: a holder that
+    keeps each seed's centred draw for the next compare under the same
+    feature law.
     """
     if trials < 1:
         raise DomainError(f"compare needs trials >= 1, got {trials}")
@@ -316,7 +364,8 @@ def compare(spec, theory_density, spike_reports, trials, base_seed,
     right = sorted(sides["right"], key=lambda i: -loc[i])
     # spike i pairs with paired[slot[i]] of every trial
     slot = {i: k for k, i in enumerate(gapped + left + right)}
-    spectra = run_trials(spec, dist, seeds, gaps, (len(left), len(right)))
+    spectra = run_trials(spec, dist, seeds, gaps, (len(left), len(right)),
+                         shared=shared)
 
     pooled = np.concatenate([s.eigenvalues for s in spectra])
     counts, edges = np.histogram(pooled, bins="fd", density=True)

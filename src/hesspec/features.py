@@ -274,13 +274,9 @@ def _standardized_noise(dist, shape, rng):
     return z
 
 
-def sample_features(spec, dist, rng):
-    """Sample the p x n feature matrix X with columns mu + C^{1/2} z_i.
-
-    X is the noise buffer itself: C^{1/2} and mu are applied in place,
-    with the values of mu + cov.sqrt_apply(z), so a trial holds one
-    p x n array (two while a dense C is applied).
-    """
+def _centred_features(spec, dist, rng):
+    """The p x n matrix with columns C^{1/2} z_i, built in the noise
+    buffer (two p x n arrays while a dense C is applied)."""
     X = _standardized_noise(dist, (spec.p, spec.n), rng)
     vals, basis = spec.cov.eigen(spec.p)
     root = np.sqrt(vals)[:, None]
@@ -290,5 +286,16 @@ def sample_features(spec, dist, rng):
         t = basis.T @ X
         t *= root
         np.matmul(basis, t, out=X)
+    return X
+
+
+def sample_features(spec, dist, rng):
+    """Sample the p x n feature matrix X with columns mu + C^{1/2} z_i.
+
+    X is the noise buffer itself: C^{1/2} and mu are applied in place,
+    with the values of mu + cov.sqrt_apply(z), so a trial holds one
+    p x n array (two while a dense C is applied).
+    """
+    X = _centred_features(spec, dist, rng)
     X += spec.mu[:, None]
     return X

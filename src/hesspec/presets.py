@@ -24,7 +24,7 @@ import numpy as np
 from ._version import __version__ as _version
 from .bulk import default_scan_range, density, support
 from .config import build_spec, spec_echo
-from .empirical import compare, run_trials
+from .empirical import compare, run_trials, worker_count
 from .errors import ConfigError
 from .features import ProblemSpec
 from .report import emit_document, emit_table
@@ -125,13 +125,15 @@ class Analysis:
                         "det_residual": s.det_residual} for s in self.spikes],
         }
 
-    def monte_carlo(self, trials, seed, dist="gaussian"):
+    def monte_carlo(self, trials, seed, dist="gaussian", shared=None):
         """results() plus a 'comparison' entry from `trials` finite-size
-        trials seeded seed, seed+1, ...; returns (results, seeds)."""
+        trials seeded seed, seed+1, ...; returns (results, seeds).
+        `shared` is compare's holder of draws reused across calls."""
         if trials < 1:
             raise ConfigError(f"Monte Carlo needs trials >= 1, got {trials}")
         rep = compare(self.spec, self.curve, self.spikes, trials,
-                      base_seed=seed, dist=dist, support_report=self.support)
+                      base_seed=seed, dist=dist, support_report=self.support,
+                      shared=shared)
         results = self.results()
         results["comparison"] = {
             "density_l1": rep.density_l1,
@@ -164,12 +166,21 @@ def sweep(cfg, values, rescale, path, label, trials=0, scan_range=None,
     cos2 (NaN, 0, 0 when there is no spike); with trials, the mean
     empirical eigenvalue and cos2 paired with that spike follow.  The
     table goes to path, or to stdout when path is None.
+
+    When the trials fit the worker pool (trials <= worker_count()), each
+    trial seed's centred features are drawn once and kept for the whole
+    sweep, one more p x n array per seed: every value whose feature law
+    (p, n, C, Gaussian noise) matches adds its own mu to them, so the
+    table is bit-identical to redrawing at every value.  More trials
+    than workers redraw at every value.
     """
+    shared = {} if 1 <= trials <= worker_count() else None
     rows = []
     for val in values:
         spec, seed = build_spec(rescale(dict(cfg), val))
         an = analyze(spec, scan_range, order=order)
-        res = an.monte_carlo(trials, seed)[0] if trials else an.results()
+        res = an.monte_carlo(trials, seed, shared=shared)[0] if trials \
+            else an.results()
         first = res["spikes"][0] if res["spikes"] else None
         row = ([val, first["lambda"], first["gap"], max(first["cos2"])]
                if first else [val, np.nan, 0.0, 0.0])

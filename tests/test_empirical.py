@@ -4,6 +4,8 @@ import pytest
 import json
 import logging
 import os
+import re
+import sys
 import threading
 from types import SimpleNamespace
 
@@ -207,8 +209,8 @@ class TestStatistics:
     def fake_trials(self, monkeypatch, tops):
         # one right spike; trial k has its top eigenvalue at tops[k] and
         # the unit top vector e_0, so every cos2 against mu is 1/2
-        def run(spec, dist, seeds, gaps, extremes):
-            assert gaps == [] and extremes == (0, 1)
+        def run(spec, dist, seeds, gaps, extremes, shared=None):
+            assert gaps == [] and extremes == (0, 1) and shared is None
             vec = np.eye(4)[0]
             return [EmpiricalSpectrum(
                 eigenvalues=np.array([0.0, 0.1, 0.2, top]), top_vec=vec,
@@ -280,6 +282,84 @@ class TestStatistics:
         assert a.alignment_stderr == b.alignment_stderr
 
 
+class TestSharedDraws:
+    def test_hit_is_bit_identical_and_read_only(self, noise_draws):
+        # the exponential loss weighs each sample by its logistic label,
+        # drawn after the features: a hit must also continue the Philox
+        # stream where the draw ended
+        def spec_at(norm):
+            return build_spec({"p": 48, "n": 192, "seed": 5,
+                               "mu": "pm_block(%g)" % norm, "w_star": "mu",
+                               "w": "mu", "model": "logistic",
+                               "loss": "exponential"})
+
+        shared, got = {}, []
+        for norm in (0.5, 1.5):            # the same law under another mu
+            spec, seed = spec_at(norm)
+            got.append(run_trial(spec, "gaussian", seed, extremes=(1, 1),
+                                 shared=shared))
+        assert noise_draws == [(48, 192)]
+        held = shared[seed].centred
+        assert held.flags.writeable is False
+        with pytest.raises(ValueError):
+            held[0, 0] = 0.0
+        for norm, s in zip((0.5, 1.5), got):
+            spec, seed = spec_at(norm)
+            want = run_trial(spec, "gaussian", seed, extremes=(1, 1))
+            np.testing.assert_array_equal(s.eigenvalues, want.eigenvalues)
+            np.testing.assert_array_equal(s.paired[0][1], want.paired[0][1])
+            np.testing.assert_array_equal(s.paired[1][1], want.paired[1][1])
+
+    @pytest.mark.parametrize("change", [
+        {"n": 240}, {"p": 40}, {"cov": 1.5},
+        {"cov": {"diag_blocks": [[1.0, 24], [2.0, 24]]}},
+        {"cov": {"matrix": np.eye(48).tolist()}},    # same eigenvalues
+        {"dist": "rademacher"},
+    ], ids=["n", "p", "scale", "diagonal", "dense", "dist"])
+    def test_another_law_redraws(self, noise_draws, change):
+        cfg = {"p": 48, "n": 192, "mu": "pm_block(1.0)", "model": "logistic",
+               "loss": "logistic", "seed": 5}
+        spec, seed = build_spec(cfg)
+        shared = {}
+        run_trial(spec, "gaussian", seed, shared=shared)
+        first = shared[seed]
+        change = dict(change)
+        dist = change.pop("dist", "gaussian")
+        spec, _ = build_spec(dict(cfg, **change))
+        got = run_trial(spec, dist, seed, shared=shared)
+        assert len(noise_draws) == 2 and shared[seed] is not first
+        want = run_trial(spec, dist, seed)
+        np.testing.assert_array_equal(got.eigenvalues, want.eigenvalues)
+
+    def test_pool_keeps_one_draw_per_seed(self, monkeypatch, caplog,
+                                          noise_draws):
+        # more workers than cores and a short switch interval, so trials
+        # interleave while they read and fill the holder
+        caplog.set_level(logging.DEBUG, logger="hesspec")
+        monkeypatch.setenv("HESSPEC_THREADS", "4")
+        spec, seed = signal_spec(p=32, n=128)
+        seeds = [seed + k for k in range(4)]
+        want = [s.eigenvalues for s in run_trials(spec, "gaussian", seeds)]
+        del noise_draws[:]
+        shared = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for run in range(3):
+                got = run_trials(spec, "gaussian", seeds, shared=shared)
+                for a, b in zip(got, want):
+                    np.testing.assert_array_equal(a.eigenvalues, b)
+            # seeds that leave the run leave the holder
+            run_trials(spec, "gaussian", seeds[2:] + [seed + 9], shared=shared)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(noise_draws) == 5
+        assert sorted(shared) == [seed + 2, seed + 3, seed + 9]
+        assert re.search(r"trials=4 workers=4 blas=\S+ draws=shared",
+                         caplog.text)
+        assert "draws=fresh" in caplog.text
+
+
 class TestBlasPinning:
     @pytest.fixture
     def blas(self):
@@ -295,11 +375,11 @@ class TestBlasPinning:
         seen = []
         real = empirical.run_trial
 
-        def trial(spec, dist, seed, gaps, extremes):
+        def trial(spec, dist, seed, gaps, extremes, shared=None):
             seen.append(get())
             if fail:
                 raise NumericError("trial failed")
-            return real(spec, dist, seed, gaps, extremes)
+            return real(spec, dist, seed, gaps, extremes, shared=shared)
 
         caplog.set_level(logging.DEBUG, logger="hesspec")
         monkeypatch.setenv("HESSPEC_THREADS", "2")
@@ -313,7 +393,7 @@ class TestBlasPinning:
             compare(spec, an.curve, an.spikes, trials=2, base_seed=seed)
         assert seen and set(seen) == {1}     # a failure cancels the rest
         assert get() == before
-        assert "trials=2 workers=2 blas=pinned" in caplog.text
+        assert "trials=2 workers=2 blas=pinned draws=fresh" in caplog.text
 
     @pytest.mark.parametrize("seeds, settable, logged", [
         ([5], True, "trials=1 workers=1 blas=unpinned"),
@@ -328,8 +408,8 @@ class TestBlasPinning:
         if not settable:
             monkeypatch.setattr(empirical, "_openblas_threads", lambda: None)
         monkeypatch.setattr(empirical, "run_trial",
-                            lambda spec, dist, seed, gaps, extremes:
-                            (seed, threading.current_thread()))
+                            lambda spec, dist, seed, gaps, extremes,
+                            shared=None: (seed, threading.current_thread()))
         here = threading.current_thread()
         assert run_trials(None, "gaussian", seeds) == [(s, here) for s in seeds]
         assert logged in caplog.text
@@ -339,8 +419,8 @@ class TestBlasPinning:
         monkeypatch.setenv("HESSPEC_THREADS", "2")
         monkeypatch.setattr(empirical, "_openblas_threads", lambda: None)
         monkeypatch.setattr(empirical, "run_trial",
-                            lambda spec, dist, seed, gaps, extremes:
-                            (seed, threading.current_thread()))
+                            lambda spec, dist, seed, gaps, extremes,
+                            shared=None: (seed, threading.current_thread()))
         out = run_trials(None, "gaussian", [5, 6, 7])
         assert [s for s, _ in out] == [5, 6, 7]
         assert threading.current_thread() not in {t for _, t in out}

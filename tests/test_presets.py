@@ -96,3 +96,82 @@ def test_sweep_with_trials_adds_empirical_columns(tmp_path):
     assert np.isnan(rows[0, [1, 4, 5]]).all()
     assert np.isfinite(rows[1]).all()
     assert rows[1, 4] == pytest.approx(rows[1, 1], abs=0.05)
+
+
+def _pm_block(key, scale=1.0):
+    def rescale(c, val):
+        c[key] = "pm_block(%.17g)" % (val * scale)
+        return c
+    return rescale
+
+
+def _trim_pair(c, val):
+    c["w_star"] = "pm_block(%.17g)" % val
+    c["w"] = "pm_block(%.17g)" % (val * np.sqrt(2.0 / 3.0))
+    return c
+
+
+# (config, rescale, values); every value has a spike to pair with
+SWEEPS = {
+    "mu": ({"p": 64, "n": 256, "model": "logistic", "loss": "logistic",
+            "seed": 3}, _pm_block("mu"), [1.2, 1.5, 2.0]),
+    "w": ({"p": 64, "n": 640, "model": "logistic", "loss": "logistic",
+           "seed": 3}, _pm_block("w"), [2.0, 3.0]),
+    "w_star": ({"p": 64, "n": 256, "model": "phase_retrieval",
+                "weight": "trim", "seed": 3}, _trim_pair, [0.8, 1.5]),
+}
+
+
+@pytest.mark.parametrize("trials", [1, 2])
+@pytest.mark.parametrize("param", sorted(SWEEPS))
+def test_shared_draws_keep_the_table(tmp_path, monkeypatch, noise_draws,
+                                     param, trials):
+    # trials <= workers: one draw per seed for the whole sweep, and the
+    # same bytes as a draw per value
+    import hesspec.presets
+
+    monkeypatch.setenv("HESSPEC_THREADS", "2")
+    cfg, rescale, values = SWEEPS[param]
+    shared = sweep(cfg, values, rescale, str(tmp_path / "shared.csv"), param,
+                   trials=trials)
+    assert len(noise_draws) == trials
+    real = hesspec.presets.compare
+    monkeypatch.setattr(hesspec.presets, "compare",
+                        lambda *args, shared=None, **kw: real(*args, **kw))
+    fresh = sweep(cfg, values, rescale, str(tmp_path / "fresh.csv"), param,
+                  trials=trials)
+    assert len(noise_draws) == trials + trials * len(values)
+    with open(shared, "rb") as a, open(fresh, "rb") as b:
+        assert a.read() == b.read()
+    rows = np.loadtxt(shared, delimiter=",", comments="#", ndmin=2)
+    assert np.isfinite(rows[:, 4:]).all()
+
+
+@pytest.mark.parametrize("trials, rescale, values", [
+    (3, _pm_block("mu"), [1.2, 1.5]),         # more trials than workers
+    (2, lambda c, n: dict(c, n=n), [256, 320]),
+    (2, lambda c, s: dict(c, cov=s), [1.0, 1.5]),
+], ids=["trials_above_workers", "n", "cov"])
+def test_sweep_redraws(tmp_path, monkeypatch, noise_draws, trials, rescale,
+                       values):
+    monkeypatch.setenv("HESSPEC_THREADS", "2")
+    cfg = dict(SWEEPS["mu"][0], mu="pm_block(1.5)")
+    sweep(cfg, values, rescale, str(tmp_path / "s.csv"), "v", trials=trials)
+    assert len(noise_draws) == trials * len(values)
+
+
+def test_sweep_compares_through_the_presets_module(tmp_path, monkeypatch):
+    # perfbench reads trials_per_s, density_l1 and mass_abs_err of a
+    # sweep from these two module attributes, once per value
+    import hesspec.presets
+
+    calls = {"compare": 0, "density": 0}
+    for name in calls:
+        def counted(*args, _name=name, _real=getattr(hesspec.presets, name),
+                    **kw):
+            calls[_name] += 1
+            return _real(*args, **kw)
+        monkeypatch.setattr(hesspec.presets, name, counted)
+    cfg, rescale, values = SWEEPS["mu"]
+    sweep(cfg, values, rescale, str(tmp_path / "s.csv"), "mu", trials=1)
+    assert calls == {"compare": len(values), "density": len(values)}
