@@ -43,7 +43,7 @@ import numpy as np
 from scipy import optimize
 
 from .errors import BranchViolation, NonConvergence
-from .expectations import DEFAULT_QUAD_ORDER, expectation_engine
+from .expectations import expectation_engine
 from .models import classify_g_support
 
 __all__ = [
@@ -128,7 +128,7 @@ def _iterate(eng, t, wts, c, z, start):
         residual=abs(cur[-1]))
 
 
-def stieltjes_derivatives(spec, point, order=None):
+def stieltjes_derivatives(spec, point):
     """(delta'(z), m'(z), E[g^2/(1+g delta)^2]) at a solved point.
 
     Uses the explicit resolvent-derivative trace identities:
@@ -137,10 +137,9 @@ def stieltjes_derivatives(spec, point, order=None):
     with Q the deterministic resolvent equivalent and E2 the squared
     effective curvature.
     """
-    eng = expectation_engine(spec, order)
     t, wts = spec.atoms
     c = spec.c
-    e2 = eng.e2(point.delta)
+    e2 = expectation_engine(spec).e2(point.delta)
     denom = (point.e * t - point.z) ** 2
     tr_qcq = c * np.sum(wts * t / denom)
     tr_cqcq = c * np.sum(wts * t * t / denom)
@@ -149,26 +148,26 @@ def stieltjes_derivatives(spec, point, order=None):
     return delta_prime, m_prime, e2
 
 
-def solve_point(spec, z, warm_start=None, order=None):
+def solve_point(spec, z, warm_start=None):
     """Solve for (delta, m) at one complex z, or at a real z off the support.
 
-    A complex z runs one Newton solve (_iterate) from warm_start, or from
-    -1/z when none is given.  warm_start is a delta, or the StieltjesPoint
-    of an earlier complex solve, whose last evaluation (delta, e, E2) is
-    then reused: e and E2 depend on delta alone.  A real z is inverted
-    exactly on the exterior map (warm_start unused), and one inside the
-    support raises BranchViolation.
+    A complex z runs one Newton solve (_iterate) from warm_start, the
+    StieltjesPoint of an earlier complex solve, whose last evaluation
+    (delta, e, E2) is reused (e and E2 depend on delta alone), or from
+    -1/z when none is given.  A real z is inverted exactly on the
+    exterior map (warm_start unused), and one inside the support raises
+    BranchViolation.
     """
     z = complex(z)
     if z.imag == 0.0:
-        return _exterior(spec, order).solve(z.real)
+        return _exterior(spec).solve(z.real)
     t, wts = spec.atoms
-    eng = expectation_engine(spec, order)
-    if isinstance(warm_start, StieltjesPoint):
-        start = warm_start.delta, warm_start.e, warm_start.e2
-    else:
-        d = complex(-1.0 / z if warm_start is None else warm_start)
+    eng = expectation_engine(spec)
+    if warm_start is None:
+        d = complex(-1.0 / z)
         start = (d, *eng.e1_e2(d))
+    else:
+        start = warm_start.delta, warm_start.e, warm_start.e2
     point = _iterate(eng, t, wts, spec.c, z, start)
     if point.m.imag * z.imag > 0:
         return point
@@ -176,7 +175,7 @@ def solve_point(spec, z, warm_start=None, order=None):
         f"Im(m)*Im(z) <= 0 at z={z} (wrong Stieltjes branch)")
 
 
-def default_scan_range(spec, order=None):
+def default_scan_range(spec):
     """Heuristic window for the bulk spectrum.
 
     Uses the curvature bounds and the Marchenko-Pastur-type envelope
@@ -190,7 +189,7 @@ def default_scan_range(spec, order=None):
     if cls.bounded:
         g_lo, g_hi = cls.lower_bound, cls.upper_bound
     else:
-        eng = expectation_engine(spec, order)
+        eng = expectation_engine(spec)
         rank = np.argsort(eng.g)
         cdf = np.cumsum(eng.wt[rank])
         g_lo, g_hi = eng.g[rank][np.searchsorted(cdf, [0.0005 * cdf[-1],
@@ -204,7 +203,7 @@ def default_scan_range(spec, order=None):
     return lo - 0.3 * span - 1e-3, hi + 0.3 * span + 1e-3
 
 
-def density(spec, grid, epsilon=None, order=None):
+def density(spec, grid, epsilon=None):
     """Limiting density on a grid by Stieltjes inversion at x + i*eps.
 
     The curve is exactly 0 off the exact support (support(), without the
@@ -223,14 +222,13 @@ def density(spec, grid, epsilon=None, order=None):
     rank = np.argsort(grid, kind="stable")
     xs = grid[rank]
     interior = failed = 0
-    for a, b in _intervals(spec, -np.inf, np.inf, order):
+    for a, b in _intervals(spec, -np.inf, np.inf):
         warm = None
         inside = rank[np.searchsorted(xs, a):np.searchsorted(xs, b, "right")]
         interior += len(inside)
         for i in inside:
             try:
-                pt = solve_point(spec, complex(grid[i], epsilon),
-                                 warm_start=warm, order=order)
+                pt = solve_point(spec, complex(grid[i], epsilon), warm)
                 out[i] = pt.m.imag / np.pi
                 warm = pt
             except (NonConvergence, BranchViolation):
@@ -354,8 +352,8 @@ class _Exterior:
     table and its edges polished on the slope.
     """
 
-    def __init__(self, spec, order):
-        self.eng = eng = expectation_engine(spec, order)
+    def __init__(self, spec):
+        self.eng = eng = expectation_engine(spec)
         self.t, self.w = spec.atoms
         self.c = spec.c
         e0 = abs(eng.e1(0.0))
@@ -439,21 +437,20 @@ class _Exterior:
         return th, z, e, moments
 
 
-def _exterior(spec, order=None):
-    """The exterior map of the spec, cached per quadrature order."""
-    key = ("exterior", order or DEFAULT_QUAD_ORDER)
-    ext = spec._cache.get(key)
+def _exterior(spec):
+    """The exterior map of the spec, built once per spec."""
+    ext = spec._cache.get("exterior")
     if ext is None:
-        ext = spec._cache[key] = _Exterior(spec, order)
+        ext = spec._cache["exterior"] = _Exterior(spec)
     return ext
 
 
-def _intervals(spec, lo, hi, order=None):
+def _intervals(spec, lo, hi):
     """The support within [lo, hi] as the complement of the real exterior,
     clipped; the atom at 0 is not included."""
     intervals, cur = [], lo
     for z_lo, z_hi in sorted((float(s.z[0]), float(s.z[-1]))
-                             for s in _exterior(spec, order).segments):
+                             for s in _exterior(spec).segments):
         if cur < min(z_lo, hi):
             intervals.append((cur, min(z_lo, hi)))
         cur = max(cur, z_hi)
@@ -462,7 +459,7 @@ def _intervals(spec, lo, hi, order=None):
     return intervals
 
 
-def support(spec, scan_range, order=None, curve=None):
+def support(spec, scan_range, curve=None):
     """Support intervals of the limiting measure within a scan window.
 
     The support is the exact complement of the real exterior traced by
@@ -475,7 +472,7 @@ def support(spec, scan_range, order=None, curve=None):
     density enters the edges.
     """
     lo, hi = float(scan_range[0]), float(scan_range[1])
-    intervals = _intervals(spec, lo, hi, order)
+    intervals = _intervals(spec, lo, hi)
     if spec.c > 1 and lo <= 0.0 <= hi and not any(a <= 0.0 <= b
                                                  for a, b in intervals):
         # rank H <= n < p: an atom of mass 1 - 1/c at 0

@@ -9,11 +9,12 @@ Subcommands:
     sweep     -- spike location/alignment along a parameter path
     preset    -- run a named built-in experiment
 
-All but preset read a JSON config (--config; --seed replaces its seed
-before the spec is built) and write '#'-headed comma tables or JSON
-documents (--out, default stdout).  The theory comes from
-presets.analyze and presets.sweep, as in the presets.  Exit codes: 0 ok,
-1 config error (including bad numeric arguments), 2 numerical failure.
+All but preset read a JSON config (--config; --seed and --quad-order
+replace its keys before the spec is built, as preset --quad-order does
+the preset's) and write '#'-headed comma tables or JSON documents
+(--out, default stdout).  The theory comes from presets.analyze and
+presets.sweep, as in the presets.  Exit codes: 0 ok, 1 config error
+(including bad numeric arguments), 2 numerical failure.
 """
 from __future__ import annotations
 
@@ -34,6 +35,8 @@ __all__ = ["main"]
 
 
 def _parse_range(text):
+    if text is None:
+        return None    # the automatic window
     try:
         a, b = (float(v) for v in text.split(":"))
     except ValueError:
@@ -61,30 +64,26 @@ def _dist(args):
     return args.dist
 
 
-def _scan_args(args):
-    """analyze() keyword arguments from --range and --quad-order."""
-    return {"scan_range": _parse_range(args.range) if args.range else None,
-            "order": args.quad_order}
-
-
 def _config(args):
-    """The config file, with --seed in place of its seed when given."""
+    """The config file, with --seed and --quad-order in place of its keys."""
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg["seed"] = args.seed
+    if args.quad_order is not None:
+        cfg["quad_order"] = args.quad_order
     return cfg
 
 
 def _cmd_density(args):
     spec, _ = build_spec(_config(args))
-    curve = analyze(spec, grid=args.grid, **_scan_args(args)).curve
+    curve = analyze(spec, _parse_range(args.range), args.grid).curve
     emit_table(args.out, ["x", "density"],
                zip(curve.grid, np.nan_to_num(curve.density)))
 
 
 def _cmd_spikes(args):
     spec, seed = build_spec(_config(args))
-    an = analyze(spec, **_scan_args(args))
+    an = analyze(spec, _parse_range(args.range))
     results = an.results()
     if args.command == "align":
         for entry, s in zip(results["spikes"], an.spikes):
@@ -102,7 +101,7 @@ def _cmd_simulate(args):
 def _cmd_compare(args):
     dist = _dist(args)
     spec, seed = build_spec(_config(args))
-    an = analyze(spec, grid=args.grid, **_scan_args(args))
+    an = analyze(spec, _parse_range(args.range), args.grid)
     results, seeds = an.monte_carlo(args.trials, seed, dist)
     emit_document(args.out, spec_echo(spec, seed), results, seeds, __version__)
 
@@ -118,7 +117,7 @@ def _cmd_sweep(args):
         return c
 
     sweep(_config(args), _parse_values(args.values), rescale,
-          args.out, args.param, **_scan_args(args))
+          args.out, args.param, scan_range=_parse_range(args.range))
 
 
 def _cmd_preset(args):
@@ -126,10 +125,6 @@ def _cmd_preset(args):
                        order=args.quad_order)
     for f in files:
         sys.stdout.write(f + "\n")
-
-
-def _add_scan_opts(sub):
-    sub.add_argument("--range", help="scan window 'a:b' (default: automatic)")
 
 
 def main(argv=None):
@@ -141,24 +136,26 @@ def main(argv=None):
 
     def sub(name, fn, text):
         s = subs.add_parser(name, help=text)
-        s.set_defaults(fn=fn)
+        s.set_defaults(fn=fn, quad_order=None)
         s.add_argument("--out", help="output file (default stdout)")
         if name != "simulate":
             s.add_argument("--quad-order", type=int, default=None,
-                           help="Gauss-Hermite order (default 96)")
+                           help="replace the config quad_order (default 96)")
         if name != "preset":
             s.add_argument("--config", required=True)
             s.add_argument("--seed", type=int, default=None,
                            help="replace the config seed")
+        if name not in ("simulate", "preset"):
+            s.add_argument("--range",
+                           help="scan window 'a:b' (default: automatic)")
         if name in ("density", "compare"):     # the ones that draw a density
             s.add_argument("--grid", type=int, default=400,
                            help="number of density grid points (default 400)")
         return s
 
-    _add_scan_opts(sub("density", _cmd_density, "limiting density table"))
-    _add_scan_opts(sub("spikes", _cmd_spikes,
-                       "support and isolated eigenvalues"))
-    _add_scan_opts(sub("align", _cmd_spikes, "spike eigenvector projections"))
+    sub("density", _cmd_density, "limiting density table")
+    sub("spikes", _cmd_spikes, "support and isolated eigenvalues")
+    sub("align", _cmd_spikes, "spike eigenvector projections")
 
     s = sub("simulate", _cmd_simulate, "one finite-size spectrum")
     s.add_argument("--dist", default="gaussian",
@@ -167,12 +164,10 @@ def main(argv=None):
     s = sub("compare", _cmd_compare, "Monte Carlo vs theory report")
     s.add_argument("--trials", type=int, default=10)
     s.add_argument("--dist", default="gaussian")
-    _add_scan_opts(s)
 
     s = sub("sweep", _cmd_sweep, "spike curves along a parameter path")
     s.add_argument("--param", required=True, choices=sorted(_SWEEP_KEYS))
     s.add_argument("--values", required=True, help="'a:b:n' linspace")
-    _add_scan_opts(s)
 
     s = sub("preset", _cmd_preset, "run a named experiment")
     s.add_argument("name", choices=sorted(PRESETS))

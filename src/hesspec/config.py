@@ -1,7 +1,8 @@
 """Configuration parsing: JSON spec files and named vector patterns.
 
 A config is a JSON object with keys
-    p, n, mu, cov, w_star, w, model, loss | weight, seed.
+    p, n, mu, cov, w_star, w, model, loss | weight, seed, quad_order,
+quad_order being the theory's Gauss-Hermite order (default 96).
 Vectors are literal lists or named patterns:
     "zeros"             -- the zero vector,
     "pm_block(r)"       -- [-1...,+1...]/sqrt(p) scaled to norm r,
@@ -18,13 +19,14 @@ import re
 import numpy as np
 
 from .errors import ConfigError
+from .expectations import DEFAULT_QUAD_ORDER
 from .features import DenseSPD, Diagonal, ProblemSpec, ScaledIdentity
 from .models import ResponseModel, WeightFn
 
 __all__ = ["load_config", "build_spec", "spec_echo", "resolve_vector"]
 
 _VALID_KEYS = ("p", "n", "mu", "cov", "w_star", "w", "model", "loss",
-               "weight", "seed")
+               "weight", "seed", "quad_order")
 _FIELD_STREAMS = {"mu": 1, "w_star": 2, "w": 3}
 _LINKS = {"identity": lambda t: t, "tanh": np.tanh}
 
@@ -134,19 +136,28 @@ def _resolve_weight(cfg, p, n):
     raise ConfigError(f"unknown weight {weight!r} (expected 'trim')")
 
 
+def _integer(cfg, key, default=None):
+    """cfg[key] (default when absent), a whole number, as an int."""
+    value = cfg.get(key, default)
+    if isinstance(value, (int, np.integer)) or (
+            isinstance(value, float) and value.is_integer()):
+        return int(value)
+    raise ConfigError(f"{key} must be an integer, got {value!r}")
+
+
 def build_spec(cfg):
     """Resolve a parsed config dict into a ProblemSpec and its seed.
 
     Every rejection of the config's values (missing keys, entries that
-    are not numbers, an unknown loss, p <= 0, ...) is a ConfigError.
+    are not finite numbers, a fractional p, an unknown loss, p <= 0, ...)
+    is a ConfigError.
     """
     for key in ("p", "n"):
         if key not in cfg:
             raise ConfigError(f"config missing required key {key!r}")
+    p, n = _integer(cfg, "p"), _integer(cfg, "n")
+    seed = _integer(cfg, "seed", 0)
     try:
-        p = int(cfg["p"])
-        n = int(cfg["n"])
-        seed = int(cfg.get("seed", 0))
         mu = resolve_vector(cfg.get("mu", "zeros"), p, seed, "mu")
         w_star = resolve_vector(cfg.get("w_star", "zeros"), p, seed, "w_star",
                                 mu=mu)
@@ -154,7 +165,9 @@ def build_spec(cfg):
         spec = ProblemSpec(p=p, n=n, mu=mu, cov=_resolve_cov(cfg.get("cov"), p),
                            w_star=w_star, w=w,
                            model=_resolve_model(cfg.get("model")),
-                           weight=_resolve_weight(cfg, p, n))
+                           weight=_resolve_weight(cfg, p, n),
+                           quad_order=_integer(cfg, "quad_order",
+                                               DEFAULT_QUAD_ORDER))
     except ConfigError:
         raise
     except (TypeError, ValueError) as err:

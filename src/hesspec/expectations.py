@@ -115,7 +115,7 @@ def _factor(cov, axis):
 
 class ExpectationEngine:
     """Precomputed node set (g_k, weight_k, weighted u-columns) for one
-    problem spec.
+    problem spec, from the Gauss-Hermite rule of order spec.quad_order.
 
     Construction whitens the projection law, marginalizes y and folds
     the nodes that share a g value once (module docstring); each
@@ -124,9 +124,9 @@ class ExpectationEngine:
     values where the nodes are folded.
     """
 
-    def __init__(self, spec, order=DEFAULT_QUAD_ORDER):
+    def __init__(self, spec):
         self.spec = spec
-        self.order = order
+        self.order = order = spec.quad_order
         law = spec.projection_law()
         axis = _reads(spec.weight)
         factor = _factor(law.cov, axis)
@@ -231,27 +231,24 @@ class ExpectationEngine:
         return e1, e2, moments
 
 
-def expectation_engine(spec, order=None):
-    """Engine for the spec, cached per quadrature order."""
-    order = order or DEFAULT_QUAD_ORDER
-    key = ("engine", order)
-    eng = spec._cache.get(key)
+def expectation_engine(spec):
+    """The engine of the spec, at its quad_order, built once per spec."""
+    eng = spec._cache.get("engine")
     if eng is None:
-        eng = ExpectationEngine(spec, order)
-        spec._cache[key] = eng
+        eng = spec._cache["engine"] = ExpectationEngine(spec)
     return eng
 
 
-def effective_curvature(spec, delta, order=None):
+def effective_curvature(spec, delta):
     """E[g/(1+g delta)], the scalar multiplying C in the resolvent equivalent."""
-    return expectation_engine(spec, order).e1(delta)
+    return expectation_engine(spec).e1(delta)
 
 
-def effective_curvature_sq(spec, delta, order=None):
+def effective_curvature_sq(spec, delta):
     """E[g^2/(1+g delta)^2], the weight appearing in all z-derivatives."""
-    return expectation_engine(spec, order).e2(delta)
+    return expectation_engine(spec).e2(delta)
 
 
-def curvature_moments(spec, z, delta, order=None):
+def curvature_moments(spec, z, delta):
     """The 3x3 moment matrix coupling the curvature to (h*, h)."""
-    return expectation_engine(spec, order).moments(z, delta)
+    return expectation_engine(spec).moments(z, delta)

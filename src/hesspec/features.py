@@ -15,6 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError
+from .expectations import DEFAULT_QUAD_ORDER
 
 __all__ = [
     "ScaledIdentity",
@@ -50,8 +51,8 @@ class ScaledIdentity(_Covariance):
     scale: float = 1.0
 
     def __post_init__(self):
-        if self.scale <= 0:
-            raise DomainError("covariance scale must be positive")
+        if not 0 < self.scale < np.inf:
+            raise DomainError("covariance scale must be positive and finite")
 
     def apply(self, v):
         return self.scale * np.asarray(v, dtype=float)
@@ -68,8 +69,8 @@ class Diagonal(_Covariance):
 
     def __post_init__(self):
         e = np.asarray(self.entries, dtype=float)
-        if e.ndim != 1 or np.any(e <= 0):
-            raise DomainError("diagonal covariance needs a positive 1-D vector")
+        if e.ndim != 1 or not np.all((e > 0) & (e < np.inf)):
+            raise DomainError("diagonal covariance entries must be finite, > 0")
         object.__setattr__(self, "entries", e)
 
     def apply(self, v):
@@ -101,8 +102,9 @@ class DenseSPD(_Covariance):
     @cached_property
     def _eig(self):
         vals, vecs = np.linalg.eigh(self.matrix)
-        if vals[0] <= 0:
-            raise DomainError("covariance matrix must be positive definite")
+        if not np.all(vals > 0):    # NaN too, as from a non-finite matrix
+            raise DomainError(
+                "covariance matrix must be finite and positive definite")
         return vals, vecs
 
     def eigen(self, p):
@@ -170,14 +172,18 @@ class ProblemSpec:
     w: np.ndarray
     model: object
     weight: object
+    quad_order: int = DEFAULT_QUAD_ORDER    # the theory's Gauss-Hermite order
 
     def __post_init__(self):
         if self.p <= 0 or self.n <= 0:
             raise DomainError("p and n must be positive")
+        if not isinstance(self.quad_order, (int, np.integer)) or \
+                self.quad_order < 1:
+            raise DomainError("quad_order must be an integer >= 1")
         for name in ("mu", "w_star", "w"):
             v = np.asarray(getattr(self, name), dtype=float)
-            if v.shape != (self.p,):
-                raise DomainError(f"{name} must have length p={self.p}")
+            if v.shape != (self.p,) or not np.all(np.isfinite(v)):
+                raise DomainError(f"{name} must be finite, of length {self.p}")
             object.__setattr__(self, name, v)
         self.cov.eigen(self.p)    # rejects a wrong size or a non-SPD matrix
 
@@ -227,7 +233,7 @@ class ProblemSpec:
     def projection_law(self):
         return projection_law(self)
 
-    # mutable per-instance caches (engines keyed by quadrature order)
+    # mutable per-instance cache: the expectation engine and the exterior map
     @cached_property
     def _cache(self):
         return {}

@@ -96,22 +96,20 @@ class Analysis:
     spec: ProblemSpec
     scan_range: tuple
     grid: int = 400
-    order: int | None = None
 
     @cached_property
     def curve(self):
         lo, hi = self.scan_range
-        return density(self.spec, np.linspace(lo, hi, self.grid),
-                       order=self.order)
+        return density(self.spec, np.linspace(lo, hi, self.grid))
 
     @cached_property
     def support(self):
         # the module-level support(), not this property
-        return support(self.spec, self.scan_range, order=self.order)
+        return support(self.spec, self.scan_range)
 
     @cached_property
     def spikes(self):
-        return find_spikes(self.spec, self.support, order=self.order)
+        return find_spikes(self.spec, self.support)
 
     def results(self):
         """The report dict: support, then per spike its location, side,
@@ -147,25 +145,24 @@ class Analysis:
         return results, rep.seeds
 
 
-def analyze(spec, scan_range=None, grid=400, order=None):
+def analyze(spec, scan_range=None, grid=400):
     """The Analysis of spec on scan_range (default: the automatic window);
     the density on `grid` points, the support and the spikes are computed
-    on first use; order is the Gauss-Hermite order (default 96)."""
+    on first use, all on the Gauss-Hermite rule of order spec.quad_order."""
     if grid < 2:
         raise ConfigError(f"grid needs at least 2 points, got {grid}")
-    lo, hi = scan_range if scan_range is not None else default_scan_range(
-        spec, order)
-    return Analysis(spec, (lo, hi), grid, order)
+    lo, hi = default_scan_range(spec) if scan_range is None else scan_range
+    return Analysis(spec, (lo, hi), grid)
 
 
-def sweep(cfg, values, rescale, path, label, trials=0, scan_range=None,
-          order=None):
+def sweep(cfg, values, rescale, path, label, trials=0, scan_range=None):
     """Tabulate the first spike of rescale(cfg, v) for each v in values.
 
     Rows are [v, lambda, gap, alignment] with alignment the largest
     cos2 (NaN, 0, 0 when there is no spike); with trials, the mean
     empirical eigenvalue and cos2 paired with that spike follow.  The
-    table goes to path, or to stdout when path is None.
+    table goes to path, or to stdout when path is None.  The quadrature
+    order is cfg's quad_order, read when each value's spec is built.
 
     When the trials fit the worker pool (trials <= worker_count()), each
     trial seed's centred features are drawn once and kept for the whole
@@ -178,7 +175,7 @@ def sweep(cfg, values, rescale, path, label, trials=0, scan_range=None,
     rows = []
     for val in values:
         spec, seed = build_spec(rescale(dict(cfg), val))
-        an = analyze(spec, scan_range, order=order)
+        an = analyze(spec, scan_range)
         res = an.monte_carlo(trials, seed, shared=shared)[0] if trials \
             else an.results()
         first = res["spikes"][0] if res["spikes"] else None
@@ -195,10 +192,10 @@ def sweep(cfg, values, rescale, path, label, trials=0, scan_range=None,
     return emit_table(path, header, rows)
 
 
-def _write_theory(out, stem, cfg, trials, order):
+def _write_theory(out, stem, cfg, trials):
     """Density table and report document of one preset setting."""
     spec, seed = build_spec(cfg)
-    an = analyze(spec, order=order)
+    an = analyze(spec)
     files = [emit_table(os.path.join(out, f"{stem}_density.csv"),
                         ["x", "density"],
                         zip(an.curve.grid, np.nan_to_num(an.curve.density)))]
@@ -211,8 +208,10 @@ def _write_theory(out, stem, cfg, trials, order):
 
 
 def run_preset(name, out, trials=None, order=None):
-    """Run one preset; returns the list of files written."""
+    """Run one preset at quad_order `order` (default 96); returns its files."""
     cfg = preset_config(name)
+    if order is not None:
+        cfg["quad_order"] = order
     if trials is None:
         trials = _DEFAULT_TRIALS.get(name, 1)
     if trials < (1 if name == "fig4" else 0):
@@ -221,17 +220,17 @@ def run_preset(name, out, trials=None, order=None):
     files = []
 
     if name in ("fig1a", "fig1b", "fig1cd"):
-        files += _write_theory(out, name, cfg, trials, order)
+        files += _write_theory(out, name, cfg, trials)
     elif name == "fig2":
         for loss in ("logistic", "exponential"):
             files += _write_theory(out, f"fig2_{loss}", dict(cfg, loss=loss),
-                                   trials, order)
+                                   trials)
     elif name == "fig3":
         for tag, top in (("two", 2.0), ("four", 4.0)):
             c = dict(cfg, cov={"diag_blocks": [[1.0, 400], [top, 400]]})
-            files += _write_theory(out, f"fig3_{tag}", c, trials, order)
+            files += _write_theory(out, f"fig3_{tag}", c, trials)
     elif name == "fig4":
-        files += _write_theory(out, "fig4_theory", cfg, 0, order)
+        files += _write_theory(out, "fig4_theory", cfg, 0)
         spec, seed = build_spec(cfg)
         for dist in ("gaussian", "rademacher", "student_t:7"):
             pooled = np.concatenate(
@@ -241,7 +240,7 @@ def run_preset(name, out, trials=None, order=None):
             files.append(emit_table(os.path.join(out, f"fig4_{tag}.csv"),
                                     ["eigenvalue"], [[v] for v in pooled]))
     elif name == "fig5":
-        files += _write_theory(out, "fig5", cfg, 0, order)
+        files += _write_theory(out, "fig5", cfg, 0)
 
         def rescale(c, rho2):
             c["mu"] = "pm_block(%.17g)" % np.sqrt(rho2)
@@ -249,7 +248,7 @@ def run_preset(name, out, trials=None, order=None):
 
         files.append(sweep(cfg, _FIG5_RHO2, rescale,
                            os.path.join(out, "fig5_sweep.csv"), "mu_norm2",
-                           trials, order=order))
+                           trials))
     else:  # fig6, fig7
         def rescale(c, val):
             if name == "fig6":
@@ -261,5 +260,5 @@ def run_preset(name, out, trials=None, order=None):
 
         files.append(sweep(cfg, _FIG6_WNORM if name == "fig6" else _FIG7_WNORM,
                            rescale, os.path.join(out, f"{name}_sweep.csv"),
-                           "norm", trials, order=order))
+                           "norm", trials))
     return files

@@ -105,18 +105,18 @@ def _g(moments, vqv, active):
     return np.eye(len(active)) + moments[ix] @ vqv[ix]
 
 
-def resolvent_forms(spec, z, point=None, order=None):
+def resolvent_forms(spec, z, point=None):
     """V^T Qbar(z) V through the eigen-grouped partial Grams of C."""
     if point is None:
-        point = solve_point(spec, z, order=order)
+        point = solve_point(spec, z)
     return _vqv(spec, point.z, point.e)
 
 
-def spike_matrix(spec, z, point=None, order=None):
+def spike_matrix(spec, z, point=None):
     """Assemble G(z) = I + Lambda(z) V^T Qbar(z) V on the active columns."""
     if point is None:
-        point = solve_point(spec, z, order=order)
-    moments = expectation_engine(spec, order).moments(point.z, point.delta)
+        point = solve_point(spec, z)
+    moments = expectation_engine(spec).moments(point.z, point.delta)
     vqv = _vqv(spec, point.z, point.e)
     active = _active_columns(spec)
     return SpikeMatrix(entries=_g(moments.entries, vqv, active),
@@ -124,9 +124,9 @@ def spike_matrix(spec, z, point=None, order=None):
                        moments=moments, active=active, point=point)
 
 
-def spike_det(spec, z, point=None, order=None):
+def spike_det(spec, z, point=None):
     """Real determinant of G(z) at real exterior z."""
-    gm = spike_matrix(spec, z, point=point, order=order)
+    gm = spike_matrix(spec, z, point=point)
     det = np.linalg.det(gm.entries)
     if abs(det.imag) > 1e-9 * max(1.0, abs(det.real)):
         raise ImaginaryLeak(
@@ -134,12 +134,12 @@ def spike_det(spec, z, point=None, order=None):
     return det.real
 
 
-def spike_matrix_deriv(spec, z, point=None, order=None):
+def spike_matrix_deriv(spec, z, point=None):
     """G'(z) = Lambda' V^T Qbar V + Lambda V^T Qbar' V on active columns."""
     if point is None:
-        point = solve_point(spec, z, order=order)
-    eng = expectation_engine(spec, order)
-    delta_prime, _, e2 = stieltjes_derivatives(spec, point, order)
+        point = solve_point(spec, z)
+    eng = expectation_engine(spec)
+    delta_prime, _, e2 = stieltjes_derivatives(spec, point)
     lam = eng.moments(point.z, point.delta).entries
     lam_prime = -delta_prime * eng.moments(point.z, point.delta, square=True).entries
     vqv, vqv_prime = _vqv(spec, point.z, point.e, e2 * delta_prime)
@@ -148,7 +148,7 @@ def spike_matrix_deriv(spec, z, point=None, order=None):
     return lam_prime[ix] @ vqv[ix] + lam[ix] @ vqv_prime[ix]
 
 
-def find_spikes(spec, support_report, order=None):
+def find_spikes(spec, support_report):
     """Locate all real exterior roots of det G and attach alignments.
 
     On every rising segment of the inverse map (see hesspec.bulk) det G
@@ -159,7 +159,7 @@ def find_spikes(spec, support_report, order=None):
     exact edges of its segment.  support_report is unused and kept for
     callers that pass it: a law without a real exterior has no spikes.
     """
-    ext = _exterior(spec, order)
+    ext = _exterior(spec)
     active = _active_columns(spec)
 
     def dets(z, e, moments):
@@ -187,13 +187,13 @@ def find_spikes(spec, support_report, order=None):
             side, gap = ("right", below) if below < above else ("left", above)
             reports.append(SpikeReport(
                 location=float(lam), side=side, gap=float(gap),
-                alignment=alignment(spec, lam, order=order, point=pt),
-                det_residual=abs(spike_det(spec, lam, point=pt, order=order))))
+                alignment=alignment(spec, lam, point=pt),
+                det_residual=abs(spike_det(spec, lam, point=pt))))
     reports.sort(key=lambda r: r.location)
     return reports
 
 
-def alignment(spec, lam, order=None, point=None):
+def alignment(spec, lam, point=None):
     """Asymptotic projection matrix V^T u u^T V at a spike location.
 
     Built from the left/right null vectors of G(lam) and the explicit
@@ -201,7 +201,7 @@ def alignment(spec, lam, order=None, point=None):
     zero rows/columns for dropped V columns.  point is the solved
     StieltjesPoint at lam, if known.
     """
-    gm = spike_matrix(spec, lam, point=point, order=order)
+    gm = spike_matrix(spec, lam, point=point)
     G = gm.entries.real
     eigvals, right = np.linalg.eig(G)
     idx = np.argsort(np.abs(eigvals))
@@ -212,7 +212,7 @@ def alignment(spec, lam, order=None, point=None):
     eigvals_l, left = np.linalg.eig(G.T)
     j = int(np.argmin(np.abs(eigvals_l - eigvals[idx[0]])))
     v_l = np.real(left[:, j])
-    g_prime = spike_matrix_deriv(spec, lam, point=gm.point, order=order).real
+    g_prime = spike_matrix_deriv(spec, lam, point=gm.point).real
     xi = np.outer(v_r, v_l) / (v_l @ g_prime @ v_r)
     proj = -gm.vqv.real @ xi
     proj = 0.5 * (proj + proj.T)

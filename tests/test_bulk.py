@@ -93,7 +93,7 @@ class TestSolvePoint:
         z = 0.60 + 1e-3j
         cold = solve_point(spec, z)
         near = solve_point(spec, 0.61 + 1e-3j)
-        warm = solve_point(spec, z, warm_start=near.delta)
+        warm = solve_point(spec, z, warm_start=near)
         assert abs(warm.m - cold.m) < 1e-8
         assert warm.iterations < cold.iterations
 
@@ -178,8 +178,10 @@ class TestDensity:
         ids=["fig3-four", "fig1b"])
     def test_carried_evaluation_is_bit_identical(self, make, monkeypatch):
         # a warm-started point reuses the previous point's last (delta, e,
-        # E2): one e1_e2 call fewer than a warm start from its delta alone
-        from hesspec.expectations import ExpectationEngine
+        # E2): one e1_e2 call fewer than a warm start from its delta alone,
+        # whose (e, E2) the reference evaluates again
+        from dataclasses import replace
+        from hesspec.expectations import ExpectationEngine, expectation_engine
         spec = make()
         lo, hi = default_scan_range(spec)
         grid = np.linspace(lo, hi, 200)
@@ -198,10 +200,13 @@ class TestDensity:
         for a, b in intervals:
             warm = None
             for i in np.flatnonzero((grid >= a) & (grid <= b)):
-                warm_starts += warm is not None
+                if warm is not None:
+                    warm_starts += 1
+                    e, e2 = expectation_engine(spec).e1_e2(warm.delta)
+                    warm = replace(warm, e=e, e2=e2)
                 pt = solve_point(spec, complex(grid[i], curve.epsilon),
                                  warm_start=warm)
-                ref[i], warm = pt.m.imag / np.pi, pt.delta
+                ref[i], warm = pt.m.imag / np.pi, pt
         np.testing.assert_array_equal(curve.density, ref)
         assert warm_starts > 0
         assert len(calls) - 2 * carried == warm_starts

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hesspec.cli import main
+from hesspec.spikes import model_spike_scalar
 
 
 @pytest.fixture
@@ -171,11 +172,23 @@ class TestErrors:
         {"p": 8, "n": 16, "cov": {"diag_blocks": [[1.0, "four"], [2.0, 4]]}},
         {"p": 8, "n": 16, "loss": "hinge"},
         {"p": 0, "n": 16},
-    ], ids=["p_not_integer", "diag_blocks_count", "unknown_loss", "p_zero"])
+        {"p": 8, "n": 256.7},
+        {"p": 8, "n": 16, "mu": "pm_block(nan)"},
+        {"p": 8, "n": 16, "quad_order": 0},
+        {"p": 8, "n": 16, "quad_order": -3},
+        {"p": 8, "n": 16, "quad_order": 2.5},
+    ], ids=["p_not_integer", "diag_blocks_count", "unknown_loss", "p_zero",
+            "n_fractional", "mu_nan", "quad_order_zero",
+            "quad_order_negative", "quad_order_fractional"])
     def test_invalid_config_value_exits_one(self, tmp_path, capsys, cfg):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(cfg))
         assert main(["spikes", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("config error:")
+
+    def test_quad_order_zero_flag_exits_one(self, mp_config, capsys):
+        assert main(["spikes", "--config", mp_config,
+                     "--quad-order", "0"]) == 1
         assert capsys.readouterr().err.startswith("config error:")
 
     @pytest.mark.parametrize("grid", ["0", "1"])
@@ -224,6 +237,35 @@ class TestSeedOverride:
         overridden = run(paths[7], "--seed", "5")
         assert overridden == run(paths[5])
         assert overridden != run(paths[7])
+
+
+class TestQuadOrder:
+    """--quad-order reaches the support, the spike and the sweep: at order
+    400 the model spike matches the scalar oracle at the same order, which
+    the default order 96 misses by more than 1e-6 at |w| = 8."""
+
+    @pytest.mark.parametrize("args", [
+        ["spikes"], ["sweep", "--param", "w_norm", "--values", "8:8:1"]],
+        ids=lambda a: a[0])
+    def test_reaches_every_layer(self, tmp_path, args):
+        path = tmp_path / "w8.json"
+        path.write_text(json.dumps({"p": 800, "n": 8000, "w": "pm_block(8)",
+                                    "model": "logistic", "loss": "logistic"}))
+        gap, _, loc, _ = model_spike_scalar(8.0, 0.1, order=400)
+
+        def spike(*extra):
+            out = tmp_path / "out"
+            assert main(args + ["--config", str(path), "--out", str(out),
+                                *extra]) == 0
+            if args[0] == "sweep":
+                row = np.loadtxt(out, delimiter=",", comments="#", ndmin=2)[0]
+                return np.array([row[1], row[2]])
+            first = json.load(open(out))["results"]["spikes"][0]
+            return np.array([first["lambda"], first["gap"]])
+
+        np.testing.assert_allclose(spike("--quad-order", "400"), [loc, gap],
+                                   rtol=0, atol=1e-9)
+        assert np.all(np.abs(spike() - [loc, gap]) > 1e-6)
 
 
 class TestStdout:

@@ -36,9 +36,13 @@ class TestCovariance:
 
     @pytest.mark.parametrize("entry", [
         {"diag_blocks": [[1.0, 1], [2.0, 2]]}, {"eigen": [1.0]}, "identity",
-        [1.0, 2.0], {"matrix": np.diag([1.0, 1.0, 1.0, -1.0]).tolist()}],
+        [1.0, 2.0], {"matrix": np.diag([1.0, 1.0, 1.0, -1.0]).tolist()},
+        {"scale": "nan"}, {"scale": "inf"},
+        {"diag_blocks": [[1.0, 2], ["nan", 2]]},
+        {"matrix": np.diag([1.0, 1.0, 1.0, np.inf]).tolist()}],
         ids=["blocks_miss_p", "unknown_dict", "string", "diag_miss_p",
-             "matrix_not_definite"])
+             "matrix_not_definite", "scale_nan", "scale_inf",
+             "diag_blocks_nan", "matrix_inf"])
     def test_rejected(self, entry):
         with pytest.raises(ConfigError):
             build_spec(base(cov=entry))

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -120,8 +121,8 @@ class TestEngineNumerics:
         p = 16
         spec = make_spec(w=unit_vec(p, 2.0), w_star=unit_vec(p, 1.0, k=1),
                          mu=unit_vec(p, 0.5, k=2))
-        lo = effective_curvature(spec, 0.7, order=64)
-        hi = effective_curvature(spec, 0.7, order=128)
+        lo = effective_curvature(replace(spec, quad_order=64), 0.7)
+        hi = effective_curvature(replace(spec, quad_order=128), 0.7)
         assert abs(lo - hi) < 1e-9 * abs(hi)
 
     def test_conjugate_symmetry(self):
@@ -135,7 +136,7 @@ class TestEngineNumerics:
     def test_engine_is_cached(self):
         spec = make_spec()
         assert expectation_engine(spec) is expectation_engine(spec)
-        assert expectation_engine(spec, 64) is not expectation_engine(spec, 128)
+        assert expectation_engine(replace(spec, quad_order=64)).order == 64
 
     def test_weights_are_a_probability(self):
         p = 16
@@ -146,7 +147,7 @@ class TestEngineNumerics:
                  WeightFn.loss_curvature("square"))]:
             spec = make_spec(model=model, weight=weight, w=unit_vec(p, 1.0),
                              w_star=unit_vec(p, 0.8, k=1))
-            eng = expectation_engine(spec, 48)
+            eng = expectation_engine(replace(spec, quad_order=48))
             assert eng.wt.sum() == pytest.approx(1.0, rel=1e-12)
             assert np.all(eng.wt >= 0)
 
@@ -313,15 +314,15 @@ class TestFold:
     @pytest.mark.parametrize("model", MODELS, ids=lambda m: m if isinstance(
         m, str) else "-".join(map(str, m.values())))
     def test_matches_unfolded_sums(self, model, weight, rank):
-        cfg = {"p": 16, "n": 64, "model": model, "seed": 3, **weight,
-               **RANKS[rank]}
+        cfg = {"p": 16, "n": 64, "model": model, "seed": 3, "quad_order": 24,
+               **weight, **RANKS[rank]}
         spec, _ = build_spec(cfg)
         if weight.get("loss") in ("logistic", "exponential") and \
                 model != "logistic":
             with pytest.raises(DomainError):
-                expectation_engine(spec, 24)
+                expectation_engine(spec)
             return
-        eng = expectation_engine(spec, 24)
+        eng = expectation_engine(spec)
         assert np.all(np.diff(eng.g) > 0) or weight.get("loss") == \
             "phase_square"
         pointwise = np.array([eng.e1_e2(d) for d in self.DELTAS]).T

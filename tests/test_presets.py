@@ -175,3 +175,20 @@ def test_sweep_compares_through_the_presets_module(tmp_path, monkeypatch):
     cfg, rescale, values = SWEEPS["mu"]
     sweep(cfg, values, rescale, str(tmp_path / "s.csv"), "mu", trials=1)
     assert calls == {"compare": len(values), "density": len(values)}
+
+
+def test_preset_order_reaches_every_spec(tmp_path, monkeypatch):
+    # run_preset(order=) is the preset config's quad_order, so the theory
+    # document and each sweep value are built at that order
+    import hesspec.presets
+
+    orders = []
+
+    def recorded(cfg, _real=hesspec.presets.build_spec):
+        spec, seed = _real(cfg)
+        orders.append(spec.quad_order)
+        return spec, seed
+
+    monkeypatch.setattr(hesspec.presets, "build_spec", recorded)
+    run_preset("fig5", str(tmp_path), trials=0, order=48)
+    assert orders == [48] * 16

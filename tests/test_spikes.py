@@ -186,10 +186,10 @@ class TestMixedSpike:
         assert right[0].alignment[0, 0] > 0.1
 
 
-def exact_theory(cfg, order=None):
+def exact_theory(cfg):
     spec, _ = build_spec(cfg)
-    sup = support(spec, default_scan_range(spec, order), order=order)
-    return spec, sup, find_spikes(spec, sup, order=order)
+    sup = support(spec, default_scan_range(spec))
+    return spec, sup, find_spikes(spec, sup)
 
 
 class TestExactSpikes:
@@ -207,7 +207,7 @@ class TestExactSpikes:
     def test_model_spike_edge_and_gap(self, w_norm):
         spec, sup, spikes = exact_theory({
             "p": 800, "n": 8000, "w": "pm_block(%.17g)" % w_norm,
-            "model": "logistic", "loss": "logistic"}, order=400)
+            "model": "logistic", "loss": "logistic", "quad_order": 400})
         gap, _, loc, edge = model_spike_scalar(w_norm, spec.c, order=400)
         assert sup.intervals[0][0] == pytest.approx(edge, abs=1e-9)
         assert len(spikes) == 1 and spikes[0].side == "left"
@@ -251,10 +251,10 @@ class TestTrimmedRetrieval:
 
     NORMS = np.linspace(0.1, 2.0, 30)
 
-    def theory(self, r, order=None):
+    def theory(self, r, **extra):
         cfg = dict(preset_config("fig7"), w_star="pm_block(%.17g)" % r,
-                   w="pm_block(%.17g)" % (r * np.sqrt(2.0 / 3.0)))
-        return exact_theory(cfg, order)
+                   w="pm_block(%.17g)" % (r * np.sqrt(2.0 / 3.0)), **extra)
+        return exact_theory(cfg)
 
     @pytest.mark.parametrize("k", [6, 7])
     def test_no_spike_below_threshold(self, k):
@@ -265,7 +265,7 @@ class TestTrimmedRetrieval:
     def test_hard_edge_and_spike(self):
         # |w*| = 0.6241; right edge, spike and its cos2 with w* from
         # perfbench/oracles.py trim_retrieval(0.6241..., 0.2, order=400)
-        spec, sup, spikes = self.theory(self.NORMS[8], order=400)
+        spec, sup, spikes = self.theory(self.NORMS[8], quad_order=400)
         assert sup.intervals[-1][1] == pytest.approx(0.006958177413334821,
                                                      abs=1e-6)
         assert len(spikes) == 1
