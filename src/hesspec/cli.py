@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .config import build_spec, load_config, spec_echo
-from .empirical import run_trial
+from .empirical import run_trials
 from .errors import ConfigError, HesspecError
 from .features import check_dist
 from .presets import PRESETS, analyze, run_preset, sweep
@@ -94,7 +94,7 @@ def _cmd_spikes(args):
 def _cmd_simulate(args):
     dist = _dist(args)
     spec, seed = build_spec(_config(args))
-    spectrum = run_trial(spec, dist, seed)
+    spectrum, = run_trials(spec, dist, [seed])
     emit_table(args.out, ["eigenvalue"], [[v] for v in spectrum.eigenvalues])
 
 

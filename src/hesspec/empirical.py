@@ -2,14 +2,24 @@
 
 One trial samples features X ~ N(mu, C) (or a universality variant),
 draws responses through h*_i = w*^T x_i, evaluates the diagonal
-weights d_i = g(y_i, w^T x_i) and eigendecomposes
-H = (1/n) X diag(d) X^T.  H is built on the trial's own X, scaled in
-place, with numpy's symmetric rank-k product, so it is exactly
-symmetric and needs no p x n temporary.  Trials are reproducible:
-trial k uses the counter-based Philox stream seeded with base_seed + k.
-Several trials run at once on threads, one per usable core (at most
-HESSPEC_THREADS), each with one OpenBLAS thread; a trial's peak memory
-is about 8 p n bytes (its feature matrix), so k workers hold k of them.
+weights d_i = g(y_i, w^T x_i) and solves H = (1/n) X diag(d) X^T.
+H is built on the trial's own X, scaled in place, with SciPy's
+symmetric rank-k product (BLAS dsyrk), so it needs no p x n temporary.
+One tridiagonal reduction of H on SciPy's LAPACK gives all p
+eigenvalues and, by inverse iteration, only the few eigenvectors a
+comparison reads; the p x p eigenvector matrix is never formed.  These
+routines are called through the pointers SciPy exports for Cython, with
+ctypes, which releases the GIL while they run.  Trials are
+reproducible: trial k uses the counter-based Philox stream seeded with
+base_seed + k.  Several trials run at once on threads, one per usable
+core (at most HESSPEC_THREADS); a trial's peak memory is about 8 p n
+bytes (its feature matrix), so k workers hold k of them.
+
+numpy and SciPy each bundle their own OpenBLAS.  While trials run,
+numpy's is held at one thread: it only draws the features and forms
+w^T X, and its idle threads would spin on a core that SciPy's Gram and
+eigensolve need.  SciPy's keeps its own thread count when one worker
+runs the trials and is held at one thread when several do.
 
 A caller that runs the same seeds under the same feature law many times
 (a sweep) may pass a holder of shared draws, a dict, as `shared`: each
@@ -31,6 +41,8 @@ from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
+import scipy
+from scipy.linalg import cython_blas, cython_lapack, eigh_tridiagonal, lapack
 
 from .errors import DomainError, NumericError
 from .features import _centred_features, sample_features
@@ -95,16 +107,17 @@ def worker_count():
 
 
 @cache
-def _openblas_threads():
-    """(get, set) of the thread count of numpy's bundled OpenBLAS, or
-    None when that library or its symbols are not found."""
-    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
-                        "numpy.libs", "libscipy_openblas64_*.so")
-    for path in glob.glob(libs):
+def _thread_control(package, libs, suffix):
+    """(get, set) of the thread count of the OpenBLAS bundled with package
+    (libs is the glob of its path beside the package), through its
+    scipy_openblas_{get,set}_num_threads symbols with suffix, or None
+    when no such library or symbol is found."""
+    site = os.path.dirname(os.path.dirname(package.__file__))
+    for path in glob.glob(os.path.join(site, libs)):
         try:
             lib = ctypes.CDLL(path)
-            get = lib.scipy_openblas_get_num_threads64_
-            put = lib.scipy_openblas_set_num_threads64_
+            get = getattr(lib, "scipy_openblas_get_num_threads" + suffix)
+            put = getattr(lib, "scipy_openblas_set_num_threads" + suffix)
         except (OSError, AttributeError):
             continue
         get.argtypes, get.restype = [], ctypes.c_int
@@ -113,48 +126,111 @@ def _openblas_threads():
     return None
 
 
+def _openblas_threads():
+    """_thread_control of numpy's OpenBLAS."""
+    return _thread_control(np, "numpy.libs/libscipy_openblas64_*.so", "64_")
+
+
+def _scipy_openblas_threads():
+    """_thread_control of SciPy's OpenBLAS, which runs the Gram and the
+    eigensolve."""
+    return _thread_control(scipy, "scipy.libs/libscipy_openblas-*.so", "")
+
+
 _BLAS_PIN = threading.Lock()
 
 
 @contextmanager
-def _one_blas_thread(blas):
-    """Hold OpenBLAS at one thread and restore its count on exit.  The
-    count is process-wide, so concurrent callers take turns."""
-    if blas is None:
-        yield
-        return
-    get, put = blas
+def _one_blas_thread(*libs):
+    """Hold each OpenBLAS in libs, a (get, set) pair or None (skipped), at
+    one thread and restore its count on exit.  The counts are
+    process-wide, so concurrent callers take turns."""
+    libs = [lib for lib in libs if lib is not None]
     with _BLAS_PIN:
-        before = get()
-        put(1)
+        before = [get() for get, _ in libs]
         try:
+            for _, put in libs:
+                put(1)
             yield
         finally:
-            put(before)
+            for (_, put), count in zip(libs, before):
+                put(count)
+
+
+_capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+    ("PyCapsule_GetName", ctypes.pythonapi))
+_capsule_pointer = ctypes.PYFUNCTYPE(
+    ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+    ("PyCapsule_GetPointer", ctypes.pythonapi))
+
+
+@cache
+def _routine(module, name):
+    """The function pointer to SciPy's BLAS or LAPACK routine `name` that
+    scipy.linalg.cython_blas or cython_lapack exports, as a ctypes
+    function.  Unlike SciPy's f2py wrappers, a ctypes call releases the
+    GIL while the routine runs, so concurrent trials overlap in it."""
+    capsule = module.__pyx_capi__[name]
+    return ctypes.CFUNCTYPE(None)(
+        _capsule_pointer(capsule, _capsule_name(capsule)))
+
+
+def _fortran(module, name, *args):
+    """Call routine `name` of module with each argument by pointer: a str
+    as one char, an int as an int, a float as a double, and a float64 or
+    intc array, Fortran-ordered, as its first element."""
+    refs = []
+    for a in args:
+        if isinstance(a, np.ndarray):
+            if a.dtype not in (np.float64, np.intc) or \
+                    not a.flags.f_contiguous:
+                raise TypeError(f"{name}: needs a Fortran-ordered float64 or "
+                                f"intc array, got {a.dtype}")
+            refs.append(ctypes.c_void_p(a.ctypes.data))
+        elif isinstance(a, str):
+            refs.append(ctypes.c_char_p(a.encode()))
+        elif isinstance(a, (int, np.integer)):
+            refs.append(ctypes.byref(ctypes.c_int(a)))
+        else:
+            refs.append(ctypes.byref(ctypes.c_double(float(a))))
+    _routine(module, name)(*refs)
+
+
+def _lapack(name, *args):
+    """_fortran for a LAPACK routine whose last argument is info."""
+    info = np.zeros(1, np.intc)
+    _fortran(cython_lapack, name, *args, info)
+    if info[0]:
+        raise np.linalg.LinAlgError(f"{name} returned info = {info[0]}")
 
 
 def _gram(X, d):
-    """(1/n) X diag(d) X^T, overwriting X.
+    """(1/n) X diag(d) X^T in the lower triangle of a Fortran-ordered
+    p x p array whose upper triangle is zero, overwriting X.
 
-    X is scaled in place by sqrt(|d| / n), so the Gram is A @ A.T on one
-    buffer, which numpy computes as an exactly symmetric rank-k product.
-    The columns of the less frequent sign of d are moved into B first
-    (zeroed in A) and B @ B.T is subtracted, so a mixed sign costs at
-    most 1.5 rank-k products; when most weights are negative the result
-    is negated.
+    X is scaled in place by sqrt(|d| / n), so the Gram is one symmetric
+    rank-k product, SciPy's dsyrk on X^T, which reads the C-ordered X
+    without a copy.  The columns of the less frequent sign of d are moved
+    into B first (zeroed in X) and B B^T is subtracted, so a mixed sign
+    costs at most 1.5 rank-k products; when most weights are negative
+    both products change sign.
     """
-    scale = np.sqrt(np.abs(d) / X.shape[1])
+    p, n = X.shape
+    scale = np.sqrt(np.abs(d) / n)
     neg = d < 0
-    flip = 2 * np.count_nonzero(neg) > len(d)
-    minority = ~neg if flip else neg
+    sign = -1.0 if 2 * np.count_nonzero(neg) > len(d) else 1.0
+    minority = ~neg if sign < 0 else neg
     B = np.compress(minority, X, axis=1)
     B *= scale[minority]
     scale[minority] = 0.0
     X *= scale
-    H = X @ X.T
+    H = np.zeros((p, p), order="F")
+    _fortran(cython_blas, "dsyrk", "L", "T", p, n, sign, X.T, n, 0.0, H, p)
     if B.shape[1]:
-        H -= B @ B.T
-    return np.negative(H, out=H) if flip else H
+        m = B.shape[1]
+        _fortran(cython_blas, "dsyrk", "L", "T", p, m, -sign, B.T, m, 1.0, H,
+                 p)
+    return H
 
 
 def build_hessian(X, d):
@@ -163,7 +239,50 @@ def build_hessian(X, d):
     d = np.asarray(d, dtype=float)
     if d.shape != (X.shape[1],):
         raise DomainError("weight vector length must match the sample count")
-    return _gram(X, d)
+    H = _gram(X, d)
+    return np.where(np.tri(len(H), dtype=bool), H, H.T)
+
+
+class _Tridiagonal:
+    """T = Q^T H Q for a symmetric H, from one Householder reduction
+    (LAPACK dsytrd) of its lower triangle, which it overwrites with the
+    reflectors whose product is Q."""
+
+    def __init__(self, H):
+        self.p = p = len(H)
+        self.c, self.diag = H, np.empty(p)
+        self.off, self.tau = np.empty(p - 1), np.empty(p - 1)
+        lwork = int(lapack.dsytrd_lwork(p, lower=1)[0])
+        _lapack("dsytrd", "L", p, H, p, self.diag, self.off, self.tau,
+                np.empty(lwork), lwork)
+
+    def eigenvalues(self):
+        """All p eigenvalues of H, ascending, by root-free QR on T
+        (dsterf): the routines np.linalg.eigvalsh runs."""
+        vals = self.diag.copy()
+        _lapack("dsterf", self.p, vals, self.off.copy())
+        return vals
+
+    def eigenvectors(self, ks):
+        """{k: unit eigenvector of H} for the eigenvalue indices ks.
+
+        Bisection and inverse iteration (dstebz, dstein) give T's vectors,
+        one call per run of consecutive indices so that the vectors of a
+        run are orthogonal; one dormqr call applies Q to them.
+        """
+        ks = np.unique(ks)
+        runs = np.split(ks, np.flatnonzero(np.diff(ks) > 1) + 1)
+        Z = np.asfortranarray(np.hstack([
+            eigh_tridiagonal(self.diag, self.off, select="i",
+                             select_range=(run[0], run[-1]),
+                             check_finite=False)[1] for run in runs]))
+        # Q's reflectors act on rows 1..p-1: both the reflectors in c and
+        # those rows of Z start at row 1 of column 0, leading dimension p
+        p, m = Z.shape
+        _lapack("dormqr", "L", "N", p - 1, m, p - 1,
+                self.c.ravel(order="F")[1:], p, self.tau,
+                Z.ravel(order="F")[1:], p, np.empty(m), m)
+        return {int(k): Z[:, j].copy() for j, k in enumerate(ks)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,8 +326,10 @@ def run_trial(spec, dist, seed, gaps=(), extremes=(0, 0), shared=None):
     `paired` holds one (index, eigenvector) per pick: for each
     (lo, hi, lam) in gaps, the eigenpair nearest lam inside the support
     gap (lo, hi); then, for extremes = (left, right), the `left` lowest
-    and the `right` highest eigenpairs, outermost first.  Only copied
-    vectors are kept, so no p x p matrix outlives the trial.
+    and the `right` highest eigenpairs, outermost first.  All eigenvalues
+    are computed, but eigenvectors only at the picks and at both ends
+    (top_vec, bottom_vec), from one tridiagonal reduction of H; each
+    vector is a copy, so no p x p matrix outlives the trial.
 
     With a holder `shared` (a dict), the centred features of seed are
     reused from it when they were drawn under the same feature law
@@ -225,20 +346,20 @@ def run_trial(spec, dist, seed, gaps=(), extremes=(0, 0), shared=None):
     h = spec.w @ X
     d = np.asarray(curvature(spec.weight, y, h), dtype=float)
     H = _gram(X, d)
-    del X                      # scaled in place; free it before eigh
+    del X                      # scaled in place; free it before the solve
+    left, right = extremes
+    p = spec.p
     try:
-        eigvals, eigvecs = np.linalg.eigh(H)
+        T = _Tridiagonal(H)
+        eigvals = T.eigenvalues()
+        picks = [*(_nearest_in_gap(eigvals, *gap) for gap in gaps),
+                 *range(left), *range(p - 1, p - 1 - right, -1)]
+        vecs = T.eigenvectors([0, p - 1, *picks])
     except np.linalg.LinAlgError as err:
         raise NumericError(f"eigensolver failed for seed {seed}: {err}")
-    left, right = extremes
-    p = len(eigvals)
-    picks = [*(_nearest_in_gap(eigvals, *gap) for gap in gaps),
-             *range(left), *range(p - 1, p - 1 - right, -1)]
-    return EmpiricalSpectrum(eigenvalues=eigvals,
-                             top_vec=eigvecs[:, -1].copy(),
-                             bottom_vec=eigvecs[:, 0].copy(), seed=int(seed),
-                             paired=tuple((k, eigvecs[:, k].copy())
-                                          for k in picks))
+    return EmpiricalSpectrum(eigenvalues=eigvals, top_vec=vecs[p - 1],
+                             bottom_vec=vecs[0], seed=int(seed),
+                             paired=tuple((k, vecs[k]) for k in picks))
 
 
 def extract_outliers(spectrum, support_report, edge_tol=None):
@@ -284,20 +405,21 @@ def run_trials(spec, dist, seeds, gaps=(), extremes=(0, 0), shared=None):
     """run_trial(spec, dist, seed, gaps, extremes, shared) for each seed,
     in order.
 
-    min(len(seeds), worker_count()) trials run at once, with numpy's
-    OpenBLAS held at one thread while they run, so a trial's result does
-    not depend on the worker count.  One worker runs a plain loop with
-    BLAS threading each trial; so does every run when OpenBLAS's thread
-    count cannot be set and HESSPEC_THREADS is unset.  Draws that a
-    holder `shared` keeps for seeds not in this run are dropped first.
+    min(len(seeds), worker_count()) trials run at once.  numpy's OpenBLAS
+    is held at one thread while trials run; SciPy's, which runs each
+    trial's Gram and eigensolve, is held at one thread too when several
+    trials run at once, so a trial's result does not depend on the worker
+    count, and keeps its own thread count when one worker runs a plain
+    loop.  Both counts are restored afterwards.  Every run is a plain loop
+    when numpy's thread count cannot be set and HESSPEC_THREADS is unset.
+    Draws that a holder `shared` keeps for seeds not in this run are
+    dropped first.
     """
     workers = min(len(seeds), worker_count())
-    blas = _openblas_threads() if workers > 1 else None
-    how = "pinned" if blas else "unpinned"
-    if workers > 1 and blas is None:
-        how = "not-settable"
-        if not os.environ.get("HESSPEC_THREADS"):
-            workers = 1
+    numpy_blas = _openblas_threads()
+    how = "pinned" if numpy_blas else "not-settable"
+    if numpy_blas is None and not os.environ.get("HESSPEC_THREADS"):
+        workers = 1
     log.debug("run_trials: trials=%d workers=%d blas=%s draws=%s", len(seeds),
               workers, how, "fresh" if shared is None else "shared")
     if shared is not None:
@@ -307,10 +429,12 @@ def run_trials(spec, dist, seeds, gaps=(), extremes=(0, 0), shared=None):
     def one(seed):
         return run_trial(spec, dist, seed, gaps, extremes, shared=shared)
 
-    if workers < 2:
-        return [one(s) for s in seeds]
-    with _one_blas_thread(blas), ThreadPoolExecutor(workers) as pool:
-        return list(pool.map(one, seeds))
+    scipy_blas = _scipy_openblas_threads() if workers > 1 else None
+    with _one_blas_thread(numpy_blas, scipy_blas):
+        if workers < 2:
+            return [one(s) for s in seeds]
+        with ThreadPoolExecutor(workers) as pool:
+            return list(pool.map(one, seeds))
 
 
 def _support_gap(support_report, lam):

@@ -192,9 +192,8 @@ def sweep(cfg, values, rescale, path, label, trials=0, scan_range=None):
     return emit_table(path, header, rows)
 
 
-def _write_theory(out, stem, cfg, trials):
+def _write_theory(out, stem, spec, seed, trials):
     """Density table and report document of one preset setting."""
-    spec, seed = build_spec(cfg)
     an = analyze(spec)
     files = [emit_table(os.path.join(out, f"{stem}_density.csv"),
                         ["x", "density"],
@@ -216,22 +215,22 @@ def run_preset(name, out, trials=None, order=None):
         trials = _DEFAULT_TRIALS.get(name, 1)
     if trials < (1 if name == "fig4" else 0):
         raise ConfigError(f"preset {name} cannot run {trials} trials")
+    spec, seed = build_spec(cfg)     # a config error leaves no directory
     os.makedirs(out, exist_ok=True)
     files = []
 
     if name in ("fig1a", "fig1b", "fig1cd"):
-        files += _write_theory(out, name, cfg, trials)
+        files += _write_theory(out, name, spec, seed, trials)
     elif name == "fig2":
         for loss in ("logistic", "exponential"):
-            files += _write_theory(out, f"fig2_{loss}", dict(cfg, loss=loss),
-                                   trials)
+            files += _write_theory(out, f"fig2_{loss}",
+                                   *build_spec(dict(cfg, loss=loss)), trials)
     elif name == "fig3":
         for tag, top in (("two", 2.0), ("four", 4.0)):
             c = dict(cfg, cov={"diag_blocks": [[1.0, 400], [top, 400]]})
-            files += _write_theory(out, f"fig3_{tag}", c, trials)
+            files += _write_theory(out, f"fig3_{tag}", *build_spec(c), trials)
     elif name == "fig4":
-        files += _write_theory(out, "fig4_theory", cfg, 0)
-        spec, seed = build_spec(cfg)
+        files += _write_theory(out, "fig4_theory", spec, seed, 0)
         for dist in ("gaussian", "rademacher", "student_t:7"):
             pooled = np.concatenate(
                 [s.eigenvalues for s in run_trials(
@@ -240,7 +239,7 @@ def run_preset(name, out, trials=None, order=None):
             files.append(emit_table(os.path.join(out, f"fig4_{tag}.csv"),
                                     ["eigenvalue"], [[v] for v in pooled]))
     elif name == "fig5":
-        files += _write_theory(out, "fig5", cfg, 0)
+        files += _write_theory(out, "fig5", spec, seed, 0)
 
         def rescale(c, rho2):
             c["mu"] = "pm_block(%.17g)" % np.sqrt(rho2)

@@ -254,14 +254,19 @@ def model_spike_scalar(w_norm, c, order=400):
     """
     grid = QuadratureGrid.gauss_hermite(order).normalized()
     wq = grid.weights
-    ch = 2.0 + 2.0 * np.cosh(w_norm * grid.nodes)    # 2 + e^r + e^{-r}
+    # 2 + e^r + e^{-r} = e^{|r|} (1 + e^{-|r|})^2, so f never overflows
+    t = np.exp(-np.abs(w_norm * grid.nodes))
+    s = (1.0 + t) ** 2
     q = grid.nodes ** 2 - 1.0                         # r^2/|w|^2 - 1
 
+    def f(m):
+        return t / (c * m * t + s)
+
     def z_of_m(m):
-        return np.sum(wq / (c * m + ch)) - 1.0 / m
+        return np.sum(wq * f(m)) - 1.0 / m
 
     def det(m):
-        return 1.0 + m * np.sum(wq * q / (c * m + ch))
+        return 1.0 + m * np.sum(wq * q * f(m))
 
     res = optimize.minimize_scalar(lambda u: -z_of_m(np.exp(u)),
                                    bounds=(-8.0, 12.0), method="bounded",
@@ -272,7 +277,7 @@ def model_spike_scalar(w_norm, c, order=400):
     if det(m_edge) >= 0:
         return None, None, None, edge
     m = optimize.brentq(det, 1e-12 * m_edge, m_edge, xtol=1e-15)
-    fv = 1.0 / (c * m + ch)
+    fv = f(m)
     m_prime = m ** 2 / (1.0 - c * m ** 2 * np.sum(wq * fv ** 2))
     det_prime = m_prime * (np.sum(wq * fv * q)
                            - c * m * np.sum(wq * fv ** 2 * q))

@@ -144,7 +144,7 @@ class TestErrors:
         def diverge(*args, **kwargs):
             raise NonConvergence("no root")
 
-        monkeypatch.setattr(hesspec.cli, "run_trial", diverge)
+        monkeypatch.setattr(hesspec.cli, "run_trials", diverge)
         assert main(["simulate", "--config", mp_config]) == 2
         assert capsys.readouterr().err.startswith("numerical failure:")
 
@@ -202,6 +202,12 @@ class TestErrors:
     def test_negative_preset_trials_exits_one(self, tmp_path):
         out = tmp_path / "p"
         assert main(["preset", "fig2", "--trials", "-1",
+                     "--out", str(out)]) == 1
+        assert not out.exists()
+
+    def test_invalid_preset_config_leaves_no_directory(self, tmp_path):
+        out = tmp_path / "p"
+        assert main(["preset", "fig5", "--trials", "0", "--quad-order", "0",
                      "--out", str(out)]) == 1
         assert not out.exists()
 

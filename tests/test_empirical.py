@@ -142,6 +142,58 @@ class TestTrialGram:
             assert abs(vec @ vecs[:, k]) >= 1 - 1e-10
 
 
+class TestPickedSolve:
+    """Edge cases of the solve: every eigenvalue, and eigenvectors only at
+    the picks, from one tridiagonal reduction."""
+
+    @staticmethod
+    def check(H, vals, pairs):
+        # the eigenvalues of eigvalsh, and unit eigenvectors of H
+        np.testing.assert_allclose(vals, np.linalg.eigvalsh(H), rtol=0,
+                                   atol=1e-12 * np.abs(vals).max())
+        norm = np.linalg.norm(H, 2)
+        for k, vec in pairs:
+            assert np.linalg.norm(vec) == pytest.approx(1.0, rel=1e-12)
+            assert np.linalg.norm(H @ vec - vals[k] * vec) <= 1e-12 * norm
+
+    @pytest.mark.parametrize("p, n", [(1, 8), (2, 8), (40, 10)],
+                             ids=["p1", "p2", "n_below_p"])
+    def test_trial(self, p, n):
+        spec = ProblemSpec(p=p, n=n, mu=np.full(p, 0.5),
+                           cov=ScaledIdentity(1.0), w_star=np.ones(p),
+                           w=np.full(p, 0.3), model=ResponseModel.logistic(),
+                           weight=WeightFn.loss_curvature("logistic"))
+        H = build_hessian(*trial_pieces(spec, 3))
+        k = min(p, 2)
+        s = run_trial(spec, "gaussian", 3, extremes=(k, k))
+        assert [i for i, _ in s.paired] == [*range(k),
+                                            *range(p - 1, p - 1 - k, -1)]
+        self.check(H, s.eigenvalues,
+                   [(0, s.bottom_vec), (p - 1, s.top_vec), *s.paired])
+        if n < p:
+            # the two lowest picks share the (p - n)-fold zero eigenvalue
+            ev = s.eigenvalues
+            assert np.abs(ev[:p - n]).max() <= 1e-12 * np.abs(ev).max()
+            (_, v0), (_, v1) = s.paired[:2]
+            assert abs(v0 @ v1) <= 1e-12
+
+    def test_diagonal_matrix_splits(self):
+        # a zero off-diagonal splits T into 1 x 1 blocks; 1.0 is repeated
+        H = np.diag([3.0, 1.0, 2.0, 1.0, 5.0])
+        T = empirical._Tridiagonal(np.array(H, order="F"))
+        vals = T.eigenvalues()
+        np.testing.assert_array_equal(vals, [1.0, 1.0, 2.0, 3.0, 5.0])
+        vecs = T.eigenvectors([4, 0, 1, 3, 0])
+        assert sorted(vecs) == [0, 1, 3, 4]
+        self.check(H, vals, vecs.items())
+        assert abs(vecs[0] @ vecs[1]) <= 1e-12
+
+    def test_rejects_a_c_ordered_matrix(self):
+        # LAPACK reads column-major memory through a bare pointer
+        with pytest.raises(TypeError, match="Fortran-ordered"):
+            empirical._Tridiagonal(np.eye(3))
+
+
 class TestOutliers:
     def test_synthetic_spectrum(self):
         sup = SupportReport(intervals=[(0.0, 1.0)], bulk_count=1, bounded=True)
@@ -370,13 +422,16 @@ class TestBlasPinning:
 
     @pytest.mark.parametrize("fail", [False, True], ids=["ok", "raising"])
     def test_thread_count_restored(self, monkeypatch, caplog, blas, fail):
-        get, _ = blas
-        before = get()
+        # numpy's and, where it is found, SciPy's OpenBLAS run one thread
+        # in each pooled trial and get their counts back afterwards
+        libs = [blas, empirical._scipy_openblas_threads()]
+        libs = [lib for lib in libs if lib is not None]
+        before = [get() for get, _ in libs]
         seen = []
         real = empirical.run_trial
 
         def trial(spec, dist, seed, gaps, extremes, shared=None):
-            seen.append(get())
+            seen.extend(get() for get, _ in libs)
             if fail:
                 raise NumericError("trial failed")
             return real(spec, dist, seed, gaps, extremes, shared=shared)
@@ -392,11 +447,33 @@ class TestBlasPinning:
         else:
             compare(spec, an.curve, an.spikes, trials=2, base_seed=seed)
         assert seen and set(seen) == {1}     # a failure cancels the rest
-        assert get() == before
+        assert [get() for get, _ in libs] == before
         assert "trials=2 workers=2 blas=pinned draws=fresh" in caplog.text
 
+    def test_one_worker_pins_numpy_only(self, monkeypatch, blas):
+        # a plain loop holds numpy's OpenBLAS at one thread and leaves
+        # SciPy's, which runs the Gram and the eigensolve, at its count
+        scipy_blas = empirical._scipy_openblas_threads()
+        if scipy_blas is None:
+            pytest.skip("SciPy's OpenBLAS thread count cannot be read")
+        get, put = blas
+        before = get()
+        put(2)
+        try:
+            seen = []
+            monkeypatch.setenv("HESSPEC_THREADS", "1")
+            monkeypatch.setattr(
+                empirical, "run_trial", lambda spec, dist, seed, gaps,
+                extremes, shared=None: seen.append((get(), scipy_blas[0]())))
+            lapack_count = scipy_blas[0]()
+            run_trials(None, "gaussian", [5, 6])
+            assert seen == [(1, lapack_count)] * 2
+            assert get() == 2 and scipy_blas[0]() == lapack_count
+        finally:
+            put(before)
+
     @pytest.mark.parametrize("seeds, settable, logged", [
-        ([5], True, "trials=1 workers=1 blas=unpinned"),
+        ([5], True, "trials=1 workers=1 blas=pinned"),
         ([5, 6, 7], False, "workers=1 blas=not-settable"),
     ], ids=["one_trial", "count_not_settable"])
     def test_serial_loop(self, monkeypatch, caplog, seeds, settable, logged):
@@ -407,6 +484,8 @@ class TestBlasPinning:
         monkeypatch.setattr(empirical, "worker_count", lambda: 2)
         if not settable:
             monkeypatch.setattr(empirical, "_openblas_threads", lambda: None)
+        elif empirical._openblas_threads() is None:
+            pytest.skip("numpy's OpenBLAS thread count cannot be set")
         monkeypatch.setattr(empirical, "run_trial",
                             lambda spec, dist, seed, gaps, extremes,
                             shared=None: (seed, threading.current_thread()))

@@ -3,8 +3,8 @@ import warnings
 import numpy as np
 import pytest
 
-from hesspec import (Diagonal, ProblemSpec, ResponseModel, ScaledIdentity,
-                     WeightFn, alignment, analyze, build_spec,
+from hesspec import (Diagonal, ProblemSpec, QuadratureGrid, ResponseModel,
+                     ScaledIdentity, WeightFn, alignment, analyze, build_spec,
                      default_scan_range, find_spikes, model_spike_scalar,
                      resolvent_forms, signal_spike_closed_form, solve_point,
                      spike_det, spike_matrix, spike_matrix_deriv, support)
@@ -142,6 +142,16 @@ class TestModelSpike:
         assert s.alignment[2, 2] / w_norm ** 2 == pytest.approx(align_s,
                                                                 abs=1e-5)
         assert s.gap == pytest.approx(gap_s, abs=2e-4)
+
+    def test_runs_at_high_order(self):
+        # at order 3200 and |w| = 8 the largest |r| exceeds 710, where
+        # cosh(r) overflows (an error under the RuntimeWarning filter)
+        nodes = QuadratureGrid.gauss_hermite(3200).normalized().nodes
+        assert 8.0 * np.abs(nodes).max() > 710
+        high = model_spike_scalar(8.0, 0.1, order=3200)
+        assert all(np.isfinite(high))
+        np.testing.assert_allclose(high, model_spike_scalar(8.0, 0.1),
+                                   rtol=0, atol=1e-6)
 
     def test_no_spike_for_small_w(self):
         gap, align, loc, edge = model_spike_scalar(0.5, 0.1)
