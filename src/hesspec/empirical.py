@@ -15,11 +15,13 @@ base_seed + k.  Several trials run at once on threads, one per usable
 core (at most HESSPEC_THREADS); a trial's peak memory is about 8 p n
 bytes (its feature matrix), so k workers hold k of them.
 
-numpy and SciPy each bundle their own OpenBLAS.  While trials run,
-numpy's is held at one thread: it only draws the features and forms
-w^T X, and its idle threads would spin on a core that SciPy's Gram and
-eigensolve need.  SciPy's keeps its own thread count when one worker
-runs the trials and is held at one thread when several do.
+numpy and SciPy each bundle their own OpenBLAS, and a library's idle
+threads spin for a while after each call, on a core the other library
+may need.  While several trials run at once, both are held at one
+thread.  When one worker runs them, SciPy's keeps its own thread count.
+numpy's is then held at one thread when C is diagonal, where numpy only
+draws the features and forms w^T X; for a dense C it keeps its count,
+since the draw's C^{1/2} is two p x p by p x n products on numpy's BLAS.
 
 A caller that runs the same seeds under the same feature law many times
 (a sweep) may pass a holder of shared draws, a dict, as `shared`: each
@@ -178,7 +180,12 @@ def _routine(module, name):
 def _fortran(module, name, *args):
     """Call routine `name` of module with each argument by pointer: a str
     as one char, an int as an int, a float as a double, and a float64 or
-    intc array, Fortran-ordered, as its first element."""
+    intc array, Fortran-ordered, as its first element.
+
+    The routine sees each array through that pointer alone, so nothing
+    checks a size or leading dimension against it: each caller here
+    derives them from the shapes of the arrays it passes.
+    """
     refs = []
     for a in args:
         if isinstance(a, np.ndarray):
@@ -405,12 +412,13 @@ def run_trials(spec, dist, seeds, gaps=(), extremes=(0, 0), shared=None):
     """run_trial(spec, dist, seed, gaps, extremes, shared) for each seed,
     in order.
 
-    min(len(seeds), worker_count()) trials run at once.  numpy's OpenBLAS
-    is held at one thread while trials run; SciPy's, which runs each
-    trial's Gram and eigensolve, is held at one thread too when several
-    trials run at once, so a trial's result does not depend on the worker
-    count, and keeps its own thread count when one worker runs a plain
-    loop.  Both counts are restored afterwards.  Every run is a plain loop
+    min(len(seeds), worker_count()) trials run at once.  When several
+    do, numpy's and SciPy's OpenBLAS are each held at one thread, so a
+    trial's result does not depend on the worker count.  When one worker
+    runs a plain loop, SciPy's, which runs each trial's Gram and
+    eigensolve, keeps its own thread count; numpy's is held at one thread
+    unless the covariance is dense, whose C^{1/2} is applied on numpy's
+    BLAS.  Both counts are restored afterwards.  Every run is a plain loop
     when numpy's thread count cannot be set and HESSPEC_THREADS is unset.
     Draws that a holder `shared` keeps for seeds not in this run are
     dropped first.
@@ -420,6 +428,8 @@ def run_trials(spec, dist, seeds, gaps=(), extremes=(0, 0), shared=None):
     how = "pinned" if numpy_blas else "not-settable"
     if numpy_blas is None and not os.environ.get("HESSPEC_THREADS"):
         workers = 1
+    if workers < 2 and numpy_blas and spec.cov.eigen(spec.p)[1] is not None:
+        numpy_blas, how = None, "unpinned"
     log.debug("run_trials: trials=%d workers=%d blas=%s draws=%s", len(seeds),
               workers, how, "fresh" if shared is None else "shared")
     if shared is not None:

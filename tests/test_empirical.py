@@ -450,9 +450,15 @@ class TestBlasPinning:
         assert [get() for get, _ in libs] == before
         assert "trials=2 workers=2 blas=pinned draws=fresh" in caplog.text
 
-    def test_one_worker_pins_numpy_only(self, monkeypatch, blas):
-        # a plain loop holds numpy's OpenBLAS at one thread and leaves
-        # SciPy's, which runs the Gram and the eigensolve, at its count
+    @pytest.mark.parametrize("cov, numpy_count, logged", [
+        (1.0, 1, "blas=pinned"),
+        ({"matrix": (2.0 * np.eye(32)).tolist()}, 2, "blas=unpinned"),
+    ], ids=["diagonal", "dense"])
+    def test_one_worker_loop(self, monkeypatch, caplog, blas, cov,
+                             numpy_count, logged):
+        # a plain loop leaves SciPy's OpenBLAS, which runs the Gram and the
+        # eigensolve, at its count; numpy's is held at one thread unless a
+        # dense C^{1/2} is applied on it
         scipy_blas = empirical._scipy_openblas_threads()
         if scipy_blas is None:
             pytest.skip("SciPy's OpenBLAS thread count cannot be read")
@@ -461,14 +467,17 @@ class TestBlasPinning:
         put(2)
         try:
             seen = []
+            caplog.set_level(logging.DEBUG, logger="hesspec")
             monkeypatch.setenv("HESSPEC_THREADS", "1")
             monkeypatch.setattr(
                 empirical, "run_trial", lambda spec, dist, seed, gaps,
                 extremes, shared=None: seen.append((get(), scipy_blas[0]())))
+            spec, _ = build_spec({"p": 32, "n": 128, "cov": cov})
             lapack_count = scipy_blas[0]()
-            run_trials(None, "gaussian", [5, 6])
-            assert seen == [(1, lapack_count)] * 2
+            run_trials(spec, "gaussian", [5, 6])
+            assert seen == [(numpy_count, lapack_count)] * 2
             assert get() == 2 and scipy_blas[0]() == lapack_count
+            assert f"trials=2 workers=1 {logged}" in caplog.text
         finally:
             put(before)
 
@@ -490,7 +499,8 @@ class TestBlasPinning:
                             lambda spec, dist, seed, gaps, extremes,
                             shared=None: (seed, threading.current_thread()))
         here = threading.current_thread()
-        assert run_trials(None, "gaussian", seeds) == [(s, here) for s in seeds]
+        spec, _ = signal_spec(p=8, n=32)
+        assert run_trials(spec, "gaussian", seeds) == [(s, here) for s in seeds]
         assert logged in caplog.text
 
     def test_env_runs_a_pool_without_blas_control(self, monkeypatch, caplog):
