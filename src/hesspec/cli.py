@@ -41,8 +41,8 @@ def _parse_range(text):
         a, b = (float(v) for v in text.split(":"))
     except ValueError:
         raise ConfigError(f"range must be 'a:b', got {text!r}")
-    if not b > a:
-        raise ConfigError(f"range must satisfy a < b, got {text!r}")
+    if not (np.isfinite(a) and np.isfinite(b) and a < b):
+        raise ConfigError(f"range must be finite a < b, got {text!r}")
     return a, b
 
 

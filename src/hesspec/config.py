@@ -82,7 +82,7 @@ def resolve_vector(entry, p, seed, name, mu=None):
 def _resolve_cov(entry, p):
     if entry is None:
         return ScaledIdentity(1.0)
-    if isinstance(entry, (int, float)):
+    if isinstance(entry, (int, float)) and not isinstance(entry, bool):
         return ScaledIdentity(float(entry))
     if isinstance(entry, (list, tuple)):
         return Diagonal(np.asarray(entry, dtype=float))
@@ -137,10 +137,11 @@ def _resolve_weight(cfg, p, n):
 
 
 def _integer(cfg, key, default=None):
-    """cfg[key] (default when absent), a whole number, as an int."""
+    """cfg[key] (default when absent), a whole number, not a bool, as int."""
     value = cfg.get(key, default)
-    if isinstance(value, (int, np.integer)) or (
-            isinstance(value, float) and value.is_integer()):
+    whole = isinstance(value, (int, np.integer)) or (
+        isinstance(value, float) and value.is_integer())
+    if whole and not isinstance(value, bool):
         return int(value)
     raise ConfigError(f"{key} must be an integer, got {value!r}")
 
@@ -149,14 +150,16 @@ def build_spec(cfg):
     """Resolve a parsed config dict into a ProblemSpec and its seed.
 
     Every rejection of the config's values (missing keys, entries that
-    are not finite numbers, a fractional p, an unknown loss, p <= 0, ...)
-    is a ConfigError.
+    are not finite numbers, a fractional p, a bool for a number, an
+    unknown loss, p <= 0, a seed < 0, ...) is a ConfigError.
     """
     for key in ("p", "n"):
         if key not in cfg:
             raise ConfigError(f"config missing required key {key!r}")
     p, n = _integer(cfg, "p"), _integer(cfg, "n")
     seed = _integer(cfg, "seed", 0)
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     try:
         mu = resolve_vector(cfg.get("mu", "zeros"), p, seed, "mu")
         w_star = resolve_vector(cfg.get("w_star", "zeros"), p, seed, "w_star",

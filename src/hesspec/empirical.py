@@ -3,25 +3,15 @@
 One trial samples features X ~ N(mu, C) (or a universality variant),
 draws responses through h*_i = w*^T x_i, evaluates the diagonal
 weights d_i = g(y_i, w^T x_i) and solves H = (1/n) X diag(d) X^T.
-H is built on the trial's own X, scaled in place, with SciPy's
-symmetric rank-k product (BLAS dsyrk), so it needs no p x n temporary.
-One tridiagonal reduction of H on SciPy's LAPACK gives all p
-eigenvalues and, by inverse iteration, only the few eigenvectors a
-comparison reads; the p x p eigenvector matrix is never formed.  These
-routines are called through the pointers SciPy exports for Cython, with
-ctypes, which releases the GIL while they run.  Trials are
+H is built on the trial's own X, scaled in place, with a symmetric
+rank-k product, so it needs no p x n temporary.  One tridiagonal
+reduction of H gives all p eigenvalues and, by inverse iteration, only
+the few eigenvectors a comparison reads.  Every BLAS and LAPACK call of
+a trial runs on SciPy's OpenBLAS (see _openblas).  Trials are
 reproducible: trial k uses the counter-based Philox stream seeded with
 base_seed + k.  Several trials run at once on threads, one per usable
 core (at most HESSPEC_THREADS); a trial's peak memory is about 8 p n
 bytes (its feature matrix), so k workers hold k of them.
-
-numpy and SciPy each bundle their own OpenBLAS, and a library's idle
-threads spin for a while after each call, on a core the other library
-may need.  While several trials run at once, both are held at one
-thread.  When one worker runs them, SciPy's keeps its own thread count.
-numpy's is then held at one thread when C is diagonal, where numpy only
-draws the features and forms w^T X; for a dense C it keeps its count,
-since the draw's C^{1/2} is two p x p by p x n products on numpy's BLAS.
 
 A caller that runs the same seeds under the same feature law many times
 (a sweep) may pass a holder of shared draws, a dict, as `shared`: each
@@ -32,20 +22,15 @@ keeps one more p x n array, 8 p n bytes, per seed.
 """
 from __future__ import annotations
 
-import ctypes
-import glob
 import logging
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
-import scipy
-from scipy.linalg import cython_blas, cython_lapack, eigh_tridiagonal, lapack
+from scipy.linalg import eigh_tridiagonal, lapack
 
+from . import _openblas
 from .errors import DomainError, NumericError
 from .features import _centred_features, sample_features
 from .models import curvature, sample_response
@@ -89,8 +74,8 @@ def worker_count():
     """Most trials run at once: HESSPEC_THREADS, else the usable cores.
 
     Each running trial holds its own p x n feature matrix, about
-    8 p n bytes, and uses one OpenBLAS thread (see run_trials), so the
-    default fills every core the process may run on.
+    8 p n bytes, and uses one thread of SciPy's OpenBLAS (see
+    run_trials), so the default fills every core the process may run on.
     """
     env = os.environ.get("HESSPEC_THREADS")
     if env:
@@ -108,107 +93,13 @@ def worker_count():
         return os.cpu_count() or 1
 
 
-@cache
-def _thread_control(package, libs, suffix):
-    """(get, set) of the thread count of the OpenBLAS bundled with package
-    (libs is the glob of its path beside the package), through its
-    scipy_openblas_{get,set}_num_threads symbols with suffix, or None
-    when no such library or symbol is found."""
-    site = os.path.dirname(os.path.dirname(package.__file__))
-    for path in glob.glob(os.path.join(site, libs)):
-        try:
-            lib = ctypes.CDLL(path)
-            get = getattr(lib, "scipy_openblas_get_num_threads" + suffix)
-            put = getattr(lib, "scipy_openblas_set_num_threads" + suffix)
-        except (OSError, AttributeError):
-            continue
-        get.argtypes, get.restype = [], ctypes.c_int
-        put.argtypes, put.restype = [ctypes.c_int], None
-        return get, put
-    return None
-
-
-def _openblas_threads():
-    """_thread_control of numpy's OpenBLAS."""
-    return _thread_control(np, "numpy.libs/libscipy_openblas64_*.so", "64_")
-
-
-def _scipy_openblas_threads():
-    """_thread_control of SciPy's OpenBLAS, which runs the Gram and the
-    eigensolve."""
-    return _thread_control(scipy, "scipy.libs/libscipy_openblas-*.so", "")
-
-
-_BLAS_PIN = threading.Lock()
-
-
-@contextmanager
-def _one_blas_thread(*libs):
-    """Hold each OpenBLAS in libs, a (get, set) pair or None (skipped), at
-    one thread and restore its count on exit.  The counts are
-    process-wide, so concurrent callers take turns."""
-    libs = [lib for lib in libs if lib is not None]
-    with _BLAS_PIN:
-        before = [get() for get, _ in libs]
-        try:
-            for _, put in libs:
-                put(1)
-            yield
-        finally:
-            for (_, put), count in zip(libs, before):
-                put(count)
-
-
-_capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
-    ("PyCapsule_GetName", ctypes.pythonapi))
-_capsule_pointer = ctypes.PYFUNCTYPE(
-    ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-    ("PyCapsule_GetPointer", ctypes.pythonapi))
-
-
-@cache
-def _routine(module, name):
-    """The function pointer to SciPy's BLAS or LAPACK routine `name` that
-    scipy.linalg.cython_blas or cython_lapack exports, as a ctypes
-    function.  Unlike SciPy's f2py wrappers, a ctypes call releases the
-    GIL while the routine runs, so concurrent trials overlap in it."""
-    capsule = module.__pyx_capi__[name]
-    return ctypes.CFUNCTYPE(None)(
-        _capsule_pointer(capsule, _capsule_name(capsule)))
-
-
-def _fortran(module, name, *args):
-    """Call routine `name` of module with each argument by pointer: a str
-    as one char, an int as an int, a float as a double, and a float64 or
-    intc array, Fortran-ordered, as its first element.
-
-    The routine sees each array through that pointer alone, so nothing
-    checks a size or leading dimension against it: each caller here
-    derives them from the shapes of the arrays it passes.
-    """
-    refs = []
-    for a in args:
-        if isinstance(a, np.ndarray):
-            if a.dtype not in (np.float64, np.intc) or \
-                    not a.flags.f_contiguous:
-                raise TypeError(f"{name}: needs a Fortran-ordered float64 or "
-                                f"intc array, got {a.dtype}")
-            refs.append(ctypes.c_void_p(a.ctypes.data))
-        elif isinstance(a, str):
-            refs.append(ctypes.c_char_p(a.encode()))
-        elif isinstance(a, (int, np.integer)):
-            refs.append(ctypes.byref(ctypes.c_int(a)))
-        else:
-            refs.append(ctypes.byref(ctypes.c_double(float(a))))
-    _routine(module, name)(*refs)
-
-
-def _lapack(name, *args):
-    """_fortran for a LAPACK routine whose last argument is info."""
-    info = np.zeros(1, np.intc)
-    _fortran(cython_lapack, name, *args, info)
-    if info[0]:
-        raise np.linalg.LinAlgError(f"{name} returned info = {info[0]}")
+def _project(X, v):
+    """v^T X for a C-ordered p x n X, as one dgemv on X^T (no copy)."""
+    p, n = X.shape
+    out = np.empty(n)
+    _openblas.blas("dgemv", "N", n, p, 1.0, X.T, n,
+                   np.ascontiguousarray(v, dtype=float), 1, 0.0, out, 1)
+    return out
 
 
 def _gram(X, d):
@@ -232,11 +123,10 @@ def _gram(X, d):
     scale[minority] = 0.0
     X *= scale
     H = np.zeros((p, p), order="F")
-    _fortran(cython_blas, "dsyrk", "L", "T", p, n, sign, X.T, n, 0.0, H, p)
+    _openblas.blas("dsyrk", "L", "T", p, n, sign, X.T, n, 0.0, H, p)
     if B.shape[1]:
         m = B.shape[1]
-        _fortran(cython_blas, "dsyrk", "L", "T", p, m, -sign, B.T, m, 1.0, H,
-                 p)
+        _openblas.blas("dsyrk", "L", "T", p, m, -sign, B.T, m, 1.0, H, p)
     return H
 
 
@@ -260,14 +150,14 @@ class _Tridiagonal:
         self.c, self.diag = H, np.empty(p)
         self.off, self.tau = np.empty(p - 1), np.empty(p - 1)
         lwork = int(lapack.dsytrd_lwork(p, lower=1)[0])
-        _lapack("dsytrd", "L", p, H, p, self.diag, self.off, self.tau,
-                np.empty(lwork), lwork)
+        _openblas.lapack("dsytrd", "L", p, H, p, self.diag, self.off,
+                         self.tau, np.empty(lwork), lwork)
 
     def eigenvalues(self):
         """All p eigenvalues of H, ascending, by root-free QR on T
         (dsterf): the routines np.linalg.eigvalsh runs."""
         vals = self.diag.copy()
-        _lapack("dsterf", self.p, vals, self.off.copy())
+        _openblas.lapack("dsterf", self.p, vals, self.off.copy())
         return vals
 
     def eigenvectors(self, ks):
@@ -286,9 +176,9 @@ class _Tridiagonal:
         # Q's reflectors act on rows 1..p-1: both the reflectors in c and
         # those rows of Z start at row 1 of column 0, leading dimension p
         p, m = Z.shape
-        _lapack("dormqr", "L", "N", p - 1, m, p - 1,
-                self.c.ravel(order="F")[1:], p, self.tau,
-                Z.ravel(order="F")[1:], p, np.empty(m), m)
+        _openblas.lapack("dormqr", "L", "N", p - 1, m, p - 1,
+                         self.c.ravel(order="F")[1:], p, self.tau,
+                         Z.ravel(order="F")[1:], p, np.empty(m), m)
         return {int(k): Z[:, j].copy() for j, k in enumerate(ks)}
 
 
@@ -348,9 +238,9 @@ def run_trial(spec, dist, seed, gaps=(), extremes=(0, 0), shared=None):
         X = sample_features(spec, dist, rng)
     else:
         X = _shared_features(spec, dist, seed, rng, shared)
-    h_star = spec.w_star @ X
+    h_star = _project(X, spec.w_star)
     y = sample_response(spec.model, h_star, rng)
-    h = spec.w @ X
+    h = _project(X, spec.w)
     d = np.asarray(curvature(spec.weight, y, h), dtype=float)
     H = _gram(X, d)
     del X                      # scaled in place; free it before the solve
@@ -412,26 +302,20 @@ def run_trials(spec, dist, seeds, gaps=(), extremes=(0, 0), shared=None):
     """run_trial(spec, dist, seed, gaps, extremes, shared) for each seed,
     in order.
 
-    min(len(seeds), worker_count()) trials run at once.  When several
-    do, numpy's and SciPy's OpenBLAS are each held at one thread, so a
-    trial's result does not depend on the worker count.  When one worker
-    runs a plain loop, SciPy's, which runs each trial's Gram and
-    eigensolve, keeps its own thread count; numpy's is held at one thread
-    unless the covariance is dense, whose C^{1/2} is applied on numpy's
-    BLAS.  Both counts are restored afterwards.  Every run is a plain loop
-    when numpy's thread count cannot be set and HESSPEC_THREADS is unset.
-    Draws that a holder `shared` keeps for seeds not in this run are
-    dropped first.
+    min(len(seeds), worker_count()) trials run at once.  While several
+    do, SciPy's OpenBLAS is held at one thread, so results are the same
+    for any number of workers above one; one worker runs a plain loop and
+    leaves it alone.  Every run is a plain loop when its thread count
+    cannot be set and HESSPEC_THREADS is unset.  Draws that a holder
+    `shared` keeps for seeds not in this run are dropped first.
     """
     workers = min(len(seeds), worker_count())
-    numpy_blas = _openblas_threads()
-    how = "pinned" if numpy_blas else "not-settable"
-    if numpy_blas is None and not os.environ.get("HESSPEC_THREADS"):
+    settable = _openblas.thread_control() is not None
+    if not settable and not os.environ.get("HESSPEC_THREADS"):
         workers = 1
-    if workers < 2 and numpy_blas and spec.cov.eigen(spec.p)[1] is not None:
-        numpy_blas, how = None, "unpinned"
     log.debug("run_trials: trials=%d workers=%d blas=%s draws=%s", len(seeds),
-              workers, how, "fresh" if shared is None else "shared")
+              workers, "settable" if settable else "not-settable",
+              "fresh" if shared is None else "shared")
     if shared is not None:
         for stale in shared.keys() - set(seeds):
             del shared[stale]
@@ -439,12 +323,10 @@ def run_trials(spec, dist, seeds, gaps=(), extremes=(0, 0), shared=None):
     def one(seed):
         return run_trial(spec, dist, seed, gaps, extremes, shared=shared)
 
-    scipy_blas = _scipy_openblas_threads() if workers > 1 else None
-    with _one_blas_thread(numpy_blas, scipy_blas):
-        if workers < 2:
-            return [one(s) for s in seeds]
-        with ThreadPoolExecutor(workers) as pool:
-            return list(pool.map(one, seeds))
+    if workers < 2:
+        return [one(s) for s in seeds]
+    with _openblas.one_thread(), ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(one, seeds))
 
 
 def _support_gap(support_report, lam):

@@ -14,6 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import _openblas
 from .errors import DomainError
 from .expectations import DEFAULT_QUAD_ORDER
 
@@ -282,16 +283,21 @@ def _standardized_noise(dist, shape, rng):
 
 def _centred_features(spec, dist, rng):
     """The p x n matrix with columns C^{1/2} z_i, built in the noise
-    buffer (two p x n arrays while a dense C is applied)."""
+    buffer (two p x n arrays while a dense C = B diag(vals) B^T is
+    applied: two dgemm calls on SciPy's BLAS, on the transposed views)."""
     X = _standardized_noise(dist, (spec.p, spec.n), rng)
     vals, basis = spec.cov.eigen(spec.p)
     root = np.sqrt(vals)[:, None]
     if basis is None:
         X *= root
     else:
-        t = basis.T @ X
+        p, n = X.shape
+        t = np.empty_like(X)    # t^T = X^T B, then X^T = t^T B^T
+        _openblas.blas("dgemm", "N", "T", n, p, p, 1.0, X.T, n, basis.T, p,
+                       0.0, t.T, n)
         t *= root
-        np.matmul(basis, t, out=X)
+        _openblas.blas("dgemm", "N", "N", n, p, p, 1.0, t.T, n, basis.T, p,
+                       0.0, X.T, n)
     return X
 
 

@@ -163,9 +163,13 @@ class TestErrors:
                      "--values", values, "--out", str(out)]) == 1
         assert not out.exists()
 
-    def test_bad_range_exits_one(self, mp_config):
+    @pytest.mark.parametrize("text", ["1.0:0.5", "-inf:inf", "0:inf"],
+                             ids=["reversed", "both_infinite",
+                                  "upper_infinite"])
+    def test_bad_range_exits_one(self, mp_config, capsys, text):
         assert main(["density", "--config", mp_config,
-                     "--range", "1.0:0.5"]) == 1
+                     "--range=" + text]) == 1
+        assert capsys.readouterr().err.startswith("config error:")
 
     @pytest.mark.parametrize("cfg", [
         {"p": "abc", "n": 16},
@@ -177,13 +181,23 @@ class TestErrors:
         {"p": 8, "n": 16, "quad_order": 0},
         {"p": 8, "n": 16, "quad_order": -3},
         {"p": 8, "n": 16, "quad_order": 2.5},
+        {"p": True, "n": 4},
+        {"p": 8, "n": 16, "quad_order": True},
+        {"p": 8, "n": 16, "cov": True},
+        {"p": 8, "n": 16, "seed": -1},
     ], ids=["p_not_integer", "diag_blocks_count", "unknown_loss", "p_zero",
             "n_fractional", "mu_nan", "quad_order_zero",
-            "quad_order_negative", "quad_order_fractional"])
+            "quad_order_negative", "quad_order_fractional", "p_bool",
+            "quad_order_bool", "cov_bool", "seed_negative"])
     def test_invalid_config_value_exits_one(self, tmp_path, capsys, cfg):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(cfg))
         assert main(["spikes", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("config error:")
+
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_negative_seed_flag_exits_one(self, mp_config, capsys, command):
+        assert main([command, "--config", mp_config, "--seed", "-1"]) == 1
         assert capsys.readouterr().err.startswith("config error:")
 
     def test_quad_order_zero_flag_exits_one(self, mp_config, capsys):

@@ -14,7 +14,7 @@ from hesspec import (ProblemSpec, ResponseModel, ScaledIdentity, WeightFn,
                      default_scan_range, extract_outliers, measure_alignment,
                      run_trial, run_trials, sample_features, sample_response,
                      support, worker_count)
-from hesspec import empirical
+from hesspec import _openblas, empirical
 from hesspec.bulk import SupportReport
 from hesspec.empirical import EmpiricalSpectrum
 from hesspec.errors import DomainError, NumericError
@@ -140,6 +140,26 @@ class TestTrialGram:
         assert [k for k, _ in s.paired] == [10, 0, 1, p - 1, p - 2]
         for k, vec in got:
             assert abs(vec @ vecs[:, k]) >= 1 - 1e-10
+
+    def test_dense_covariance_matches_numpy_build(self):
+        # the trial applies a dense C^{1/2} and projects on SciPy's BLAS;
+        # rebuild X = mu + C^{1/2} Z, the weights and H with numpy alone
+        # from the same Philox stream
+        p, n, seed = 48, 192, 7
+        rng = np.random.default_rng(2)
+        Q, _ = np.linalg.qr(rng.standard_normal((p, p)))
+        spec, _ = build_spec({"p": p, "n": n, "mu": "gaussian_norm(1.0)",
+                              "w_star": "mu", "w": "pm_block(0.7)",
+                              "cov": {"matrix": (Q * np.linspace(0.5, 3.0, p))
+                                      @ Q.T}})
+        rng = np.random.Generator(np.random.Philox(seed))
+        X = spec.mu[:, None] + spec.cov.sqrt_apply(rng.standard_normal((p, n)))
+        y = sample_response(spec.model, spec.w_star @ X, rng)
+        d = np.asarray(curvature(spec.weight, y, spec.w @ X), dtype=float)
+        want = np.linalg.eigvalsh((X * d) @ X.T / n)
+        got = run_trial(spec, "gaussian", seed).eigenvalues
+        np.testing.assert_allclose(got, want, rtol=0,
+                                   atol=1e-12 * np.abs(want).max())
 
 
 class TestPickedSolve:
@@ -415,23 +435,22 @@ class TestSharedDraws:
 class TestBlasPinning:
     @pytest.fixture
     def blas(self):
-        blas = empirical._openblas_threads()
+        blas = _openblas.thread_control()
         if blas is None:
-            pytest.skip("numpy's OpenBLAS thread count cannot be set")
+            pytest.skip("SciPy's OpenBLAS thread count cannot be set")
         return blas
 
     @pytest.mark.parametrize("fail", [False, True], ids=["ok", "raising"])
     def test_thread_count_restored(self, monkeypatch, caplog, blas, fail):
-        # numpy's and, where it is found, SciPy's OpenBLAS run one thread
-        # in each pooled trial and get their counts back afterwards
-        libs = [blas, empirical._scipy_openblas_threads()]
-        libs = [lib for lib in libs if lib is not None]
-        before = [get() for get, _ in libs]
+        # SciPy's OpenBLAS, which runs every product of a trial, runs one
+        # thread in each pooled trial and gets its count back afterwards
+        get, _ = blas
+        before = get()
         seen = []
         real = empirical.run_trial
 
         def trial(spec, dist, seed, gaps, extremes, shared=None):
-            seen.extend(get() for get, _ in libs)
+            seen.append(get())
             if fail:
                 raise NumericError("trial failed")
             return real(spec, dist, seed, gaps, extremes, shared=shared)
@@ -447,21 +466,11 @@ class TestBlasPinning:
         else:
             compare(spec, an.curve, an.spikes, trials=2, base_seed=seed)
         assert seen and set(seen) == {1}     # a failure cancels the rest
-        assert [get() for get, _ in libs] == before
-        assert "trials=2 workers=2 blas=pinned draws=fresh" in caplog.text
+        assert get() == before
+        assert "trials=2 workers=2 blas=settable draws=fresh" in caplog.text
 
-    @pytest.mark.parametrize("cov, numpy_count, logged", [
-        (1.0, 1, "blas=pinned"),
-        ({"matrix": (2.0 * np.eye(32)).tolist()}, 2, "blas=unpinned"),
-    ], ids=["diagonal", "dense"])
-    def test_one_worker_loop(self, monkeypatch, caplog, blas, cov,
-                             numpy_count, logged):
-        # a plain loop leaves SciPy's OpenBLAS, which runs the Gram and the
-        # eigensolve, at its count; numpy's is held at one thread unless a
-        # dense C^{1/2} is applied on it
-        scipy_blas = empirical._scipy_openblas_threads()
-        if scipy_blas is None:
-            pytest.skip("SciPy's OpenBLAS thread count cannot be read")
+    def test_one_worker_loop(self, monkeypatch, caplog, blas):
+        # a plain loop leaves SciPy's OpenBLAS at its own count
         get, put = blas
         before = get()
         put(2)
@@ -471,30 +480,29 @@ class TestBlasPinning:
             monkeypatch.setenv("HESSPEC_THREADS", "1")
             monkeypatch.setattr(
                 empirical, "run_trial", lambda spec, dist, seed, gaps,
-                extremes, shared=None: seen.append((get(), scipy_blas[0]())))
-            spec, _ = build_spec({"p": 32, "n": 128, "cov": cov})
-            lapack_count = scipy_blas[0]()
+                extremes, shared=None: seen.append(get()))
+            spec, _ = signal_spec(p=8, n=32)
             run_trials(spec, "gaussian", [5, 6])
-            assert seen == [(numpy_count, lapack_count)] * 2
-            assert get() == 2 and scipy_blas[0]() == lapack_count
-            assert f"trials=2 workers=1 {logged}" in caplog.text
+            assert seen == [2, 2] and get() == 2
+            assert "trials=2 workers=1 blas=settable" in caplog.text
         finally:
             put(before)
 
     @pytest.mark.parametrize("seeds, settable, logged", [
-        ([5], True, "trials=1 workers=1 blas=pinned"),
+        ([5], True, "trials=1 workers=1 blas=settable"),
         ([5, 6, 7], False, "workers=1 blas=not-settable"),
     ], ids=["one_trial", "count_not_settable"])
     def test_serial_loop(self, monkeypatch, caplog, seeds, settable, logged):
-        # one trial, or a BLAS thread count that cannot be set while
-        # HESSPEC_THREADS is unset: the trials run in order on this thread
+        # one trial, or a thread count of SciPy's OpenBLAS that cannot be
+        # set while HESSPEC_THREADS is unset: the trials run in order on
+        # this thread
         caplog.set_level(logging.DEBUG, logger="hesspec")
         monkeypatch.delenv("HESSPEC_THREADS", raising=False)
         monkeypatch.setattr(empirical, "worker_count", lambda: 2)
         if not settable:
-            monkeypatch.setattr(empirical, "_openblas_threads", lambda: None)
-        elif empirical._openblas_threads() is None:
-            pytest.skip("numpy's OpenBLAS thread count cannot be set")
+            monkeypatch.setattr(_openblas, "thread_control", lambda: None)
+        elif _openblas.thread_control() is None:
+            pytest.skip("SciPy's OpenBLAS thread count cannot be set")
         monkeypatch.setattr(empirical, "run_trial",
                             lambda spec, dist, seed, gaps, extremes,
                             shared=None: (seed, threading.current_thread()))
@@ -506,7 +514,7 @@ class TestBlasPinning:
     def test_env_runs_a_pool_without_blas_control(self, monkeypatch, caplog):
         caplog.set_level(logging.DEBUG, logger="hesspec")
         monkeypatch.setenv("HESSPEC_THREADS", "2")
-        monkeypatch.setattr(empirical, "_openblas_threads", lambda: None)
+        monkeypatch.setattr(_openblas, "thread_control", lambda: None)
         monkeypatch.setattr(empirical, "run_trial",
                             lambda spec, dist, seed, gaps, extremes,
                             shared=None: (seed, threading.current_thread()))
