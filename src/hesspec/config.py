@@ -54,7 +54,7 @@ def _field_rng(seed, name):
 def resolve_vector(entry, p, seed, name, mu=None):
     """Resolve a vector config entry (list or named pattern) to length p."""
     if isinstance(entry, (list, tuple)):
-        v = np.asarray(entry, dtype=float)
+        v = _reals(entry, name)
         if v.shape != (p,):
             raise ConfigError(f"{name} literal must have length p={p}")
         return v
@@ -82,24 +82,25 @@ def resolve_vector(entry, p, seed, name, mu=None):
 def _resolve_cov(entry, p):
     if entry is None:
         return ScaledIdentity(1.0)
-    if isinstance(entry, (int, float)) and not isinstance(entry, bool):
-        return ScaledIdentity(float(entry))
+    if isinstance(entry, (int, float)):
+        return ScaledIdentity(_real(entry, "cov"))
     if isinstance(entry, (list, tuple)):
-        return Diagonal(np.asarray(entry, dtype=float))
+        return Diagonal(_reals(entry, "cov"))
     if isinstance(entry, dict):
         if "scale" in entry:
-            return ScaledIdentity(float(entry["scale"]))
+            return ScaledIdentity(_real(entry["scale"], "cov scale"))
         if "diag" in entry:
-            return Diagonal(np.asarray(entry["diag"], dtype=float))
+            return Diagonal(_reals(entry["diag"], "cov diag"))
         if "diag_blocks" in entry:
-            parts = [np.full(int(count), float(val))
+            parts = [np.full(_integer(count, "diag_blocks count"),
+                             _real(val, "diag_blocks value"))
                      for val, count in entry["diag_blocks"]]
             d = np.concatenate(parts)
             if len(d) != p:
                 raise ConfigError("diag_blocks counts must sum to p")
             return Diagonal(d)
         if "matrix" in entry:
-            return DenseSPD(np.asarray(entry["matrix"], dtype=float))
+            return DenseSPD(_reals(entry["matrix"], "cov matrix", ndim=2))
     raise ConfigError(f"cannot interpret covariance entry {entry!r}")
 
 
@@ -114,8 +115,8 @@ def _resolve_model(entry):
             link = _LINKS.get(entry.get("link", "identity"))
             if link is None:
                 raise ConfigError(f"unknown link {entry.get('link')!r}")
-            return ResponseModel.noisy_factor(link=link,
-                                              sigma=float(entry.get("sigma", 0.0)))
+            return ResponseModel.noisy_factor(
+                link=link, sigma=_real(entry.get("sigma", 0.0), "sigma"))
         if kind == "single_layer_nn":
             act = _LINKS.get(entry.get("activation", "tanh"))
             if act is None:
@@ -136,28 +137,46 @@ def _resolve_weight(cfg, p, n):
     raise ConfigError(f"unknown weight {weight!r} (expected 'trim')")
 
 
-def _integer(cfg, key, default=None):
-    """cfg[key] (default when absent), a whole number, not a bool, as int."""
-    value = cfg.get(key, default)
+def _integer(value, name):
+    """value, a whole number, not a bool, as int."""
     whole = isinstance(value, (int, np.integer)) or (
         isinstance(value, float) and value.is_integer())
     if whole and not isinstance(value, bool):
         return int(value)
-    raise ConfigError(f"{key} must be an integer, got {value!r}")
+    raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
+def _reals(value, name, ndim=1):
+    """value, numbers nested ndim lists deep, as a float array; a bool or
+    a string is a ConfigError.  The spec classes reject non-finite values
+    (JSON reads NaN and Infinity as numbers)."""
+    cells = np.asarray(value, dtype=object)
+    real = (int, float, np.integer, np.floating)
+    if cells.ndim != ndim or not all(issubclass(t, real) and t is not bool
+                                     for t in set(map(type, cells.flat))):
+        what = ("a number", "a list of numbers", "a list of number lists")
+        raise ConfigError(f"{name} must be {what[ndim]}, not {value!r:.60}")
+    return cells.astype(float)
+
+
+def _real(value, name):
+    return float(_reals(value, name, ndim=0))
 
 
 def build_spec(cfg):
     """Resolve a parsed config dict into a ProblemSpec and its seed.
 
     Every rejection of the config's values (missing keys, entries that
-    are not finite numbers, a fractional p, a bool for a number, an
-    unknown loss, p <= 0, a seed < 0, ...) is a ConfigError.
+    are not finite numbers, a fractional p or count, a bool for a
+    number, an unknown loss, a binary loss without the logistic model,
+    p <= 0, a seed < 0, ...) is a ConfigError.
     """
     for key in ("p", "n"):
         if key not in cfg:
             raise ConfigError(f"config missing required key {key!r}")
-    p, n = _integer(cfg, "p"), _integer(cfg, "n")
-    seed = _integer(cfg, "seed", 0)
+    p, n = _integer(cfg["p"], "p"), _integer(cfg["n"], "n")
+    seed = _integer(cfg.get("seed", 0), "seed")
+    order = _integer(cfg.get("quad_order", DEFAULT_QUAD_ORDER), "quad_order")
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
     try:
@@ -169,8 +188,7 @@ def build_spec(cfg):
                            w_star=w_star, w=w,
                            model=_resolve_model(cfg.get("model")),
                            weight=_resolve_weight(cfg, p, n),
-                           quad_order=_integer(cfg, "quad_order",
-                                               DEFAULT_QUAD_ORDER))
+                           quad_order=order)
     except ConfigError:
         raise
     except (TypeError, ValueError) as err:

@@ -2,23 +2,16 @@
 
 One trial samples features X ~ N(mu, C) (or a universality variant),
 draws responses through h*_i = w*^T x_i, evaluates the diagonal
-weights d_i = g(y_i, w^T x_i) and solves H = (1/n) X diag(d) X^T.
-H is built on the trial's own X, scaled in place, with a symmetric
-rank-k product, so it needs no p x n temporary.  One tridiagonal
-reduction of H gives all p eigenvalues and, by inverse iteration, only
-the few eigenvectors a comparison reads.  Every BLAS and LAPACK call of
-a trial runs on SciPy's OpenBLAS (see _openblas).  Trials are
-reproducible: trial k uses the counter-based Philox stream seeded with
-base_seed + k.  Several trials run at once on threads, one per usable
-core (at most HESSPEC_THREADS); a trial's peak memory is about 8 p n
-bytes (its feature matrix), so k workers hold k of them.
-
-A caller that runs the same seeds under the same feature law many times
-(a sweep) may pass a holder of shared draws, a dict, as `shared`: each
-seed's centred draw C^{1/2} Z is kept there, read-only, and every later
-trial of that seed under the same law builds X = mu + C^{1/2} Z from it
-instead of drawing again, bit-identical to a fresh draw.  The holder
-keeps one more p x n array, 8 p n bytes, per seed.
+weights d_i = g(y_i, w^T x_i) and solves H = (1/n) X diag(d) X^T,
+built on X scaled in place with a symmetric rank-k product.  One
+tridiagonal reduction of H gives all p eigenvalues and, by inverse
+iteration, eigenvectors only at the caller's picks.  Every BLAS and
+LAPACK call of a trial runs on SciPy's OpenBLAS (see _openblas).
+Trial k uses the Philox stream seeded with base_seed + k.  Several
+trials run at once on threads, one per usable core (at most
+HESSPEC_THREADS), each holding its p x n feature matrix, 8 p n bytes.
+A sweep may keep each seed's centred draw C^{1/2} Z in a dict `shared`
+for the next trial of that seed under the same feature law.
 """
 from __future__ import annotations
 
@@ -53,10 +46,8 @@ log = logging.getLogger("hesspec")
 @dataclass(frozen=True, eq=False)
 class EmpiricalSpectrum:
     eigenvalues: np.ndarray    # ascending
-    top_vec: np.ndarray
-    bottom_vec: np.ndarray
     seed: int
-    paired: tuple = ()         # (index, eigenvector) per requested pick
+    paired: tuple = ()         # (index, eigenvector) per pick, in pick order
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,25 +199,26 @@ def _shared_features(spec, dist, seed, rng, shared):
     return held.centred + spec.mu[:, None]
 
 
-def _nearest_in_gap(eigvals, lo, hi, lam):
-    """Index of the eigenvalue nearest lam inside (lo, hi); nearest
-    overall when the gap holds none."""
+def _pick_index(eigvals, pick):
+    """Eigenvalue index of one pick of run_trial."""
+    if np.ndim(pick) == 0:
+        return range(len(eigvals))[pick]
+    lo, hi, lam = pick
     pool = np.flatnonzero((eigvals > lo) & (eigvals < hi))
     if not len(pool):
         pool = np.arange(len(eigvals))
     return int(pool[np.argmin(np.abs(eigvals[pool] - lam))])
 
 
-def run_trial(spec, dist, seed, gaps=(), extremes=(0, 0), shared=None):
-    """Sample one Hessian and return its full spectrum with extreme vectors.
+def run_trial(spec, dist, seed, picks=(), shared=None):
+    """Sample one Hessian; return all its eigenvalues and, in `paired`,
+    one (index, eigenvector) per pick, in pick order.
 
-    `paired` holds one (index, eigenvector) per pick: for each
-    (lo, hi, lam) in gaps, the eigenpair nearest lam inside the support
-    gap (lo, hi); then, for extremes = (left, right), the `left` lowest
-    and the `right` highest eigenpairs, outermost first.  All eigenvalues
-    are computed, but eigenvectors only at the picks and at both ends
-    (top_vec, bottom_vec), from one tridiagonal reduction of H; each
-    vector is a copy, so no p x p matrix outlives the trial.
+    A pick is an eigenvalue index, negative ones counting from the top,
+    or a support gap (lo, hi, lam), which picks the eigenvalue nearest
+    lam inside (lo, hi), nearest overall when the gap holds none.
+    Without picks no eigenvector is solved for; each vector is a copy,
+    so no p x p matrix outlives the trial.
 
     With a holder `shared` (a dict), the centred features of seed are
     reused from it when they were drawn under the same feature law
@@ -244,19 +236,15 @@ def run_trial(spec, dist, seed, gaps=(), extremes=(0, 0), shared=None):
     d = np.asarray(curvature(spec.weight, y, h), dtype=float)
     H = _gram(X, d)
     del X                      # scaled in place; free it before the solve
-    left, right = extremes
-    p = spec.p
     try:
         T = _Tridiagonal(H)
         eigvals = T.eigenvalues()
-        picks = [*(_nearest_in_gap(eigvals, *gap) for gap in gaps),
-                 *range(left), *range(p - 1, p - 1 - right, -1)]
-        vecs = T.eigenvectors([0, p - 1, *picks])
+        ks = [_pick_index(eigvals, pick) for pick in picks]
+        vecs = T.eigenvectors(ks) if ks else {}
     except np.linalg.LinAlgError as err:
         raise NumericError(f"eigensolver failed for seed {seed}: {err}")
-    return EmpiricalSpectrum(eigenvalues=eigvals, top_vec=vecs[p - 1],
-                             bottom_vec=vecs[0], seed=int(seed),
-                             paired=tuple((k, vecs[k]) for k in picks))
+    return EmpiricalSpectrum(eigenvalues=eigvals, seed=int(seed),
+                             paired=tuple((k, vecs[k]) for k in ks))
 
 
 def extract_outliers(spectrum, support_report, edge_tol=None):
@@ -298,9 +286,8 @@ def measure_alignment(vec, target):
     return float((target @ np.asarray(vec, dtype=float)) ** 2 / nrm2)
 
 
-def run_trials(spec, dist, seeds, gaps=(), extremes=(0, 0), shared=None):
-    """run_trial(spec, dist, seed, gaps, extremes, shared) for each seed,
-    in order.
+def run_trials(spec, dist, seeds, picks=(), shared=None):
+    """run_trial(spec, dist, seed, picks, shared) for each seed, in order.
 
     min(len(seeds), worker_count()) trials run at once.  While several
     do, SciPy's OpenBLAS is held at one thread, so results are the same
@@ -321,7 +308,7 @@ def run_trials(spec, dist, seeds, gaps=(), extremes=(0, 0), shared=None):
             del shared[stale]
 
     def one(seed):
-        return run_trial(spec, dist, seed, gaps, extremes, shared=shared)
+        return run_trial(spec, dist, seed, picks, shared=shared)
 
     if workers < 2:
         return [one(s) for s in seeds]
@@ -329,13 +316,13 @@ def run_trials(spec, dist, seeds, gaps=(), extremes=(0, 0), shared=None):
         return list(pool.map(one, seeds))
 
 
-def _support_gap(support_report, lam):
-    """(lo, hi) of the gap between two support intervals that holds lam,
-    or None."""
+def _gap_pick(support_report, lam):
+    """The pick (lo, hi, lam) of the gap between two support intervals
+    that holds lam, or None."""
     ivs = [] if support_report is None else sorted(support_report.intervals)
     for (_, lo), (hi, _) in zip(ivs, ivs[1:]):
         if lo < lam < hi:
-            return lo, hi
+            return lo, hi, lam
     return None
 
 
@@ -355,33 +342,26 @@ def compare(spec, theory_density, spike_reports, trials, base_seed,
     density_l1 is the integrated L1 distance between the pooled
     eigenvalue histogram (Freedman-Diaconis bins) and the theory curve;
     spike and alignment errors compare the per-trial mean eigenpair to
-    each theoretical spike, with its standard error alongside.  A spike
-    in a gap between two intervals of support_report pairs with the
-    eigenvalue nearest it inside that gap (nearest overall if the gap is
-    empty).  Any other spike is ranked outermost first among those on
-    its side and pairs with the eigenpair of the same rank from that end
-    of the spectrum.  `shared` is passed to run_trials: a holder that
-    keeps each seed's centred draw for the next compare under the same
-    feature law.
+    each theoretical spike, with its standard error alongside.  Each
+    spike makes one pick of run_trials, in spike order: a spike in a gap
+    between two intervals of support_report picks that gap; any other,
+    ranked r outermost first among those on its side, picks index r on
+    the left and -1 - r on the right.  `shared` goes to run_trials.
     """
     if trials < 1:
         raise DomainError(f"compare needs trials >= 1, got {trials}")
     seeds = [base_seed + k for k in range(trials)]
-    gapped, gaps, sides = [], [], {"left": [], "right": []}
+    picks = []
     for i, rep in enumerate(spike_reports):
-        gap = _support_gap(support_report, rep.location)
-        if gap is not None:
-            gapped.append(i)
-            gaps.append((*gap, rep.location))
-        else:
-            sides[rep.side].append(i)
-    loc = [rep.location for rep in spike_reports]
-    left = sorted(sides["left"], key=lambda i: loc[i])
-    right = sorted(sides["right"], key=lambda i: -loc[i])
-    # spike i pairs with paired[slot[i]] of every trial
-    slot = {i: k for k, i in enumerate(gapped + left + right)}
-    spectra = run_trials(spec, dist, seeds, gaps, (len(left), len(right)),
-                         shared=shared)
+        # rank r outermost first, ties in spike order, among the spikes on
+        # this side; one in a gap is inward of every spike outside a gap
+        sign = -1 if rep.side == "right" else 1
+        r = sum((sign * other.location, j) < (sign * rep.location, i)
+                for j, other in enumerate(spike_reports)
+                if other.side == rep.side)
+        picks.append(_gap_pick(support_report, rep.location) or
+                     (r if sign > 0 else -1 - r))
+    spectra = run_trials(spec, dist, seeds, picks, shared=shared)
 
     pooled = np.concatenate([s.eigenvalues for s in spectra])
     counts, edges = np.histogram(pooled, bins="fd", density=True)
@@ -398,14 +378,10 @@ def compare(spec, theory_density, spike_reports, trials, base_seed,
         col = int(np.argmax(np.diag(rep.alignment)))
         target = spec.V[:, col]
         theo_cos2 = rep.cos2(spec.V)[col]
-        emp_lams = []
-        emp_cos2 = []
-        for s in spectra:
-            k, vec = s.paired[slot[i]]
-            emp_lams.append(s.eigenvalues[k])
-            emp_cos2.append(measure_alignment(vec, target))
-        emp_lam, lam_err = _mean_stderr(emp_lams)
-        emp_c, c_err = _mean_stderr(emp_cos2)
+        emp_lam, lam_err = _mean_stderr(
+            [s.eigenvalues[s.paired[i][0]] for s in spectra])
+        emp_c, c_err = _mean_stderr(
+            [measure_alignment(s.paired[i][1], target) for s in spectra])
         spike_errors.append((emp_lam, rep.location, abs(emp_lam - rep.location)))
         alignment_errors.append((emp_c, theo_cos2, abs(emp_c - theo_cos2)))
         spike_stderr.append(lam_err)

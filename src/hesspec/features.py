@@ -187,6 +187,11 @@ class ProblemSpec:
                 raise DomainError(f"{name} must be finite, of length {self.p}")
             object.__setattr__(self, name, v)
         self.cov.eigen(self.p)    # rejects a wrong size or a non-SPD matrix
+        if self.weight.loss in ("logistic", "exponential") and \
+                self.model.kind != "logistic":
+            raise DomainError(
+                f"the {self.weight.loss} loss needs labels in {{-1, +1}}, "
+                f"which only the logistic model draws, not {self.model.kind}")
 
     @property
     def c(self):

@@ -51,8 +51,8 @@ class ResponseModel:
         if self.kind == "noisy_factor":
             if self.link is None:
                 raise DomainError("noisy_factor requires a link function")
-            if self.sigma < 0:
-                raise DomainError("noise std must be nonnegative")
+            if not 0 <= self.sigma < np.inf:    # NaN fails too
+                raise DomainError("noise std must be finite and nonnegative")
         if self.kind == "single_layer_nn" and self.activation is None:
             raise DomainError("single_layer_nn requires an activation")
 

@@ -75,8 +75,9 @@ class TestSignalAlignmentSweep:
     def test_empirical_alignment_50_trials(self):
         spec, seed, _, _, spikes = theory_pipeline(signal_cfg(1.0))
         theo = spikes[0].alignment[0, 0] / 1.0
-        vals = [measure_alignment(tr.top_vec, spec.mu) for tr in run_trials(
-            spec, "gaussian", [seed + k for k in range(50)])]
+        trials = run_trials(spec, "gaussian", [seed + k for k in range(50)],
+                            [-1])
+        vals = [measure_alignment(tr.paired[0][1], spec.mu) for tr in trials]
         assert abs(np.mean(vals) - theo) < 0.03
 
 
@@ -102,9 +103,10 @@ class TestEvaluationPointSpike:
         spike = left[0]
         theo_align = spike.alignment[2, 2] / self.W_NORM ** 2
         gaps, aligns = [], []
-        for tr in run_trials(spec, "gaussian", [seed + k for k in range(50)]):
+        for tr in run_trials(spec, "gaussian", [seed + k for k in range(50)],
+                             [0]):
             gaps.append(tr.eigenvalues[1] - tr.eigenvalues[0])
-            aligns.append(measure_alignment(tr.bottom_vec, spec.w))
+            aligns.append(measure_alignment(tr.paired[0][1], spec.w))
         assert abs(np.mean(gaps) - spike.gap) < 0.005
         assert abs(np.mean(aligns) - theo_align) < 0.03
 
@@ -153,8 +155,8 @@ class TestPreprocessingSpike:
         s = max(spikes, key=lambda r: r.alignment[1, 1])
         cw = spec.cov.apply(spec.w_star)
         theo = s.alignment[1, 1] / (cw @ cw)
-        vals = [measure_alignment(tr.top_vec, cw) for tr in run_trials(
-            spec, "gaussian", [seed + k for k in range(50)])]
+        vals = [measure_alignment(tr.paired[0][1], cw) for tr in run_trials(
+            spec, "gaussian", [seed + k for k in range(50)], [-1])]
         assert abs(np.mean(vals) - theo) < 0.03
 
         spec95, seed95, _, _, spikes95 = theory_pipeline(retrieval_cfg(0.95))

@@ -185,15 +185,52 @@ class TestErrors:
         {"p": 8, "n": 16, "quad_order": True},
         {"p": 8, "n": 16, "cov": True},
         {"p": 8, "n": 16, "seed": -1},
+        {"p": 8, "n": 16, "cov": {"scale": True}},
+        {"p": 8, "n": 16, "cov": {"diag": [True] + [1.0] * 7}},
+        {"p": 8, "n": 16, "cov": [2.0] * 7 + [True]},
+        {"p": 2, "n": 16, "cov": {"matrix": [[2.0, False], [False, 2.0]]}},
+        {"p": 8, "n": 16, "mu": [True, False] * 4},
+        {"p": 8, "n": 16, "cov": {"diag_blocks": [[True, 4], [2.0, 4]]}},
+        {"p": 8, "n": 16, "cov": {"diag_blocks": [[1.0, True], [2.0, 7]]}},
+        {"p": 4, "n": 16, "cov": {"diag_blocks": [[1.0, 2.7], [2.0, 2.2]]}},
+        {"p": 8, "n": 16, "loss": "square",
+         "model": {"kind": "noisy_factor", "sigma": True}},
+        {"p": 8, "n": 16, "loss": "square",
+         "model": {"kind": "noisy_factor", "sigma": float("nan")}},
+        {"p": 8, "n": 16, "loss": "square",
+         "model": {"kind": "noisy_factor", "sigma": float("inf")}},
     ], ids=["p_not_integer", "diag_blocks_count", "unknown_loss", "p_zero",
             "n_fractional", "mu_nan", "quad_order_zero",
             "quad_order_negative", "quad_order_fractional", "p_bool",
-            "quad_order_bool", "cov_bool", "seed_negative"])
+            "quad_order_bool", "cov_bool", "seed_negative", "scale_bool",
+            "diag_bool", "cov_list_bool", "matrix_bool", "mu_bool",
+            "diag_blocks_value_bool", "diag_blocks_count_bool",
+            "diag_blocks_count_fractional", "sigma_bool", "sigma_nan",
+            "sigma_infinite"])
     def test_invalid_config_value_exits_one(self, tmp_path, capsys, cfg):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(cfg))
         assert main(["spikes", "--config", str(path)]) == 1
         assert capsys.readouterr().err.startswith("config error:")
+
+    @pytest.mark.parametrize("command", ["spikes", "simulate"])
+    @pytest.mark.parametrize("model, loss", [
+        ("phase_retrieval", "logistic"), ("phase_retrieval", "exponential"),
+        ({"kind": "noisy_factor"}, "logistic"),
+        ({"kind": "single_layer_nn"}, "exponential")],
+        ids=["phase_logistic", "phase_exponential", "factor_logistic",
+             "network_exponential"])
+    def test_binary_loss_without_labels_exits_one(self, tmp_path, capsys,
+                                                  command, model, loss):
+        # only the logistic model draws the labels in {-1, +1} that the
+        # logistic and exponential losses need
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"p": 8, "n": 32, "model": model,
+                                    "loss": loss,
+                                    "w_star": "pm_block(1.0)"}))
+        assert main([command, "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "labels" in err
 
     @pytest.mark.parametrize("command", ["simulate", "compare"])
     def test_negative_seed_flag_exits_one(self, mp_config, capsys, command):

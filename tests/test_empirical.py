@@ -98,10 +98,10 @@ class TestBuildHessian:
 class TestRunTrial:
     def test_reproducible(self):
         spec, seed = signal_spec(p=64, n=256)
-        a = run_trial(spec, "gaussian", seed)
-        b = run_trial(spec, "gaussian", seed)
+        a = run_trial(spec, "gaussian", seed, [-1])
+        b = run_trial(spec, "gaussian", seed, [-1])
         np.testing.assert_array_equal(a.eigenvalues, b.eigenvalues)
-        np.testing.assert_array_equal(a.top_vec, b.top_vec)
+        np.testing.assert_array_equal(a.paired[0][1], b.paired[0][1])
 
     def test_logistic_hessian_is_psd(self):
         spec, seed = signal_spec(p=64, n=256)
@@ -110,10 +110,10 @@ class TestRunTrial:
 
     def test_eigenvalues_sorted_and_vectors_unit(self):
         spec, seed = signal_spec(p=64, n=256)
-        s = run_trial(spec, "rademacher", seed + 1)
+        s = run_trial(spec, "rademacher", seed + 1, [0, -1])
         assert np.all(np.diff(s.eigenvalues) >= 0)
-        assert np.linalg.norm(s.top_vec) == pytest.approx(1.0, rel=1e-12)
-        assert np.linalg.norm(s.bottom_vec) == pytest.approx(1.0, rel=1e-12)
+        for _, vec in s.paired:
+            assert np.linalg.norm(vec) == pytest.approx(1.0, rel=1e-12)
 
 
 class TestTrialGram:
@@ -132,13 +132,12 @@ class TestTrialGram:
                                    atol=1e-12 * np.abs(vals).max())
         near10 = 0.8 * vals[10] + 0.2 * vals[11]
         s = run_trial(spec, "gaussian", seed,
-                      gaps=[(vals[5], vals[15], near10)], extremes=(2, 2))
+                      [(vals[5], vals[15], near10), 0, 1, -1, -2])
         np.testing.assert_allclose(s.eigenvalues, vals, rtol=0,
                                    atol=1e-12 * np.abs(vals).max())
         p = spec.p
-        got = [(0, s.bottom_vec), (p - 1, s.top_vec)] + list(s.paired)
         assert [k for k, _ in s.paired] == [10, 0, 1, p - 1, p - 2]
-        for k, vec in got:
+        for k, vec in s.paired:
             assert abs(vec @ vecs[:, k]) >= 1 - 1e-10
 
     def test_dense_covariance_matches_numpy_build(self):
@@ -185,11 +184,10 @@ class TestPickedSolve:
                            weight=WeightFn.loss_curvature("logistic"))
         H = build_hessian(*trial_pieces(spec, 3))
         k = min(p, 2)
-        s = run_trial(spec, "gaussian", 3, extremes=(k, k))
+        s = run_trial(spec, "gaussian", 3, [*range(k), *range(-1, -1 - k, -1)])
         assert [i for i, _ in s.paired] == [*range(k),
                                             *range(p - 1, p - 1 - k, -1)]
-        self.check(H, s.eigenvalues,
-                   [(0, s.bottom_vec), (p - 1, s.top_vec), *s.paired])
+        self.check(H, s.eigenvalues, s.paired)
         if n < p:
             # the two lowest picks share the (p - n)-fold zero eigenvalue
             ev = s.eigenvalues
@@ -218,16 +216,13 @@ class TestOutliers:
     def test_synthetic_spectrum(self):
         sup = SupportReport(intervals=[(0.0, 1.0)], bulk_count=1, bounded=True)
         spectrum = EmpiricalSpectrum(
-            eigenvalues=np.array([-0.5, 0.1, 0.5, 0.9, 1.8]),
-            top_vec=np.zeros(5), bottom_vec=np.zeros(5), seed=0)
+            eigenvalues=np.array([-0.5, 0.1, 0.5, 0.9, 1.8]), seed=0)
         out = extract_outliers(spectrum, sup, edge_tol=0.05)
         assert [(o[0], o[1]) for o in out] == [(-0.5, "left"), (1.8, "right")]
 
     def test_empty_support(self):
         sup = SupportReport(intervals=[], bulk_count=0, bounded=True)
-        spectrum = EmpiricalSpectrum(eigenvalues=np.array([1.0]),
-                                     top_vec=np.zeros(1),
-                                     bottom_vec=np.zeros(1), seed=0)
+        spectrum = EmpiricalSpectrum(eigenvalues=np.array([1.0]), seed=0)
         assert extract_outliers(spectrum, sup) == []
 
     def test_spike_detected_in_most_seeds(self):
@@ -281,13 +276,12 @@ class TestStatistics:
     def fake_trials(self, monkeypatch, tops):
         # one right spike; trial k has its top eigenvalue at tops[k] and
         # the unit top vector e_0, so every cos2 against mu is 1/2
-        def run(spec, dist, seeds, gaps, extremes, shared=None):
-            assert gaps == [] and extremes == (0, 1) and shared is None
+        def run(spec, dist, seeds, picks, shared=None):
+            assert picks == [-1] and shared is None
             vec = np.eye(4)[0]
             return [EmpiricalSpectrum(
-                eigenvalues=np.array([0.0, 0.1, 0.2, top]), top_vec=vec,
-                bottom_vec=np.eye(4)[3], seed=s, paired=((3, vec),))
-                for s, top in zip(seeds, tops)]
+                eigenvalues=np.array([0.0, 0.1, 0.2, top]), seed=s,
+                paired=((3, vec),)) for s, top in zip(seeds, tops)]
         monkeypatch.setattr(empirical, "run_trials", run)
 
     def spike(self, spec):
@@ -368,7 +362,7 @@ class TestSharedDraws:
         shared, got = {}, []
         for norm in (0.5, 1.5):            # the same law under another mu
             spec, seed = spec_at(norm)
-            got.append(run_trial(spec, "gaussian", seed, extremes=(1, 1),
+            got.append(run_trial(spec, "gaussian", seed, [0, -1],
                                  shared=shared))
         assert noise_draws == [(48, 192)]
         held = shared[seed].centred
@@ -377,7 +371,7 @@ class TestSharedDraws:
             held[0, 0] = 0.0
         for norm, s in zip((0.5, 1.5), got):
             spec, seed = spec_at(norm)
-            want = run_trial(spec, "gaussian", seed, extremes=(1, 1))
+            want = run_trial(spec, "gaussian", seed, [0, -1])
             np.testing.assert_array_equal(s.eigenvalues, want.eigenvalues)
             np.testing.assert_array_equal(s.paired[0][1], want.paired[0][1])
             np.testing.assert_array_equal(s.paired[1][1], want.paired[1][1])
@@ -449,11 +443,11 @@ class TestBlasPinning:
         seen = []
         real = empirical.run_trial
 
-        def trial(spec, dist, seed, gaps, extremes, shared=None):
+        def trial(spec, dist, seed, picks, shared=None):
             seen.append(get())
             if fail:
                 raise NumericError("trial failed")
-            return real(spec, dist, seed, gaps, extremes, shared=shared)
+            return real(spec, dist, seed, picks, shared=shared)
 
         caplog.set_level(logging.DEBUG, logger="hesspec")
         monkeypatch.setenv("HESSPEC_THREADS", "2")
@@ -479,8 +473,8 @@ class TestBlasPinning:
             caplog.set_level(logging.DEBUG, logger="hesspec")
             monkeypatch.setenv("HESSPEC_THREADS", "1")
             monkeypatch.setattr(
-                empirical, "run_trial", lambda spec, dist, seed, gaps,
-                extremes, shared=None: seen.append(get()))
+                empirical, "run_trial", lambda spec, dist, seed, picks,
+                shared=None: seen.append(get()))
             spec, _ = signal_spec(p=8, n=32)
             run_trials(spec, "gaussian", [5, 6])
             assert seen == [2, 2] and get() == 2
@@ -504,8 +498,8 @@ class TestBlasPinning:
         elif _openblas.thread_control() is None:
             pytest.skip("SciPy's OpenBLAS thread count cannot be set")
         monkeypatch.setattr(empirical, "run_trial",
-                            lambda spec, dist, seed, gaps, extremes,
-                            shared=None: (seed, threading.current_thread()))
+                            lambda spec, dist, seed, picks, shared=None:
+                            (seed, threading.current_thread()))
         here = threading.current_thread()
         spec, _ = signal_spec(p=8, n=32)
         assert run_trials(spec, "gaussian", seeds) == [(s, here) for s in seeds]
@@ -516,8 +510,8 @@ class TestBlasPinning:
         monkeypatch.setenv("HESSPEC_THREADS", "2")
         monkeypatch.setattr(_openblas, "thread_control", lambda: None)
         monkeypatch.setattr(empirical, "run_trial",
-                            lambda spec, dist, seed, gaps, extremes,
-                            shared=None: (seed, threading.current_thread()))
+                            lambda spec, dist, seed, picks, shared=None:
+                            (seed, threading.current_thread()))
         out = run_trials(None, "gaussian", [5, 6, 7])
         assert [s for s, _ in out] == [5, 6, 7]
         assert threading.current_thread() not in {t for _, t in out}
@@ -532,7 +526,8 @@ class TestSidePairing:
         assert [s.side for s in spikes] == ["left", "right", "right"]
         rep = compare(spec, an.curve, spikes, trials=3, base_seed=seed,
                       support_report=an.support)
-        trials = [run_trial(spec, "gaussian", seed + k) for k in range(3)]
+        trials = [run_trial(spec, "gaussian", seed + k, [-1])
+                  for k in range(3)]
         for rank, spike_no in ((0, 0), (-2, 1), (-1, 2)):
             emp, theo, err = rep.spike_errors[spike_no]
             assert emp == pytest.approx(
@@ -542,7 +537,7 @@ class TestSidePairing:
         # top, the outer one with the top eigenvector
         assert rep.spike_errors[1][0] < rep.spike_errors[2][0]
         target = spec.V[:, np.argmax(np.diag(spikes[2].alignment))]
-        top_cos2 = np.mean([measure_alignment(t.top_vec, target)
+        top_cos2 = np.mean([measure_alignment(t.paired[0][1], target)
                             for t in trials])
         assert rep.alignment_errors[2][0] == pytest.approx(top_cos2,
                                                            rel=1e-10)
@@ -566,14 +561,108 @@ class TestInGapPairing:
     def test_pairing_keeps_only_vectors(self):
         spec, seed = signal_spec(p=64, n=256)
         s = run_trial(spec, "gaussian", seed,
-                      gaps=[(0.2, 0.3, 0.25), (10.0, 11.0, 10.5)])
-        (k, vec), (top, top_vec) = s.paired
+                      [(0.2, 0.3, 0.25), (10.0, 11.0, 10.5), -1, 0])
+        (k, vec), (top, top_vec), (last, last_vec), (bottom, bottom_vec) = \
+            s.paired
         ev = s.eigenvalues
         assert k == np.argmin(np.abs(ev - 0.25)) and 0.2 < ev[k] < 0.3
-        assert top == len(ev) - 1        # empty gap: nearest overall
-        np.testing.assert_array_equal(top_vec, s.top_vec)
-        for v in (vec, s.top_vec, s.bottom_vec):
+        assert top == last == len(ev) - 1    # empty gap: nearest overall
+        assert bottom == 0
+        np.testing.assert_array_equal(top_vec, last_vec)
+        for v in (vec, top_vec, bottom_vec):
             assert v.base is None        # copies, not views of eigenvectors
+
+
+class TestPicks:
+    """run_trial returns one eigenpair per pick, in pick order, and compare
+    makes one pick per spike, in spike order."""
+
+    def test_pairs_in_the_order_asked(self):
+        spec, seed = signal_spec(p=64, n=256)
+        vals, vecs = np.linalg.eigh(build_hessian(*trial_pieces(spec, seed)))
+        p = spec.p
+        s = run_trial(spec, "gaussian", seed,
+                      [-1, 3, (vals[20], vals[40], vals[30]), 0, -1, p - 1])
+        assert [k for k, _ in s.paired] == [p - 1, 3, 30, 0, p - 1, p - 1]
+        for k, vec in s.paired:
+            assert abs(vec @ vecs[:, k]) >= 1 - 1e-10
+        # a repeated pick, negative or not, gives the same vector
+        for _, vec in s.paired[4:]:
+            np.testing.assert_array_equal(vec, s.paired[0][1])
+
+    def test_no_picks_solve_no_eigenvectors(self, monkeypatch):
+        spec, seed = signal_spec(p=16, n=64)
+        want = run_trial(spec, "gaussian", seed, [0]).eigenvalues
+
+        def refuse(self, ks):
+            raise AssertionError(f"eigenvectors asked at {ks}")
+
+        monkeypatch.setattr(empirical._Tridiagonal, "eigenvectors", refuse)
+        s = run_trial(spec, "gaussian", seed)
+        assert s.paired == ()
+        np.testing.assert_array_equal(s.eigenvalues, want)
+
+    @pytest.mark.parametrize("pick", [16, -17])
+    def test_index_out_of_range(self, pick):
+        spec, seed = signal_spec(p=16, n=64)
+        with pytest.raises(IndexError):
+            run_trial(spec, "gaussian", seed, [pick])
+
+    VALS = np.array([-1.0, -0.5, 0.2, 0.6, 1.4, 2.5, 4.0, 5.0])
+    MU = np.arange(1.0, 9.0)
+
+    def compare_picks(self, monkeypatch, located, sup=None):
+        """The picks compare asks of run_trials for spikes at these
+        (location, side), and its report; trial s shifts every eigenvalue
+        of VALS by s, and the vector at index k is e_k."""
+        from hesspec.spikes import SpikeReport
+
+        spikes = [SpikeReport(location=x, side=side, gap=0.1,
+                              alignment=np.diag([1.0, 0.0, 0.0]),
+                              det_residual=0.0) for x, side in located]
+        asked = []
+
+        def run(spec, dist, seeds, picks, shared=None):
+            asked.append(picks)
+            ks = [empirical._pick_index(self.VALS, pick) for pick in picks]
+            return [EmpiricalSpectrum(
+                eigenvalues=self.VALS + s, seed=s,
+                paired=tuple((k, np.eye(8)[k]) for k in ks)) for s in seeds]
+
+        monkeypatch.setattr(empirical, "run_trials", run)
+        spec = ProblemSpec(p=8, n=16, mu=self.MU, cov=ScaledIdentity(1.0),
+                           w_star=np.zeros(8), w=np.zeros(8),
+                           model=ResponseModel.logistic(),
+                           weight=WeightFn.loss_curvature("logistic"))
+        curve = SimpleNamespace(grid=np.array([0.0, 3.0]),
+                                density=np.array([1 / 3, 1 / 3]))
+        rep = compare(spec, curve, spikes, trials=2, base_seed=0,
+                      support_report=sup)
+        assert len(asked) == 1
+        return asked[0], rep
+
+    def test_compare_picks_per_spike(self, monkeypatch):
+        # left inner, in-gap, right outer, left outer, right inner
+        sup = SupportReport(intervals=[(2.0, 3.0), (0.0, 1.0)], bulk_count=2,
+                            bounded=True)
+        picks, rep = self.compare_picks(
+            monkeypatch, [(-0.5, "left"), (1.5, "right"), (5.0, "right"),
+                          (-1.0, "left"), (4.0, "right")], sup)
+        assert picks == [1, (1.0, 2.0, 1.5), -1, 0, -2]
+        # the mean over seeds 0 and 1 of each spike's picked eigenvalue,
+        # and the cos2 of its vector e_k against mu
+        picked = [1, 4, 7, 0, 6]
+        assert [e for e, _, _ in rep.spike_errors] == pytest.approx(
+            [self.VALS[k] + 0.5 for k in picked], rel=1e-15)
+        assert [c for c, _, _ in rep.alignment_errors] == pytest.approx(
+            [self.MU[k] ** 2 / (self.MU @ self.MU) for k in picked],
+            rel=1e-15)
+
+    def test_compare_ranks_equal_spikes_in_spike_order(self, monkeypatch):
+        picks, _ = self.compare_picks(
+            monkeypatch, [(4.0, "right"), (-1.0, "left"), (4.0, "right"),
+                          (-1.0, "left")])
+        assert picks == [-1, 0, -2, 1]
 
 
 class TestWorkerCount:

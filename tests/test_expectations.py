@@ -9,7 +9,7 @@ from hesspec import (ProblemSpec, QuadratureGrid, ResponseModel,
                      effective_curvature, effective_curvature_sq,
                      expectation_engine, expectations)
 from hesspec.config import build_spec
-from hesspec.errors import DomainError, PoleError
+from hesspec.errors import ConfigError, PoleError
 from hesspec.models import sample_response
 from hesspec.presets import preset_config
 
@@ -316,12 +316,13 @@ class TestFold:
     def test_matches_unfolded_sums(self, model, weight, rank):
         cfg = {"p": 16, "n": 64, "model": model, "seed": 3, "quad_order": 24,
                **weight, **RANKS[rank]}
-        spec, _ = build_spec(cfg)
         if weight.get("loss") in ("logistic", "exponential") and \
                 model != "logistic":
-            with pytest.raises(DomainError):
-                expectation_engine(spec)
+            # binary losses need the logistic model's labels in {-1, +1}
+            with pytest.raises(ConfigError, match="labels"):
+                build_spec(cfg)
             return
+        spec, _ = build_spec(cfg)
         eng = expectation_engine(spec)
         assert np.all(np.diff(eng.g) > 0) or weight.get("loss") == \
             "phase_square"

@@ -168,6 +168,20 @@ class TestSampleResponse:
         with pytest.raises(DomainError):
             ResponseModel("noisy_factor")  # missing link
 
+    @pytest.mark.parametrize("sigma", [-1.0, np.nan, np.inf])
+    def test_noise_level_finite_and_nonnegative(self, sigma):
+        with pytest.raises(DomainError, match="finite and nonnegative"):
+            ResponseModel.noisy_factor(sigma=sigma)
+
+    @pytest.mark.parametrize("loss", ["logistic", "exponential"])
+    @pytest.mark.parametrize("model", [
+        ResponseModel.phase_retrieval(), ResponseModel.noisy_factor(),
+        ResponseModel.single_layer_nn()], ids=lambda m: m.kind)
+    def test_binary_loss_needs_the_logistic_model(self, model, loss):
+        with pytest.raises(DomainError, match="labels"):
+            spec_with(loss, model=model)
+        spec_with(loss)                     # the logistic model draws them
+
 
 class TestSupportClassification:
     def test_logistic_bounded_quarter(self):
