@@ -468,7 +468,8 @@ def support(spec, scan_range, curve=None):
     from classify_g_support.  A weight law unbounded on both sides has
     no real exterior, so the report is the whole window as one interval.
     For c > 1 the atom at 0 is listed as (0, 0) unless an interval holds
-    it.  curve is unused and kept for callers that pass it: no grid or
+    it; bulk_count counts only intervals of positive length, so not the
+    atom.  curve is unused and kept for callers that pass it: no grid or
     density enters the edges.
     """
     lo, hi = float(scan_range[0]), float(scan_range[1])
@@ -477,5 +478,6 @@ def support(spec, scan_range, curve=None):
                                                  for a, b in intervals):
         # rank H <= n < p: an atom of mass 1 - 1/c at 0
         intervals = sorted(intervals + [(0.0, 0.0)])
-    return SupportReport(intervals=intervals, bulk_count=len(intervals),
+    return SupportReport(intervals=intervals,
+                         bulk_count=sum(b > a for a, b in intervals),
                          bounded=classify_g_support(spec).bounded)

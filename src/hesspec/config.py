@@ -8,6 +8,12 @@ Vectors are literal lists or named patterns:
     "pm_block(r)"       -- [-1...,+1...]/sqrt(p) scaled to norm r,
     "gaussian_norm(r)"  -- a seed-deterministic Gaussian direction of norm r,
     "mu"                -- alias for the resolved mean vector.
+cov is a number (a scale), a list (a diagonal), or a dict holding one
+of "scale", "diag", "diag_blocks" ([[value, count], ...]), "matrix".
+model is "logistic", "phase_retrieval", or a dict with "kind" and only
+that kind's keys: "link" ("identity" or "tanh") and "sigma" for
+"noisy_factor", "activation" ("tanh" or "identity") for
+"single_layer_nn".
 Patterns resolve deterministically from the seed through per-field
 counter-based streams, so a config file pins the exact spec.
 """
@@ -29,6 +35,8 @@ _VALID_KEYS = ("p", "n", "mu", "cov", "w_star", "w", "model", "loss",
                "weight", "seed", "quad_order")
 _FIELD_STREAMS = {"mu": 1, "w_star": 2, "w": 3}
 _LINKS = {"identity": lambda t: t, "tanh": np.tanh}
+_MODEL_KEYS = {"noisy_factor": {"kind", "link", "sigma"},
+               "single_layer_nn": {"kind", "activation"}}
 
 
 def load_config(path):
@@ -86,22 +94,23 @@ def _resolve_cov(entry, p):
         return ScaledIdentity(_real(entry, "cov"))
     if isinstance(entry, (list, tuple)):
         return Diagonal(_reals(entry, "cov"))
-    if isinstance(entry, dict):
-        if "scale" in entry:
-            return ScaledIdentity(_real(entry["scale"], "cov scale"))
-        if "diag" in entry:
-            return Diagonal(_reals(entry["diag"], "cov diag"))
-        if "diag_blocks" in entry:
-            parts = [np.full(_integer(count, "diag_blocks count"),
-                             _real(val, "diag_blocks value"))
-                     for val, count in entry["diag_blocks"]]
-            d = np.concatenate(parts)
+    if isinstance(entry, dict) and len(entry) == 1:
+        (form, value), = entry.items()
+        if form == "scale":
+            return ScaledIdentity(_real(value, "cov scale"))
+        if form == "diag":
+            return Diagonal(_reals(value, "cov diag"))
+        if form == "matrix":
+            return DenseSPD(_reals(value, "cov matrix", ndim=2))
+        if form == "diag_blocks":
+            d = np.concatenate([np.full(_integer(count, "diag_blocks count"),
+                                        _real(val, "diag_blocks value"))
+                                for val, count in value])
             if len(d) != p:
                 raise ConfigError("diag_blocks counts must sum to p")
             return Diagonal(d)
-        if "matrix" in entry:
-            return DenseSPD(_reals(entry["matrix"], "cov matrix", ndim=2))
-    raise ConfigError(f"cannot interpret covariance entry {entry!r}")
+    raise ConfigError(f"cannot interpret covariance entry {entry!r} (a dict "
+                      "holds exactly one of scale, diag, diag_blocks, matrix)")
 
 
 def _resolve_model(entry):
@@ -109,20 +118,17 @@ def _resolve_model(entry):
         return ResponseModel.logistic()
     if entry == "phase_retrieval":
         return ResponseModel.phase_retrieval()
-    if isinstance(entry, dict):
-        kind = entry.get("kind")
-        if kind == "noisy_factor":
-            link = _LINKS.get(entry.get("link", "identity"))
-            if link is None:
-                raise ConfigError(f"unknown link {entry.get('link')!r}")
-            return ResponseModel.noisy_factor(
-                link=link, sigma=_real(entry.get("sigma", 0.0), "sigma"))
-        if kind == "single_layer_nn":
-            act = _LINKS.get(entry.get("activation", "tanh"))
-            if act is None:
-                raise ConfigError(f"unknown activation {entry.get('activation')!r}")
-            return ResponseModel.single_layer_nn(activation=act)
-    raise ConfigError(f"cannot interpret model entry {entry!r}")
+    kind = entry.get("kind") if isinstance(entry, dict) else None
+    if kind not in _MODEL_KEYS:
+        raise ConfigError(f"cannot interpret model entry {entry!r}")
+    if set(entry) - _MODEL_KEYS[kind]:
+        raise ConfigError(f"a {kind} model takes the keys "
+                          f"{sorted(_MODEL_KEYS[kind])}, got {sorted(entry)}")
+    key = "link" if kind == "noisy_factor" else "activation"
+    link = _LINKS.get(entry.get(key, "identity" if key == "link" else "tanh"))
+    if link is None:
+        raise ConfigError(f"unknown {key} {entry[key]!r}")
+    return ResponseModel(kind, link, _real(entry.get("sigma", 0.0), "sigma"))
 
 
 def _resolve_weight(cfg, p, n):

@@ -156,7 +156,7 @@ class _Tridiagonal:
 
         Bisection and inverse iteration (dstebz, dstein) give T's vectors,
         one call per run of consecutive indices so that the vectors of a
-        run are orthogonal; one dormqr call applies Q to them.
+        run are orthogonal; one dormtr call applies Q to them.
         """
         ks = np.unique(ks)
         runs = np.split(ks, np.flatnonzero(np.diff(ks) > 1) + 1)
@@ -164,12 +164,9 @@ class _Tridiagonal:
             eigh_tridiagonal(self.diag, self.off, select="i",
                              select_range=(run[0], run[-1]),
                              check_finite=False)[1] for run in runs]))
-        # Q's reflectors act on rows 1..p-1: both the reflectors in c and
-        # those rows of Z start at row 1 of column 0, leading dimension p
         p, m = Z.shape
-        _openblas.lapack("dormqr", "L", "N", p - 1, m, p - 1,
-                         self.c.ravel(order="F")[1:], p, self.tau,
-                         Z.ravel(order="F")[1:], p, np.empty(m), m)
+        _openblas.lapack("dormtr", "L", "L", "N", p, m, self.c, p, self.tau,
+                         Z, p, np.empty(m), m)
         return {int(k): Z[:, j].copy() for j, k in enumerate(ks)}
 
 

@@ -3,9 +3,10 @@
 Everything the asymptotic solvers need is an average of a function of
 the curvature g = g(y, h) and of the 2-vector s = (h* - w*^T mu,
 h - w^T mu).  The pair (h*, h) is exactly Gaussian with the law given
-by the feature spec, and y is marginalized exactly (two-point sum for
-the logistic model, deterministic substitution for phase retrieval and
-single-layer networks, an inner quadrature for the noisy factor model).
+by the feature spec, and y is marginalized over the atoms of its law
+(models.response_atoms): the two labels of the logistic model, link(h*)
+for a noiseless link model, and an inner Gauss-Hermite rule for the
+noise of a link model with sigma > 0.
 
 The Gaussian integral runs on a tensor grid in whitened coordinates.
 When g reads one projection besides y (h for a loss curvature, h* for a
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PoleError
-from .models import curvature, sample_response
+from .models import curvature, response_atoms
 
 __all__ = [
     "QuadratureGrid",
@@ -138,24 +139,12 @@ class ExpectationEngine:
                       axis=0).ravel()
         h_star, h = law.mean[:, None] + factor @ xi
 
-        model = spec.model
-        if model.kind == "logistic":
-            prob = 1.0 / (1.0 + np.exp(-h_star))
-            y = np.concatenate([np.ones_like(h_star), -np.ones_like(h_star)])
-            wts = np.concatenate([wts * prob, wts * (1.0 - prob)])
-            h = np.concatenate([h, h])
-            h_star = np.concatenate([h_star, h_star])
-        elif model.kind == "noisy_factor" and model.sigma > 0:
-            inner = QuadratureGrid.gauss_hermite(_INNER_NOISE_ORDER).normalized()
-            y = (np.asarray(model.link(h_star), dtype=float)[:, None]
-                 + model.sigma * inner.nodes[None, :]).ravel()
-            wts = np.outer(wts, inner.weights).ravel()
-            h = np.repeat(h, _INNER_NOISE_ORDER)
-            h_star = np.repeat(h_star, _INNER_NOISE_ORDER)
-        else:
-            # deterministic responses: y is a function of h_star
-            rng = np.random.Generator(np.random.Philox(0))
-            y = np.asarray(sample_response(model, h_star, rng), dtype=float)
+        # y's law as k atoms at each node; the node set is y-major
+        noise = (QuadratureGrid.gauss_hermite(_INNER_NOISE_ORDER).normalized()
+                 if spec.model.sigma > 0 else None)
+        ys, yw = response_atoms(spec.model, h_star, noise)
+        y, wts = ys.ravel(), (wts * yw).ravel()
+        h_star, h = np.tile(h_star, len(ys)), np.tile(h, len(ys))
 
         g = np.asarray(curvature(spec.weight, y, h), dtype=float)
         u0, u1 = spec.gram_U_pinv @ (np.vstack([h_star, h])

@@ -1,5 +1,10 @@
 """Response models, loss curvatures and preprocessing weights.
 
+A response model is the law of y given the teacher projection h*:
+labels y = +-1 with P(y = 1) = 1/(1 + e^{-h*}), or y = link(h*) +
+sigma xi with xi ~ N(0, 1).  response_atoms gives it as atoms, which
+the expectation engine and classify_g_support read.
+
 The empirical Hessian H = (1/n) X D X^T carries diagonal weights
 D_ii = g(y_i, h_i) with h_i = w^T x_i.  For a twice-differentiable loss
 the weight is the curvature g = d^2 l(y, h) / dh^2; for spectral
@@ -9,7 +14,7 @@ initialization included, and classify_g_support reads g's exact range.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -28,6 +33,9 @@ __all__ = [
 ]
 
 _LOSSES = ("logistic", "exponential", "square", "phase_square")
+# the range of each loss curvature when a projection it reads is Gaussian
+_GAUSSIAN_RANGE = {"logistic": (0.0, 0.25), "exponential": (0.0, None),
+                   "square": (1.0, 1.0), "phase_square": (None, None)}
 
 
 @dataclass(frozen=True)
@@ -35,26 +43,24 @@ class ResponseModel:
     """Conditional law of the response y given the teacher projection h*.
 
     kind is one of "logistic", "phase_retrieval", "noisy_factor",
-    "single_layer_nn".  The factor model needs a scalar ``link`` and a
-    noise level ``sigma``; the single-layer network needs ``activation``.
+    "single_layer_nn".  The logistic model draws labels y = +-1 with
+    P(y = 1) = 1/(1 + e^{-h*}); every other kind is y = link(h*) + sigma
+    xi with xi ~ N(0, 1), and needs a link.  sigma is finite and >= 0;
+    the logistic model does not read it.
     """
 
     kind: str
     link: Optional[Callable] = None
     sigma: float = 0.0
-    activation: Optional[Callable] = None
 
     def __post_init__(self):
         if self.kind not in ("logistic", "phase_retrieval", "noisy_factor",
                              "single_layer_nn"):
             raise DomainError(f"unknown response model kind: {self.kind!r}")
-        if self.kind == "noisy_factor":
-            if self.link is None:
-                raise DomainError("noisy_factor requires a link function")
-            if not 0 <= self.sigma < np.inf:    # NaN fails too
-                raise DomainError("noise std must be finite and nonnegative")
-        if self.kind == "single_layer_nn" and self.activation is None:
-            raise DomainError("single_layer_nn requires an activation")
+        if self.kind != "logistic" and self.link is None:
+            raise DomainError(f"{self.kind} requires a link function")
+        if not 0 <= self.sigma < np.inf:    # NaN fails too
+            raise DomainError("noise std must be finite and nonnegative")
 
     @staticmethod
     def logistic():
@@ -62,7 +68,7 @@ class ResponseModel:
 
     @staticmethod
     def phase_retrieval():
-        return ResponseModel("phase_retrieval")
+        return ResponseModel("phase_retrieval", link=np.square)
 
     @staticmethod
     def noisy_factor(link=None, sigma=0.0):
@@ -71,7 +77,7 @@ class ResponseModel:
 
     @staticmethod
     def single_layer_nn(activation=np.tanh):
-        return ResponseModel("single_layer_nn", activation=activation)
+        return ResponseModel("single_layer_nn", link=activation)
 
 
 @dataclass(frozen=True)
@@ -188,23 +194,37 @@ def loss_value(loss, y, h):
     raise DomainError(f"unknown loss: {loss!r}")
 
 
+def response_atoms(model, h_star, noise=None):
+    """y's law at each entry of the array h_star as k atoms: (values,
+    weights), each k x len(h_star), the weights summing to 1 over k.  The
+    logistic model has the labels +1 and -1; a link model has link(h*)
+    when sigma = 0, else link(h*) + sigma x at the nodes x of `noise`, a
+    rule for N(0, 1) with attributes nodes and weights (summing to 1)."""
+    h_star = np.asarray(h_star, dtype=float)
+    if model.kind == "logistic":
+        prob = 1.0 / (1.0 + np.exp(-h_star))
+        ones = np.ones_like(h_star)
+        return np.array([ones, -ones]), np.array([prob, 1.0 - prob])
+    y = np.asarray(model.link(h_star), dtype=float)
+    if model.sigma == 0:
+        return y[None], np.ones((1, len(h_star)))
+    ys = y + model.sigma * noise.nodes[:, None]
+    return ys, np.broadcast_to(noise.weights[:, None], ys.shape)
+
+
 def sample_response(model, h_star, rng):
-    """Draw y ~ f(y | h*) for each entry of h_star."""
+    """Draw y ~ f(y | h*) for each entry of h_star; rng is read only by
+    the labels and by the noise of sigma > 0."""
     h_star = np.asarray(h_star, dtype=float)
     if not np.all(np.isfinite(h_star)):
         raise DomainError("non-finite h_star")
     if model.kind == "logistic":
         prob = 1.0 / (1.0 + np.exp(-h_star))
         y = np.where(rng.random(h_star.shape) < prob, 1.0, -1.0)
-    elif model.kind == "phase_retrieval":
-        y = h_star ** 2
-    elif model.kind == "noisy_factor":
+    else:
         y = np.asarray(model.link(h_star), dtype=float)
         if model.sigma > 0:
             y = y + model.sigma * rng.standard_normal(h_star.shape)
-    else:  # single_layer_nn
-        y = np.asarray(model.activation(h_star), dtype=float)
-    y = np.asarray(y)
     return y[()] if y.ndim == 0 else y
 
 
@@ -219,40 +239,24 @@ def preprocess_trim(t, c):
 
 
 def classify_g_support(spec):
-    """The range of the weight law g under the spec's projections.
+    """The exact range of the weight law g under the spec's projections.
 
-    Exact for every weight: a preprocessing map's declared bounds, and
-    closed forms for the built-in losses.  A law unbounded on one side
-    still reports the bound of its other side (the exponential loss:
-    lower_bound 0, upper_bound None).
+    A preprocessing map has its declared bounds.  A loss curvature has
+    the loss's range over a Gaussian input when h is Gaussian, or for
+    3h^2 - y (phase_square) when y is, through h* or the noise.  Else
+    h and h* are constants and g takes one value per atom of y's law
+    (response_atoms).  A side that is unbounded is None; the other side
+    keeps its bound (the exponential loss: lower_bound 0).
     """
     w = spec.weight
     if w.kind == "preprocess":
         lo, hi = (None if b is None else float(b) for b in w.bounds)
         return GSupportClass(lo, hi)
-    law = spec.projection_law()
-    var_h = law.cov[1, 1]
-    var_hs = law.cov[0, 0]
-    loss = w.loss
-    if loss == "logistic":
-        if var_h > 0:
-            return GSupportClass(0.0, 0.25)
-        q = np.exp(-abs(law.mean[1]))
-        g0 = float(q / (1.0 + q) ** 2)
-        return GSupportClass(g0, g0)
-    if loss == "square":
-        return GSupportClass(1.0, 1.0)
-    if loss == "exponential":
-        if var_h > 0:
-            return GSupportClass(0.0, None)   # log-normal e^{-yh}
-        mh = law.mean[1]
-        vals = (np.exp(-mh), np.exp(mh))
-        return GSupportClass(float(min(vals)), float(max(vals)))
-    # phase_square: g = 3h^2 - y
-    if var_h > 0 or var_hs > 0:
-        return GSupportClass(None, None)
-    h0 = law.mean[1]
-    y0 = sample_response(spec.model, law.mean[0],
-                         np.random.Generator(np.random.Philox(0)))
-    g0 = float(3.0 * h0 ** 2 - np.asarray(y0))
-    return GSupportClass(g0, g0)
+    law, model = spec.projection_law(), spec.model
+    if law.cov[1, 1] > 0 or w.loss == "phase_square" and (
+            model.sigma > 0 or law.cov[0, 0] > 0):
+        return GSupportClass(*_GAUSSIAN_RANGE[w.loss])
+    # no other curvature reads y's noise, so its noiseless atoms suffice
+    ys, _ = response_atoms(replace(model, sigma=0.0), law.mean[:1])
+    g = curvature(w, ys, law.mean[1])
+    return GSupportClass(float(np.min(g)), float(np.max(g)))

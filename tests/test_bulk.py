@@ -386,6 +386,7 @@ class TestExactEdges:
                            weight=WeightFn.loss_curvature("square"))
         rep = support(spec, default_scan_range(spec))
         assert rep.intervals[0] == (0.0, 0.0)
+        assert rep.bulk_count == 1          # the atom is not a bulk
         np.testing.assert_allclose(rep.intervals[1],
                                    [(1 - np.sqrt(2)) ** 2, (1 + np.sqrt(2)) ** 2],
                                    rtol=1e-12)
@@ -444,6 +445,25 @@ class TestOneSidedWeightLaw:
         curve = analyze(build_spec(cfg)[0]).curve
         mass = np.trapezoid(np.nan_to_num(curve.density), curve.grid)
         assert mass == pytest.approx(1.0, abs=0.01)
+
+    @pytest.mark.parametrize("model", [
+        "logistic", {"kind": "noisy_factor", "sigma": 0.5}],
+        ids=["logistic", "noisy_factor"])
+    def test_random_response_at_fixed_projections(self, model):
+        # w = w* = 0: g = -y, which is +-1 for the logistic labels and
+        # Gaussian for the noisy factor model, not one draw of y
+        spec, _ = build_spec({"p": 400, "n": 1600, "model": model,
+                              "loss": "phase_square"})
+        an = analyze(spec)
+        mass = np.trapezoid(np.nan_to_num(an.curve.density), an.curve.grid)
+        assert mass == pytest.approx(1.0, abs=0.01)
+        if model == "logistic":
+            assert an.support.bounded
+            (left, right), = an.support.intervals
+            assert right == pytest.approx(1.1009173687604, abs=1e-12)
+            assert left == pytest.approx(-right, abs=1e-12)
+        else:
+            assert not an.support.bounded
 
     def test_two_sided_unbounded_law_fills_the_window(self):
         spec, _ = build_spec(preset_config("fig1cd"))

@@ -199,6 +199,13 @@ class TestErrors:
          "model": {"kind": "noisy_factor", "sigma": float("nan")}},
         {"p": 8, "n": 16, "loss": "square",
          "model": {"kind": "noisy_factor", "sigma": float("inf")}},
+        {"p": 2, "n": 16, "cov": {"scale": 2.0, "diag": [1.0, 3.0]}},
+        {"p": 2, "n": 16, "cov": {"diag": [1.0, 3.0],
+                                  "matrix": [[1.0, 0.0], [0.0, 3.0]]}},
+        {"p": 8, "n": 16, "loss": "square",
+         "model": {"kind": "noisy_factor", "sigma": 0.3, "sgima": 5}},
+        {"p": 8, "n": 16, "loss": "square",
+         "model": {"kind": "single_layer_nn", "link": "identity"}},
     ], ids=["p_not_integer", "diag_blocks_count", "unknown_loss", "p_zero",
             "n_fractional", "mu_nan", "quad_order_zero",
             "quad_order_negative", "quad_order_fractional", "p_bool",
@@ -206,7 +213,8 @@ class TestErrors:
             "diag_bool", "cov_list_bool", "matrix_bool", "mu_bool",
             "diag_blocks_value_bool", "diag_blocks_count_bool",
             "diag_blocks_count_fractional", "sigma_bool", "sigma_nan",
-            "sigma_infinite"])
+            "sigma_infinite", "cov_scale_and_diag", "cov_diag_and_matrix",
+            "model_misspelt_sigma", "model_network_link"])
     def test_invalid_config_value_exits_one(self, tmp_path, capsys, cfg):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(cfg))

@@ -39,10 +39,13 @@ class TestCovariance:
         [1.0, 2.0], {"matrix": np.diag([1.0, 1.0, 1.0, -1.0]).tolist()},
         {"scale": "nan"}, {"scale": "inf"},
         {"diag_blocks": [[1.0, 2], ["nan", 2]]},
-        {"matrix": np.diag([1.0, 1.0, 1.0, np.inf]).tolist()}],
+        {"matrix": np.diag([1.0, 1.0, 1.0, np.inf]).tolist()},
+        {"scale": 2.0, "diag": [1.0, 3.0, 1.0, 3.0]},
+        {"diag": [1.0, 3.0, 1.0, 3.0], "matrix": DENSE}, {}],
         ids=["blocks_miss_p", "unknown_dict", "string", "diag_miss_p",
              "matrix_not_definite", "scale_nan", "scale_inf",
-             "diag_blocks_nan", "matrix_inf"])
+             "diag_blocks_nan", "matrix_inf", "scale_and_diag",
+             "diag_and_matrix", "empty_dict"])
     def test_rejected(self, entry):
         with pytest.raises(ConfigError):
             build_spec(base(cov=entry))
@@ -63,18 +66,23 @@ class TestModel:
         model = build_spec(base(model={"kind": "single_layer_nn"},
                                 loss="square"))[0].model
         assert model.kind == "single_layer_nn"
-        assert model.activation(1.0) == np.tanh(1.0)
+        assert model.link(1.0) == np.tanh(1.0)
 
     @pytest.mark.parametrize("entry", [
         {"kind": "noisy_factor", "link": "relu"},
         {"kind": "single_layer_nn", "activation": "relu"},
         {"kind": "noisy_factor", "sigma": -1.0},
-        {"kind": "teacher"}, "probit"],
+        {"kind": "teacher"}, "probit",
+        {"kind": "noisy_factor", "sigma": 0.3, "sgima": 5},
+        {"kind": "single_layer_nn", "link": "identity"},
+        {"kind": "noisy_factor", "activation": "tanh"}],
         ids=["unknown_link", "unknown_activation", "negative_sigma",
-             "unknown_kind", "unknown_name"])
+             "unknown_kind", "unknown_name", "misspelt_sigma",
+             "network_link", "factor_activation"])
     def test_rejected(self, entry):
+        # the square loss takes every model, so no label check rejects it
         with pytest.raises(ConfigError):
-            build_spec(base(model=entry))
+            build_spec(base(model=entry, loss="square"))
 
 
 class TestVectorsAndKeys:

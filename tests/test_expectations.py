@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from hesspec import (ProblemSpec, QuadratureGrid, ResponseModel,
-                     ScaledIdentity, WeightFn, curvature, curvature_moments,
-                     effective_curvature, effective_curvature_sq,
-                     expectation_engine, expectations)
+                     ScaledIdentity, WeightFn, classify_g_support, curvature,
+                     curvature_moments, effective_curvature,
+                     effective_curvature_sq, expectation_engine, expectations)
 from hesspec.config import build_spec
 from hesspec.errors import ConfigError, PoleError
 from hesspec.models import sample_response
@@ -343,3 +343,25 @@ class TestFold:
         eng = expectation_engine(spec)
         assert len(eng.g) == len(eng.wt) == nodes
         assert eng.wt.sum() == pytest.approx(1.0, rel=1e-13)
+
+
+class TestResponseLaw:
+    """At w = w* = 0 the folded engine's g values are the exact finite law
+    of g, and classify_g_support reads the same law of y."""
+
+    @pytest.mark.parametrize("model, loss", [
+        (m, w["loss"]) for m in MODELS for w in WEIGHTS[:4]
+        if m == "logistic" or w["loss"] in ("square", "phase_square")],
+        ids=lambda v: v if isinstance(v, str) else "-".join(
+            map(str, v.values())))
+    def test_range_is_the_engine_law(self, model, loss):
+        spec, _ = build_spec({"p": 16, "n": 64, "model": model, "loss": loss,
+                              "seed": 3, "quad_order": 24, **RANKS["rank0"]})
+        cls = classify_g_support(spec)
+        if spec.model.sigma > 0 and loss == "phase_square":
+            # 3h^2 - y reads the Gaussian noise of y
+            assert (cls.lower_bound, cls.upper_bound) == (None, None)
+            return
+        eng = expectation_engine(spec)
+        assert (cls.lower_bound, cls.upper_bound) == (eng.g.min(),
+                                                      eng.g.max())

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from hesspec import (GSupportClass, ProblemSpec, ResponseModel, ScaledIdentity,
-                     WeightFn, classify_g_support, curvature, loss_value,
-                     preprocess_trim, sample_response)
+from hesspec import (GSupportClass, ProblemSpec, QuadratureGrid, ResponseModel,
+                     ScaledIdentity, WeightFn, classify_g_support, curvature,
+                     loss_value, preprocess_trim, sample_response)
 from hesspec.errors import DomainError
+from hesspec.models import response_atoms
 
 
 def spec_with(loss=None, weight=None, model=None, w_norm=0.0, p=8, n=32):
@@ -162,6 +163,9 @@ class TestSampleResponse:
         np.testing.assert_allclose(
             sample_response(model, h, np.random.default_rng(0)), np.tanh(h))
 
+    def test_single_layer_nn_link_is_tanh(self):
+        assert ResponseModel.single_layer_nn().link is np.tanh
+
     def test_model_validation(self):
         with pytest.raises(DomainError):
             ResponseModel("nonsense")
@@ -181,6 +185,35 @@ class TestSampleResponse:
         with pytest.raises(DomainError, match="labels"):
             spec_with(loss, model=model)
         spec_with(loss)                     # the logistic model draws them
+
+
+class TestResponseAtoms:
+    H_STAR = np.array([-40.0, -1.3, 0.0, 0.4, 2.5, 40.0])
+    NOISE = QuadratureGrid.gauss_hermite(16).normalized()
+
+    @pytest.mark.parametrize("model, k", [
+        (ResponseModel.logistic(), 2), (ResponseModel.phase_retrieval(), 1),
+        (ResponseModel.noisy_factor(), 1),
+        (ResponseModel.noisy_factor(link=np.tanh, sigma=0.4), 16),
+        (ResponseModel.single_layer_nn(), 1)],
+        ids=["logistic", "phase_retrieval", "factor", "noisy_factor",
+             "network"])
+    def test_weights_sum_to_one(self, model, k):
+        ys, wts = response_atoms(model, self.H_STAR, self.NOISE)
+        assert ys.shape == wts.shape == (k, len(self.H_STAR))
+        np.testing.assert_allclose(wts.sum(axis=0), 1.0, rtol=0, atol=1e-14)
+        assert np.all(wts >= 0)
+
+    def test_labels_and_links(self):
+        ys, wts = response_atoms(ResponseModel.logistic(), self.H_STAR)
+        np.testing.assert_array_equal(ys, [[1.0] * 6, [-1.0] * 6])
+        np.testing.assert_array_equal(wts[0], 1 / (1 + np.exp(-self.H_STAR)))
+        ys, _ = response_atoms(ResponseModel.phase_retrieval(), self.H_STAR)
+        np.testing.assert_array_equal(ys, [self.H_STAR ** 2])
+        model = ResponseModel.noisy_factor(link=np.tanh, sigma=0.4)
+        ys, _ = response_atoms(model, self.H_STAR, self.NOISE)
+        np.testing.assert_array_equal(
+            ys, np.tanh(self.H_STAR) + 0.4 * self.NOISE.nodes[:, None])
 
 
 class TestSupportClassification:
