@@ -8,8 +8,9 @@ The companion Stieltjes pair (delta(z), m(z)) solves
 
 where (t_j, w_j) are the spectral atoms of C and e(delta) is the
 effective curvature E[g/(1+g delta)].  Off the real axis delta is the
-root of the first equation, found by a Newton solve guarded to stay on
-the Stieltjes branch, and the density follows by Stieltjes inversion.
+root of the first equation, found by one array Newton solve (_iterate)
+guarded to stay on the Stieltjes branch, and the density follows by
+Stieltjes inversion.
 
 On the real axis outside the support the first equation is inverted
 instead (Silverstein and Choi, 1995).  Every admissible delta, one with
@@ -31,8 +32,11 @@ real-axis solves and the spikes of hesspec.spikes.
 
 The density is the absolutely continuous part of the measure: exactly 0
 off the support, and Im m(x + i eps) / pi at each grid point inside it,
-where eps only regularises those interior solves.  The atom at 0 that
-c > 1 puts there is reported by support() and not drawn.
+where eps only regularises those interior solves.  They run in
+bisection waves, each one batched Newton solve seeded from the points
+already solved around it (density), so a grid of N interior points takes
+about log2(N) + 1 solves of arrays instead of N scalar ones.  The atom
+at 0 that c > 1 puts there is reported by support() and not drawn.
 """
 from __future__ import annotations
 
@@ -43,7 +47,7 @@ import numpy as np
 from scipy import optimize
 
 from .errors import BranchViolation, NonConvergence
-from .expectations import expectation_engine
+from .expectations import _SWEEP_BYTES, expectation_engine
 from .models import classify_g_support
 
 __all__ = [
@@ -91,41 +95,68 @@ class SupportReport:
 
 
 def _iterate(eng, t, wts, c, z, start):
-    """Newton's method for delta at a complex z from one start, given as
-    the evaluation (delta, e(delta), E2(delta)); returns the
-    StieltjesPoint of the last evaluation.
+    """Newton's method for delta at each of an array of complex z, from
+    starts given as the arrays (delta, e(delta), E2(delta)); returns the
+    StieltjesPoint of arrays, one entry per z, of each last evaluation,
+    and the number of batched e1_e2 calls made.
 
     The root is that of F(delta) = c sum_j w_j t_j / (e(delta) t_j - z)
     - delta, whose derivative F'(delta) = E2 (1/n) tr CQCQ - 1 is the
     negated slope numerator.  A Newton candidate is taken only if it stays
     in the half-plane of z, where the Stieltjes branch lies, and lowers
     |F|; otherwise the step is the damped fixed-point step delta + F/2,
-    which maps that half-plane into itself.
+    which maps that half-plane into itself.  Each z leaves the active set
+    once |F| < FP_TOL; one whose residual is not below FP_TOL after
+    FP_MAX_ITER steps has failed, and the caller decides what that means.
     """
-    def at(d, e, e2):
-        pole = e * t - z
-        return d, e, e2, pole, c * np.sum(wts * t / pole) - d
+    z = np.asarray(z, dtype=complex)
+    d, e, e2 = (np.array(v, dtype=complex) for v in start)
+    wt_t, wt_tt = wts * t, wts * t * t
+    chunk = max(1, _SWEEP_BYTES // (16 * len(t)))
 
-    def evaluate(d):
-        return at(d, *eng.e1_e2(d))
+    def over_poles(num, z, e, power=1):
+        """sum_j num_j / (e t_j - z)^power at each row, in row chunks
+        whose (row, atom) intermediates stay within _SWEEP_BYTES."""
+        return np.concatenate([
+            (num / (np.outer(e[i:i + chunk], t) - z[i:i + chunk, None])
+             ** power).sum(1) for i in range(0, len(z) or 1, chunk)])
 
-    cur = at(*start)
-    for it in range(1, FP_MAX_ITER + 1):
-        d, e, e2, pole, F = cur
-        if abs(F) < FP_TOL:
-            return StieltjesPoint(z=z, delta=d, m=np.sum(wts / pole), e=e,
-                                  iterations=it, residual=abs(F), e2=e2)
-        new = d - F / (e2 * c * np.sum(wts * t * t / pole ** 2) - 1.0)
-        if new.imag * z.imag > 0:
-            cand = evaluate(new)
-            if abs(cand[-1]) < abs(F):
-                cur = cand
-                continue
-        cur = evaluate(d + 0.5 * F)
-    raise NonConvergence(
-        f"Newton solve did not reach {FP_TOL:g} in {FP_MAX_ITER} iterations "
-        f"at z={z}",
-        residual=abs(cur[-1]))
+    def residual(z, d, e):
+        return c * over_poles(wt_t, z, e) - d
+
+    F = residual(z, d, e)
+    iterations = np.ones(len(z), dtype=int)
+    calls = 0
+    act = np.flatnonzero(~(np.abs(F) < FP_TOL))
+    for _ in range(FP_MAX_ITER):
+        if not len(act):
+            break
+        iterations[act] += 1
+        za, Fa = z[act], F[act]
+        new = d[act] - Fa / (e2[act] * c * over_poles(wt_tt, za, e[act], 2)
+                             - 1.0)
+        newton = new.imag * za.imag > 0
+        if newton.any():
+            cand = new[newton]
+            ce, ce2 = eng.e1_e2(cand)
+            cF = residual(za[newton], cand, ce)
+            took = np.abs(cF) < np.abs(Fa[newton])
+            rows = act[newton][took]
+            d[rows], e[rows], e2[rows], F[rows] = (cand[took], ce[took],
+                                                   ce2[took], cF[took])
+            newton[newton] = took
+            calls += 1
+        damp = act[~newton]
+        if len(damp):
+            step = d[damp] + 0.5 * F[damp]
+            d[damp] = step
+            e[damp], e2[damp] = eng.e1_e2(step)
+            F[damp] = residual(z[damp], step, e[damp])
+            calls += 1
+        act = act[~(np.abs(F[act]) < FP_TOL)]
+    return StieltjesPoint(z=z, delta=d, m=over_poles(wts, z, e), e=e,
+                          iterations=iterations, residual=np.abs(F),
+                          e2=e2), calls
 
 
 def stieltjes_derivatives(spec, point):
@@ -151,12 +182,12 @@ def stieltjes_derivatives(spec, point):
 def solve_point(spec, z, warm_start=None):
     """Solve for (delta, m) at one complex z, or at a real z off the support.
 
-    A complex z runs one Newton solve (_iterate) from warm_start, the
-    StieltjesPoint of an earlier complex solve, whose last evaluation
-    (delta, e, E2) is reused (e and E2 depend on delta alone), or from
-    -1/z when none is given.  A real z is inverted exactly on the
-    exterior map (warm_start unused), and one inside the support raises
-    BranchViolation.
+    A complex z runs the Newton solve of density (_iterate) on its own,
+    from warm_start, the StieltjesPoint of an earlier complex solve, whose
+    last evaluation (delta, e, E2) is reused (e and E2 depend on delta
+    alone), or from -1/z when none is given; NonConvergence is raised if
+    it fails.  A real z is inverted exactly on the exterior map
+    (warm_start unused), and one inside the support raises BranchViolation.
     """
     z = complex(z)
     if z.imag == 0.0:
@@ -168,7 +199,12 @@ def solve_point(spec, z, warm_start=None):
         start = (d, *eng.e1_e2(d))
     else:
         start = warm_start.delta, warm_start.e, warm_start.e2
-    point = _iterate(eng, t, wts, spec.c, z, start)
+    pts, _ = _iterate(eng, t, wts, spec.c, [z], [[v] for v in start])
+    point = StieltjesPoint(**{k: v[0].item() for k, v in vars(pts).items()})
+    if not point.residual < FP_TOL:
+        raise NonConvergence(
+            f"Newton solve did not reach {FP_TOL:g} in {FP_MAX_ITER} "
+            f"iterations at z={z}", residual=point.residual)
     if point.m.imag * z.imag > 0:
         return point
     raise BranchViolation(
@@ -207,12 +243,18 @@ def density(spec, grid, epsilon=None):
     """Limiting density on a grid by Stieltjes inversion at x + i*eps.
 
     The curve is exactly 0 off the exact support (support(), without the
-    atom at 0 for c > 1, which is not drawn).  Inside, one Newton solve
-    per grid point runs at x + i*eps, in ascending x, warm-started from
-    the last evaluation of the previous point of the same interval and
-    from -1/z at the first; eps (default 1e-6 * max(1, grid span)) only
-    regularises these solves.
-    Points where the solver fails are NaN, and their count is logged.
+    atom at 0 for c > 1, which is not drawn).  Inside, every grid point
+    gets one Newton solve at x + i*eps (_iterate), and eps (default
+    1e-6 * max(1, grid span)) only regularises these solves.  They run
+    in waves, one batched _iterate call per wave over all intervals:
+    wave 0 solves the middle point of each interval from -1/z, and each
+    later wave the middle point of every run of unsolved points between
+    solved ones (or between one and the interval's end), started from
+    delta interpolated linearly in x between its converged neighbours,
+    from its one converged neighbour, or from -1/z without one.  N points
+    take about log2(N) + 1 waves.
+    Points where the solver fails are NaN, never seed a neighbour, and
+    their count is logged.
     """
     grid = np.asarray(grid, dtype=float)
     if epsilon is None:
@@ -221,23 +263,52 @@ def density(spec, grid, epsilon=None):
     out = np.zeros(len(grid))
     rank = np.argsort(grid, kind="stable")
     xs = grid[rank]
-    interior = failed = 0
-    for a, b in _intervals(spec, -np.inf, np.inf):
-        warm = None
-        inside = rank[np.searchsorted(xs, a):np.searchsorted(xs, b, "right")]
-        interior += len(inside)
-        for i in inside:
-            try:
-                pt = solve_point(spec, complex(grid[i], epsilon), warm)
-                out[i] = pt.m.imag / np.pi
-                warm = pt
-            except (NonConvergence, BranchViolation):
-                out[i] = np.nan
-                warm = None
-                failed += 1
+    intervals = _intervals(spec, -np.inf, np.inf)
+    cuts = [(np.searchsorted(xs, a), np.searchsorted(xs, b, "right"))
+            for a, b in intervals]
+    # the interior points in ascending x, interval after interval; a run
+    # [lo, hi) of unsolved ones has solved neighbours left and right (-1
+    # for none), and each interval starts as one run
+    inside = np.concatenate([rank[:0]] + [rank[i:j] for i, j in cuts])
+    x = grid[inside]
+    sizes = np.array([j - i for i, j in cuts], dtype=int)
+    hi = np.cumsum(sizes)
+    lo = hi - sizes
+    lo, hi = lo[sizes > 0], hi[sizes > 0]
+    left = right = np.full(len(lo), -1)
+    delta = np.zeros(len(x), dtype=complex)    # kept where solved only
+    ok = np.zeros(len(x), dtype=bool)
+    t, wts = spec.atoms
+    eng = expectation_engine(spec)
+    waves = calls = 0
+    while len(lo):
+        mid = (lo + hi - 1) // 2
+        z = x[mid] + 1j * epsilon
+        has_l, has_r = (left >= 0) & ok[left], (right >= 0) & ok[right]
+        d_l = np.where(has_l, delta[left],
+                       np.where(has_r, delta[right], -1.0 / z))
+        d_r = np.where(has_r, delta[right], d_l)
+        frac = np.divide(x[mid] - x[left], x[right] - x[left],
+                         out=np.zeros(len(mid)),
+                         where=has_l & has_r & (x[right] > x[left]))
+        seed = d_l + frac * (d_r - d_l)
+        pts, n = _iterate(eng, t, wts, spec.c, z, (seed, *eng.e1_e2(seed)))
+        waves, calls = waves + 1, calls + n + 1
+        solved = (pts.residual < FP_TOL) & (pts.m.imag * epsilon > 0)
+        delta[mid], ok[mid] = np.where(solved, pts.delta, 0.0), solved
+        out[inside[mid]] = np.where(solved, pts.m.imag / np.pi, np.nan)
+        lo, hi = np.concatenate([lo, mid + 1]), np.concatenate([mid, hi])
+        left, right = (np.concatenate([left, mid]),
+                       np.concatenate([mid, right]))
+        keep = lo < hi
+        lo, hi, left, right = lo[keep], hi[keep], left[keep], right[keep]
+    failed = int(np.count_nonzero(np.isnan(out)))
+    _log.debug("density: %d intervals, %d interior points, %d waves, "
+               "%d batched evaluations, %d failed", len(intervals), len(x),
+               waves, calls, failed)
     if failed:
         _log.warning("density: %d of %d points inside the support failed "
-                     "at eps=%g and are NaN", failed, interior, epsilon)
+                     "at eps=%g and are NaN", failed, len(x), epsilon)
     return DensityCurve(grid=grid, density=out, epsilon=float(epsilon))
 
 

@@ -37,6 +37,9 @@ _FIELD_STREAMS = {"mu": 1, "w_star": 2, "w": 3}
 _LINKS = {"identity": lambda t: t, "tanh": np.tanh}
 _MODEL_KEYS = {"noisy_factor": {"kind", "link", "sigma"},
                "single_layer_nn": {"kind", "activation"}}
+# each link model's config key for its link, and the default link name
+_LINK_KEYS = {"noisy_factor": ("link", "identity"),
+              "single_layer_nn": ("activation", "tanh")}
 
 
 def load_config(path):
@@ -124,8 +127,8 @@ def _resolve_model(entry):
     if set(entry) - _MODEL_KEYS[kind]:
         raise ConfigError(f"a {kind} model takes the keys "
                           f"{sorted(_MODEL_KEYS[kind])}, got {sorted(entry)}")
-    key = "link" if kind == "noisy_factor" else "activation"
-    link = _LINKS.get(entry.get(key, "identity" if key == "link" else "tanh"))
+    key, default = _LINK_KEYS[kind]
+    link = _LINKS.get(entry.get(key, default))
     if link is None:
         raise ConfigError(f"unknown {key} {entry[key]!r}")
     return ResponseModel(kind, link, _real(entry.get("sigma", 0.0), "sigma"))
@@ -215,6 +218,13 @@ def spec_echo(spec, seed=None):
     """Fully resolved spec (vectors expanded) for report documents."""
     model = spec.model
     weight = spec.weight
+    echo_model = {"kind": model.kind, "sigma": model.sigma}
+    if model.kind in _LINK_KEYS:
+        # the link under its config key and name (a link built in code
+        # under its __name__)
+        echo_model[_LINK_KEYS[model.kind][0]] = next(
+            (name for name, fn in _LINKS.items() if fn is model.link),
+            getattr(model.link, "__name__", repr(model.link)))
     echo = {
         "p": spec.p,
         "n": spec.n,
@@ -222,7 +232,7 @@ def spec_echo(spec, seed=None):
         "w_star": spec.w_star.tolist(),
         "w": spec.w.tolist(),
         "cov": _cov_echo(spec.cov),
-        "model": {"kind": model.kind, "sigma": model.sigma},
+        "model": echo_model,
         "weight": {"kind": weight.kind, "loss": weight.loss,
                    "bounds": list(weight.bounds) if weight.bounds else None},
     }

@@ -9,17 +9,18 @@ for a noiseless link model, and an inner Gauss-Hermite rule for the
 noise of a link model with sigma > 0.
 
 The Gaussian integral runs on a tensor grid in whitened coordinates.
-When g reads one projection besides y (h for a loss curvature, h* for a
-preprocessing map) the whitening is a Cholesky factor ordered on that
-projection, so it reads the first coordinate only; every set of nodes
-with one g value is then folded into a single node that carries their
-summed weight and weighted u-columns.  That regroups the sums exactly,
-because g is the only node value the delta-dependent factor
-g/(1 + g delta) reads: the logistic loss keeps one node per first
-coordinate, the square loss one node in all.  The phase_square
-curvature 3h^2 - y reads both projections and keeps the eigenfactor of
-the 2x2 covariance and the full grid.  Rank-deficient laws (w parallel
-to w*, or zero vectors) drop to 1-D or 0-D grids automatically.
+Every set of nodes with one g value is folded into a single node that
+carries their summed weight and weighted u-columns.  That regroups the
+sums exactly, because g is the only node value the delta-dependent
+factor g/(1 + g delta) reads.  When g reads one projection besides y (h
+for a loss curvature, h* for a preprocessing map) the whitening is a
+Cholesky factor ordered on that projection, so it reads the first
+coordinate only: the logistic loss keeps one node per first coordinate,
+the square loss one node in all.  The phase_square curvature 3h^2 - y
+reads both projections and keeps the eigenfactor of the 2x2 covariance;
+its grid folds only where nodes share g, as the mirrored nodes of a
+mean-zero law do.  Rank-deficient laws (w parallel to w*, or zero
+vectors) drop to 1-D or 0-D grids automatically.
 """
 from __future__ import annotations
 
@@ -120,9 +121,9 @@ class ExpectationEngine:
 
     Construction whitens the projection law, marginalizes y and folds
     the nodes that share a g value once (module docstring); each
-    expectation afterwards is a single vectorized reduction, which keeps
-    the Newton iterations cheap.  g and wt are the law of g, on unique
-    values where the nodes are folded.
+    expectation afterwards is a single vectorized reduction, over one
+    delta or a batch of them, which keeps the Newton iterations cheap.
+    g and wt are the law of g, on its unique values in ascending order.
     """
 
     def __init__(self, spec):
@@ -152,9 +153,8 @@ class ExpectationEngine:
         # the weighted node columns whose sums fill the moment matrix
         cols = wts * np.array([np.ones_like(u0), u0, u1, u0 * u0, u0 * u1,
                                u1 * u1])
-        if axis is not None:
-            g, node = np.unique(g, return_inverse=True)
-            cols = np.array([np.bincount(node, c, len(g)) for c in cols])
+        g, node = np.unique(g, return_inverse=True)
+        cols = np.array([np.bincount(node, c, len(g)) for c in cols])
         self.g = g
         self._cols = cols
         self.wt = cols[0]
@@ -180,10 +180,14 @@ class ExpectationEngine:
         return self.e1_e2(delta)[1]
 
     def e1_e2(self, delta):
-        """(e1, e2) at one delta from a single pass over the nodes."""
-        f = self._damped(delta)
-        fw = self.wt * f
-        return np.sum(fw), np.dot(fw, f)
+        """(e1, e2) at one delta from a single pass over the nodes, or
+        arrays of them at each of a 1-D array of deltas (in chunks that
+        stay within _SWEEP_BYTES, as in sweep)."""
+        if np.ndim(delta) == 0:
+            f = self._damped(delta)
+            fw = self.wt * f
+            return np.sum(fw), np.dot(fw, f)
+        return self._sums(delta)[:2]
 
     def moments(self, z, delta, square=False):
         """The 3x3 moment matrix; with square=True the weight is
@@ -198,26 +202,35 @@ class ExpectationEngine:
         The (delta, node) intermediates are built in chunks that together
         stay within _SWEEP_BYTES, however long the grid is.
         """
-        deltas = np.asarray(deltas)
-        dtype = np.result_type(deltas, float)
-        k = len(deltas)
-        e1, e2 = np.empty(k, dtype), np.empty(k, dtype)
-        raw = np.empty((k, 6), dtype)
-        rows = max(1, _SWEEP_BYTES // (2 * dtype.itemsize * len(self.g)))
-        for start in range(0, k, rows):
-            part = slice(start, start + rows)
-            f = self._damped(deltas[part, None])
-            raw[part] = (f * f if square else f) @ self._cols.T
-            fw = f * self.wt
-            f *= fw
-            e1[part], e2[part] = fw.sum(1), f.sum(1)
-        moments = np.empty((k, 3, 3), dtype)
+        e1, e2, raw = self._sums(deltas, self._cols, square)
+        moments = np.empty((len(raw), 3, 3), raw.dtype)
         moments[:, 0, 0] = raw[:, 0]
         moments[:, 0, 1:] = raw[:, 1:3]
         moments[:, 1:, 0] = raw[:, 1:3]
         moments[:, 1:, 1:] = (raw[:, [[3, 4], [4, 5]]]
                               - raw[:, 0, None, None] * self.spec.gram_U_pinv)
         return e1, e2, moments
+
+    def _sums(self, deltas, cols=None, square=False):
+        """e1, e2 and the node sums of cols weighed by f = g/(1+g delta)
+        (f^2 with square=True) at a 1-D array of deltas, or None for the
+        sums when cols is None.  The (delta, node) intermediates are built
+        in chunks that together stay within _SWEEP_BYTES."""
+        deltas = np.asarray(deltas)
+        dtype = np.result_type(deltas, float)
+        k = len(deltas)
+        e1, e2 = np.empty(k, dtype), np.empty(k, dtype)
+        raw = None if cols is None else np.empty((k, len(cols)), dtype)
+        rows = max(1, _SWEEP_BYTES // (2 * dtype.itemsize * len(self.g)))
+        for start in range(0, k, rows):
+            part = slice(start, start + rows)
+            f = self._damped(deltas[part, None])
+            if raw is not None:
+                raw[part] = (f * f if square else f) @ cols.T
+            fw = f * self.wt
+            f *= fw
+            e1[part], e2[part] = fw.sum(1), f.sum(1)
+        return e1, e2, raw
 
 
 def expectation_engine(spec):

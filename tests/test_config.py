@@ -125,6 +125,20 @@ class TestSpecEcho:
         assert echo["cov"] == {"kind": "dense_spd", "matrix": DENSE}
         assert "seed" not in echo
 
+    def test_link_is_echoed(self):
+        def echo(model):
+            cfg = base(model=model, loss="square")
+            return spec_echo(build_spec(cfg)[0])["model"]
+
+        identity = echo({"kind": "noisy_factor", "sigma": 0.5})
+        tanh = echo({"kind": "noisy_factor", "link": "tanh", "sigma": 0.5})
+        assert identity == {"kind": "noisy_factor", "sigma": 0.5,
+                            "link": "identity"}
+        assert tanh == dict(identity, link="tanh")
+        assert echo({"kind": "single_layer_nn"}) == {
+            "kind": "single_layer_nn", "sigma": 0.0, "activation": "tanh"}
+        assert echo("logistic") == {"kind": "logistic", "sigma": 0.0}
+
     def test_trim_bounds(self):
         spec = build_spec(base(model="phase_retrieval", weight="trim"))[0]
         echo = json.loads(json.dumps(spec_echo(spec)))
