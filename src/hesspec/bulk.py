@@ -32,11 +32,14 @@ real-axis solves and the spikes of hesspec.spikes.
 
 The density is the absolutely continuous part of the measure: exactly 0
 off the support, and Im m(x + i eps) / pi at each grid point inside it,
-where eps only regularises those interior solves.  They run in
-bisection waves, each one batched Newton solve seeded from the points
-already solved around it (density), so a grid of N interior points takes
-about log2(N) + 1 solves of arrays instead of N scalar ones.  The atom
-at 0 that c > 1 puts there is reported by support() and not drawn.
+where eps only regularises those interior solves.  They run in waves,
+each one batched Newton solve (density).  The first takes the grid point
+next to each soft edge, seeded from the exterior map's quadratic at that
+edge (_Exterior.edge_seed); later waves bisect the runs between solved
+points, seeded from the points around them, so a grid of N interior
+points takes about log2(N) + 2 solves of arrays instead of N scalar
+ones.  The atom at 0 that c > 1 puts there is reported by support() and
+not drawn.
 """
 from __future__ import annotations
 
@@ -165,12 +168,12 @@ def stieltjes_derivatives(spec, point):
     Uses the explicit resolvent-derivative trace identities:
         delta' = (1/n) tr QCQ / (1 - E2 * (1/n) tr CQCQ),
         m'     = (1/p) tr Q (E2 delta' C + I) Q,
-    with Q the deterministic resolvent equivalent and E2 the squared
-    effective curvature.
+    with Q the deterministic resolvent equivalent and E2 = point.e2 the
+    squared effective curvature, read off the point, not the nodes.
     """
     t, wts = spec.atoms
     c = spec.c
-    e2 = expectation_engine(spec).e2(point.delta)
+    e2 = point.e2
     denom = (point.e * t - point.z) ** 2
     tr_qcq = c * np.sum(wts * t / denom)
     tr_cqcq = c * np.sum(wts * t * t / denom)
@@ -246,15 +249,19 @@ def density(spec, grid, epsilon=None):
     atom at 0 for c > 1, which is not drawn).  Inside, every grid point
     gets one Newton solve at x + i*eps (_iterate), and eps (default
     1e-6 * max(1, grid span)) only regularises these solves.  They run
-    in waves, one batched _iterate call per wave over all intervals:
-    wave 0 solves the middle point of each interval from -1/z, and each
-    later wave the middle point of every run of unsolved points between
-    solved ones (or between one and the interval's end), started from
-    delta interpolated linearly in x between its converged neighbours,
-    from its one converged neighbour, or from -1/z without one.  N points
-    take about log2(N) + 1 waves.
+    in waves, one batched _iterate call per wave over all intervals.
+    Wave 0 solves the point next to each soft edge (a zero of the slope
+    of the exterior map), started from the root of the map's quadratic
+    at that edge (_Exterior.edge_seed), and the middle point of each
+    interval with no soft edge (its ends are +-inf or hard edges) from
+    -1/z.  Each later wave solves the middle point of every run of
+    unsolved points between solved ones (or between one and the
+    interval's end), started from delta interpolated linearly in x
+    between its converged neighbours, from its one converged neighbour,
+    or from -1/z without one.  N points take about log2(N) + 2 waves.
     Points where the solver fails are NaN, never seed a neighbour, and
-    their count is logged.
+    their count is logged; a DEBUG line gives the edge-seeded points,
+    the waves and the batched evaluations in all and in wave 0.
     """
     grid = np.asarray(grid, dtype=float)
     if epsilon is None:
@@ -275,12 +282,52 @@ def density(spec, grid, epsilon=None):
     hi = np.cumsum(sizes)
     lo = hi - sizes
     lo, hi = lo[sizes > 0], hi[sizes > 0]
+    ends = np.reshape(intervals, (-1, 2))[sizes > 0]
     left = right = np.full(len(lo), -1)
     delta = np.zeros(len(x), dtype=complex)    # kept where solved only
     ok = np.zeros(len(x), dtype=bool)
     t, wts = spec.atoms
     eng = expectation_engine(spec)
-    waves = calls = 0
+    ext = _exterior(spec)
+
+    def solve(at, seed):
+        """One wave: the points at from the starts seed, in one _iterate
+        call; returns its batched e1_e2 calls."""
+        z = x[at] + 1j * epsilon
+        pts, n = _iterate(eng, t, wts, spec.c, z, (seed, *eng.e1_e2(seed)))
+        solved = (pts.residual < FP_TOL) & (pts.m.imag * epsilon > 0)
+        delta[at], ok[at] = np.where(solved, pts.delta, 0.0), solved
+        out[inside[at]] = np.where(solved, pts.m.imag / np.pi, np.nan)
+        return n + 1
+
+    def split(lo, hi, left, right, at):
+        """The nonempty runs [lo, at) and [at + 1, hi) that solving the
+        point at of each run [lo, hi) leaves."""
+        lo, hi = np.concatenate([lo, at + 1]), np.concatenate([at, hi])
+        left, right = (np.concatenate([left, at]),
+                       np.concatenate([at, right]))
+        keep = lo < hi
+        return lo[keep], hi[keep], left[keep], right[keep]
+
+    # wave 0: the point next to each soft edge, from the edge's seed, and
+    # the middle point of an interval with none, from -1/z
+    soft_lo = np.isin(ends[:, 0], list(ext.soft))
+    soft_hi = np.isin(ends[:, 1], list(ext.soft)) & (hi - lo > soft_lo)
+    both = soft_lo & soft_hi
+    first = np.select([soft_lo, soft_hi], [lo, hi - 1], (lo + hi - 1) // 2)
+    at = np.concatenate([first, hi[both] - 1])
+    x_e = np.concatenate([np.select([soft_lo, soft_hi], ends.T, np.nan),
+                          ends[both, 1]])
+    seed = -1.0 / (x[at] + 1j * epsilon)
+    edge = ~np.isnan(x_e)
+    seed[edge] = ext.edge_seed(x_e[edge], x[at[edge]] + 1j * epsilon)
+    calls = wave0 = solve(at, seed) if len(at) else 0
+    right, hi = np.where(both, hi - 1, right), hi - both
+    lo, hi, left, right = split(lo, hi, left, right, first)
+    waves = int(len(at) > 0)
+    # later waves: the middle point of every run, from delta interpolated
+    # linearly in x between its converged neighbours, from its one
+    # converged neighbour, or from -1/z without one
     while len(lo):
         mid = (lo + hi - 1) // 2
         z = x[mid] + 1j * epsilon
@@ -291,21 +338,14 @@ def density(spec, grid, epsilon=None):
         frac = np.divide(x[mid] - x[left], x[right] - x[left],
                          out=np.zeros(len(mid)),
                          where=has_l & has_r & (x[right] > x[left]))
-        seed = d_l + frac * (d_r - d_l)
-        pts, n = _iterate(eng, t, wts, spec.c, z, (seed, *eng.e1_e2(seed)))
-        waves, calls = waves + 1, calls + n + 1
-        solved = (pts.residual < FP_TOL) & (pts.m.imag * epsilon > 0)
-        delta[mid], ok[mid] = np.where(solved, pts.delta, 0.0), solved
-        out[inside[mid]] = np.where(solved, pts.m.imag / np.pi, np.nan)
-        lo, hi = np.concatenate([lo, mid + 1]), np.concatenate([mid, hi])
-        left, right = (np.concatenate([left, mid]),
-                       np.concatenate([mid, right]))
-        keep = lo < hi
-        lo, hi, left, right = lo[keep], hi[keep], left[keep], right[keep]
+        calls += solve(mid, d_l + frac * (d_r - d_l))
+        waves += 1
+        lo, hi, left, right = split(lo, hi, left, right, mid)
     failed = int(np.count_nonzero(np.isnan(out)))
-    _log.debug("density: %d intervals, %d interior points, %d waves, "
-               "%d batched evaluations, %d failed", len(intervals), len(x),
-               waves, calls, failed)
+    _log.debug("density: %d intervals, %d interior points, %d edge-seeded, "
+               "%d waves, %d batched evaluations (%d in wave 0), %d failed",
+               len(intervals), len(x), np.count_nonzero(edge), waves, calls,
+               wave0, failed)
     if failed:
         _log.warning("density: %d of %d points inside the support failed "
                      "at eps=%g and are NaN", failed, len(x), epsilon)
@@ -434,6 +474,7 @@ class _Exterior:
             _arc_side(cls.upper_bound, -1, self.sigma, eng.g)[::-1], [0.0],
             _arc_side(cls.lower_bound, +1, self.sigma, eng.g)])
         self.segments = []
+        self.soft = {}
         if len(self.theta) == 1:
             return                    # g unbounded both ways: no exterior
         e, e2, moments = eng.sweep(self.delta(self.theta))
@@ -453,9 +494,26 @@ class _Exterior:
                             self._end(gap, grid, run[-1], run[-1] + 1)]
                     self.segments.append(_Segment(gap, *map(
                         np.concatenate, zip(*filter(None, rows)))))
+        # the soft edges: segment ends where the slope vanishes, not at
+        # z = +-inf or at an end of the arc (a hard edge); near one, z(theta)
+        # ~ x_e + a (theta - theta_e)^2, with a read off the neighbour row
+        for seg in self.segments:
+            for end, nb in ((0, 1), (-1, -2)):
+                th, x_e = seg.theta[end], seg.z[end]
+                if np.isfinite(x_e) and th not in self.theta[[0, -1]]:
+                    self.soft[float(x_e)] = th, ((seg.z[nb] - x_e)
+                                                 / (seg.theta[nb] - th) ** 2)
 
     def delta(self, theta):
         return self.sigma * np.tan(theta)
+
+    def edge_seed(self, x_e, z):
+        """A start for delta at each complex z next to the soft edge x_e:
+        the root theta_e + i sqrt((x_e - z) / a) of the edge's quadratic
+        z = x_e + a (theta - theta_e)^2.  The principal root gives
+        Im theta > 0, hence Im delta > 0, the branch of Im z > 0."""
+        th, a = np.reshape([self.soft[v] for v in x_e], (-1, 2)).T
+        return self.delta(th + 1j * np.sqrt((x_e - z) / a))
 
     def eval(self, gap, theta):
         """(z, e, E2, moments) at an array of angles on one branch."""

@@ -121,8 +121,9 @@ class ExpectationEngine:
 
     Construction whitens the projection law, marginalizes y and folds
     the nodes that share a g value once (module docstring); each
-    expectation afterwards is a single vectorized reduction, over one
-    delta or a batch of them, which keeps the Newton iterations cheap.
+    expectation afterwards is one matrix-vector product of the (delta,
+    node) values with the node weights, over one delta or a batch of
+    them, which keeps the Newton iterations cheap.
     g and wt are the law of g, on its unique values in ascending order.
     """
 
@@ -156,19 +157,29 @@ class ExpectationEngine:
         g, node = np.unique(g, return_inverse=True)
         cols = np.array([np.bincount(node, c, len(g)) for c in cols])
         self.g = g
-        self._cols = cols
         self.wt = cols[0]
+        # the node columns in each dtype the sums run in, so no call casts
+        self._cols = {np.dtype(float): cols,
+                      np.dtype(complex): cols.astype(complex)}
 
-    def _damped(self, delta):
-        """g / (1 + g delta), broadcast over the nodes (last axis)."""
-        f = self.g * delta
+    def _damped(self, deltas):
+        """g / (1 + g delta) at a 1-D array of deltas, one row each.
+
+        |1 + g delta| <= 1e-12 is a pole.  It needs |Im(g delta)| <= 1e-12
+        and |g delta| >= 1 - 1e-12, so |Im delta| <= 2e-12 |delta|: only
+        such rows are searched for one, which spares the complex rows of
+        a Stieltjes solve the node-by-node test.
+        """
+        f = np.multiply.outer(deltas, self.g)
         f += 1.0
-        bad = np.abs(f) <= 1e-12
-        if np.any(bad):
-            g = self.g[np.nonzero(bad)[-1][0]]
-            raise PoleError(
-                f"1 + g*delta vanished at a quadrature node (g={g:.6g})",
-                node=g)
+        near = np.abs(deltas.imag) <= 2e-12 * np.abs(deltas)
+        if near.any():
+            bad = np.nonzero(np.abs(f[near]) <= 1e-12)[1]
+            if len(bad):
+                g = self.g[bad[0]]
+                raise PoleError(
+                    f"1 + g*delta vanished at a quadrature node (g={g:.6g})",
+                    node=g)
         return np.divide(self.g, f, out=f)
 
     def e1(self, delta):
@@ -180,14 +191,11 @@ class ExpectationEngine:
         return self.e1_e2(delta)[1]
 
     def e1_e2(self, delta):
-        """(e1, e2) at one delta from a single pass over the nodes, or
-        arrays of them at each of a 1-D array of deltas (in chunks that
-        stay within _SWEEP_BYTES, as in sweep)."""
-        if np.ndim(delta) == 0:
-            f = self._damped(delta)
-            fw = self.wt * f
-            return np.sum(fw), np.dot(fw, f)
-        return self._sums(delta)[:2]
+        """(e1, e2) at one delta, or arrays of them at each of a 1-D
+        array of deltas (in chunks that stay within _SWEEP_BYTES, as in
+        sweep)."""
+        e1, e2, _ = self._sums(np.atleast_1d(delta))
+        return (e1[0], e2[0]) if np.ndim(delta) == 0 else (e1, e2)
 
     def moments(self, z, delta, square=False):
         """The 3x3 moment matrix; with square=True the weight is
@@ -202,7 +210,7 @@ class ExpectationEngine:
         The (delta, node) intermediates are built in chunks that together
         stay within _SWEEP_BYTES, however long the grid is.
         """
-        e1, e2, raw = self._sums(deltas, self._cols, square)
+        e1, e2, raw = self._sums(deltas, True, square)
         moments = np.empty((len(raw), 3, 3), raw.dtype)
         moments[:, 0, 0] = raw[:, 0]
         moments[:, 0, 1:] = raw[:, 1:3]
@@ -211,25 +219,35 @@ class ExpectationEngine:
                               - raw[:, 0, None, None] * self.spec.gram_U_pinv)
         return e1, e2, moments
 
-    def _sums(self, deltas, cols=None, square=False):
-        """e1, e2 and the node sums of cols weighed by f = g/(1+g delta)
-        (f^2 with square=True) at a 1-D array of deltas, or None for the
-        sums when cols is None.  The (delta, node) intermediates are built
-        in chunks that together stay within _SWEEP_BYTES."""
+    def _sums(self, deltas, moments=False, square=False):
+        """e1 = f @ wt, e2 = f^2 @ wt and, with moments, the sums of the
+        node columns weighed by f = g/(1+g delta) (f^2 with square=True),
+        at a 1-D array of deltas; the sums are None without moments.  The
+        (delta, node) intermediates are built in chunks that together
+        stay within _SWEEP_BYTES.
+
+        e1 and e2 are taken row by row (np.vecdot), one BLAS dot per row:
+        a BLAS gemv over a batch of rows wakes BLAS worker threads, which
+        then spin for ~0.1 s and slow the Monte Carlo trials that follow.
+        """
         deltas = np.asarray(deltas)
         dtype = np.result_type(deltas, float)
+        cols = self._cols[dtype]
+        wt = cols[0]
         k = len(deltas)
         e1, e2 = np.empty(k, dtype), np.empty(k, dtype)
-        raw = None if cols is None else np.empty((k, len(cols)), dtype)
+        raw = np.empty((k, len(cols)), dtype) if moments else None
         rows = max(1, _SWEEP_BYTES // (2 * dtype.itemsize * len(self.g)))
         for start in range(0, k, rows):
             part = slice(start, start + rows)
-            f = self._damped(deltas[part, None])
-            if raw is not None:
-                raw[part] = (f * f if square else f) @ cols.T
-            fw = f * self.wt
-            f *= fw
-            e1[part], e2[part] = fw.sum(1), f.sum(1)
+            f = self._damped(deltas[part])
+            e1[part] = np.vecdot(wt, f)
+            if moments and not square:
+                raw[part] = f @ cols.T
+            f *= f
+            e2[part] = np.vecdot(wt, f)
+            if moments and square:
+                raw[part] = f @ cols.T
         return e1, e2, raw
 
 

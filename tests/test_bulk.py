@@ -5,6 +5,7 @@ from hesspec import (Diagonal, ProblemSpec, ResponseModel, ScaledIdentity,
                      WeightFn, analyze, build_spec, classify_g_support,
                      default_scan_range, density, find_spikes, solve_point,
                      stieltjes_derivatives, support)
+from hesspec import bulk
 from hesspec.errors import BranchViolation, HesspecError
 from hesspec.presets import preset_config
 
@@ -284,10 +285,79 @@ class TestDensity:
         logged = [r.getMessage() for r in caplog.records
                   if r.name == "hesspec" and r.levelname == "DEBUG"]
         assert len(logged) == 1
-        # 35 points take waves of 1, 2, 4, 8, 16 and 4 middles
+        # 35 points take the 2 next to the edges, then waves of 1, 2, 4, 8,
+        # 16 and 2 middles
         assert logged[0].startswith("density: 1 intervals, 35 interior "
-                                    "points, 6 waves, ")
-        assert logged[0].endswith(", 0 failed")
+                                    "points, 2 edge-seeded, 7 waves, ")
+        assert logged[0].endswith(" in wave 0), 0 failed")
+
+
+class TestEdgeSeeds:
+    """Wave 0 solves the point next to each soft edge from the edge's
+    quadratic inverse map; an end without one (a hard edge, +-inf) keeps
+    its interval's middle point or a neighbour."""
+
+    @staticmethod
+    def waves(monkeypatch):
+        """The StieltjesPoint of arrays of each bulk._iterate call."""
+        import hesspec.bulk
+        waves = []
+        iterate = hesspec.bulk._iterate
+
+        def recorded(*args):
+            pts, n = iterate(*args)
+            waves.append(pts)
+            return pts, n
+
+        monkeypatch.setattr(hesspec.bulk, "_iterate", recorded)
+        return waves
+
+    def test_marchenko_pastur_in_few_steps(self, monkeypatch):
+        spec = quarter_wishart()
+        grid = np.linspace(0.0, 0.7, 50)
+        waves = self.waves(monkeypatch)
+        curve = density(spec, grid)
+        lo, hi = (0.25 * (1 + s * np.sqrt(spec.c)) ** 2 for s in (-1, 1))
+        inside = grid[(grid >= lo) & (grid <= hi)]
+        # the first wave is the two points next to the edges, and each
+        # takes at most 8 Newton steps after its seed's evaluation
+        assert sorted(waves[0].z.real) == [inside[0], inside[-1]]
+        assert np.max(waves[0].iterations) - 1 <= 8
+        eps = curve.epsilon
+        at_eps = [mp_stieltjes(x + 1j * eps, spec.c).imag / np.pi
+                  for x in grid]
+        want = np.where((grid >= lo) & (grid <= hi), at_eps, 0.0)
+        np.testing.assert_allclose(curve.density, want, rtol=0,
+                                   atol=1e-9 * max(at_eps))
+        # the eps-solution is the closed form on the axis to O(eps) at
+        # points a grid step inside the edges
+        away = (grid > lo + 0.01) & (grid < hi - 0.01)
+        np.testing.assert_allclose(curve.density[away],
+                                   mp_density(grid[away], 0.25), rtol=0,
+                                   atol=100 * eps)
+
+    @pytest.mark.parametrize("make", [
+        fig3_four, lambda: build_spec(preset_config("fig7"))[0]],
+        ids=["two-intervals", "trim-hard-edge"])
+    def test_agrees_with_cold_solves(self, make, monkeypatch):
+        spec = make()
+        grid, inside = TestDensity.window_and_interior(spec)
+        waves = self.waves(monkeypatch)
+        curve = density(spec, grid)
+        assert not np.any(np.isnan(curve.density))
+        # wave 0 is the grid point next to each soft edge only
+        soft = bulk._exterior(spec).soft
+        firsts = []
+        for a, b in support(spec, (grid[0], grid[-1])).intervals:
+            pts = grid[(grid >= a) & (grid <= b)]
+            firsts += [pts[0]] * (a in soft) + [pts[-1]] * (b in soft)
+        assert sorted(waves[0].z.real) == sorted(firsts)
+        if make is not fig3_four:
+            assert len(firsts) == 1         # fig7's right edge is hard
+        cold = [solve_point(spec, complex(x, curve.epsilon)).m.imag / np.pi
+                for x in grid[inside]]
+        np.testing.assert_allclose(curve.density[inside], cold, rtol=0,
+                                   atol=1e-9 * max(cold))
 
 
 class TestSupport:

@@ -228,6 +228,60 @@ class TestSweep:
                 effective_curvature(spec, delta)
 
 
+class TestKernel:
+    """The e1/e2 matrix-vector sums and the pole guard on a folded
+    phase_square engine (g = 3h^2 - y takes both signs), with the batch
+    cut into chunks of three rows as in TestSweep."""
+
+    DELTAS = np.array([0.3 + 0.2j, -1.5 + 0.01j, 2.0 - 0.5j, 1j, 0.7 + 0j,
+                       -0.2 - 0.3j, 4.0 + 4.0j, 0.05 + 1e-9j])
+
+    @pytest.fixture
+    def eng(self, monkeypatch):
+        spec, _ = build_spec({"p": 16, "n": 64, "model": "phase_retrieval",
+                              "loss": "phase_square", "seed": 3,
+                              "w_star": "pm_block(1.0)", "quad_order": 24,
+                              "w": "gaussian_norm(0.8)"})
+        eng = expectation_engine(spec)
+        monkeypatch.setattr(expectations, "_SWEEP_BYTES",
+                            3 * 2 * 16 * len(eng.g))
+        return eng
+
+    def direct(self, eng, power):
+        return np.array([np.sum(eng.wt * (eng.g / (1.0 + eng.g * d)) ** power)
+                         for d in self.DELTAS])
+
+    def test_matches_direct_formula(self, eng):
+        assert len(eng.g) > 100 and eng.g.min() < 0 < eng.g.max()
+        e1, e2 = self.direct(eng, 1), self.direct(eng, 2)
+        for got in (eng.e1_e2(self.DELTAS),
+                    np.transpose([eng.e1_e2(d) for d in self.DELTAS]),
+                    eng.sweep(self.DELTAS)[:2]):
+            np.testing.assert_allclose(got, [e1, e2], rtol=1e-13)
+        for square, want in ((False, e1), (True, e2)):
+            got = eng.sweep(self.DELTAS, square=square)
+            np.testing.assert_allclose(got[:2], [e1, e2], rtol=1e-13)
+            np.testing.assert_allclose(got[2][:, 0, 0], want, rtol=1e-13)
+
+    def test_pole_at_an_interior_node(self, eng):
+        k = np.flatnonzero((np.abs(eng.g) > 0.1) & (np.abs(eng.g) < 10))
+        k = k[len(k) // 2]
+        assert 0 < k < len(eng.g) - 1
+        pole = -1.0 / eng.g[k]
+        for delta in (pole, complex(pole), pole + 1e-13j):
+            with pytest.raises(PoleError) as err:
+                eng.e1_e2(delta)
+            assert err.value.node == eng.g[k]
+            with pytest.raises(PoleError):
+                eng.e1_e2(np.append(self.DELTAS, delta))
+            with pytest.raises(PoleError):
+                eng.sweep([0.5, delta], square=True)
+        near = pole + 1e-9 * np.array([1, -1, 1j, -1j])
+        assert np.all(np.isfinite(eng.e1_e2(near)))
+        assert np.all(np.isfinite(eng.sweep(near[:2].real)[0]))
+        assert np.isfinite(eng.e1_e2(near[2])[1])
+
+
 class TestScalarReduction:
     def test_matches_one_dimensional_quadrature(self):
         # mu = w* = 0, |w| = r: h ~ N(0, r^2) and y = +-1 fair coin, so
