@@ -33,7 +33,10 @@ def _routine(module, name):
 def _fortran(module, name, *args):
     """Call routine `name` of module with each argument by pointer: a str
     as one char, an int as an int, a float as a double, and a float64 or
-    intc array, Fortran-ordered, as its first element.
+    intc array as its first element.  An array is Fortran-ordered or a
+    block of rows of a 2-D Fortran-ordered array (a C-ordered array's
+    block of columns, transposed): each column contiguous, the columns
+    evenly spaced by the leading dimension.
 
     The routine sees each array through that pointer alone, so nothing
     checks a size or leading dimension against it: each caller derives
@@ -42,10 +45,13 @@ def _fortran(module, name, *args):
     refs = []
     for a in args:
         if isinstance(a, np.ndarray):
+            row_block = (a.ndim == 2 and a.strides[0] == a.itemsize
+                         and a.strides[1] >= a.shape[0] * a.itemsize)
             if a.dtype not in (np.float64, np.intc) or \
-                    not a.flags.f_contiguous:
+                    not (a.flags.f_contiguous or row_block):
                 raise TypeError(f"{name}: needs a Fortran-ordered float64 or "
-                                f"intc array, got {a.dtype}")
+                                f"intc array or a block of its rows, got "
+                                f"{a.dtype} with strides {a.strides}")
             refs.append(ctypes.c_void_p(a.ctypes.data))
         elif isinstance(a, str):
             refs.append(ctypes.c_char_p(a.encode()))

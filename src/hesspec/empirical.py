@@ -3,15 +3,18 @@
 One trial samples features X ~ N(mu, C) (or a universality variant),
 draws responses through h*_i = w*^T x_i, evaluates the diagonal
 weights d_i = g(y_i, w^T x_i) and solves H = (1/n) X diag(d) X^T,
-built on X scaled in place with a symmetric rank-k product.  One
-tridiagonal reduction of H gives all p eigenvalues and, by inverse
-iteration, eigenvectors only at the caller's picks.  Every BLAS and
-LAPACK call of a trial runs on SciPy's OpenBLAS (see _openblas).
-Trial k uses the Philox stream seeded with base_seed + k.  Several
-trials run at once on threads, one per usable core (at most
-HESSPEC_THREADS), each holding its p x n feature matrix, 8 p n bytes.
+built block by block of X's columns with one symmetric rank-k product
+per sign of d in a block, n columns in all.  One tridiagonal reduction
+of H gives all p eigenvalues and, by inverse iteration, eigenvectors
+only at the caller's picks.  Every BLAS and LAPACK call of a trial runs
+on SciPy's OpenBLAS (see _openblas).  Trial k uses the Philox stream
+seeded with base_seed + k.  Several trials run at once on threads, one
+per usable core (at most HESSPEC_THREADS), each holding its p x n
+feature matrix, 8 p n bytes, which the Gram overwrites, and H, 8 p^2.
 A sweep may keep each seed's centred draw C^{1/2} Z in a dict `shared`
-for the next trial of that seed under the same feature law.
+for the next trial of that seed under the same feature law; a trial
+with mu = 0 then reads it in place, through one Gram block of at most
+_GRAM_BLOCK_BYTES, instead of holding a p x n copy.
 """
 from __future__ import annotations
 
@@ -42,6 +45,8 @@ __all__ = [
 
 log = logging.getLogger("hesspec")
 
+_GRAM_BLOCK_BYTES = 8 << 20    # bytes of X per column block of the Gram
+
 
 @dataclass(frozen=True, eq=False)
 class EmpiricalSpectrum:
@@ -64,8 +69,8 @@ class ComparisonReport:
 def worker_count():
     """Most trials run at once: HESSPEC_THREADS, else the usable cores.
 
-    Each running trial holds its own p x n feature matrix, about
-    8 p n bytes, and uses one thread of SciPy's OpenBLAS (see
+    Each running trial holds its own p x n feature matrix and H, about
+    8 (p n + p^2) bytes, and uses one thread of SciPy's OpenBLAS (see
     run_trials), so the default fills every core the process may run on.
     """
     env = os.environ.get("HESSPEC_THREADS")
@@ -95,35 +100,53 @@ def _project(X, v):
 
 def _gram(X, d):
     """(1/n) X diag(d) X^T in the lower triangle of a Fortran-ordered
-    p x p array whose upper triangle is zero, overwriting X.
+    p x p array whose upper triangle is zero.
 
-    X is scaled in place by sqrt(|d| / n), so the Gram is one symmetric
-    rank-k product, SciPy's dsyrk on X^T, which reads the C-ordered X
-    without a copy.  The columns of the less frequent sign of d are moved
-    into B first (zeroed in X) and B B^T is subtracted, so a mixed sign
-    costs at most 1.5 rank-k products; when most weights are negative
-    both products change sign.
+    X is read in blocks of columns, _GRAM_BLOCK_BYTES each (the last one
+    may be narrower).  A block is scaled by sqrt(|d| / n), its columns
+    with d < 0 are swapped behind the others, and each sign adds its
+    columns with one symmetric rank-k product, SciPy's dsyrk on the
+    transposed block; so the Gram costs n columns of dsyrk for any signs.
+    A writeable X (C-ordered) is scaled in place and its blocks are
+    overwritten; a read-only X is scaled block by block into one work
+    array.  Both give the same values in the same order, so the same H.
+    Swaps go in row slices of a sixteenth of the block, so no temporary
+    exceeds that.
     """
     p, n = X.shape
     scale = np.sqrt(np.abs(d) / n)
-    neg = d < 0
-    sign = -1.0 if 2 * np.count_nonzero(neg) > len(d) else 1.0
-    minority = ~neg if sign < 0 else neg
-    B = np.compress(minority, X, axis=1)
-    B *= scale[minority]
-    scale[minority] = 0.0
-    X *= scale
+    width = max(1, _GRAM_BLOCK_BYTES // (8 * p))
+    rows = max(1, p // 16)
+    work = None if X.flags.writeable else np.empty((p, min(width, n)))
+    if work is None:
+        X *= scale            # one pass over whole rows beats one per block
     H = np.zeros((p, p), order="F")
-    _openblas.blas("dsyrk", "L", "T", p, n, sign, X.T, n, 0.0, H, p)
-    if B.shape[1]:
-        m = B.shape[1]
-        _openblas.blas("dsyrk", "L", "T", p, m, -sign, B.T, m, 1.0, H, p)
+    for j in range(0, n, width):
+        neg = d[j:j + width] < 0
+        m = len(neg)
+        block = X[:, j:j + m] if work is None else np.multiply(
+            X[:, j:j + m], scale[j:j + m], out=work[:, :m])
+        k = m - np.count_nonzero(neg)         # columns with d >= 0
+        if 0 < k < m:
+            front, back = np.flatnonzero(neg[:k]), k + np.flatnonzero(~neg[k:])
+            for r in range(0, p, rows):
+                part = block[r:r + rows]
+                t = part[:, front]
+                part[:, front] = part[:, back]
+                part[:, back] = t
+        ld = block.strides[0] // 8
+        for lo, hi, sign in ((0, k, 1.0), (k, m, -1.0)):
+            if hi > lo:
+                _openblas.blas("dsyrk", "L", "T", p, hi - lo, sign,
+                               block[:, lo:hi].T, ld, 1.0, H, p)
     return H
 
 
 def build_hessian(X, d):
-    """H = (1/n) X diag(d) X^T, exactly symmetric; X is not modified."""
-    X = np.array(X, dtype=float, order="C")
+    """H = (1/n) X diag(d) X^T, exactly symmetric; X is not modified:
+    _gram reads it through a read-only view."""
+    X = np.asarray(X, dtype=float).view()
+    X.flags.writeable = False
     d = np.asarray(d, dtype=float)
     if d.shape != (X.shape[1],):
         raise DomainError("weight vector length must match the sample count")
@@ -180,10 +203,11 @@ class _Draw:
 
 
 def _shared_features(spec, dist, seed, rng, shared):
-    """mu + C^{1/2} Z for seed in a fresh buffer, with C^{1/2} Z taken
-    from the holder `shared` when it was drawn there under the same law
-    (rng then continues from the state after that draw), else drawn from
-    rng and stored for the next call."""
+    """mu + C^{1/2} Z for seed, with C^{1/2} Z taken from the holder
+    `shared` when it was drawn there under the same law (rng then
+    continues from the state after that draw), else drawn from rng and
+    stored for the next call.  For mu = 0 this is the held, read-only
+    array itself; otherwise a fresh buffer."""
     law = (dist, spec.n, *spec.cov.eigen(spec.p))
     held = shared.get(seed)
     if held is not None and all(map(np.array_equal, held.law, law)):
@@ -193,7 +217,7 @@ def _shared_features(spec, dist, seed, rng, shared):
         centred = _centred_features(spec, dist, rng)
         centred.flags.writeable = False
         held = shared[seed] = _Draw(law, centred, rng.bit_generator.state)
-    return held.centred + spec.mu[:, None]
+    return held.centred + spec.mu[:, None] if spec.mu.any() else held.centred
 
 
 def _pick_index(eigvals, pick):
@@ -221,6 +245,10 @@ def run_trial(spec, dist, seed, picks=(), shared=None):
     reused from it when they were drawn under the same feature law
     (dist, n and the eigen-decomposition of C), and drawn and stored
     there otherwise; the spectrum is bit-identical to shared=None.
+
+    The trial's peak memory, besides a held draw, is its own p x n
+    features (none when it reads a held draw with mu = 0), H and, on a
+    read-only draw, one Gram block of _GRAM_BLOCK_BYTES (see _gram).
     """
     rng = np.random.Generator(np.random.Philox(seed))
     if shared is None:
@@ -232,7 +260,7 @@ def run_trial(spec, dist, seed, picks=(), shared=None):
     h = _project(X, spec.w)
     d = np.asarray(curvature(spec.weight, y, h), dtype=float)
     H = _gram(X, d)
-    del X                      # scaled in place; free it before the solve
+    del X                      # overwritten or held; drop it before the solve
     try:
         T = _Tridiagonal(H)
         eigvals = T.eigenvalues()

@@ -168,8 +168,10 @@ def sweep(cfg, values, rescale, path, label, trials=0, scan_range=None):
     trial seed's centred features are drawn once and kept for the whole
     sweep, one more p x n array per seed: every value whose feature law
     (p, n, C, Gaussian noise) matches adds its own mu to them, so the
-    table is bit-identical to redrawing at every value.  More trials
-    than workers redraw at every value.
+    table is bit-identical to redrawing at every value.  A value with
+    mu = 0 reads them in place, one Gram block at a time, and copies
+    nothing (see empirical._gram).  More trials than workers redraw at
+    every value.
     """
     shared = {} if 1 <= trials <= worker_count() else None
     rows = []

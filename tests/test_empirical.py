@@ -7,6 +7,7 @@ import os
 import re
 import sys
 import threading
+import tracemalloc
 from types import SimpleNamespace
 
 from hesspec import (ProblemSpec, ResponseModel, ScaledIdentity, WeightFn,
@@ -17,6 +18,7 @@ from hesspec import (ProblemSpec, ResponseModel, ScaledIdentity, WeightFn,
 from hesspec import _openblas, empirical
 from hesspec.bulk import SupportReport
 from hesspec.empirical import EmpiricalSpectrum
+from hesspec.presets import preset_config
 from hesspec.errors import DomainError, NumericError
 
 
@@ -84,6 +86,36 @@ class TestBuildHessian:
                                    atol=1e-13 * np.abs(H).max())
         np.testing.assert_array_equal(H, H.T)
         np.testing.assert_array_equal(X, X0)     # the argument is untouched
+
+    @staticmethod
+    def block_weights(sign):
+        """Weights on 101 columns, 16 to a Gram block: single-sign blocks
+        of either sign, mixed blocks with either sign in the majority,
+        zeros beside each sign, and a mixed last block of 5 columns."""
+        rng = np.random.default_rng(4)
+        d = rng.random(101) + 0.1
+        d[16:32] *= -1                          # all negative
+        d[32:48][[1, 5, 9]] *= -1               # mostly positive
+        d[48:64][3:] *= -1                      # mostly negative
+        d[64:80][::4] = 0.0                     # zeros and positives
+        d[80:96] *= -1
+        d[80:96][::3] = 0.0                     # zeros and negatives
+        d[[97, 99]] *= -1
+        return sign * d
+
+    @pytest.mark.parametrize("columns", [1, 5, 16, 101, 200])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_blocks_match_dense_formula(self, monkeypatch, columns, sign):
+        p, d = 12, self.block_weights(sign)
+        monkeypatch.setattr(empirical, "_GRAM_BLOCK_BYTES", 8 * p * columns)
+        X = np.random.default_rng(5).standard_normal((p, len(d)))
+        H = build_hessian(X, d)
+        np.testing.assert_allclose(H, (X * d) @ X.T / len(d), rtol=0,
+                                   atol=1e-13 * np.abs(H).max())
+        # a read-only X (copied a block at a time) and a writeable one
+        # (overwritten in place) give the same bits
+        owned = empirical._gram(X.copy(), d)
+        np.testing.assert_array_equal(np.tril(H), owned)
 
     def test_rotation_invariance_of_spectrum(self):
         rng = np.random.default_rng(2)
@@ -376,6 +408,25 @@ class TestSharedDraws:
             np.testing.assert_array_equal(s.paired[0][1], want.paired[0][1])
             np.testing.assert_array_equal(s.paired[1][1], want.paired[1][1])
 
+    def test_mean_zero_hit_reads_the_held_draw(self, monkeypatch,
+                                               noise_draws):
+        # fig7's trimming weight takes both signs; with mu = 0 a hit reads
+        # the held draw itself, four Gram blocks to its 1000 columns
+        monkeypatch.setattr(empirical, "_GRAM_BLOCK_BYTES", 8 * 200 * 300)
+        spec, seed = build_spec(dict(preset_config("fig7"), p=200, n=1000))
+        assert not spec.mu.any()
+        shared = {}
+        run_trial(spec, "gaussian", seed, [-1], shared=shared)
+        before = shared[seed].centred.copy()
+        got = run_trial(spec, "gaussian", seed, [0, -1], shared=shared)
+        want = run_trial(spec, "gaussian", seed, [0, -1])
+        assert noise_draws == [(200, 1000)] * 2
+        np.testing.assert_array_equal(shared[seed].centred, before)
+        np.testing.assert_array_equal(got.eigenvalues, want.eigenvalues)
+        for (i, a), (j, b) in zip(got.paired, want.paired):
+            assert i == j
+            np.testing.assert_array_equal(a, b)
+
     @pytest.mark.parametrize("change", [
         {"n": 240}, {"p": 40}, {"cov": 1.5},
         {"cov": {"diag_blocks": [[1.0, 24], [2.0, 24]]}},
@@ -424,6 +475,85 @@ class TestSharedDraws:
         assert re.search(r"trials=4 workers=4 blas=\S+ draws=shared",
                          caplog.text)
         assert "draws=fresh" in caplog.text
+
+
+class TestGramMemory:
+    """What a trial allocates besides a held draw, with mixed-sign
+    weights (phase retrieval's 3 h^2 - y, 39% negative here) and Gram
+    blocks of 100 columns."""
+
+    P, N, COLUMNS = 400, 1000, 100
+
+    @pytest.fixture
+    def case(self, monkeypatch):
+        monkeypatch.setattr(empirical, "_GRAM_BLOCK_BYTES",
+                            8 * self.P * self.COLUMNS)
+        return build_spec({"p": self.P, "n": self.N,
+                           "w_star": "pm_block(1.0)",
+                           "w": "gaussian_norm(0.8)", "loss": "phase_square",
+                           "model": "phase_retrieval"})
+
+    @staticmethod
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_held_draw_is_not_copied(self, case):
+        spec, seed = case
+        shared = {}
+        run_trial(spec, "gaussian", seed, [-1], shared=shared)
+        peak = self.peak(
+            lambda: run_trial(spec, "gaussian", seed, [-1], shared=shared))
+        assert peak < 8 * self.P * self.N
+
+    def test_owned_draw_holds_no_minority_columns(self, case):
+        spec, seed = case
+        peak = self.peak(lambda: run_trial(spec, "gaussian", seed, [-1]))
+        p, n = self.P, self.N
+        assert peak <= 8 * (p * n + p * self.COLUMNS + p * p)
+
+    def test_rank_k_columns_sum_to_n(self, monkeypatch, case):
+        spec, seed = case
+        d = trial_pieces(spec, seed)[1]
+        assert 0.2 < np.mean(d < 0) < 0.8 and d.all()
+        ranks, real = [], _openblas.blas
+
+        def counted(name, *args):
+            if name == "dsyrk":
+                ranks.append(args[3])
+            real(name, *args)
+
+        monkeypatch.setattr(_openblas, "blas", counted)
+        run_trial(spec, "gaussian", seed)
+        assert sum(ranks) == self.N and len(ranks) == 2 * 10
+
+
+class TestFortranArgument:
+    """_fortran takes a Fortran-ordered array or a block of its rows;
+    it passes a bare pointer, so it refuses anything else."""
+
+    def call(self, A, lda=3):
+        H = np.zeros((3, 3), order="F")
+        _openblas.blas("dsyrk", "L", "T", 3, 3, 1.0, A, lda, 0.0, H, 3)
+        return H
+
+    def test_column_block(self):
+        # the first 3 of 5 rows: a 3 x 3 block with leading dimension 5
+        B = np.asfortranarray(np.arange(15.0).reshape(5, 3))
+        np.testing.assert_array_equal(np.tril(self.call(B[:3], 5)),
+                                      np.tril(B[:3].T @ B[:3]))
+
+    @pytest.mark.parametrize("A", [
+        np.eye(3), np.asfortranarray(np.eye(6))[::2, :3],
+        np.asfortranarray(np.eye(3, dtype=np.float32))],
+        ids=["c_ordered", "strided_rows", "float32"])
+    def test_rejects(self, A):
+        with pytest.raises(TypeError, match="Fortran-ordered"):
+            self.call(A)
 
 
 class TestBlasPinning:
