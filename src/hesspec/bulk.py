@@ -35,11 +35,15 @@ off the support, and Im m(x + i eps) / pi at each grid point inside it,
 where eps only regularises those interior solves.  They run in waves,
 each one batched Newton solve (density).  The first takes the grid point
 next to each soft edge, seeded from the exterior map's quadratic at that
-edge (_Exterior.edge_seed); later waves bisect the runs between solved
-points, seeded from the points around them, so a grid of N interior
-points takes about log2(N) + 2 solves of arrays instead of N scalar
-ones.  The atom at 0 that c > 1 puts there is reported by support() and
-not drawn.
+edge (_Exterior.edge_seed); later waves cut the runs between solved
+points into _WAVE_CUTS parts until none holds more than _LAST_RUN, and
+a last wave solves the rest.  Those starts are cubic Hermite
+interpolants of the solved points around them in an edge coordinate
+where delta is smooth, with slopes from the trace identity of
+stieltjes_derivatives, so a grid of a few hundred interior points
+takes about four solves of arrays instead of one scalar solve per
+point.  The atom at 0 that c > 1 puts there is reported by support()
+and not drawn.
 """
 from __future__ import annotations
 
@@ -68,6 +72,8 @@ FP_TOL = 1e-11
 FP_MAX_ITER = 10_000
 _SIDE_POINTS = 160    # arc grid points toward 0 and toward each arc end
 _BISECT_MAX = 200     # secular-root halvings; 2 adjacent doubles come first
+_LAST_RUN = 16        # unsolved points a run may hold before the last wave
+_WAVE_CUTS = 8        # runs a cutting wave makes of each longer run
 
 _log = logging.getLogger("hesspec")
 
@@ -101,16 +107,17 @@ def _iterate(eng, t, wts, c, z, start):
     """Newton's method for delta at each of an array of complex z, from
     starts given as the arrays (delta, e(delta), E2(delta)); returns the
     StieltjesPoint of arrays, one entry per z, of each last evaluation,
-    and the number of batched e1_e2 calls made.
+    and the integer array (batched e1_e2 calls made, rows they evaluated).
 
     The root is that of F(delta) = c sum_j w_j t_j / (e(delta) t_j - z)
     - delta, whose derivative F'(delta) = E2 (1/n) tr CQCQ - 1 is the
     negated slope numerator.  A Newton candidate is taken only if it stays
     in the half-plane of z, where the Stieltjes branch lies, and lowers
     |F|; otherwise the step is the damped fixed-point step delta + F/2,
-    which maps that half-plane into itself.  Each z leaves the active set
-    once |F| < FP_TOL; one whose residual is not below FP_TOL after
-    FP_MAX_ITER steps has failed, and the caller decides what that means.
+    which maps that half-plane into itself, so a start in z's half-plane
+    stays there.  Each z leaves the active set once |F| < FP_TOL; one
+    whose residual is not below FP_TOL after FP_MAX_ITER steps has
+    failed, and the caller decides what that means.
     """
     z = np.asarray(z, dtype=complex)
     d, e, e2 = (np.array(v, dtype=complex) for v in start)
@@ -129,7 +136,7 @@ def _iterate(eng, t, wts, c, z, start):
 
     F = residual(z, d, e)
     iterations = np.ones(len(z), dtype=int)
-    calls = 0
+    calls = np.zeros(2, dtype=int)
     act = np.flatnonzero(~(np.abs(F) < FP_TOL))
     for _ in range(FP_MAX_ITER):
         if not len(act):
@@ -148,14 +155,14 @@ def _iterate(eng, t, wts, c, z, start):
             d[rows], e[rows], e2[rows], F[rows] = (cand[took], ce[took],
                                                    ce2[took], cF[took])
             newton[newton] = took
-            calls += 1
+            calls += 1, len(cand)
         damp = act[~newton]
         if len(damp):
             step = d[damp] + 0.5 * F[damp]
             d[damp] = step
             e[damp], e2[damp] = eng.e1_e2(step)
             F[damp] = residual(z[damp], step, e[damp])
-            calls += 1
+            calls += 1, len(damp)
         act = act[~(np.abs(F[act]) < FP_TOL)]
     return StieltjesPoint(z=z, delta=d, m=over_poles(wts, z, e), e=e,
                           iterations=iterations, residual=np.abs(F),
@@ -163,7 +170,8 @@ def _iterate(eng, t, wts, c, z, start):
 
 
 def stieltjes_derivatives(spec, point):
-    """(delta'(z), m'(z), E[g^2/(1+g delta)^2]) at a solved point.
+    """(delta'(z), m'(z), E[g^2/(1+g delta)^2]) at a solved point, or
+    arrays of them at a StieltjesPoint of arrays.
 
     Uses the explicit resolvent-derivative trace identities:
         delta' = (1/n) tr QCQ / (1 - E2 * (1/n) tr CQCQ),
@@ -174,11 +182,13 @@ def stieltjes_derivatives(spec, point):
     t, wts = spec.atoms
     c = spec.c
     e2 = point.e2
-    denom = (point.e * t - point.z) ** 2
-    tr_qcq = c * np.sum(wts * t / denom)
-    tr_cqcq = c * np.sum(wts * t * t / denom)
+    denom = (np.multiply.outer(point.e, t)
+             - np.asarray(point.z)[..., None]) ** 2
+    tr_qcq = c * np.sum(wts * t / denom, -1)
+    tr_cqcq = c * np.sum(wts * t * t / denom, -1)
     delta_prime = tr_qcq / (1.0 - e2 * tr_cqcq)
-    m_prime = np.sum(wts * (e2 * delta_prime * t + 1.0) / denom)
+    m_prime = np.sum(wts * (np.multiply.outer(e2 * delta_prime, t) + 1.0)
+                     / denom, -1)
     return delta_prime, m_prime, e2
 
 
@@ -242,6 +252,22 @@ def default_scan_range(spec):
     return lo - 0.3 * span - 1e-3, hi + 0.3 * span + 1e-3
 
 
+def _edge_coordinate(x, a, b, soft_a, soft_b):
+    """(u, dx/du) at points x of intervals [a, b]: u = arccos((a + b - 2x)
+    / (b - a)), taken as 2 arctan2(sqrt(x - a), sqrt(b - x)), when both
+    ends are soft edges, sqrt(x - a) or -sqrt(b - x) when one is, and x
+    when neither is.  delta has a square root in x at a soft edge and is
+    smooth in u."""
+    u, dxdu = x.copy(), np.ones(len(x))
+    for on, sign, rt in ((soft_a & ~soft_b, 1.0, np.sqrt(x - a)),
+                         (soft_b & ~soft_a, -1.0, np.sqrt(b - x))):
+        u[on], dxdu[on] = sign * rt[on], 2.0 * rt[on]
+    both = soft_a & soft_b
+    ra, rb = np.sqrt(x[both] - a[both]), np.sqrt(b[both] - x[both])
+    u[both], dxdu[both] = 2.0 * np.arctan2(ra, rb), ra * rb
+    return u, dxdu
+
+
 def density(spec, grid, epsilon=None):
     """Limiting density on a grid by Stieltjes inversion at x + i*eps.
 
@@ -254,14 +280,22 @@ def density(spec, grid, epsilon=None):
     of the exterior map), started from the root of the map's quadratic
     at that edge (_Exterior.edge_seed), and the middle point of each
     interval with no soft edge (its ends are +-inf or hard edges) from
-    -1/z.  Each later wave solves the middle point of every run of
-    unsolved points between solved ones (or between one and the
-    interval's end), started from delta interpolated linearly in x
-    between its converged neighbours, from its one converged neighbour,
-    or from -1/z without one.  N points take about log2(N) + 2 waves.
-    Points where the solver fails are NaN, never seed a neighbour, and
-    their count is logged; a DEBUG line gives the edge-seeded points,
-    the waves and the batched evaluations in all and in wave 0.
+    -1/z.  While a run of unsolved points between solved ones (or
+    between one and the interval's end) holds more than _LAST_RUN
+    points, a wave solves the points that cut every such run into
+    _WAVE_CUTS near-equal runs; then one last wave solves every point
+    left.  Each start is read off the converged points around its run
+    in the interval's edge coordinate u (_edge_coordinate), where delta
+    is smooth: by cubic Hermite interpolation between the two, with
+    d delta/du = delta'(z) dx/du (stieltjes_derivatives, no engine
+    call), by a first-order Taylor step from the one at an interval's
+    open end, or from -1/z without one.  A start in the wrong half-plane
+    is reflected into that of z, which brings it no farther from the
+    root.  N points take about log(N / _LAST_RUN) / log(_WAVE_CUTS) + 2
+    waves.  Points where the solver fails are NaN, never seed a
+    neighbour, and their count is logged; a DEBUG line gives the
+    edge-seeded points, the waves, and the batched evaluations and
+    their rows in all and in wave 0.
     """
     grid = np.asarray(grid, dtype=float)
     if epsilon is None:
@@ -284,35 +318,61 @@ def density(spec, grid, epsilon=None):
     lo, hi = lo[sizes > 0], hi[sizes > 0]
     ends = np.reshape(intervals, (-1, 2))[sizes > 0]
     left = right = np.full(len(lo), -1)
-    delta = np.zeros(len(x), dtype=complex)    # kept where solved only
-    ok = np.zeros(len(x), dtype=bool)
     t, wts = spec.atoms
     eng = expectation_engine(spec)
     ext = _exterior(spec)
+    soft = np.isin(ends, list(ext.soft))
+    u, dxdu = _edge_coordinate(x, *np.repeat(ends, hi - lo, 0).T,
+                               *np.repeat(soft, hi - lo, 0).T)
+    delta = np.zeros(len(x), dtype=complex)    # kept where solved only
+    slope = np.zeros(len(x), dtype=complex)    # d delta / du, likewise
+    ok = np.zeros(len(x), dtype=bool)
 
     def solve(at, seed):
         """One wave: the points at from the starts seed, in one _iterate
-        call; returns its batched e1_e2 calls."""
+        call; returns its batched e1_e2 calls and rows."""
         z = x[at] + 1j * epsilon
         pts, n = _iterate(eng, t, wts, spec.c, z, (seed, *eng.e1_e2(seed)))
         solved = (pts.residual < FP_TOL) & (pts.m.imag * epsilon > 0)
         delta[at], ok[at] = np.where(solved, pts.delta, 0.0), solved
+        slope[at] = np.where(
+            solved, stieltjes_derivatives(spec, pts)[0] * dxdu[at], 0.0)
         out[inside[at]] = np.where(solved, pts.m.imag / np.pi, np.nan)
-        return n + 1
+        return n + (1, len(at))
+
+    def start(at, left, right):
+        """Starts at the points at from the converged points left and
+        right of them (-1 for none), in the edge coordinate u: Hermite
+        between two, Taylor from one, -1/z from none, in z's
+        half-plane."""
+        has_l, has_r = (left >= 0) & ok[left], (right >= 0) & ok[right]
+        nb = np.where(has_l, left, right)
+        seed = np.where(has_l | has_r,
+                        delta[nb] + slope[nb] * (u[at] - u[nb]),
+                        -1.0 / (x[at] + 1j * epsilon))
+        both = has_l & has_r
+        l, r = left[both], right[both]
+        h = u[r] - u[l]
+        s = np.divide(u[at[both]] - u[l], h, out=np.zeros(len(h)),
+                      where=h > 0)
+        seed[both] = ((1 + 2 * s) * (1 - s) ** 2 * delta[l]
+                      + s * s * (3 - 2 * s) * delta[r]
+                      + h * s * (1 - s) * ((1 - s) * slope[l] - s * slope[r]))
+        return seed.real + 1j * np.copysign(seed.imag, epsilon)
 
     def split(lo, hi, left, right, at):
-        """The nonempty runs [lo, at) and [at + 1, hi) that solving the
-        point at of each run [lo, hi) leaves."""
-        lo, hi = np.concatenate([lo, at + 1]), np.concatenate([at, hi])
-        left, right = (np.concatenate([left, at]),
-                       np.concatenate([at, right]))
+        """The nonempty runs that solving the points at, one ascending row
+        of them per run [lo, hi), leaves between them and the run's ends."""
+        bounds = np.column_stack([lo - 1, at, hi])
+        solved = np.column_stack([left, at, right])
+        lo, hi = bounds[:, :-1].ravel() + 1, bounds[:, 1:].ravel()
+        left, right = solved[:, :-1].ravel(), solved[:, 1:].ravel()
         keep = lo < hi
         return lo[keep], hi[keep], left[keep], right[keep]
 
     # wave 0: the point next to each soft edge, from the edge's seed, and
     # the middle point of an interval with none, from -1/z
-    soft_lo = np.isin(ends[:, 0], list(ext.soft))
-    soft_hi = np.isin(ends[:, 1], list(ext.soft)) & (hi - lo > soft_lo)
+    soft_lo, soft_hi = soft[:, 0], soft[:, 1] & (hi - lo > soft[:, 0])
     both = soft_lo & soft_hi
     first = np.select([soft_lo, soft_hi], [lo, hi - 1], (lo + hi - 1) // 2)
     at = np.concatenate([first, hi[both] - 1])
@@ -321,31 +381,34 @@ def density(spec, grid, epsilon=None):
     seed = -1.0 / (x[at] + 1j * epsilon)
     edge = ~np.isnan(x_e)
     seed[edge] = ext.edge_seed(x_e[edge], x[at[edge]] + 1j * epsilon)
-    calls = wave0 = solve(at, seed) if len(at) else 0
+    counts = wave0 = solve(at, seed) if len(at) else np.zeros(2, dtype=int)
     right, hi = np.where(both, hi - 1, right), hi - both
-    lo, hi, left, right = split(lo, hi, left, right, first)
+    lo, hi, left, right = split(lo, hi, left, right, first[:, None])
     waves = int(len(at) > 0)
-    # later waves: the middle point of every run, from delta interpolated
-    # linearly in x between its converged neighbours, from its one
-    # converged neighbour, or from -1/z without one
-    while len(lo):
-        mid = (lo + hi - 1) // 2
-        z = x[mid] + 1j * epsilon
-        has_l, has_r = (left >= 0) & ok[left], (right >= 0) & ok[right]
-        d_l = np.where(has_l, delta[left],
-                       np.where(has_r, delta[right], -1.0 / z))
-        d_r = np.where(has_r, delta[right], d_l)
-        frac = np.divide(x[mid] - x[left], x[right] - x[left],
-                         out=np.zeros(len(mid)),
-                         where=has_l & has_r & (x[right] > x[left]))
-        calls += solve(mid, d_l + frac * (d_r - d_l))
+    # cutting waves: the points that cut every run of more than _LAST_RUN
+    # points into _WAVE_CUTS near-equal runs
+    cut = np.arange(1, _WAVE_CUTS)
+    while np.any(hi - lo > _LAST_RUN):
+        long = hi - lo > _LAST_RUN
+        runs = lo[long], hi[long], left[long], right[long]
+        at = runs[0][:, None] + np.outer(runs[1] - runs[0], cut) // _WAVE_CUTS
+        pts = at.ravel()
+        counts = counts + solve(pts, start(pts, np.repeat(runs[2], len(cut)),
+                                           np.repeat(runs[3], len(cut))))
         waves += 1
-        lo, hi, left, right = split(lo, hi, left, right, mid)
+        lo, hi, left, right = (np.concatenate(pair) for pair in zip(
+            (v[~long] for v in (lo, hi, left, right)), split(*runs, at)))
+    # the last wave: every point left
+    if len(lo):
+        at = np.concatenate([np.arange(a, b) for a, b in zip(lo, hi)])
+        counts = counts + solve(at, start(at, np.repeat(left, hi - lo),
+                                          np.repeat(right, hi - lo)))
+        waves += 1
     failed = int(np.count_nonzero(np.isnan(out)))
     _log.debug("density: %d intervals, %d interior points, %d edge-seeded, "
-               "%d waves, %d batched evaluations (%d in wave 0), %d failed",
-               len(intervals), len(x), np.count_nonzero(edge), waves, calls,
-               wave0, failed)
+               "%d waves, %d batched evaluations of %d rows (%d of %d in "
+               "wave 0), %d failed", len(intervals), len(x),
+               np.count_nonzero(edge), waves, *counts, *wave0, failed)
     if failed:
         _log.warning("density: %d of %d points inside the support failed "
                      "at eps=%g and are NaN", failed, len(x), epsilon)

@@ -44,6 +44,7 @@ __all__ = [
 DEFAULT_QUAD_ORDER = 96
 _INNER_NOISE_ORDER = 32
 _SWEEP_BYTES = 2 << 20   # (delta, node) intermediates of one sweep chunk
+_DOT_NODES = 10_000      # nodes per block of a sum; see _sums
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,9 +122,10 @@ class ExpectationEngine:
 
     Construction whitens the projection law, marginalizes y and folds
     the nodes that share a g value once (module docstring); each
-    expectation afterwards is one matrix-vector product of the (delta,
-    node) values with the node weights, over one delta or a batch of
-    them, which keeps the Newton iterations cheap.
+    expectation afterwards is one dot product per delta (and per block
+    of _DOT_NODES nodes) of the (delta, node) values with the node
+    weights, over one delta or a batch of them, which keeps the Newton
+    iterations cheap.
     g and wt are the law of g, on its unique values in ascending order.
     """
 
@@ -162,25 +164,26 @@ class ExpectationEngine:
         self._cols = {np.dtype(float): cols,
                       np.dtype(complex): cols.astype(complex)}
 
-    def _damped(self, deltas):
-        """g / (1 + g delta) at a 1-D array of deltas, one row each.
+    def _damped(self, deltas, nodes):
+        """g / (1 + g delta) at a 1-D array of deltas, one row each, over
+        the nodes in the slice `nodes`.
 
         |1 + g delta| <= 1e-12 is a pole.  It needs |Im(g delta)| <= 1e-12
         and |g delta| >= 1 - 1e-12, so |Im delta| <= 2e-12 |delta|: only
         such rows are searched for one, which spares the complex rows of
         a Stieltjes solve the node-by-node test.
         """
-        f = np.multiply.outer(deltas, self.g)
+        g = self.g[nodes]
+        f = np.multiply.outer(deltas, g)
         f += 1.0
         near = np.abs(deltas.imag) <= 2e-12 * np.abs(deltas)
         if near.any():
             bad = np.nonzero(np.abs(f[near]) <= 1e-12)[1]
             if len(bad):
-                g = self.g[bad[0]]
                 raise PoleError(
-                    f"1 + g*delta vanished at a quadrature node (g={g:.6g})",
-                    node=g)
-        return np.divide(self.g, f, out=f)
+                    f"1 + g*delta vanished at a quadrature node "
+                    f"(g={g[bad[0]]:.6g})", node=g[bad[0]])
+        return np.divide(g, f, out=f)
 
     def e1(self, delta):
         """E[g / (1 + g delta)]."""
@@ -223,31 +226,36 @@ class ExpectationEngine:
         """e1 = f @ wt, e2 = f^2 @ wt and, with moments, the sums of the
         node columns weighed by f = g/(1+g delta) (f^2 with square=True),
         at a 1-D array of deltas; the sums are None without moments.  The
-        (delta, node) intermediates are built in chunks that together
-        stay within _SWEEP_BYTES.
+        (delta, node) intermediates are built in blocks of at most
+        _DOT_NODES nodes that together stay within _SWEEP_BYTES, and the
+        sums of the node blocks are added in order.
 
-        e1 and e2 are taken row by row (np.vecdot), one BLAS dot per row:
-        a BLAS gemv over a batch of rows wakes BLAS worker threads, which
-        then spin for ~0.1 s and slow the Monte Carlo trials that follow.
+        e1 and e2 are taken row by row (np.vecdot), one BLAS dot per row
+        and node block.  OpenBLAS runs a gemv over a batch of rows, or a
+        dot over more than 10^4 nodes, on several threads, which then spin
+        for ~0.1 s and slow the Monte Carlo trials that follow.
         """
         deltas = np.asarray(deltas)
         dtype = np.result_type(deltas, float)
         cols = self._cols[dtype]
-        wt = cols[0]
-        k = len(deltas)
-        e1, e2 = np.empty(k, dtype), np.empty(k, dtype)
-        raw = np.empty((k, len(cols)), dtype) if moments else None
-        rows = max(1, _SWEEP_BYTES // (2 * dtype.itemsize * len(self.g)))
+        k, n = len(deltas), len(self.g)
+        e1, e2 = np.zeros(k, dtype), np.zeros(k, dtype)
+        raw = np.zeros((k, len(cols)), dtype) if moments else None
+        width = min(n, _DOT_NODES)
+        rows = max(1, _SWEEP_BYTES // (2 * dtype.itemsize * width))
         for start in range(0, k, rows):
             part = slice(start, start + rows)
-            f = self._damped(deltas[part])
-            e1[part] = np.vecdot(wt, f)
-            if moments and not square:
-                raw[part] = f @ cols.T
-            f *= f
-            e2[part] = np.vecdot(wt, f)
-            if moments and square:
-                raw[part] = f @ cols.T
+            for j in range(0, n, width):
+                nodes = slice(j, j + width)
+                block = cols[:, nodes]
+                f = self._damped(deltas[part], nodes)
+                e1[part] += np.vecdot(block[0], f)
+                if moments and not square:
+                    raw[part] += f @ block.T
+                f *= f
+                e2[part] += np.vecdot(block[0], f)
+                if moments and square:
+                    raw[part] += f @ block.T
         return e1, e2, raw
 
 

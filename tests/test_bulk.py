@@ -174,29 +174,40 @@ class TestDensity:
         curve = density(spec, np.linspace(-10.0, 10.0, 400))
         assert np.all(curve.density > 0)
 
-    @pytest.mark.parametrize("make", [
-        fig3_four, lambda: build_spec(preset_config("fig1b"))[0]],
-        ids=["fig3-four", "fig1b"])
-    def test_batched_evaluations_are_few(self, make, monkeypatch):
-        # the interior points are solved in waves of one batched e1_e2 call
-        # per Newton step, not one point after another (~440 calls for
-        # fig1b's 200-point density)
+    @staticmethod
+    def counted_e1_e2(monkeypatch):
+        """The number of deltas of each ExpectationEngine.e1_e2 call."""
         from hesspec.expectations import ExpectationEngine
-        spec = make()
-        lo, hi = default_scan_range(spec)
-        grid = np.linspace(lo, hi, 200)
-        support(spec, (lo, hi))                # builds the exterior map
-        calls = []
+        rows = []
         e1_e2 = ExpectationEngine.e1_e2
 
         def counted(eng, delta):
-            calls.append(delta)
+            rows.append(np.size(delta))
             return e1_e2(eng, delta)
 
         monkeypatch.setattr(ExpectationEngine, "e1_e2", counted)
+        return rows
+
+    @pytest.mark.parametrize("make, points, max_calls, max_rows", [
+        (fig3_four, 200, 30, np.inf),
+        (lambda: build_spec(preset_config("fig1b"))[0], 200, 30, np.inf),
+        (lambda: build_spec(preset_config("fig1cd"))[0], 400, np.inf, 1085)],
+        ids=["fig3-four", "fig1b", "fig1cd"])
+    def test_batched_evaluations_are_few(self, make, points, max_calls,
+                                         max_rows, monkeypatch):
+        # the interior points are solved in waves of one batched e1_e2 call
+        # per Newton step, seeded from their solved neighbours; bisection
+        # waves seeded linearly in x take 36 and 39 calls on fig3-four and
+        # fig1b, and 1,085 rows on fig1cd
+        spec = make()
+        lo, hi = default_scan_range(spec)
+        grid = np.linspace(lo, hi, points)
+        support(spec, (lo, hi))                # builds the exterior map
+        rows = self.counted_e1_e2(monkeypatch)
         curve = density(spec, grid)
         assert np.all(np.isfinite(curve.density))
-        assert 0 < len(calls) <= 100
+        assert 0 < len(rows) <= max_calls
+        assert sum(rows) <= max_rows
 
     @staticmethod
     def counted_iterate(monkeypatch, fail=None):
@@ -277,18 +288,22 @@ class TestDensity:
         assert "1 of 35 points" in warned[0].getMessage()
         assert f"eps={curve.epsilon:g}" in warned[0].getMessage()
 
-    def test_logs_its_waves(self, caplog):
+    def test_logs_its_waves(self, caplog, monkeypatch):
         spec = quarter_wishart()
         grid = np.linspace(0.0, 0.7, 50)
+        bulk._exterior(spec)                  # built before counting
+        rows = self.counted_e1_e2(monkeypatch)
         with caplog.at_level("DEBUG", logger="hesspec"):
             density(spec, grid)
         logged = [r.getMessage() for r in caplog.records
                   if r.name == "hesspec" and r.levelname == "DEBUG"]
         assert len(logged) == 1
-        # 35 points take the 2 next to the edges, then waves of 1, 2, 4, 8,
-        # 16 and 2 middles
+        # 35 points take the 2 next to the edges, then the 7 that cut the
+        # 33 between them into 8 runs, then the last wave of the 26 left
         assert logged[0].startswith("density: 1 intervals, 35 interior "
-                                    "points, 2 edge-seeded, 7 waves, ")
+                                    "points, 2 edge-seeded, 3 waves, ")
+        assert (f" {len(rows)} batched evaluations of {sum(rows)} rows ("
+                in logged[0])
         assert logged[0].endswith(" in wave 0), 0 failed")
 
 

@@ -263,6 +263,23 @@ class TestKernel:
             np.testing.assert_allclose(got[:2], [e1, e2], rtol=1e-13)
             np.testing.assert_allclose(got[2][:, 0, 0], want, rtol=1e-13)
 
+    def test_node_blocks_match_the_direct_formula(self, eng, monkeypatch):
+        # a large engine's sums run over blocks of _DOT_NODES nodes, added
+        # in order; 7-node blocks leave a last block of fewer nodes
+        monkeypatch.setattr(expectations, "_DOT_NODES", 7)
+        assert len(eng.g) % 7
+        e1, e2 = self.direct(eng, 1), self.direct(eng, 2)
+        np.testing.assert_allclose(eng.e1_e2(self.DELTAS), [e1, e2],
+                                   rtol=1e-13)
+        for square, want in ((False, e1), (True, e2)):
+            got = eng.sweep(self.DELTAS, square=square)
+            np.testing.assert_allclose(got[:2], [e1, e2], rtol=1e-13)
+            np.testing.assert_allclose(got[2][:, 0, 0], want, rtol=1e-13)
+        pole = -1.0 / eng.g[len(eng.g) // 2]
+        with pytest.raises(PoleError) as err:
+            eng.e1_e2(np.append(self.DELTAS, pole))
+        assert err.value.node == eng.g[len(eng.g) // 2]
+
     def test_pole_at_an_interior_node(self, eng):
         k = np.flatnonzero((np.abs(eng.g) > 0.1) & (np.abs(eng.g) < 10))
         k = k[len(k) // 2]
