@@ -28,7 +28,9 @@ bounds of the weight law (classify_g_support), not from the quadrature
 nodes; a law unbounded on both sides admits only delta = 0 and has no
 real exterior.  One array kernel (_Exterior.eval) evaluates the grid and
 a single angle alike, and one polisher (_polish) refines the edges, the
-real-axis solves and the spikes of hesspec.spikes.
+real-axis solves and the spikes of hesspec.spikes.  Every trace of
+Qbar(z) = (e(delta) C - z I)^-1 that these solvers and hesspec.spikes
+read is one pole sum over the atoms of C (_pole_sum), at arrays of z.
 
 The density is the absolutely continuous part of the measure: exactly 0
 off the support, and Im m(x + i eps) / pi at each grid point inside it,
@@ -54,7 +56,7 @@ import numpy as np
 from scipy import optimize
 
 from .errors import BranchViolation, NonConvergence
-from .expectations import _SWEEP_BYTES, expectation_engine
+from .expectations import expectation_engine
 from .models import classify_g_support
 
 __all__ = [
@@ -103,6 +105,18 @@ class SupportReport:
     bounded: bool
 
 
+def _pole_sum(t, z, e, k=1, tail=0):
+    """sum_j num_j / (e t_j - z)^k over the atoms t_j of C at scalars or
+    arrays z and e = e(delta(z)), as a function of num: one pole matrix
+    for every trace of Qbar(z) = (e C - z I)^-1 its caller reads.  num
+    holds the atoms on axis -1 - tail (tail = 2 for the Grams of
+    spikes._vqv); the caller applies c."""
+    pole = np.multiply.outer(e, t) - np.asarray(z)[..., None]
+    pole = pole.reshape(pole.shape + (1,) * tail)
+    denom = pole if k == 1 else pole ** k
+    return lambda num: (num / denom).sum(-1 - tail)
+
+
 def _iterate(eng, t, wts, c, z, start):
     """Newton's method for delta at each of an array of complex z, from
     starts given as the arrays (delta, e(delta), E2(delta)); returns the
@@ -111,8 +125,9 @@ def _iterate(eng, t, wts, c, z, start):
 
     The root is that of F(delta) = c sum_j w_j t_j / (e(delta) t_j - z)
     - delta, whose derivative F'(delta) = E2 (1/n) tr CQCQ - 1 is the
-    negated slope numerator.  A Newton candidate is taken only if it stays
-    in the half-plane of z, where the Stieltjes branch lies, and lowers
+    negated slope numerator; each is one pole sum (_pole_sum) over all
+    active rows.  A Newton candidate is taken only if it stays in the
+    half-plane of z, where the Stieltjes branch lies, and lowers
     |F|; otherwise the step is the damped fixed-point step delta + F/2,
     which maps that half-plane into itself, so a start in z's half-plane
     stays there.  Each z leaves the active set once |F| < FP_TOL; one
@@ -122,17 +137,9 @@ def _iterate(eng, t, wts, c, z, start):
     z = np.asarray(z, dtype=complex)
     d, e, e2 = (np.array(v, dtype=complex) for v in start)
     wt_t, wt_tt = wts * t, wts * t * t
-    chunk = max(1, _SWEEP_BYTES // (16 * len(t)))
-
-    def over_poles(num, z, e, power=1):
-        """sum_j num_j / (e t_j - z)^power at each row, in row chunks
-        whose (row, atom) intermediates stay within _SWEEP_BYTES."""
-        return np.concatenate([
-            (num / (np.outer(e[i:i + chunk], t) - z[i:i + chunk, None])
-             ** power).sum(1) for i in range(0, len(z) or 1, chunk)])
 
     def residual(z, d, e):
-        return c * over_poles(wt_t, z, e) - d
+        return c * _pole_sum(t, z, e)(wt_t) - d
 
     F = residual(z, d, e)
     iterations = np.ones(len(z), dtype=int)
@@ -143,7 +150,7 @@ def _iterate(eng, t, wts, c, z, start):
             break
         iterations[act] += 1
         za, Fa = z[act], F[act]
-        new = d[act] - Fa / (e2[act] * c * over_poles(wt_tt, za, e[act], 2)
+        new = d[act] - Fa / (e2[act] * c * _pole_sum(t, za, e[act], 2)(wt_tt)
                              - 1.0)
         newton = new.imag * za.imag > 0
         if newton.any():
@@ -164,7 +171,7 @@ def _iterate(eng, t, wts, c, z, start):
             F[damp] = residual(z[damp], step, e[damp])
             calls += 1, len(damp)
         act = act[~(np.abs(F[act]) < FP_TOL)]
-    return StieltjesPoint(z=z, delta=d, m=over_poles(wts, z, e), e=e,
+    return StieltjesPoint(z=z, delta=d, m=_pole_sum(t, z, e)(wts), e=e,
                           iterations=iterations, residual=np.abs(F),
                           e2=e2), calls
 
@@ -177,42 +184,34 @@ def stieltjes_derivatives(spec, point):
         delta' = (1/n) tr QCQ / (1 - E2 * (1/n) tr CQCQ),
         m'     = (1/p) tr Q (E2 delta' C + I) Q,
     with Q the deterministic resolvent equivalent and E2 = point.e2 the
-    squared effective curvature, read off the point, not the nodes.
+    squared effective curvature, read off the point, not the nodes.  The
+    three traces are sums over one pole matrix (_pole_sum).
     """
     t, wts = spec.atoms
-    c = spec.c
     e2 = point.e2
-    denom = (np.multiply.outer(point.e, t)
-             - np.asarray(point.z)[..., None]) ** 2
-    tr_qcq = c * np.sum(wts * t / denom, -1)
-    tr_cqcq = c * np.sum(wts * t * t / denom, -1)
+    over_sq = _pole_sum(t, point.z, point.e, 2)
+    tr_qcq = spec.c * over_sq(wts * t)
+    tr_cqcq = spec.c * over_sq(wts * t * t)
     delta_prime = tr_qcq / (1.0 - e2 * tr_cqcq)
-    m_prime = np.sum(wts * (np.multiply.outer(e2 * delta_prime, t) + 1.0)
-                     / denom, -1)
+    m_prime = over_sq(wts * (np.multiply.outer(e2 * delta_prime, t) + 1.0))
     return delta_prime, m_prime, e2
 
 
-def solve_point(spec, z, warm_start=None):
+def solve_point(spec, z):
     """Solve for (delta, m) at one complex z, or at a real z off the support.
 
     A complex z runs the Newton solve of density (_iterate) on its own,
-    from warm_start, the StieltjesPoint of an earlier complex solve, whose
-    last evaluation (delta, e, E2) is reused (e and E2 depend on delta
-    alone), or from -1/z when none is given; NonConvergence is raised if
-    it fails.  A real z is inverted exactly on the exterior map
-    (warm_start unused), and one inside the support raises BranchViolation.
+    from delta = -1/z; NonConvergence is raised if it fails.  A real z is
+    inverted exactly on the exterior map, and one inside the support
+    raises BranchViolation.
     """
     z = complex(z)
     if z.imag == 0.0:
         return _exterior(spec).solve(z.real)
-    t, wts = spec.atoms
     eng = expectation_engine(spec)
-    if warm_start is None:
-        d = complex(-1.0 / z)
-        start = (d, *eng.e1_e2(d))
-    else:
-        start = warm_start.delta, warm_start.e, warm_start.e2
-    pts, _ = _iterate(eng, t, wts, spec.c, [z], [[v] for v in start])
+    d = -1.0 / z
+    pts, _ = _iterate(eng, *spec.atoms, spec.c, [z],
+                      [[v] for v in (d, *eng.e1_e2(d))])
     point = StieltjesPoint(**{k: v[0].item() for k, v in vars(pts).items()})
     if not point.residual < FP_TOL:
         raise NonConvergence(
@@ -474,8 +473,7 @@ def _branch_z(t, w, c, gap, delta, e):
 def _slope_sign(t, w, c, z, e, e2):
     """1 - E2 (1/n) tr CQCQ at arrays (z, e, E2): the sign of dz/ddelta."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        return 1.0 - e2 * c * np.sum(w * t * t / (np.outer(e, t)
-                                                  - z[:, None]) ** 2, 1)
+        return 1.0 - e2 * c * _pole_sum(t, z, e, 2)(w * t * t)
 
 
 def _open_gaps(t, w, c):
@@ -589,10 +587,10 @@ class _Exterior:
         matches to rounding), with no fixed-point solve."""
         z_theta, e, e2, _ = self.eval(gap, [theta])
         z, e, d = z_theta[0] if z is None else z, e[0], self.delta(theta)
-        pole = e * self.t - z
-        target = self.c * np.sum(self.w * self.t / pole)
+        over = _pole_sum(self.t, z, e)
+        target = self.c * over(self.w * self.t)
         return StieltjesPoint(z=complex(z), delta=complex(d),
-                              m=complex(np.sum(self.w / pole)), e=complex(e),
+                              m=complex(over(self.w)), e=complex(e),
                               iterations=0, residual=abs(d - target),
                               e2=complex(e2[0]))
 
@@ -616,17 +614,19 @@ class _Exterior:
     def _end(self, gap, grid, inside, outside):
         """The table row (theta, z, e, moments) of the segment end between
         grid point inside (rising) and outside (not rising, or past the end
-        of the arc), or None where inside is itself the end."""
+        of the arc), or None where inside is itself the end (past the arc,
+        or a soft edge on inside's grid angle)."""
         if not 0 <= outside < len(self.theta):
             return None
         th_out = self.theta[outside]
         if gap is None and th_out == 0.0:
             theta, _, e, moments = (col[[outside]] for col in grid)
             return theta, [-np.inf if outside < inside else np.inf], e, moments
-        th = [_polish(lambda x: self._slope(gap, x), th_out,
-                      self.theta[inside])]
-        z, e, _, moments = self.eval(gap, th)
-        return th, z, e, moments
+        th = _polish(lambda x: self._slope(gap, x), th_out, self.theta[inside])
+        if th == self.theta[inside]:
+            return None
+        z, e, _, moments = self.eval(gap, [th])
+        return [th], z, e, moments
 
 
 def _exterior(spec):

@@ -27,6 +27,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal, lapack
 
 from . import _openblas
+from .bulk import support
 from .errors import DomainError, NumericError
 from .features import _centred_features, sample_features
 from .models import curvature, sample_response
@@ -344,7 +345,7 @@ def run_trials(spec, dist, seeds, picks=(), shared=None):
 def _gap_pick(support_report, lam):
     """The pick (lo, hi, lam) of the gap between two support intervals
     that holds lam, or None."""
-    ivs = [] if support_report is None else sorted(support_report.intervals)
+    ivs = sorted(support_report.intervals)
     for (_, lo), (hi, _) in zip(ivs, ivs[1:]):
         if lo < lam < hi:
             return lo, hi, lam
@@ -361,7 +362,7 @@ def _mean_stderr(samples):
 
 
 def compare(spec, theory_density, spike_reports, trials, base_seed,
-            dist="gaussian", support_report=None, shared=None):
+            dist="gaussian", shared=None):
     """Monte Carlo discrepancy metrics against the asymptotic theory.
 
     density_l1 is the integrated L1 distance between the pooled
@@ -369,13 +370,14 @@ def compare(spec, theory_density, spike_reports, trials, base_seed,
     spike and alignment errors compare the per-trial mean eigenpair to
     each theoretical spike, with its standard error alongside.  Each
     spike makes one pick of run_trials, in spike order: a spike in a gap
-    between two intervals of support_report picks that gap; any other,
-    ranked r outermost first among those on its side, picks index r on
-    the left and -1 - r on the right.  `shared` goes to run_trials.
+    of the exact support, support(spec, (-inf, inf)), picks that gap; any
+    other, ranked r outermost first among those on its side, picks index
+    r on the left and -1 - r on the right.  `shared` goes to run_trials.
     """
     if trials < 1:
         raise DomainError(f"compare needs trials >= 1, got {trials}")
     seeds = [base_seed + k for k in range(trials)]
+    exact = support(spec, (-np.inf, np.inf))
     picks = []
     for i, rep in enumerate(spike_reports):
         # rank r outermost first, ties in spike order, among the spikes on
@@ -384,7 +386,7 @@ def compare(spec, theory_density, spike_reports, trials, base_seed,
         r = sum((sign * other.location, j) < (sign * rep.location, i)
                 for j, other in enumerate(spike_reports)
                 if other.side == rep.side)
-        picks.append(_gap_pick(support_report, rep.location) or
+        picks.append(_gap_pick(exact, rep.location) or
                      (r if sign > 0 else -1 - r))
     spectra = run_trials(spec, dist, seeds, picks, shared=shared)
 

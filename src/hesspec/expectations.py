@@ -189,10 +189,6 @@ class ExpectationEngine:
         """E[g / (1 + g delta)]."""
         return self.e1_e2(delta)[0]
 
-    def e2(self, delta):
-        """E[g^2 / (1 + g delta)^2]."""
-        return self.e1_e2(delta)[1]
-
     def e1_e2(self, delta):
         """(e1, e2) at one delta, or arrays of them at each of a 1-D
         array of deltas (in chunks that stay within _SWEEP_BYTES, as in
@@ -274,7 +270,7 @@ def effective_curvature(spec, delta):
 
 def effective_curvature_sq(spec, delta):
     """E[g^2/(1+g delta)^2], the weight appearing in all z-derivatives."""
-    return expectation_engine(spec).e2(delta)
+    return expectation_engine(spec).e1_e2(delta)[1]
 
 
 def curvature_moments(spec, z, delta):

@@ -130,8 +130,7 @@ class Analysis:
         if trials < 1:
             raise ConfigError(f"Monte Carlo needs trials >= 1, got {trials}")
         rep = compare(self.spec, self.curve, self.spikes, trials,
-                      base_seed=seed, dist=dist, support_report=self.support,
-                      shared=shared)
+                      base_seed=seed, dist=dist, shared=shared)
         results = self.results()
         results["comparison"] = {
             "density_l1": rep.density_l1,

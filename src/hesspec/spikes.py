@@ -28,7 +28,8 @@ import numpy as np
 from scipy import optimize
 
 from .errors import ImaginaryLeak, MultiplicityViolation
-from .bulk import _exterior, _polish, solve_point, stieltjes_derivatives
+from .bulk import (_exterior, _pole_sum, _polish, solve_point,
+                   stieltjes_derivatives)
 from .expectations import QuadratureGrid, expectation_engine
 
 __all__ = [
@@ -86,16 +87,16 @@ def _active_columns(spec):
 
 def _vqv(spec, z, e, slope=None):
     """V^T Qbar V at z and e = e(delta(z)), scalars or arrays (k x 3 x 3),
-    through the eigen-grouped partial Grams of C; with slope = E2 delta'(z)
-    also its z-derivative, via Qbar' = Qbar (E2 delta' C + I) Qbar."""
-    z, e = np.asarray(z)[..., None, None], np.asarray(e)[..., None, None]
-    vqv = vqv_prime = 0.0
-    for t_val, gram in spec.grouped_grams:
-        pole = e * t_val - z
-        vqv = vqv + gram / pole
-        if slope is not None:
-            vqv_prime = vqv_prime + gram * (slope * t_val + 1.0) / pole ** 2
-    return vqv if slope is None else (vqv, vqv_prime)
+    the pole sum of the eigen-grouped partial Grams of C; with slope =
+    E2 delta'(z) also its z-derivative, via Qbar' = Qbar (E2 delta' C + I)
+    Qbar."""
+    t = spec.atoms[0]
+    grams = np.array([gram for _, gram in spec.grouped_grams])
+    vqv = _pole_sum(t, z, e, tail=2)(grams)
+    if slope is None:
+        return vqv
+    rise = np.multiply.outer(slope, t)[..., None, None] + 1.0
+    return vqv, _pole_sum(t, z, e, 2, tail=2)(grams * rise)
 
 
 def _g(moments, vqv, active):

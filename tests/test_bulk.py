@@ -88,16 +88,6 @@ class TestSolvePoint:
             pt = solve_point(spec, z)
             assert pt.residual < 1e-10
 
-    def test_warm_start_agrees_with_cold(self):
-        # warm_start only seeds the Newton solve at complex z
-        spec = quarter_wishart()
-        z = 0.60 + 1e-3j
-        cold = solve_point(spec, z)
-        near = solve_point(spec, 0.61 + 1e-3j)
-        warm = solve_point(spec, z, warm_start=near)
-        assert abs(warm.m - cold.m) < 1e-8
-        assert warm.iterations < cold.iterations
-
     def test_random_upper_half_plane_against_mp(self):
         spec = quarter_wishart()
         rng = np.random.default_rng(23)
@@ -173,6 +163,26 @@ class TestDensity:
         spec, _ = build_spec(preset_config("fig1cd"))
         curve = density(spec, np.linspace(-10.0, 10.0, 400))
         assert np.all(curve.density > 0)
+
+    def test_wide_wave_on_many_atoms(self, monkeypatch):
+        # 800 atoms of C on a 2,000-point grid: the last wave solves over
+        # 400 rows at once, each Newton step on a (row, atom) pole matrix
+        # of more than 5 MB
+        cfg = {"p": 800, "n": 1600,
+               "cov": {"diag": np.linspace(0.5, 2.0, 800).tolist()},
+               "mu": "gaussian_norm(1.0)", "w": "mu"}
+        spec, _ = build_spec(cfg)
+        assert len(spec.atoms[0]) == 800
+        waves = TestEdgeSeeds.waves(monkeypatch)
+        grid = np.linspace(*default_scan_range(spec), 2000)
+        curve = density(spec, grid)
+        assert max(len(w.z) for w in waves) > 400
+        inside = np.flatnonzero(curve.density > 0)
+        at = inside[np.linspace(0, len(inside) - 1, 10).astype(int)]
+        cold = [solve_point(spec, complex(x, curve.epsilon)).m.imag / np.pi
+                for x in grid[at]]
+        np.testing.assert_allclose(curve.density[at], cold, rtol=0,
+                                   atol=1e-9 * np.max(curve.density))
 
     @staticmethod
     def counted_e1_e2(monkeypatch):
@@ -327,9 +337,15 @@ class TestEdgeSeeds:
         monkeypatch.setattr(hesspec.bulk, "_iterate", recorded)
         return waves
 
-    def test_marchenko_pastur_in_few_steps(self, monkeypatch):
-        spec = quarter_wishart()
-        grid = np.linspace(0.0, 0.7, 50)
+    # at c = 1/2 the left edge lies on an angle of the exterior map's
+    # grid, and at x = 0.021, where the O(eps) term below grows like 1/x
+    @pytest.mark.parametrize("n, top, margin", [(2048, 0.7, 0.01),
+                                                (1024, 0.8, 0.02)],
+                             ids=["c0.25", "c0.5"])
+    def test_marchenko_pastur_in_few_steps(self, monkeypatch, n, top,
+                                           margin):
+        spec = quarter_wishart(n=n)
+        grid = np.linspace(0.0, top, 50)
         waves = self.waves(monkeypatch)
         curve = density(spec, grid)
         lo, hi = (0.25 * (1 + s * np.sqrt(spec.c)) ** 2 for s in (-1, 1))
@@ -346,9 +362,9 @@ class TestEdgeSeeds:
                                    atol=1e-9 * max(at_eps))
         # the eps-solution is the closed form on the axis to O(eps) at
         # points a grid step inside the edges
-        away = (grid > lo + 0.01) & (grid < hi - 0.01)
+        away = (grid > lo + margin) & (grid < hi - margin)
         np.testing.assert_allclose(curve.density[away],
-                                   mp_density(grid[away], 0.25), rtol=0,
+                                   mp_density(grid[away], spec.c), rtol=0,
                                    atol=100 * eps)
 
     @pytest.mark.parametrize("make", [

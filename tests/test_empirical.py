@@ -654,8 +654,7 @@ class TestSidePairing:
         an = analyze(spec)
         spikes = an.spikes
         assert [s.side for s in spikes] == ["left", "right", "right"]
-        rep = compare(spec, an.curve, spikes, trials=3, base_seed=seed,
-                      support_report=an.support)
+        rep = compare(spec, an.curve, spikes, trials=3, base_seed=seed)
         trials = [run_trial(spec, "gaussian", seed + k, [-1])
                   for k in range(3)]
         for rank, spike_no in ((0, 0), (-2, 1), (-1, 2)):
@@ -682,8 +681,7 @@ class TestInGapPairing:
         spec, seed = build_spec(cfg)
         an = analyze(spec)
         assert an.support.bulk_count == 2 and len(an.spikes) == 1
-        rep = compare(spec, an.curve, an.spikes, trials=2, base_seed=seed,
-                      support_report=an.support)
+        rep = compare(spec, an.curve, an.spikes, trials=2, base_seed=seed)
         emp, theo, _ = rep.spike_errors[0]
         assert theo == pytest.approx(0.3366, abs=1e-4)
         assert emp == pytest.approx(theo, abs=0.02)
@@ -743,8 +741,9 @@ class TestPicks:
 
     def compare_picks(self, monkeypatch, located, sup=None):
         """The picks compare asks of run_trials for spikes at these
-        (location, side), and its report; trial s shifts every eigenvalue
-        of VALS by s, and the vector at index k is e_k."""
+        (location, side), and its report, with the support sup in place
+        of the spec's when given; trial s shifts every eigenvalue of VALS
+        by s, and the vector at index k is e_k."""
         from hesspec.spikes import SpikeReport
 
         spikes = [SpikeReport(location=x, side=side, gap=0.1,
@@ -760,14 +759,15 @@ class TestPicks:
                 paired=tuple((k, np.eye(8)[k]) for k in ks)) for s in seeds]
 
         monkeypatch.setattr(empirical, "run_trials", run)
+        if sup is not None:
+            monkeypatch.setattr(empirical, "support", lambda spec, window: sup)
         spec = ProblemSpec(p=8, n=16, mu=self.MU, cov=ScaledIdentity(1.0),
                            w_star=np.zeros(8), w=np.zeros(8),
                            model=ResponseModel.logistic(),
                            weight=WeightFn.loss_curvature("logistic"))
         curve = SimpleNamespace(grid=np.array([0.0, 3.0]),
                                 density=np.array([1 / 3, 1 / 3]))
-        rep = compare(spec, curve, spikes, trials=2, base_seed=0,
-                      support_report=sup)
+        rep = compare(spec, curve, spikes, trials=2, base_seed=0)
         assert len(asked) == 1
         return asked[0], rep
 
