@@ -33,19 +33,10 @@ Qbar(z) = (e(delta) C - z I)^-1 that these solvers and hesspec.spikes
 read is one pole sum over the atoms of C (_pole_sum), at arrays of z.
 
 The density is the absolutely continuous part of the measure: exactly 0
-off the support, and Im m(x + i eps) / pi at each grid point inside it,
-where eps only regularises those interior solves.  They run in waves,
-each one batched Newton solve (density).  The first takes the grid point
-next to each soft edge, seeded from the exterior map's quadratic at that
-edge (_Exterior.edge_seed); later waves cut the runs between solved
-points into _WAVE_CUTS parts until none holds more than _LAST_RUN, and
-a last wave solves the rest.  Those starts are cubic Hermite
-interpolants of the solved points around them in an edge coordinate
-where delta is smooth, with slopes from the trace identity of
-stieltjes_derivatives, so a grid of a few hundred interior points
-takes about four solves of arrays instead of one scalar solve per
-point.  The atom at 0 that c > 1 puts there is reported by support()
-and not drawn.
+off the support, and Im m(x + i eps) / pi inside it, solved in a few
+batched waves scheduled up front and started between solved points at
+the soft edges (density).  The atom at 0 that c > 1 puts there is
+reported by support() and not drawn.
 """
 from __future__ import annotations
 
@@ -252,19 +243,41 @@ def default_scan_range(spec):
 
 
 def _edge_coordinate(x, a, b, soft_a, soft_b):
-    """(u, dx/du) at points x of intervals [a, b]: u = arccos((a + b - 2x)
-    / (b - a)), taken as 2 arctan2(sqrt(x - a), sqrt(b - x)), when both
-    ends are soft edges, sqrt(x - a) or -sqrt(b - x) when one is, and x
-    when neither is.  delta has a square root in x at a soft edge and is
-    smooth in u."""
-    u, dxdu = x.copy(), np.ones(len(x))
-    for on, sign, rt in ((soft_a & ~soft_b, 1.0, np.sqrt(x - a)),
-                         (soft_b & ~soft_a, -1.0, np.sqrt(b - x))):
-        u[on], dxdu[on] = sign * rt[on], 2.0 * rt[on]
-    both = soft_a & soft_b
-    ra, rb = np.sqrt(x[both] - a[both]), np.sqrt(b[both] - x[both])
-    u[both], dxdu[both] = 2.0 * np.arctan2(ra, rb), ra * rb
-    return u, dxdu
+    """(u, dx/du, k) at points x of the interval [a, b]: u = arccos((a + b
+    - 2x) / (b - a)), taken as 2 arctan2(sqrt(x - a), sqrt(b - x)), when
+    both ends are soft edges, sqrt(x - a) or -sqrt(b - x) when one is, and
+    x when neither is.  delta has a square root in x at a soft edge x_e
+    and is smooth in u, and |x - x_e| ~ k (u - u_e)^2 there."""
+    if soft_a and soft_b:
+        ra, rb = np.sqrt(x - a), np.sqrt(b - x)
+        return 2.0 * np.arctan2(ra, rb), ra * rb, 0.25 * (b - a)
+    if soft_a or soft_b:
+        rt = np.sqrt(x - a if soft_a else b - x)
+        return (rt if soft_a else -rt), 2.0 * rt, 1.0
+    return x, np.ones(len(x)), 1.0
+
+
+def _waves(runs, size):
+    """The wave (1, 2, ...) of each of size rows, from the runs (lo, hi,
+    bounded) of unsolved rows [lo, hi) the intervals start as, bounded if
+    a solved row lies beside; rows in no run keep wave 0.  A wave takes
+    the middle row of each unbounded run, the _WAVE_CUTS - 1 rows that cut
+    each run of more than _LAST_RUN rows into _WAVE_CUTS near-equal runs,
+    and every row of each other run; the next takes the runs it leaves."""
+    wave, level = np.zeros(size, dtype=int), 0
+    while runs:
+        level, todo, runs = level + 1, runs, []
+        for lo, hi, bounded in todo:
+            if bounded and hi - lo <= _LAST_RUN:
+                wave[lo:hi] = level
+                continue
+            at = (lo + (hi - lo) * np.arange(1, _WAVE_CUTS) // _WAVE_CUTS
+                  if bounded else [(lo + hi - 1) // 2])
+            wave[at] = level
+            ends = [lo - 1, *at, hi]
+            runs += [(i + 1, j, True) for i, j in zip(ends, ends[1:])
+                     if i + 1 < j]
+    return wave
 
 
 def density(spec, grid, epsilon=None):
@@ -273,28 +286,19 @@ def density(spec, grid, epsilon=None):
     The curve is exactly 0 off the exact support (support(), without the
     atom at 0 for c > 1, which is not drawn).  Inside, every grid point
     gets one Newton solve at x + i*eps (_iterate), and eps (default
-    1e-6 * max(1, grid span)) only regularises these solves.  They run
-    in waves, one batched _iterate call per wave over all intervals.
-    Wave 0 solves the point next to each soft edge (a zero of the slope
-    of the exterior map), started from the root of the map's quadratic
-    at that edge (_Exterior.edge_seed), and the middle point of each
-    interval with no soft edge (its ends are +-inf or hard edges) from
-    -1/z.  While a run of unsolved points between solved ones (or
-    between one and the interval's end) holds more than _LAST_RUN
-    points, a wave solves the points that cut every such run into
-    _WAVE_CUTS near-equal runs; then one last wave solves every point
-    left.  Each start is read off the converged points around its run
-    in the interval's edge coordinate u (_edge_coordinate), where delta
-    is smooth: by cubic Hermite interpolation between the two, with
-    d delta/du = delta'(z) dx/du (stieltjes_derivatives, no engine
-    call), by a first-order Taylor step from the one at an interval's
-    open end, or from -1/z without one.  A start in the wrong half-plane
-    is reflected into that of z, which brings it no farther from the
-    root.  N points take about log(N / _LAST_RUN) / log(_WAVE_CUTS) + 2
-    waves.  Points where the solver fails are NaN, never seed a
-    neighbour, and their count is logged; a DEBUG line gives the
-    edge-seeded points, the waves, and the batched evaluations and
-    their rows in all and in wave 0.
+    1e-6 * max(1, grid span)) only regularises these solves.  They run in
+    the waves that _waves assigns up front, one batched _iterate call per
+    wave over all intervals, between solved rows at the soft edges
+    (_Exterior.edge_row).  Every start comes from the nearest converged
+    rows on either side in the interval's edge coordinate u
+    (_edge_coordinate), where delta is smooth: cubic Hermite between two,
+    with d delta/du = delta'(z) dx/du (stieltjes_derivatives, no engine
+    call), a Taylor step from one, -1/z from none, reflected into z's
+    half-plane.  A grid point exactly on a soft edge, where F' = 0 at the
+    edge's delta, starts from the edge's quadratic at x + i*eps
+    (_Exterior.edge_seed).  It seeds no neighbour, nor does a point where
+    the solver fails: that one is NaN, and failures are counted in a
+    WARNING; a DEBUG line gives the waves and the batched evaluations.
     """
     grid = np.asarray(grid, dtype=float)
     if epsilon is None:
@@ -303,52 +307,45 @@ def density(spec, grid, epsilon=None):
     out = np.zeros(len(grid))
     rank = np.argsort(grid, kind="stable")
     xs = grid[rank]
-    intervals = _intervals(spec, -np.inf, np.inf)
-    cuts = [(np.searchsorted(xs, a), np.searchsorted(xs, b, "right"))
-            for a, b in intervals]
-    # the interior points in ascending x, interval after interval; a run
-    # [lo, hi) of unsolved ones has solved neighbours left and right (-1
-    # for none), and each interval starts as one run
-    inside = np.concatenate([rank[:0]] + [rank[i:j] for i, j in cuts])
-    x = grid[inside]
-    sizes = np.array([j - i for i, j in cuts], dtype=int)
-    hi = np.cumsum(sizes)
-    lo = hi - sizes
-    lo, hi = lo[sizes > 0], hi[sizes > 0]
-    ends = np.reshape(intervals, (-1, 2))[sizes > 0]
-    left = right = np.full(len(lo), -1)
     t, wts = spec.atoms
     eng = expectation_engine(spec)
     ext = _exterior(spec)
-    soft = np.isin(ends, list(ext.soft))
-    u, dxdu = _edge_coordinate(x, *np.repeat(ends, hi - lo, 0).T,
-                               *np.repeat(soft, hi - lo, 0).T)
-    delta = np.zeros(len(x), dtype=complex)    # kept where solved only
-    slope = np.zeros(len(x), dtype=complex)    # d delta / du, likewise
-    ok = np.zeros(len(x), dtype=bool)
-
-    def solve(at, seed):
-        """One wave: the points at from the starts seed, in one _iterate
-        call; returns its batched e1_e2 calls and rows."""
+    intervals = _intervals(spec, -np.inf, np.inf)
+    # the rows, interval after interval in ascending x: the grid points of
+    # interval iv (pos, their index in grid) between solved rows at its
+    # soft edges (pos -1), with x, u, dx/du, delta and d delta/du
+    parts = [(np.empty(0, dtype=int),) * 2 + (np.empty(0),) * 5]
+    runs = []
+    for k, (a, b) in enumerate(intervals):
+        soft_a, soft_b = a in ext.soft, b in ext.soft
+        at = rank[np.searchsorted(xs, a):np.searchsorted(xs, b, "right")]
+        xk = np.r_[[a] * soft_a, grid[at], [b] * soft_b]
+        uk, dxdu, scale = _edge_coordinate(xk, a, b, soft_a, soft_b)
+        dk, sk = np.zeros((2, len(xk)), dtype=complex)
+        for i, x_e, side in ((0, a, 1.0), (-1, b, -1.0)):
+            if x_e in ext.soft:
+                dk[i], sk[i] = ext.edge_row(x_e, scale, side)
+        first = sum(len(p[2]) for p in parts) + soft_a
+        if len(at):
+            runs.append((first, first + len(at), soft_a or soft_b))
+        parts.append((np.r_[[-1] * soft_a, at, [-1] * soft_b].astype(int),
+                      np.full(len(xk), k), xk, uk, dxdu, dk, sk))
+    pos, iv, x, u, dxdu, delta, slope = map(np.concatenate, zip(*parts))
+    n, idx = len(x), np.arange(len(x))
+    ok = pos < 0                              # converged rows, to seed from
+    waves = _waves(runs, n)
+    counts = np.zeros(2, dtype=int)
+    for wave in range(1, waves.max(initial=0) + 1):
+        at = np.flatnonzero(waves == wave)
         z = x[at] + 1j * epsilon
-        pts, n = _iterate(eng, t, wts, spec.c, z, (seed, *eng.e1_e2(seed)))
-        solved = (pts.residual < FP_TOL) & (pts.m.imag * epsilon > 0)
-        delta[at], ok[at] = np.where(solved, pts.delta, 0.0), solved
-        slope[at] = np.where(
-            solved, stieltjes_derivatives(spec, pts)[0] * dxdu[at], 0.0)
-        out[inside[at]] = np.where(solved, pts.m.imag / np.pi, np.nan)
-        return n + (1, len(at))
-
-    def start(at, left, right):
-        """Starts at the points at from the converged points left and
-        right of them (-1 for none), in the edge coordinate u: Hermite
-        between two, Taylor from one, -1/z from none, in z's
-        half-plane."""
-        has_l, has_r = (left >= 0) & ok[left], (right >= 0) & ok[right]
+        # the nearest converged rows left and right of each point (row 0
+        # or n - 1 for none), used if they lie in its interval
+        left = np.maximum.accumulate(np.where(ok, idx, 0))[at]
+        right = np.minimum.accumulate(np.where(ok, idx, n - 1)[::-1])[::-1][at]
+        has_l, has_r = (ok[nb] & (iv[nb] == iv[at]) for nb in (left, right))
         nb = np.where(has_l, left, right)
         seed = np.where(has_l | has_r,
-                        delta[nb] + slope[nb] * (u[at] - u[nb]),
-                        -1.0 / (x[at] + 1j * epsilon))
+                        delta[nb] + slope[nb] * (u[at] - u[nb]), -1.0 / z)
         both = has_l & has_r
         l, r = left[both], right[both]
         h = u[r] - u[l]
@@ -357,60 +354,26 @@ def density(spec, grid, epsilon=None):
         seed[both] = ((1 + 2 * s) * (1 - s) ** 2 * delta[l]
                       + s * s * (3 - 2 * s) * delta[r]
                       + h * s * (1 - s) * ((1 - s) * slope[l] - s * slope[r]))
-        return seed.real + 1j * np.copysign(seed.imag, epsilon)
-
-    def split(lo, hi, left, right, at):
-        """The nonempty runs that solving the points at, one ascending row
-        of them per run [lo, hi), leaves between them and the run's ends."""
-        bounds = np.column_stack([lo - 1, at, hi])
-        solved = np.column_stack([left, at, right])
-        lo, hi = bounds[:, :-1].ravel() + 1, bounds[:, 1:].ravel()
-        left, right = solved[:, :-1].ravel(), solved[:, 1:].ravel()
-        keep = lo < hi
-        return lo[keep], hi[keep], left[keep], right[keep]
-
-    # wave 0: the point next to each soft edge, from the edge's seed, and
-    # the middle point of an interval with none, from -1/z
-    soft_lo, soft_hi = soft[:, 0], soft[:, 1] & (hi - lo > soft[:, 0])
-    both = soft_lo & soft_hi
-    first = np.select([soft_lo, soft_hi], [lo, hi - 1], (lo + hi - 1) // 2)
-    at = np.concatenate([first, hi[both] - 1])
-    x_e = np.concatenate([np.select([soft_lo, soft_hi], ends.T, np.nan),
-                          ends[both, 1]])
-    seed = -1.0 / (x[at] + 1j * epsilon)
-    edge = ~np.isnan(x_e)
-    seed[edge] = ext.edge_seed(x_e[edge], x[at[edge]] + 1j * epsilon)
-    counts = wave0 = solve(at, seed) if len(at) else np.zeros(2, dtype=int)
-    right, hi = np.where(both, hi - 1, right), hi - both
-    lo, hi, left, right = split(lo, hi, left, right, first[:, None])
-    waves = int(len(at) > 0)
-    # cutting waves: the points that cut every run of more than _LAST_RUN
-    # points into _WAVE_CUTS near-equal runs
-    cut = np.arange(1, _WAVE_CUTS)
-    while np.any(hi - lo > _LAST_RUN):
-        long = hi - lo > _LAST_RUN
-        runs = lo[long], hi[long], left[long], right[long]
-        at = runs[0][:, None] + np.outer(runs[1] - runs[0], cut) // _WAVE_CUTS
-        pts = at.ravel()
-        counts = counts + solve(pts, start(pts, np.repeat(runs[2], len(cut)),
-                                           np.repeat(runs[3], len(cut))))
-        waves += 1
-        lo, hi, left, right = (np.concatenate(pair) for pair in zip(
-            (v[~long] for v in (lo, hi, left, right)), split(*runs, at)))
-    # the last wave: every point left
-    if len(lo):
-        at = np.concatenate([np.arange(a, b) for a, b in zip(lo, hi)])
-        counts = counts + solve(at, start(at, np.repeat(left, hi - lo),
-                                          np.repeat(right, hi - lo)))
-        waves += 1
+        edge = np.isin(x[at], list(ext.soft))
+        seed[edge] = ext.edge_seed(x[at[edge]], z[edge])
+        seed = seed.real + 1j * np.copysign(seed.imag, epsilon)
+        pts, calls = _iterate(eng, t, wts, spec.c, z, (seed, *eng.e1_e2(seed)))
+        counts += calls + (1, len(at))
+        solved = (pts.residual < FP_TOL) & (pts.m.imag * epsilon > 0)
+        ok[at] = keep = solved & ~edge
+        delta[at] = np.where(keep, pts.delta, 0.0)
+        slope[at] = np.where(
+            keep, stieltjes_derivatives(spec, pts)[0] * dxdu[at], 0.0)
+        out[pos[at]] = np.where(solved, pts.m.imag / np.pi, np.nan)
     failed = int(np.count_nonzero(np.isnan(out)))
-    _log.debug("density: %d intervals, %d interior points, %d edge-seeded, "
-               "%d waves, %d batched evaluations of %d rows (%d of %d in "
-               "wave 0), %d failed", len(intervals), len(x),
-               np.count_nonzero(edge), waves, *counts, *wave0, failed)
+    inside = int(np.count_nonzero(pos >= 0))
+    _log.debug("density: %d intervals, %d interior points, %d soft edges, "
+               "%d waves, %d batched evaluations of %d rows, %d failed",
+               len(intervals), inside, n - inside, waves.max(initial=0),
+               *counts, failed)
     if failed:
         _log.warning("density: %d of %d points inside the support failed "
-                     "at eps=%g and are NaN", failed, len(x), epsilon)
+                     "at eps=%g and are NaN", failed, inside, epsilon)
     return DensityCurve(grid=grid, density=out, epsilon=float(epsilon))
 
 
@@ -536,6 +499,8 @@ class _Exterior:
             _arc_side(cls.lower_bound, +1, self.sigma, eng.g)])
         self.segments = []
         self.soft = {}
+        # g = 0: H = 0, whose measure is the atom at 0 that the arc misses
+        self.g_zero = cls.lower_bound == cls.upper_bound == 0.0
         if len(self.theta) == 1:
             return                    # g unbounded both ways: no exterior
         e, e2, moments = eng.sweep(self.delta(self.theta))
@@ -567,6 +532,17 @@ class _Exterior:
 
     def delta(self, theta):
         return self.sigma * np.tan(theta)
+
+    def edge_row(self, x_e, k, side):
+        """(delta, d delta/du) at the soft edge x_e in an edge coordinate u
+        with |x - x_e| ~ k (u - u_e)^2, rising (side 1) or falling (side -1)
+        into the support, where the edge's quadratic z = x_e + a (theta -
+        theta_e)^2 puts theta - theta_e = i sqrt(k / |a|) |u - u_e|, on the
+        branch with Im delta > 0; d delta/d theta = sigma + delta^2/sigma."""
+        th, a = self.soft[x_e]
+        d = self.delta(th)
+        return d, side * 1j * (self.sigma + d * d / self.sigma) * np.sqrt(
+            k / abs(a))
 
     def edge_seed(self, x_e, z):
         """A start for delta at each complex z next to the soft edge x_e:
@@ -640,9 +616,12 @@ def _exterior(spec):
 def _intervals(spec, lo, hi):
     """The support within [lo, hi] as the complement of the real exterior,
     clipped; the atom at 0 is not included."""
+    ext = _exterior(spec)
+    if ext.g_zero:
+        return []
     intervals, cur = [], lo
     for z_lo, z_hi in sorted((float(s.z[0]), float(s.z[-1]))
-                             for s in _exterior(spec).segments):
+                             for s in ext.segments):
         if cur < min(z_lo, hi):
             intervals.append((cur, min(z_lo, hi)))
         cur = max(cur, z_hi)
@@ -660,15 +639,16 @@ def support(spec, scan_range, curve=None):
     from classify_g_support.  A weight law unbounded on both sides has
     no real exterior, so the report is the whole window as one interval.
     For c > 1 the atom at 0 is listed as (0, 0) unless an interval holds
-    it; bulk_count counts only intervals of positive length, so not the
-    atom.  curve is unused and kept for callers that pass it: no grid or
-    density enters the edges.
+    it, and so is the whole measure when g = 0, for every c; bulk_count
+    counts only intervals of positive length, so not the atom.  curve is
+    unused and kept for callers that pass it: no grid or density enters
+    the edges.
     """
     lo, hi = float(scan_range[0]), float(scan_range[1])
     intervals = _intervals(spec, lo, hi)
-    if spec.c > 1 and lo <= 0.0 <= hi and not any(a <= 0.0 <= b
-                                                 for a, b in intervals):
-        # rank H <= n < p: an atom of mass 1 - 1/c at 0
+    if (spec.c > 1 or _exterior(spec).g_zero) and lo <= 0.0 <= hi and not any(
+            a <= 0.0 <= b for a, b in intervals):
+        # rank H <= n < p: an atom of mass 1 - 1/c at 0 (of mass 1 at g = 0)
         intervals = sorted(intervals + [(0.0, 0.0)])
     return SupportReport(intervals=intervals,
                          bulk_count=sum(b > a for a, b in intervals),

@@ -226,15 +226,18 @@ class ProblemSpec:
         return self._grouping[0][:2]
 
     @cached_property
-    def grouped_grams(self):
-        """Per-atom partial Grams of V in the eigenbasis of C."""
-        (atoms, _, groups), basis = self._grouping
+    def grams(self):
+        """Per-atom partial Grams of V in the eigenbasis of C, stacked in
+        the order of the atoms (k x 3 x 3); rows.T @ rows of one array is
+        numpy's symmetric product, so each Gram is exactly symmetric."""
+        (_, _, groups), basis = self._grouping
         W = self.V if basis is None else basis.T @ self.V
-        out = []
-        for val, ix in zip(atoms, groups):
-            rows = W[ix]
-            out.append((float(val), rows.T @ rows))
-        return out
+        return np.array([rows.T @ rows for rows in (W[ix] for ix in groups)])
+
+    @property
+    def grouped_grams(self):
+        """(atom, partial Gram) pairs of C's atoms."""
+        return [(float(t), g) for t, g in zip(self.atoms[0], self.grams)]
 
     def projection_law(self):
         return projection_law(self)

@@ -90,8 +90,7 @@ def _vqv(spec, z, e, slope=None):
     the pole sum of the eigen-grouped partial Grams of C; with slope =
     E2 delta'(z) also its z-derivative, via Qbar' = Qbar (E2 delta' C + I)
     Qbar."""
-    t = spec.atoms[0]
-    grams = np.array([gram for _, gram in spec.grouped_grams])
+    t, grams = spec.atoms[0], spec.grams
     vqv = _pole_sum(t, z, e, tail=2)(grams)
     if slope is None:
         return vqv

@@ -199,16 +199,17 @@ class TestDensity:
         return rows
 
     @pytest.mark.parametrize("make, points, max_calls, max_rows", [
-        (fig3_four, 200, 30, np.inf),
-        (lambda: build_spec(preset_config("fig1b"))[0], 200, 30, np.inf),
-        (lambda: build_spec(preset_config("fig1cd"))[0], 400, np.inf, 1085)],
+        (fig3_four, 200, 10, np.inf),
+        (lambda: build_spec(preset_config("fig1b"))[0], 200, 10, np.inf),
+        (lambda: build_spec(preset_config("fig1cd"))[0], 400, np.inf, 961)],
         ids=["fig3-four", "fig1b", "fig1cd"])
     def test_batched_evaluations_are_few(self, make, points, max_calls,
                                          max_rows, monkeypatch):
         # the interior points are solved in waves of one batched e1_e2 call
         # per Newton step, seeded from their solved neighbours; bisection
         # waves seeded linearly in x take 36 and 39 calls on fig3-four and
-        # fig1b, and 1,085 rows on fig1cd
+        # fig1b, and 1,085 rows on fig1cd, and waves seeded from the points
+        # next to the soft edges took 16 and 15 calls
         spec = make()
         lo, hi = default_scan_range(spec)
         grid = np.linspace(lo, hi, points)
@@ -308,19 +309,19 @@ class TestDensity:
         logged = [r.getMessage() for r in caplog.records
                   if r.name == "hesspec" and r.levelname == "DEBUG"]
         assert len(logged) == 1
-        # 35 points take the 2 next to the edges, then the 7 that cut the
-        # 33 between them into 8 runs, then the last wave of the 26 left
-        assert logged[0].startswith("density: 1 intervals, 35 interior "
-                                    "points, 2 edge-seeded, 3 waves, ")
-        assert (f" {len(rows)} batched evaluations of {sum(rows)} rows ("
-                in logged[0])
-        assert logged[0].endswith(" in wave 0), 0 failed")
+        # between the 2 solved edges, 35 points take the 7 that cut them
+        # into 8 runs, then one wave of the 28 left
+        assert logged[0] == (
+            "density: 1 intervals, 35 interior points, 2 soft edges, "
+            f"2 waves, {len(rows)} batched evaluations of {sum(rows)} rows, "
+            "0 failed")
 
 
 class TestEdgeSeeds:
-    """Wave 0 solves the point next to each soft edge from the edge's
-    quadratic inverse map; an end without one (a hard edge, +-inf) keeps
-    its interval's middle point or a neighbour."""
+    """Each soft edge is a solved row, with delta and d delta/du read off
+    the edge's quadratic inverse map, so the first wave cuts each interval
+    with one into 8 runs from the edges alone; an interval without one
+    (its ends are hard edges or +-inf) starts from its middle point."""
 
     @staticmethod
     def waves(monkeypatch):
@@ -350,10 +351,16 @@ class TestEdgeSeeds:
         curve = density(spec, grid)
         lo, hi = (0.25 * (1 + s * np.sqrt(spec.c)) ** 2 for s in (-1, 1))
         inside = grid[(grid >= lo) & (grid <= hi)]
-        # the first wave is the two points next to the edges, and each
-        # takes at most 8 Newton steps after its seed's evaluation
-        assert sorted(waves[0].z.real) == [inside[0], inside[-1]]
-        assert np.max(waves[0].iterations) - 1 <= 8
+        # the first wave is the 7 points that cut the interior into 8 runs,
+        # started between the two edges; the points next to the edges are
+        # in the second, and each takes at most 4 Newton steps after its
+        # seed's evaluation
+        cuts = len(inside) * np.arange(1, 8) // 8
+        assert waves[0].z.real.tolist() == inside[cuts].tolist()
+        assert len(waves) == 2
+        nearest = np.isin(waves[1].z.real, inside[[0, -1]])
+        assert np.count_nonzero(nearest) == 2
+        assert np.max(waves[1].iterations[nearest]) - 1 <= 4
         eps = curve.epsilon
         at_eps = [mp_stieltjes(x + 1j * eps, spec.c).imag / np.pi
                   for x in grid]
@@ -376,19 +383,46 @@ class TestEdgeSeeds:
         waves = self.waves(monkeypatch)
         curve = density(spec, grid)
         assert not np.any(np.isnan(curve.density))
-        # wave 0 is the grid point next to each soft edge only
+        # every interval has a soft edge, so the first wave is the 7 points
+        # that cut each interval's grid points into 8 runs, or all of them
+        # where there are at most 16
         soft = bulk._exterior(spec).soft
-        firsts = []
+        first, ends = [], []
         for a, b in support(spec, (grid[0], grid[-1])).intervals:
             pts = grid[(grid >= a) & (grid <= b)]
-            firsts += [pts[0]] * (a in soft) + [pts[-1]] * (b in soft)
-        assert sorted(waves[0].z.real) == sorted(firsts)
+            cuts = (len(pts) * np.arange(1, 8) // 8 if len(pts) > 16
+                    else np.arange(len(pts)))
+            first += pts[cuts].tolist()
+            ends += [a in soft, b in soft]
+        assert waves[0].z.real.tolist() == first
         if make is not fig3_four:
-            assert len(firsts) == 1         # fig7's right edge is hard
+            assert ends == [True, False]    # fig7's right edge is hard
         cold = [solve_point(spec, complex(x, curve.epsilon)).m.imag / np.pi
                 for x in grid[inside]]
         np.testing.assert_allclose(curve.density[inside], cold, rtol=0,
                                    atol=1e-9 * max(cold))
+
+    @pytest.mark.parametrize("make", [
+        quarter_wishart, lambda: build_spec(preset_config("fig1b"))[0],
+        fig3_four, lambda: build_spec(preset_config("fig7"))[0]],
+        ids=["mp", "fig1b", "fig3-four", "fig7"])
+    def test_grid_points_on_soft_edges(self, make, monkeypatch):
+        # at a soft edge delta is real and F' = 0: a point there starts from
+        # the edge's quadratic at x + i eps, and seeds no neighbour
+        spec = make()
+        window = np.linspace(*default_scan_range(spec), 398)
+        edges = np.array(sorted(bulk._exterior(spec).soft))
+        grid = np.sort(np.concatenate([window, edges]))
+        rows = TestDensity.counted_e1_e2(monkeypatch)
+        density(spec, window)
+        plain = len(rows)
+        curve = density(spec, grid)
+        assert np.all(np.isfinite(curve.density))
+        assert len(rows) - plain <= plain + 2
+        cold = [solve_point(spec, complex(x, curve.epsilon)).m.imag / np.pi
+                for x in edges]
+        np.testing.assert_allclose(curve.density[np.isin(grid, edges)], cold,
+                                   rtol=0, atol=1e-9 * np.max(curve.density))
 
 
 class TestSupport:
@@ -492,6 +526,22 @@ class TestExactEdges:
         np.testing.assert_allclose(rep.intervals[1],
                                    [(1 - np.sqrt(2)) ** 2, (1 + np.sqrt(2)) ** 2],
                                    rtol=1e-12)
+
+    @pytest.mark.parametrize("n", [800, 200], ids=["c0.5", "c2"])
+    def test_zero_weight_law_is_the_atom_at_zero(self, n):
+        # w = w* = 0 under phase retrieval: g = 3h^2 - y = 0, so H = 0 and
+        # the measure is the atom of mass 1 at 0, for every c
+        spec, _ = build_spec({"p": 400, "n": n, "model": "phase_retrieval",
+                              "loss": "phase_square"})
+        cls = classify_g_support(spec)
+        assert cls.lower_bound == cls.upper_bound == 0.0
+        lo, hi = default_scan_range(spec)
+        rep = support(spec, (lo, hi))
+        assert rep.intervals == [(0.0, 0.0)] and rep.bulk_count == 0
+        grid = np.linspace(lo, hi, 401)
+        assert 0.0 in grid
+        assert np.all(density(spec, grid).density == 0.0)
+        assert find_spikes(spec, rep) == []
 
     def test_logistic_at_zero_weight_vector(self):
         # at w = 0 the logistic curvature is the constant 1/4, so the
