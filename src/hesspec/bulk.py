@@ -280,30 +280,30 @@ def _waves(runs, size):
     return wave
 
 
-def density(spec, grid, epsilon=None):
+def density(spec, grid):
     """Limiting density on a grid by Stieltjes inversion at x + i*eps.
 
     The curve is exactly 0 off the exact support (support(), without the
     atom at 0 for c > 1, which is not drawn).  Inside, every grid point
-    gets one Newton solve at x + i*eps (_iterate), and eps (default
-    1e-6 * max(1, grid span)) only regularises these solves.  They run in
-    the waves that _waves assigns up front, one batched _iterate call per
-    wave over all intervals, between solved rows at the soft edges
-    (_Exterior.edge_row).  Every start comes from the nearest converged
-    rows on either side in the interval's edge coordinate u
-    (_edge_coordinate), where delta is smooth: cubic Hermite between two,
-    with d delta/du = delta'(z) dx/du (stieltjes_derivatives, no engine
-    call), a Taylor step from one, -1/z from none, reflected into z's
-    half-plane.  A grid point exactly on a soft edge, where F' = 0 at the
-    edge's delta, starts from the edge's quadratic at x + i*eps
-    (_Exterior.edge_seed).  It seeds no neighbour, nor does a point where
-    the solver fails: that one is NaN, and failures are counted in a
-    WARNING; a DEBUG line gives the waves and the batched evaluations.
+    gets one Newton solve at x + i*eps (_iterate).  eps, 1e-6 times the
+    larger of 1 and the grid's span and reported as the curve's epsilon,
+    only regularises these solves.  They run in the waves that _waves
+    assigns up front, one batched _iterate call per wave over all
+    intervals, between solved rows at the soft edges (_Exterior.edge_row).
+    Every start comes from the nearest converged rows on either side in
+    the interval's edge coordinate u (_edge_coordinate), where delta is
+    smooth: cubic Hermite between two, with d delta/du = delta'(z) dx/du
+    (stieltjes_derivatives, no engine call), a Taylor step from one, -1/z
+    from none, reflected into the upper half-plane.  A grid point exactly
+    on a soft edge, where F' = 0 at the edge's delta, starts from the
+    edge's quadratic at x + i*eps (_Exterior.edge_seed).  It seeds no
+    neighbour, nor does a point where the solver fails: that one is NaN,
+    and failures are counted in a WARNING; a DEBUG line gives the waves
+    and the batched evaluations.
     """
     grid = np.asarray(grid, dtype=float)
-    if epsilon is None:
-        span = float(np.ptp(grid)) if len(grid) > 1 else 1.0
-        epsilon = max(1e-6, 1e-4 * span / 100.0)
+    span = float(np.ptp(grid)) if len(grid) > 1 else 1.0
+    epsilon = max(1e-6, 1e-4 * span / 100.0)
     out = np.zeros(len(grid))
     rank = np.argsort(grid, kind="stable")
     xs = grid[rank]
@@ -356,10 +356,10 @@ def density(spec, grid, epsilon=None):
                       + h * s * (1 - s) * ((1 - s) * slope[l] - s * slope[r]))
         edge = np.isin(x[at], list(ext.soft))
         seed[edge] = ext.edge_seed(x[at[edge]], z[edge])
-        seed = seed.real + 1j * np.copysign(seed.imag, epsilon)
+        seed = seed.real + 1j * np.abs(seed.imag)
         pts, calls = _iterate(eng, t, wts, spec.c, z, (seed, *eng.e1_e2(seed)))
         counts += calls + (1, len(at))
-        solved = (pts.residual < FP_TOL) & (pts.m.imag * epsilon > 0)
+        solved = (pts.residual < FP_TOL) & (pts.m.imag > 0)
         ok[at] = keep = solved & ~edge
         delta[at] = np.where(keep, pts.delta, 0.0)
         slope[at] = np.where(

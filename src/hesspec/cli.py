@@ -12,9 +12,11 @@ Subcommands:
 All but preset read a JSON config (--config; --seed and --quad-order
 replace its keys before the spec is built, as preset --quad-order does
 the preset's) and write '#'-headed comma tables or JSON documents
-(--out, default stdout).  The theory comes from presets.analyze and
-presets.sweep, as in the presets.  Exit codes: 0 ok, 1 config error
-(including bad numeric arguments), 2 numerical failure.
+(--out, default stdout); only density and compare, which draw a
+density, take its window (--range) and points (--grid).  The theory
+comes from presets.analyze and presets.sweep, as in the presets.  Exit
+codes: 0 ok, 1 config error (including bad numeric arguments), 2
+numerical failure.
 """
 from __future__ import annotations
 
@@ -83,12 +85,12 @@ def _cmd_density(args):
 
 def _cmd_spikes(args):
     spec, seed = build_spec(_config(args))
-    an = analyze(spec, _parse_range(args.range))
+    an = analyze(spec)
     results = an.results()
     if args.command == "align":
         for entry, s in zip(results["spikes"], an.spikes):
             entry["projection"] = s.alignment.tolist()
-    emit_document(args.out, spec_echo(spec, seed), results, [], __version__)
+    emit_document(args.out, spec_echo(spec, seed), results, [])
 
 
 def _cmd_simulate(args):
@@ -103,7 +105,7 @@ def _cmd_compare(args):
     spec, seed = build_spec(_config(args))
     an = analyze(spec, _parse_range(args.range), args.grid)
     results, seeds = an.monte_carlo(args.trials, seed, dist)
-    emit_document(args.out, spec_echo(spec, seed), results, seeds, __version__)
+    emit_document(args.out, spec_echo(spec, seed), results, seeds)
 
 
 _SWEEP_KEYS = {"w_norm": "w", "w_star_norm": "w_star", "mu_norm": "mu"}
@@ -116,8 +118,8 @@ def _cmd_sweep(args):
         c[key] = "pm_block(%.17g)" % val
         return c
 
-    sweep(_config(args), _parse_values(args.values), rescale,
-          args.out, args.param, scan_range=_parse_range(args.range))
+    sweep(_config(args), _parse_values(args.values), rescale, args.out,
+          args.param)
 
 
 def _cmd_preset(args):
@@ -145,10 +147,9 @@ def main(argv=None):
             s.add_argument("--config", required=True)
             s.add_argument("--seed", type=int, default=None,
                            help="replace the config seed")
-        if name not in ("simulate", "preset"):
+        if name in ("density", "compare"):     # the ones that draw a density
             s.add_argument("--range",
                            help="scan window 'a:b' (default: automatic)")
-        if name in ("density", "compare"):     # the ones that draw a density
             s.add_argument("--grid", type=int, default=400,
                            help="number of density grid points (default 400)")
         return s

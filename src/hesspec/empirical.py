@@ -274,7 +274,9 @@ def run_trial(spec, dist, seed, picks=(), shared=None):
 
 
 def extract_outliers(spectrum, support_report, edge_tol=None):
-    """Eigenvalues beyond the theoretical edges by more than edge_tol.
+    """Eigenvalues beyond the theoretical edges by more than edge_tol, as
+    (value, side, index) with the side of the nearest interval (the first
+    of equally near ones).
 
     Default tolerance is 5/p times the overall support width, absorbing
     finite-size edge fluctuation.
@@ -282,25 +284,17 @@ def extract_outliers(spectrum, support_report, edge_tol=None):
     intervals = support_report.intervals
     if not intervals:
         return []
-    lo = min(iv[0] for iv in intervals)
-    hi = max(iv[1] for iv in intervals)
+    lam = spectrum.eigenvalues
+    left, right = np.array(intervals, dtype=float).T
     if edge_tol is None:
-        p = len(spectrum.eigenvalues)
-        edge_tol = (hi - lo) * 5.0 / p
-    out = []
-    for k, lam in enumerate(spectrum.eigenvalues):
-        best = None  # (distance, side) to the nearest interval
-        covered = False
-        for left, right in intervals:
-            if left - edge_tol <= lam <= right + edge_tol:
-                covered = True
-                break
-            d, side = (left - lam, "left") if lam < left else (lam - right, "right")
-            if best is None or d < best[0]:
-                best = (d, side)
-        if not covered and best is not None and best[0] > edge_tol:
-            out.append((float(lam), best[1], k))
-    return out
+        edge_tol = (right.max() - left.min()) * 5.0 / len(lam)
+    # distance past each interval's nearer end, <= 0 inside it
+    below = lam[:, None] < left
+    dist = np.where(below, left - lam[:, None], lam[:, None] - right)
+    near = np.argmin(dist, axis=1)
+    rows = np.arange(len(lam))
+    return [(float(lam[k]), "left" if below[k, near[k]] else "right", int(k))
+            for k in rows[dist[rows, near] > edge_tol]]
 
 
 def measure_alignment(vec, target):
@@ -366,13 +360,16 @@ def compare(spec, theory_density, spike_reports, trials, base_seed,
     """Monte Carlo discrepancy metrics against the asymptotic theory.
 
     density_l1 is the integrated L1 distance between the pooled
-    eigenvalue histogram (Freedman-Diaconis bins) and the theory curve;
-    spike and alignment errors compare the per-trial mean eigenpair to
-    each theoretical spike, with its standard error alongside.  Each
-    spike makes one pick of run_trials, in spike order: a spike in a gap
-    of the exact support, support(spec, (-inf, inf)), picks that gap; any
-    other, ranked r outermost first among those on its side, picks index
-    r on the left and -1 - r on the right.  `shared` goes to run_trials.
+    eigenvalue histogram (Freedman-Diaconis bins) and the theory curve,
+    plus the atom at 0 that the curve does not draw: when the exact
+    support lists (0, 0), its mass (1 - 1/c, or 1 with no bulk) goes to
+    the theory bin that holds 0.  Spike and alignment errors compare the
+    per-trial mean eigenpair to each theoretical spike, with its standard
+    error alongside.  Each spike makes one pick of run_trials, in spike
+    order: a spike in a gap of the exact support, support(spec, (-inf,
+    inf)), picks that gap; any other, ranked r outermost first among those
+    on its side, picks index r on the left and -1 - r on the right.
+    `shared` goes to run_trials.
     """
     if trials < 1:
         raise DomainError(f"compare needs trials >= 1, got {trials}")
@@ -396,6 +393,11 @@ def compare(spec, theory_density, spike_reports, trials, base_seed,
     theory = np.interp(centers, theory_density.grid,
                        np.nan_to_num(theory_density.density, nan=0.0),
                        left=0.0, right=0.0)
+    if (0.0, 0.0) in exact.intervals:
+        k = np.clip(np.searchsorted(edges, 0.0, "right") - 1, 0,
+                    len(theory) - 1)
+        atom = 1.0 if exact.bulk_count == 0 else 1.0 - 1.0 / spec.c
+        theory[k] += atom / (edges[k + 1] - edges[k])
     density_l1 = float(np.sum(np.abs(counts - theory) * np.diff(edges)))
 
     spike_errors, alignment_errors = [], []

@@ -21,7 +21,6 @@ from functools import cached_property
 
 import numpy as np
 
-from ._version import __version__ as _version
 from .bulk import default_scan_range, density, support
 from .config import build_spec, spec_echo
 from .empirical import compare, run_trials, worker_count
@@ -123,25 +122,18 @@ class Analysis:
                         "det_residual": s.det_residual} for s in self.spikes],
         }
 
-    def monte_carlo(self, trials, seed, dist="gaussian", shared=None):
-        """results() plus a 'comparison' entry from `trials` finite-size
-        trials seeded seed, seed+1, ...; returns (results, seeds).
-        `shared` is compare's holder of draws reused across calls."""
+    def monte_carlo(self, trials, seed, dist="gaussian"):
+        """results() plus a 'comparison' entry, compare()'s report of
+        `trials` finite-size trials seeded seed, seed+1, ... (every field
+        but the seeds) and the feature law `dist`; returns (results, seeds)."""
         if trials < 1:
             raise ConfigError(f"Monte Carlo needs trials >= 1, got {trials}")
         rep = compare(self.spec, self.curve, self.spikes, trials,
-                      base_seed=seed, dist=dist, shared=shared)
-        results = self.results()
-        results["comparison"] = {
-            "density_l1": rep.density_l1,
-            "spike_errors": rep.spike_errors,
-            "alignment_errors": rep.alignment_errors,
-            "spike_stderr": rep.spike_stderr,
-            "alignment_stderr": rep.alignment_stderr,
-            "trials": rep.trials,
-            "dist": dist,
-        }
-        return results, rep.seeds
+                      base_seed=seed, dist=dist)
+        results, comparison = self.results(), dict(vars(rep), dist=dist)
+        seeds = comparison.pop("seeds")
+        results["comparison"] = comparison
+        return results, seeds
 
 
 def analyze(spec, scan_range=None, grid=400):
@@ -154,14 +146,16 @@ def analyze(spec, scan_range=None, grid=400):
     return Analysis(spec, (lo, hi), grid)
 
 
-def sweep(cfg, values, rescale, path, label, trials=0, scan_range=None):
+def sweep(cfg, values, rescale, path, label, trials=0):
     """Tabulate the first spike of rescale(cfg, v) for each v in values.
 
-    Rows are [v, lambda, gap, alignment] with alignment the largest
-    cos2 (NaN, 0, 0 when there is no spike); with trials, the mean
-    empirical eigenvalue and cos2 paired with that spike follow.  The
-    table goes to path, or to stdout when path is None.  The quadrature
-    order is cfg's quad_order, read when each value's spec is built.
+    Rows are [v, lambda, gap, alignment], read from the Analysis's first
+    spike with alignment its largest cos2 (NaN, 0, 0 when there is no
+    spike); with trials, the mean empirical eigenvalue and cos2 that
+    compare() pairs with that spike follow.  No row depends on a scan
+    window.  The table goes to path, or to stdout when path is None.  The
+    quadrature order is cfg's quad_order, read when each value's spec is
+    built.
 
     When the trials fit the worker pool (trials <= worker_count()), each
     trial seed's centred features are drawn once and kept for the whole
@@ -176,16 +170,15 @@ def sweep(cfg, values, rescale, path, label, trials=0, scan_range=None):
     rows = []
     for val in values:
         spec, seed = build_spec(rescale(dict(cfg), val))
-        an = analyze(spec, scan_range)
-        res = an.monte_carlo(trials, seed, shared=shared)[0] if trials \
-            else an.results()
-        first = res["spikes"][0] if res["spikes"] else None
-        row = ([val, first["lambda"], first["gap"], max(first["cos2"])]
+        an = analyze(spec)
+        first = an.spikes[0] if an.spikes else None
+        row = ([val, first.location, first.gap, max(first.cos2(spec.V))]
                if first else [val, np.nan, 0.0, 0.0])
         if trials:
-            cmp = res["comparison"]
-            row += ([cmp["spike_errors"][0][0], cmp["alignment_errors"][0][0]]
-                    if cmp["spike_errors"] else [np.nan, np.nan])
+            rep = compare(spec, an.curve, an.spikes, trials, base_seed=seed,
+                          shared=shared)
+            row += ([rep.spike_errors[0][0], rep.alignment_errors[0][0]]
+                    if first else [np.nan, np.nan])
         rows.append(row)
     header = [label, "lambda", "gap", "alignment"]
     if trials:
@@ -202,8 +195,7 @@ def _write_theory(out, stem, spec, seed, trials):
     results, seeds = an.monte_carlo(trials, seed) if trials else (
         an.results(), [])
     files.append(emit_document(os.path.join(out, f"{stem}_report.json"),
-                               spec_echo(spec, seed), results, seeds,
-                               _version))
+                               spec_echo(spec, seed), results, seeds))
     return files
 
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 import json
 import sys
 
+from ._version import __version__
+
 
 def _fmt(x):
     return "%.17g" % float(x)
@@ -33,10 +35,11 @@ def emit_table(path, header, rows):
     return _write(path, "\n".join(lines) + "\n")
 
 
-def emit_document(path, spec_echo, results, seeds, tool_version):
-    """Write a structured report document as deterministic JSON."""
+def emit_document(path, spec_echo, results, seeds):
+    """Write a structured report document as deterministic JSON, stamped
+    with this package's version."""
     doc = {"spec_echo": spec_echo, "results": results, "seeds": seeds,
-           "tool_version": tool_version}
+           "tool_version": __version__}
     text = json.dumps(doc, indent=1, sort_keys=True,
                       default=lambda o: o.tolist())
     return _write(path, text + "\n")

@@ -178,9 +178,10 @@ class TestDensityAccuracy:
                            w_star=z, w=z, model=ResponseModel.logistic(),
                            weight=WeightFn.loss_curvature("logistic"))
         grid = np.linspace(0.08, 0.55, 100)
-        eps = 1e-5
-        rho1 = density(spec, grid, epsilon=eps).density
-        rho2 = density(spec, grid, epsilon=2 * eps).density
+        curve = density(spec, grid)
+        rho1, eps = curve.density, curve.epsilon
+        rho2 = np.array([solve_point(spec, complex(x, 2 * eps)).m.imag
+                         for x in grid]) / np.pi
         extrapolated = 2 * rho1 - rho2
         assert np.max(np.abs(extrapolated - self.mp_density(grid))) < 1e-3
 

@@ -1,3 +1,5 @@
+from math import comb
+
 import numpy as np
 import pytest
 
@@ -127,7 +129,7 @@ class TestDensity:
     def test_matches_analytic_mp(self):
         spec = quarter_wishart()
         grid = np.linspace(0.08, 0.55, 60)
-        curve = density(spec, grid, epsilon=1e-5)
+        curve = density(spec, grid)
         np.testing.assert_allclose(curve.density, mp_density(grid, 0.25),
                                    atol=2e-3)
 
@@ -138,6 +140,26 @@ class TestDensity:
         curve = density(spec, grid)
         mass = np.trapezoid(np.nan_to_num(curve.density), grid)
         assert mass == pytest.approx(1.0, abs=0.02)
+
+    @pytest.mark.parametrize("p, n", [(200, 2000), (400, 800)],
+                             ids=["c0.1", "c0.5"])
+    def test_moments_match_marchenko_pastur(self, p, n):
+        # square loss, C = I: H is a Wishart matrix, whose law has the
+        # Narayana moments; x = (a+b)/2 - (b-a)/2 cos(theta) on the exact
+        # support makes the trapezoid rule in theta spectrally accurate,
+        # so what is left is the O(eps) bias of the solves
+        spec, _ = build_spec({"p": p, "n": n, "loss": "square"})
+        (a, b), = support(spec, (-np.inf, np.inf)).intervals
+        theta = np.linspace(0.0, np.pi, 64)
+        x = 0.5 * (a + b) - 0.5 * (b - a) * np.cos(theta)
+        jac = density(spec, x).density * 0.5 * (b - a) * np.sin(theta)
+        c = p / n
+        for k in range(5):
+            want = 1.0 if k == 0 else sum(
+                c ** j / (j + 1) * comb(k, j) * comb(k - 1, j)
+                for j in range(k))
+            got = np.trapezoid(jac * x ** k, theta)
+            assert got == pytest.approx(want, rel=1e-5), k
 
     def test_negation_of_w_leaves_density(self):
         p = 64

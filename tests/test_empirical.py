@@ -297,6 +297,21 @@ class TestCompare:
         _, _, align_err = rep1.alignment_errors[0]
         assert align_err < 0.05
 
+    @pytest.mark.parametrize("cfg, bound", [
+        ({"p": 400, "n": 200, "loss": "square", "seed": 3}, 0.1),
+        ({"p": 64, "n": 128, "model": "phase_retrieval",
+          "loss": "phase_square"}, 1e-12),
+    ], ids=["c2", "g_zero"])
+    def test_atom_at_zero_is_theory(self, cfg, bound):
+        # the pooled spectrum holds the atom at 0, of mass 1 - 1/c when
+        # rank H <= n < p and 1 when g = 0 makes H = 0; the theory bin
+        # at 0 holds it too, so it counts as no error
+        spec, seed = build_spec(cfg)
+        an = analyze(spec)
+        assert (0.0, 0.0) in an.support.intervals
+        rep = compare(spec, an.curve, an.spikes, trials=4, base_seed=seed)
+        assert rep.density_l1 < bound
+
     @pytest.mark.parametrize("trials", [0, -1])
     def test_no_trials_rejected(self, trials):
         spec, seed = signal_spec(p=16, n=64)
