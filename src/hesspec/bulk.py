@@ -21,14 +21,15 @@ e(delta) t_j (the outer branch) or between two of them (a gap branch).
 The real exterior is exactly the set of z(delta) where dz/ddelta > 0.
 Its boundary points, the support edges, are the zeros of the slope
 numerator 1 - E2 (1/n) tr CQCQ, or an end of the admissible delta range
-where the slope has no zero (a hard edge), and the support is the
-complement of the exterior.  Edges therefore depend on no density
-threshold, grid or scan window.  The admissible range comes from the
-bounds of the weight law (classify_g_support), not from the quadrature
-nodes; a law unbounded on both sides admits only delta = 0 and has no
-real exterior.  One array kernel (_Exterior.eval) evaluates the grid and
-a single angle alike, and one polisher (_polish) refines the edges, the
-real-axis solves and the spikes of hesspec.spikes.  Every trace of
+where the slope has no zero (a hard edge), and the support, one list per
+spec (_Exterior.intervals), is the complement of the exterior.  Edges
+therefore depend on no density threshold, grid or scan window.  The
+admissible range comes from the bounds of the weight law
+(classify_g_support), not from the quadrature nodes; a law unbounded on
+both sides admits only delta = 0 and has no real exterior.  One array
+kernel (_Exterior.eval) evaluates the grid and a single angle alike, and
+one polisher (_polish) refines the edges, the real-axis solves and the
+spikes of hesspec.spikes.  Every trace of
 Qbar(z) = (e(delta) C - z I)^-1 that these solvers and hesspec.spikes
 read is one pole sum over the atoms of C (_pole_sum), at arrays of z.
 
@@ -36,12 +37,13 @@ The density is the absolutely continuous part of the measure: exactly 0
 off the support, and Im m(x + i eps) / pi inside it, solved in a few
 batched waves scheduled up front and started between solved points at
 the soft edges (density).  The atom at 0 that c > 1 puts there is
-reported by support() and not drawn.
+listed by support() and not drawn.
 """
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import optimize
@@ -283,12 +285,12 @@ def _waves(runs, size):
 def density(spec, grid):
     """Limiting density on a grid by Stieltjes inversion at x + i*eps.
 
-    The curve is exactly 0 off the exact support (support(), without the
-    atom at 0 for c > 1, which is not drawn).  Inside, every grid point
-    gets one Newton solve at x + i*eps (_iterate).  eps, 1e-6 times the
-    larger of 1 and the grid's span and reported as the curve's epsilon,
-    only regularises these solves.  They run in the waves that _waves
-    assigns up front, one batched _iterate call per wave over all
+    The curve is exactly 0 off the exact support (_Exterior.intervals,
+    without the atom at 0 for c > 1, which is not drawn).  Inside, every
+    grid point gets one Newton solve at x + i*eps (_iterate).  eps, 1e-6
+    times the larger of 1 and the grid's span and reported as the curve's
+    epsilon, only regularises these solves.  They run in the waves that
+    _waves assigns up front, one batched _iterate call per wave over all
     intervals, between solved rows at the soft edges (_Exterior.edge_row).
     Every start comes from the nearest converged rows on either side in
     the interval's edge coordinate u (_edge_coordinate), where delta is
@@ -310,13 +312,12 @@ def density(spec, grid):
     t, wts = spec.atoms
     eng = expectation_engine(spec)
     ext = _exterior(spec)
-    intervals = _intervals(spec, -np.inf, np.inf)
     # the rows, interval after interval in ascending x: the grid points of
     # interval iv (pos, their index in grid) between solved rows at its
     # soft edges (pos -1), with x, u, dx/du, delta and d delta/du
     parts = [(np.empty(0, dtype=int),) * 2 + (np.empty(0),) * 5]
     runs = []
-    for k, (a, b) in enumerate(intervals):
+    for k, (a, b) in enumerate(ext.intervals):
         soft_a, soft_b = a in ext.soft, b in ext.soft
         at = rank[np.searchsorted(xs, a):np.searchsorted(xs, b, "right")]
         xk = np.r_[[a] * soft_a, grid[at], [b] * soft_b]
@@ -369,7 +370,7 @@ def density(spec, grid):
     inside = int(np.count_nonzero(pos >= 0))
     _log.debug("density: %d intervals, %d interior points, %d soft edges, "
                "%d waves, %d batched evaluations of %d rows, %d failed",
-               len(intervals), inside, n - inside, waves.max(initial=0),
+               len(ext.intervals), inside, n - inside, waves.max(initial=0),
                *counts, failed)
     if failed:
         _log.warning("density: %d of %d points inside the support failed "
@@ -483,8 +484,8 @@ class _Exterior:
     fall, form one arc of the projective line around delta = 0, through
     delta = infinity (z = 0) when g_min > 0.  Along it, delta = sigma
     tan(theta) with sigma = 1/|E g|, z and its slope are continuous.  The
-    map holds the theta grid and the rising segments, each with its own
-    table and its edges polished on the slope.
+    map holds the theta grid, the rising segments, each with its own
+    table and its edges polished on the slope, and the support.
     """
 
     def __init__(self, spec):
@@ -529,6 +530,19 @@ class _Exterior:
                 if np.isfinite(x_e) and th not in self.theta[[0, -1]]:
                     self.soft[float(x_e)] = th, ((seg.z[nb] - x_e)
                                                  / (seg.theta[nb] - th) ** 2)
+
+    @cached_property
+    def intervals(self):
+        """The support, the complement of the rising segments on the line:
+        [(-inf, inf)] with no exterior, [] when g = 0; no atom at 0."""
+        if self.g_zero:
+            return []
+        out, cur = [], -np.inf
+        for z_lo, z_hi in sorted((float(s.z[0]), float(s.z[-1]))
+                                 for s in self.segments):
+            out += [(cur, z_lo)] * (cur < z_lo)
+            cur = max(cur, z_hi)
+        return out + [(cur, np.inf)] * (cur < np.inf)
 
     def delta(self, theta):
         return self.sigma * np.tan(theta)
@@ -613,40 +627,22 @@ def _exterior(spec):
     return ext
 
 
-def _intervals(spec, lo, hi):
-    """The support within [lo, hi] as the complement of the real exterior,
-    clipped; the atom at 0 is not included."""
-    ext = _exterior(spec)
-    if ext.g_zero:
-        return []
-    intervals, cur = [], lo
-    for z_lo, z_hi in sorted((float(s.z[0]), float(s.z[-1]))
-                             for s in ext.segments):
-        if cur < min(z_lo, hi):
-            intervals.append((cur, min(z_lo, hi)))
-        cur = max(cur, z_hi)
-    if cur < hi:
-        intervals.append((cur, hi))
-    return intervals
-
-
 def support(spec, scan_range, curve=None):
-    """Support intervals of the limiting measure within a scan window.
+    """Support intervals of the limiting measure within a window.
 
-    The support is the exact complement of the real exterior traced by
-    the inverse map (module docstring), clipped to scan_range; its edges
-    are exact up to the quadrature of the weight law, whose range comes
-    from classify_g_support.  A weight law unbounded on both sides has
-    no real exterior, so the report is the whole window as one interval.
-    For c > 1 the atom at 0 is listed as (0, 0) unless an interval holds
-    it, and so is the whole measure when g = 0, for every c; bulk_count
-    counts only intervals of positive length, so not the atom.  curve is
-    unused and kept for callers that pass it: no grid or density enters
-    the edges.
+    The spec's exact support (_Exterior.intervals) clipped to scan_range:
+    (-inf, inf) keeps it whole, with an infinite end wherever g is
+    unbounded on that side.  Edges are exact up to the quadrature of the
+    weight law.  For c > 1 the atom at 0 is listed as (0, 0) unless an
+    interval holds it, and so is the whole measure when g = 0, for every
+    c; bulk_count counts only intervals of positive length, so not the
+    atom.  curve is unused and kept for callers that pass it.
     """
     lo, hi = float(scan_range[0]), float(scan_range[1])
-    intervals = _intervals(spec, lo, hi)
-    if (spec.c > 1 or _exterior(spec).g_zero) and lo <= 0.0 <= hi and not any(
+    ext = _exterior(spec)
+    intervals = [(max(a, lo), min(b, hi)) for a, b in ext.intervals
+                 if max(a, lo) < min(b, hi)]
+    if (spec.c > 1 or ext.g_zero) and lo <= 0.0 <= hi and not any(
             a <= 0.0 <= b for a, b in intervals):
         # rank H <= n < p: an atom of mass 1 - 1/c at 0 (of mass 1 at g = 0)
         intervals = sorted(intervals + [(0.0, 0.0)])

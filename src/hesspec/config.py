@@ -235,6 +235,7 @@ def spec_echo(spec, seed=None):
         "model": echo_model,
         "weight": {"kind": weight.kind, "loss": weight.loss,
                    "bounds": list(weight.bounds) if weight.bounds else None},
+        "quad_order": spec.quad_order,
     }
     if seed is not None:
         echo["seed"] = int(seed)

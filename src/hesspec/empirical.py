@@ -279,7 +279,7 @@ def extract_outliers(spectrum, support_report, edge_tol=None):
     of equally near ones).
 
     Default tolerance is 5/p times the overall support width, absorbing
-    finite-size edge fluctuation.
+    finite-size edge fluctuation; an unbounded support makes it infinite.
     """
     intervals = support_report.intervals
     if not intervals:
@@ -361,15 +361,15 @@ def compare(spec, theory_density, spike_reports, trials, base_seed,
 
     density_l1 is the integrated L1 distance between the pooled
     eigenvalue histogram (Freedman-Diaconis bins) and the theory curve,
-    plus the atom at 0 that the curve does not draw: when the exact
-    support lists (0, 0), its mass (1 - 1/c, or 1 with no bulk) goes to
-    the theory bin that holds 0.  Spike and alignment errors compare the
-    per-trial mean eigenpair to each theoretical spike, with its standard
-    error alongside.  Each spike makes one pick of run_trials, in spike
-    order: a spike in a gap of the exact support, support(spec, (-inf,
-    inf)), picks that gap; any other, ranked r outermost first among those
-    on its side, picks index r on the left and -1 - r on the right.
-    `shared` goes to run_trials.
+    plus the atom at 0 that the curve does not draw: its mass, 1 with no
+    bulk (g = 0) and else max(0, 1 - 1/c) as rank H <= n, goes to the
+    theory bin holding 0, whatever the bulk covers.  Spike and alignment
+    errors compare the per-trial mean eigenpair to each theoretical
+    spike, with its standard error alongside.  Each spike makes one pick
+    of run_trials, in spike order: a spike in a gap of the exact support,
+    support(spec, (-inf, inf)), picks that gap; any other, ranked r
+    outermost first among those on its side, picks index r on the left
+    and -1 - r on the right.  `shared` goes to run_trials.
     """
     if trials < 1:
         raise DomainError(f"compare needs trials >= 1, got {trials}")
@@ -393,10 +393,10 @@ def compare(spec, theory_density, spike_reports, trials, base_seed,
     theory = np.interp(centers, theory_density.grid,
                        np.nan_to_num(theory_density.density, nan=0.0),
                        left=0.0, right=0.0)
-    if (0.0, 0.0) in exact.intervals:
+    atom = 1.0 if exact.bulk_count == 0 else max(0.0, 1.0 - 1.0 / spec.c)
+    if atom > 0:
         k = np.clip(np.searchsorted(edges, 0.0, "right") - 1, 0,
                     len(theory) - 1)
-        atom = 1.0 if exact.bulk_count == 0 else 1.0 - 1.0 / spec.c
         theory[k] += atom / (edges[k + 1] - edges[k])
     density_l1 = float(np.sum(np.abs(counts - theory) * np.diff(edges)))
 

@@ -1,11 +1,11 @@
 """The theory pipeline, the parameter sweep and the named experiment presets.
 
-analyze() runs the chain the theory defines -- scan window, then the
-density, support and spikes on first use -- and its Analysis turns the
-result into the report dict that every document carries, optionally
-with a Monte Carlo comparison.  sweep() tabulates the first spike along
-a parameter path.  The CLI and the presets both go through these two
-functions.
+analyze() runs the chain the theory defines -- the exact support, the
+spikes and the density on a scan window, each on first use -- and its
+Analysis turns the result into the report dict that every document
+carries, optionally with a Monte Carlo comparison.  sweep() tabulates
+the first spike along a parameter path.  The CLI and the presets both
+go through these two functions.
 
 Each preset pins a full setting (p, n, vectors, covariance, model,
 weight) and writes density tables, spike/sweep tables and comparison
@@ -89,33 +89,35 @@ def preset_config(name):
 
 @dataclass(frozen=True, eq=False)
 class Analysis:
-    """One theory run on a scan window: the density curve on `grid`
-    points of it, the support and the spikes, each computed on first use."""
+    """One theory run: its exact support, spikes and density curve, each
+    on first use; only the curve reads scan_range (None: automatic)."""
 
     spec: ProblemSpec
-    scan_range: tuple
+    scan_range: tuple = None
     grid: int = 400
 
     @cached_property
     def curve(self):
-        lo, hi = self.scan_range
+        lo, hi = (default_scan_range(self.spec) if self.scan_range is None
+                  else self.scan_range)
         return density(self.spec, np.linspace(lo, hi, self.grid))
 
     @cached_property
     def support(self):
-        # the module-level support(), not this property
-        return support(self.spec, self.scan_range)
+        # the module-level support(), not this property, on the whole line
+        return support(self.spec, (-np.inf, np.inf))
 
     @cached_property
     def spikes(self):
         return find_spikes(self.spec, self.support)
 
     def results(self):
-        """The report dict: support, then per spike its location, side,
-        gap, cos2 with each column of V and det G residual."""
+        """The report dict: the exact support, an unbounded end as null, then
+        per spike its location, side, gap, cos2 and det G residual."""
         sup = self.support
         return {
-            "support": {"intervals": sup.intervals,
+            "support": {"intervals": [[None if np.isinf(v) else v for v in iv]
+                                      for iv in sup.intervals],
                         "bulk_count": sup.bulk_count, "bounded": sup.bounded},
             "spikes": [{"lambda": s.location, "side": s.side, "gap": s.gap,
                         "cos2": s.cos2(self.spec.V),
@@ -137,13 +139,12 @@ class Analysis:
 
 
 def analyze(spec, scan_range=None, grid=400):
-    """The Analysis of spec on scan_range (default: the automatic window);
-    the density on `grid` points, the support and the spikes are computed
-    on first use, all on the Gauss-Hermite rule of order spec.quad_order."""
+    """The Analysis of spec: its exact support, spikes and density on
+    `grid` points of scan_range (default: the automatic window), each on
+    first use and on the Gauss-Hermite rule of order spec.quad_order."""
     if grid < 2:
         raise ConfigError(f"grid needs at least 2 points, got {grid}")
-    lo, hi = default_scan_range(spec) if scan_range is None else scan_range
-    return Analysis(spec, (lo, hi), grid)
+    return Analysis(spec, scan_range, grid)
 
 
 def sweep(cfg, values, rescale, path, label, trials=0):

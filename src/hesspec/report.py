@@ -2,9 +2,10 @@
 
 Tables are one '#'-prefixed header line followed by comma-separated
 columns at 17 significant digits.  Documents are JSON objects with the
-fixed top-level keys {spec_echo, results, seeds, tool_version}, so any
-report can be reproduced from its own file.  Both writers print to
-stdout when the path is None.
+fixed top-level keys {spec_echo, results, seeds, tool_version}; the
+echo holds the resolved spec with its quadrature order, so any report
+can be reproduced from its own file, and an unbounded support end is
+null.  Both writers print to stdout when the path is None.
 """
 from __future__ import annotations
 

@@ -9,7 +9,7 @@ from hesspec import (Diagonal, ProblemSpec, ResponseModel, ScaledIdentity,
                      stieltjes_derivatives, support)
 from hesspec import bulk
 from hesspec.errors import BranchViolation, HesspecError
-from hesspec.presets import preset_config
+from hesspec.presets import PRESETS, preset_config
 
 
 def quarter_wishart(p=512, n=2048):
@@ -480,6 +480,43 @@ class TestSupport:
         spec = quarter_wishart()
         rep = support(spec, (5.0, 6.0))
         assert rep.intervals == [] and rep.bulk_count == 0
+
+    @pytest.mark.parametrize("cfg", [preset_config(name) for name in PRESETS]
+                             + [{"p": 400, "n": 200, "loss": "square"},
+                                {"p": 400, "n": 250, "w_star": "pm_block(1.0)",
+                                 "w": "pm_block(0.8)", "weight": "trim",
+                                 "model": "phase_retrieval"},
+                                {"p": 64, "n": 128, "loss": "phase_square",
+                                 "model": "phase_retrieval"}],
+                             ids=list(PRESETS) + ["c2", "trim-c1.6", "g_zero"])
+    def test_window_clips_the_exact_support(self, cfg):
+        # support(spec, w) is the whole-line support clipped to w, plus the
+        # atom (0, 0) when c > 1 or g = 0 and no clipped interval holds 0
+        spec, _ = build_spec(cfg)
+        exact = support(spec, (-np.inf, np.inf))
+        bulks = [(a, b) for a, b in exact.intervals if b > a]
+        ends = [v for iv in bulks for v in iv]
+        assert exact.bounded == all(np.isfinite(ends))
+        atom = spec.c > 1 or not bulks
+        assert ((0.0, 0.0) in exact.intervals) == (
+            atom and not any(a <= 0.0 <= b for a, b in bulks))
+        lo, hi = default_scan_range(spec)
+        windows = [(lo, hi), (min(lo, -1.0), -1e-3), (1e-3, max(hi, 1.0))]
+        if bulks:   # a window ending inside the first interval
+            a, b = bulks[0]
+            windows.append((lo, 0.0 if a == -b else
+                            a + 1.0 if b == np.inf else
+                            b - 1.0 if a == -np.inf else 0.5 * (a + b)))
+        for w_lo, w_hi in windows:
+            clipped = [(max(a, w_lo), min(b, w_hi)) for a, b in bulks
+                       if max(a, w_lo) < min(b, w_hi)]
+            if atom and w_lo <= 0.0 <= w_hi and not any(
+                    a <= 0.0 <= b for a, b in clipped):
+                clipped = sorted(clipped + [(0.0, 0.0)])
+            rep = support(spec, (w_lo, w_hi))
+            assert rep.intervals == clipped
+            assert rep.bulk_count == sum(b > a for a, b in clipped)
+            assert rep.bounded == exact.bounded
 
 
 class TestMultiBulk:

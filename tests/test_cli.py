@@ -111,6 +111,20 @@ class TestCompareCommand:
         assert doc["seeds"] == [7, 8]
         assert comp["density_l1"] < 0.2
 
+    def test_window_does_not_clip_the_support(self, tmp_path):
+        # --range draws the density on (0, 0.3); the report keeps the exact
+        # Marchenko-Pastur support of g = 1/4 at c = 1/4
+        path = tmp_path / "spike.json"
+        path.write_text(json.dumps({"p": 256, "n": 1024, "mu": "pm_block(1.0)",
+                                    "model": "logistic", "loss": "logistic",
+                                    "seed": 7}))
+        out = str(tmp_path / "c.json")
+        assert main(["compare", "--config", str(path), "--range", "0.0:0.3",
+                     "--trials", "1", "--grid", "100", "--out", out]) == 0
+        (left, right), = json.load(open(out))["results"]["support"]["intervals"]
+        assert left == pytest.approx(0.0625, abs=1e-12)
+        assert right == pytest.approx(0.5625, abs=1e-12)
+
 
 class TestSweepCommand:
     def test_row_count_and_threshold(self, mp_config, tmp_path):
@@ -331,6 +345,13 @@ class TestQuadOrder:
         np.testing.assert_allclose(spike("--quad-order", "400"), [loc, gap],
                                    rtol=0, atol=1e-9)
         assert np.all(np.abs(spike() - [loc, gap]) > 1e-6)
+
+    def test_echoed_in_the_document(self, signal_config, tmp_path):
+        out = tmp_path / "s.json"
+        for args, order in (([], 96), (["--quad-order", "48"], 48)):
+            assert main(["spikes", "--config", signal_config, "--out",
+                         str(out), *args]) == 0
+            assert json.load(open(out))["spec_echo"]["quad_order"] == order
 
 
 class TestStdout:

@@ -312,6 +312,20 @@ class TestCompare:
         rep = compare(spec, an.curve, an.spikes, trials=4, base_seed=seed)
         assert rep.density_l1 < bound
 
+    def test_atom_at_zero_inside_the_bulk(self):
+        # c = 1.6 with the trimming weight: the bulk covers 0, so the exact
+        # support lists no (0, 0), yet rank H <= n still puts an atom of
+        # mass 1 - 1/c there (0.548 when it counted as error)
+        spec, seed = build_spec({
+            "p": 400, "n": 250, "w_star": "pm_block(1.0)",
+            "w": "pm_block(0.8)", "model": "phase_retrieval",
+            "weight": "trim", "seed": 3})
+        an = analyze(spec)
+        (left, right), = an.support.intervals
+        assert left < 0.0 < right
+        rep = compare(spec, an.curve, an.spikes, trials=4, base_seed=seed)
+        assert rep.density_l1 < 0.25
+
     @pytest.mark.parametrize("trials", [0, -1])
     def test_no_trials_rejected(self, trials):
         spec, seed = signal_spec(p=16, n=64)

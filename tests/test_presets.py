@@ -192,3 +192,46 @@ def test_preset_order_reaches_every_spec(tmp_path, monkeypatch):
     monkeypatch.setattr(hesspec.presets, "build_spec", recorded)
     run_preset("fig5", str(tmp_path), trials=0, order=48)
     assert orders == [48] * 16
+
+
+@pytest.mark.parametrize("name, stem, intervals", [
+    ("fig1cd", "fig1cd", [[None, None]]),
+    ("fig2", "fig2_exponential", [[0.4625949529537695, None]])],
+    ids=["fig1cd", "fig2-exponential"])
+def test_report_writes_unbounded_ends_as_null(tmp_path, name, stem, intervals):
+    # the report carries the exact support, not the scan window: g is
+    # unbounded both ways (fig1cd) or above (the exponential loss)
+    run_preset(name, str(tmp_path), trials=0)
+    with open(tmp_path / f"{stem}_report.json") as fh:
+        sup = json.load(fh)["results"]["support"]
+    assert not sup["bounded"] and sup["bulk_count"] == 1
+    (left, right), = sup["intervals"]
+    (want_left, want_right), = intervals
+    assert right is None
+    assert left is None if want_left is None else left == pytest.approx(
+        want_left, rel=1e-12)
+
+
+def test_report_resolves_no_window(monkeypatch):
+    # the support and spikes are exact functions of the model; only the
+    # density curve reads the scan window
+    import hesspec.presets
+
+    calls = []
+
+    def counted(spec, _real=hesspec.presets.default_scan_range):
+        calls.append(spec)
+        return _real(spec)
+
+    monkeypatch.setattr(hesspec.presets, "default_scan_range", counted)
+    spec, _ = build_spec(preset_config("fig1b"))
+    an = analyze(spec)
+    an.results()
+    assert calls == []
+    assert len(an.curve.grid) == 400 and calls == [spec]
+
+
+def test_report_echoes_the_quadrature_order(tmp_path):
+    files = run_preset("fig1a", str(tmp_path), trials=0, order=48)
+    with open(next(f for f in files if f.endswith(".json"))) as fh:
+        assert json.load(fh)["spec_echo"]["quad_order"] == 48
