@@ -37,7 +37,7 @@ The density is the absolutely continuous part of the measure: exactly 0
 off the support, and Im m(x + i eps) / pi inside it, solved in a few
 batched waves scheduled up front and started between solved points at
 the soft edges (density).  The atom at 0 that c > 1 puts there is
-listed by support() and not drawn.
+listed by support(), and its Lorentzian is taken out of the curve.
 """
 from __future__ import annotations
 
@@ -285,10 +285,11 @@ def _waves(runs, size):
 def density(spec, grid):
     """Limiting density on a grid by Stieltjes inversion at x + i*eps.
 
-    The curve is exactly 0 off the exact support (_Exterior.intervals,
-    without the atom at 0 for c > 1, which is not drawn).  Inside, every
-    grid point gets one Newton solve at x + i*eps (_iterate).  eps, 1e-6
-    times the larger of 1 and the grid's span and reported as the curve's
+    The curve is exactly 0 off the exact support (_Exterior.intervals).
+    Inside, every grid point gets one Newton solve at x + i*eps (_iterate)
+    and reads Im m / pi less the Lorentzian (1 - 1/c) eps / (pi |x + i*eps|^2)
+    that the atom at 0 puts there for c > 1, so the atom is not drawn.  eps,
+    1e-6 times the larger of 1 and the grid's span and reported as the curve's
     epsilon, only regularises these solves.  They run in the waves that
     _waves assigns up front, one batched _iterate call per wave over all
     intervals, between solved rows at the soft edges (_Exterior.edge_row).
@@ -312,6 +313,8 @@ def density(spec, grid):
     t, wts = spec.atoms
     eng = expectation_engine(spec)
     ext = _exterior(spec)
+    # the atom at 0 adds atom / |z|^2 to Im m at every z = x + i*eps
+    atom = max(0.0, 1.0 - 1.0 / spec.c) * epsilon
     # the rows, interval after interval in ascending x: the grid points of
     # interval iv (pos, their index in grid) between solved rows at its
     # soft edges (pos -1), with x, u, dx/du, delta and d delta/du
@@ -365,7 +368,8 @@ def density(spec, grid):
         delta[at] = np.where(keep, pts.delta, 0.0)
         slope[at] = np.where(
             keep, stieltjes_derivatives(spec, pts)[0] * dxdu[at], 0.0)
-        out[pos[at]] = np.where(solved, pts.m.imag / np.pi, np.nan)
+        out[pos[at]] = np.where(
+            solved, (pts.m.imag - atom / np.abs(z) ** 2) / np.pi, np.nan)
     failed = int(np.count_nonzero(np.isnan(out)))
     inside = int(np.count_nonzero(pos >= 0))
     _log.debug("density: %d intervals, %d interior points, %d soft edges, "

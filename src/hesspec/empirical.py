@@ -278,16 +278,17 @@ def extract_outliers(spectrum, support_report, edge_tol=None):
     (value, side, index) with the side of the nearest interval (the first
     of equally near ones).
 
-    Default tolerance is 5/p times the overall support width, absorbing
-    finite-size edge fluctuation; an unbounded support makes it infinite.
+    Default tolerance is 5/p times the span of the support's finite ends
+    (of the eigenvalues if fewer than two), absorbing edge fluctuation.
     """
     intervals = support_report.intervals
     if not intervals:
         return []
     lam = spectrum.eigenvalues
-    left, right = np.array(intervals, dtype=float).T
+    left, right = ends = np.array(intervals, dtype=float).T
     if edge_tol is None:
-        edge_tol = (right.max() - left.min()) * 5.0 / len(lam)
+        finite = ends[np.isfinite(ends)]
+        edge_tol = np.ptp(finite if len(finite) > 1 else lam) * 5.0 / len(lam)
     # distance past each interval's nearer end, <= 0 inside it
     below = lam[:, None] < left
     dist = np.where(below, left - lam[:, None], lam[:, None] - right)

@@ -204,6 +204,12 @@ class ProblemSpec:
                                 self.cov.apply(self.w)])
 
     @cached_property
+    def active_columns(self):
+        """The columns of V that G keeps: norm > 1e-12 max(norms, 1)."""
+        norms = np.linalg.norm(self.V, axis=0)
+        return np.flatnonzero(norms > 1e-12 * max(norms.max(), 1.0))
+
+    @cached_property
     def gram_U(self):
         """U^T U for U = C^{1/2} [w*, w]."""
         cw_star = self.cov.apply(self.w_star)

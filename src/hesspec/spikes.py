@@ -11,10 +11,11 @@ hesspec.bulk, so each (z, delta) pair is exact without a fixed-point
 solve: det G is tabulated on the table of every rising segment of the
 map, edges included and out to z = -inf and +inf, and each sign change
 across a step where z moves by more than 1e-12 relative is polished by
-bulk._polish, the root polisher of the edges.  V^T Qbar V (with its z-derivative) and G each
-have one kernel, _vqv and _g, that serves a table and a single point
-alike.  At a root the asymptotic projection matrix V^T u u^T V follows
-from the left/right null vectors of G and the explicit derivative G'(z).
+bulk._polish, the root polisher of the edges.  V^T Qbar V (with its
+z-derivative) and G each have one kernel, _vqv and _g, that serves a table
+and a single point alike.  One evaluation at a point (spike_matrix), which
+every reader of G shares, gives G and the explicit derivative G'(z); at a
+root, V^T u u^T V follows from the null vectors of G and from G'.
 
 Columns of V that vanish (e.g. mu = 0 or w = 0) are dropped so G
 shrinks to 2x2 or 1x1; the pure-signal case w = w* = 0 is exactly the
@@ -51,14 +52,41 @@ _Z_FLAT = 1e-12    # relative z step within rounding: no spike lies on it
 
 @dataclass(frozen=True, eq=False)
 class SpikeMatrix:
-    """G(z) together with its factors, restricted to the active columns."""
+    """G(z), G'(z) and V^T Qbar V on the active columns (spike_matrix)."""
 
     entries: np.ndarray        # G on active columns
+    deriv: np.ndarray          # G'(z) on active columns
     z: float
     vqv: np.ndarray            # V^T Qbar V, active columns
-    moments: object            # CurvatureMoments (full 3x3)
     active: np.ndarray         # indices of nonzero V columns
-    point: object              # StieltjesPoint at z
+
+    def det(self):
+        """Real determinant of G at real exterior z."""
+        det = np.linalg.det(self.entries)
+        if abs(det.imag) > 1e-9 * max(1.0, abs(det.real)):
+            raise ImaginaryLeak(
+                f"det G carries imaginary residue {det.imag:g} at z={self.z}")
+        return det.real
+
+    def alignment(self):
+        """V^T u u^T V at a root of det G from the left/right null vectors
+        of G and from G', in the full 3x3 indexing (0 for dropped columns)."""
+        G = self.entries.real
+        eigvals, right = np.linalg.eig(G)
+        idx = np.argsort(np.abs(eigvals))
+        if len(eigvals) > 1 and np.abs(eigvals[idx[1]]) <= 1e-6:
+            raise MultiplicityViolation(
+                f"zero eigenvalue of G({self.z}) is not simple")
+        v_r = np.real(right[:, idx[0]])
+        eigvals_l, left = np.linalg.eig(G.T)
+        j = int(np.argmin(np.abs(eigvals_l - eigvals[idx[0]])))
+        v_l = np.real(left[:, j])
+        xi = np.outer(v_r, v_l) / (v_l @ self.deriv.real @ v_r)
+        proj = -self.vqv.real @ xi
+        proj = 0.5 * (proj + proj.T)
+        out = np.zeros((3, 3))
+        out[np.ix_(self.active, self.active)] = proj
+        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,12 +105,6 @@ class SpikeReport:
             nrm2 = V[:, k] @ V[:, k]
             out.append(float(self.alignment[k, k] / nrm2) if nrm2 > 0 else 0.0)
         return out
-
-
-def _active_columns(spec):
-    norms = np.linalg.norm(spec.V, axis=0)
-    scale = max(norms.max(), 1.0)
-    return np.flatnonzero(norms > 1e-12 * scale)
 
 
 def _vqv(spec, z, e, slope=None):
@@ -113,54 +135,43 @@ def resolvent_forms(spec, z, point=None):
 
 
 def spike_matrix(spec, z, point=None):
-    """Assemble G(z) = I + Lambda(z) V^T Qbar(z) V on the active columns."""
-    if point is None:
-        point = solve_point(spec, z)
-    moments = expectation_engine(spec).moments(point.z, point.delta)
-    vqv = _vqv(spec, point.z, point.e)
-    active = _active_columns(spec)
-    return SpikeMatrix(entries=_g(moments.entries, vqv, active),
-                       z=float(np.real(z)), vqv=vqv[np.ix_(active, active)],
-                       moments=moments, active=active, point=point)
-
-
-def spike_det(spec, z, point=None):
-    """Real determinant of G(z) at real exterior z."""
-    gm = spike_matrix(spec, z, point=point)
-    det = np.linalg.det(gm.entries)
-    if abs(det.imag) > 1e-9 * max(1.0, abs(det.real)):
-        raise ImaginaryLeak(
-            f"det G carries imaginary residue {det.imag:g} at z={z}")
-    return det.real
-
-
-def spike_matrix_deriv(spec, z, point=None):
-    """G'(z) = Lambda' V^T Qbar V + Lambda V^T Qbar' V on active columns."""
+    """G(z) = I + Lambda V^T Qbar V and G'(z) on the active columns, at z or
+    at its solved point: the one evaluation every reader of G shares, from
+    the moments of g/(1+g delta) and of its square and one _vqv call."""
     if point is None:
         point = solve_point(spec, z)
     eng = expectation_engine(spec)
     delta_prime, _, e2 = stieltjes_derivatives(spec, point)
     lam = eng.moments(point.z, point.delta).entries
-    lam_prime = -delta_prime * eng.moments(point.z, point.delta, square=True).entries
+    lam_prime = -delta_prime * eng.moments(point.z, point.delta,
+                                           square=True).entries
     vqv, vqv_prime = _vqv(spec, point.z, point.e, e2 * delta_prime)
-    active = _active_columns(spec)
+    active = spec.active_columns
     ix = np.ix_(active, active)
-    return lam_prime[ix] @ vqv[ix] + lam[ix] @ vqv_prime[ix]
+    return SpikeMatrix(entries=_g(lam, vqv, active),
+                       deriv=lam_prime[ix] @ vqv[ix] + lam[ix] @ vqv_prime[ix],
+                       z=float(point.z.real), vqv=vqv[ix], active=active)
+
+
+def spike_det(spec, z, point=None):
+    """Real determinant of G(z) at real exterior z."""
+    return spike_matrix(spec, z, point=point).det()
+
+
+def spike_matrix_deriv(spec, z, point=None):
+    """G'(z) = Lambda' V^T Qbar V + Lambda V^T Qbar' V on active columns."""
+    return spike_matrix(spec, z, point=point).deriv
 
 
 def find_spikes(spec, support_report):
-    """Locate all real exterior roots of det G and attach alignments.
-
-    On every rising segment of the inverse map (see hesspec.bulk) det G
-    is tabulated along z(delta) on the segment's table, edges included,
-    and each sign change across a step where z moves by more than 1e-12
-    relative (_Z_FLAT) is polished on the delta arc by bulk._polish.  Each spike point (z, delta) comes straight
-    from the map, with no fixed-point solve; its gap and side refer to the
-    exact edges of its segment.  support_report is unused and kept for
-    callers that pass it: a law without a real exterior has no spikes.
+    """All real exterior roots of det G, found as the module docstring
+    says, each evaluated once (spike_matrix) for both its det residual and
+    its alignment; gap and side refer to the exact edges of its segment.
+    support_report is unused and kept for callers that pass it: a law
+    without a real exterior has no spikes.
     """
     ext = _exterior(spec)
-    active = _active_columns(spec)
+    active = spec.active_columns
 
     def dets(z, e, moments):
         return np.linalg.det(_g(moments, _vqv(spec, z, e), active))
@@ -181,44 +192,21 @@ def find_spikes(spec, support_report):
             root = _polish(lambda th: det_at(seg.gap, th), seg.theta[i],
                            seg.theta[i + 1])
             pt = ext.point(seg.gap, root)
-            lam = pt.z.real
+            gm = spike_matrix(spec, pt.z, point=pt)
             # the nearer edge of the segment sets side and gap
-            below, above = lam - seg.z[0], seg.z[-1] - lam
+            below, above = gm.z - seg.z[0], seg.z[-1] - gm.z
             side, gap = ("right", below) if below < above else ("left", above)
             reports.append(SpikeReport(
-                location=float(lam), side=side, gap=float(gap),
-                alignment=alignment(spec, lam, point=pt),
-                det_residual=abs(spike_det(spec, lam, point=pt))))
+                location=gm.z, side=side, gap=float(gap),
+                alignment=gm.alignment(), det_residual=abs(gm.det())))
     reports.sort(key=lambda r: r.location)
     return reports
 
 
 def alignment(spec, lam, point=None):
-    """Asymptotic projection matrix V^T u u^T V at a spike location.
-
-    Built from the left/right null vectors of G(lam) and the explicit
-    derivative G'(lam); embedded back into the full 3x3 indexing with
-    zero rows/columns for dropped V columns.  point is the solved
-    StieltjesPoint at lam, if known.
-    """
-    gm = spike_matrix(spec, lam, point=point)
-    G = gm.entries.real
-    eigvals, right = np.linalg.eig(G)
-    idx = np.argsort(np.abs(eigvals))
-    if len(eigvals) > 1 and np.abs(eigvals[idx[1]]) <= 1e-6:
-        raise MultiplicityViolation(
-            f"zero eigenvalue of G({lam}) is not simple")
-    v_r = np.real(right[:, idx[0]])
-    eigvals_l, left = np.linalg.eig(G.T)
-    j = int(np.argmin(np.abs(eigvals_l - eigvals[idx[0]])))
-    v_l = np.real(left[:, j])
-    g_prime = spike_matrix_deriv(spec, lam, point=gm.point).real
-    xi = np.outer(v_r, v_l) / (v_l @ g_prime @ v_r)
-    proj = -gm.vqv.real @ xi
-    proj = 0.5 * (proj + proj.T)
-    out = np.zeros((3, 3))
-    out[np.ix_(gm.active, gm.active)] = proj
-    return out
+    """Asymptotic projection matrix V^T u u^T V at a spike location lam
+    (SpikeMatrix.alignment); point is its solved StieltjesPoint, if known."""
+    return spike_matrix(spec, lam, point=point).alignment()
 
 
 def signal_spike_closed_form(rho, c):

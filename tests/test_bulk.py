@@ -308,6 +308,20 @@ class TestDensity:
         mass = np.trapezoid(density(spec, grid).density, grid)
         assert mass == pytest.approx(1.0 / spec.c, abs=1e-3)
 
+    def test_atom_at_zero_is_not_drawn_inside_a_bulk(self):
+        # c = 2 and g unbounded both ways: the bulk covers 0, where the
+        # atom of mass 1/2 would put (1/2) / (pi eps) on the grid point
+        spec, _ = build_spec({
+            "p": 400, "n": 200, "w_star": "pm_block(1.0)",
+            "w": "gaussian_norm(0.8)", "model": "phase_retrieval",
+            "loss": "phase_square", "seed": 3})
+        grid = np.linspace(-6.0, 6.0, 2401)
+        assert 0.0 in grid and support(spec, (-6.0, 6.0)).intervals == [
+            (-6.0, 6.0)]
+        curve = density(spec, grid)
+        assert np.all(np.isfinite(curve.density))
+        assert np.trapezoid(curve.density, grid) < 1.0
+
     def test_failed_points_are_counted(self, monkeypatch, caplog):
         spec = quarter_wishart()
         grid = np.linspace(0.0, 0.7, 50)

@@ -257,6 +257,19 @@ class TestOutliers:
         spectrum = EmpiricalSpectrum(eigenvalues=np.array([1.0]), seed=0)
         assert extract_outliers(spectrum, sup) == []
 
+    def test_default_tolerance_on_a_half_line(self):
+        # fig2's exponential loss: support (0.4626, inf), so the width of
+        # the finite ends is undefined and the eigenvalues' span sets it
+        spec, seed = build_spec(dict(preset_config("fig2"),
+                                     loss="exponential", p=200, n=1500))
+        sup = support(spec, (-np.inf, np.inf))
+        assert len(sup.intervals) == 1 and sup.intervals[0][1] == np.inf
+        edge = sup.intervals[0][0]
+        lam = run_trial(spec, "gaussian", seed).eigenvalues
+        inside = lam[lam > edge]
+        spectrum = EmpiricalSpectrum(eigenvalues=np.r_[0.2, inside], seed=0)
+        assert extract_outliers(spectrum, sup) == [(0.2, "left", 0)]
+
     def test_spike_detected_in_most_seeds(self):
         spec, seed = signal_spec()
         lo, hi = default_scan_range(spec)

@@ -8,6 +8,8 @@ from hesspec import (Diagonal, ProblemSpec, QuadratureGrid, ResponseModel,
                      default_scan_range, find_spikes, model_spike_scalar,
                      resolvent_forms, signal_spike_closed_form, solve_point,
                      spike_det, spike_matrix, spike_matrix_deriv, support)
+from hesspec import spikes as spikes_module
+from hesspec.expectations import ExpectationEngine
 from hesspec.presets import preset_config
 
 
@@ -283,3 +285,50 @@ class TestTrimmedRetrieval:
                                                    abs=1e-6)
         assert spikes[0].cos2(spec.V)[1] == pytest.approx(0.7431531674204144,
                                                           abs=1e-6)
+
+
+def fig3_four():
+    return dict(preset_config("fig3"),
+                cov={"diag_blocks": [[1.0, 400], [4.0, 400]]})
+
+
+class TestOneEvaluationPerRoot:
+    """find_spikes evaluates G and G' once per root, and its reports read
+    the same kernel as the public alignment and spike_det."""
+
+    @pytest.mark.parametrize("cfg", [
+        preset_config("fig1b"), preset_config("fig6"), preset_config("fig7"),
+        fig3_four(),
+        {"p": 800, "n": 8000, "w": "pm_block(8.0)", "model": "logistic",
+         "loss": "logistic"}], ids=["fig1b", "fig6", "fig7", "fig3_four",
+                                    "w8"])
+    def test_reports_match_the_public_readers(self, cfg):
+        spec, _ = build_spec(cfg)
+        reports = find_spikes(spec, None)
+        assert reports
+        for rep in reports:
+            np.testing.assert_allclose(rep.alignment,
+                                       alignment(spec, rep.location),
+                                       rtol=0, atol=1e-10)
+            assert rep.det_residual == pytest.approx(
+                abs(spike_det(spec, rep.location)), abs=1e-10)
+
+    def test_two_moment_matrices_and_one_slope_per_spike(self, monkeypatch):
+        spec, _ = build_spec(preset_config("fig7"))
+        find_spikes(spec, None)      # builds the exterior map first
+        calls = {"moments": 0, "slope": 0}
+        moments, vqv = ExpectationEngine.moments, spikes_module._vqv
+
+        def counted_moments(*args, **kwargs):
+            calls["moments"] += 1
+            return moments(*args, **kwargs)
+
+        def counted_vqv(spec, z, e, slope=None):
+            calls["slope"] += slope is not None
+            return vqv(spec, z, e, slope)
+
+        monkeypatch.setattr(ExpectationEngine, "moments", counted_moments)
+        monkeypatch.setattr(spikes_module, "_vqv", counted_vqv)
+        reports = find_spikes(spec, None)
+        assert len(reports) >= 1
+        assert calls == {"moments": 2 * len(reports), "slope": len(reports)}
