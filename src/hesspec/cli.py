@@ -30,7 +30,7 @@ from .config import build_spec, load_config, spec_echo
 from .empirical import run_trials
 from .errors import ConfigError, HesspecError
 from .features import check_dist
-from .presets import PRESETS, analyze, run_preset, sweep
+from .presets import PRESETS, analyze, pm_block, run_preset, sweep
 from .report import emit_document, emit_table
 
 __all__ = ["main"]
@@ -113,13 +113,8 @@ _SWEEP_KEYS = {"w_norm": "w", "w_star_norm": "w_star", "mu_norm": "mu"}
 
 def _cmd_sweep(args):
     key = _SWEEP_KEYS[args.param]
-
-    def rescale(c, val):
-        c[key] = "pm_block(%.17g)" % val
-        return c
-
-    sweep(_config(args), _parse_values(args.values), rescale, args.out,
-          args.param)
+    sweep(_config(args), _parse_values(args.values),
+          lambda c, val: {**c, key: pm_block(val)}, args.out, args.param)
 
 
 def _cmd_preset(args):

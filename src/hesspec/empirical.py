@@ -108,25 +108,23 @@ def _gram(X, d):
     with d < 0 are swapped behind the others, and each sign adds its
     columns with one symmetric rank-k product, SciPy's dsyrk on the
     transposed block; so the Gram costs n columns of dsyrk for any signs.
-    A writeable X (C-ordered) is scaled in place and its blocks are
-    overwritten; a read-only X is scaled block by block into one work
-    array.  Both give the same values in the same order, so the same H.
-    Swaps go in row slices of a sixteenth of the block, so no temporary
-    exceeds that.
+    Each block is scaled into itself when X is writeable (C-ordered), so
+    X is overwritten, and into one work array when it is read-only; the
+    same values in the same order, so the same H.  Swaps go in row slices
+    of a sixteenth of the block, so no temporary exceeds that.
     """
     p, n = X.shape
     scale = np.sqrt(np.abs(d) / n)
     width = max(1, _GRAM_BLOCK_BYTES // (8 * p))
     rows = max(1, p // 16)
     work = None if X.flags.writeable else np.empty((p, min(width, n)))
-    if work is None:
-        X *= scale            # one pass over whole rows beats one per block
     H = np.zeros((p, p), order="F")
     for j in range(0, n, width):
         neg = d[j:j + width] < 0
         m = len(neg)
-        block = X[:, j:j + m] if work is None else np.multiply(
-            X[:, j:j + m], scale[j:j + m], out=work[:, :m])
+        block = X[:, j:j + m]
+        block = np.multiply(block, scale[j:j + m],
+                            out=block if work is None else work[:, :m])
         k = m - np.count_nonzero(neg)         # columns with d >= 0
         if 0 < k < m:
             front, back = np.flatnonzero(neg[:k]), k + np.flatnonzero(~neg[k:])

@@ -8,21 +8,22 @@ the first spike along a parameter path.  The CLI and the presets both
 go through these two functions.
 
 Each preset pins a full setting (p, n, vectors, covariance, model,
-weight) and writes density tables, spike/sweep tables and comparison
-documents into an output directory.  Presets are plain config dicts
-plus a driver, so every one of them round-trips through the standard
-config parser.
+weight) in a plain config dict that round-trips through the standard
+config parser.  One row of a table says what it writes into an output
+directory (report documents, pooled trial tables, a sweep table), and
+run_preset reads that row, knowing no preset by name.
 """
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .bulk import default_scan_range, density, support
-from .config import build_spec, spec_echo
+from .config import _integer, build_spec, spec_echo
 from .empirical import compare, run_trials, worker_count
 from .errors import ConfigError
 from .features import ProblemSpec
@@ -31,6 +32,11 @@ from .spikes import find_spikes
 
 __all__ = ["Analysis", "analyze", "sweep", "PRESETS", "preset_config",
            "run_preset"]
+
+
+def pm_block(norm):
+    """The config pattern of the +-1 block vector of Euclidean norm `norm`."""
+    return "pm_block(%.17g)" % norm
 
 
 def _base(p, n, **kw):
@@ -67,17 +73,37 @@ PRESETS = {
                   loss="logistic"),
     # phase retrieval with trimming preprocessing, w = sqrt(2/3) w*
     "fig7": _base(800, 4000, w_star="pm_block(0.76)",
-                  w="pm_block(%.17g)" % (0.76 * np.sqrt(2.0 / 3.0)),
+                  w=pm_block(0.76 * np.sqrt(2.0 / 3.0)),
                   model="phase_retrieval", weight="trim"),
 }
 
-_FIG5_RHO2 = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0,
-              1.1, 1.2, 1.3, 1.4, 1.5]
-_FIG6_WNORM = np.linspace(0.1, 8.0, 30)
-_FIG7_WNORM = np.linspace(0.1, 2.0, 30)
-# Monte Carlo trials when run_preset is given none (fig4: seeds pooled
-# per feature law; fig5-7: trials per sweep value); the others use 1
-_DEFAULT_TRIALS = {"fig4": 10, "fig5": 50, "fig6": 50, "fig7": 50}
+
+class _Writes(NamedTuple):
+    """What a preset writes, in run_preset's order."""
+    docs: dict                # file stem -> config changes
+    pooled: tuple = ()        # feature laws
+    sweep: tuple = None       # (label, values, value -> config changes)
+    trials: int = 1           # Monte Carlo trials when run_preset gets none
+
+
+_WRITES = {
+    **{name: _Writes({name: {}}) for name in ("fig1a", "fig1b", "fig1cd")},
+    "fig2": _Writes({f"fig2_{loss}": {"loss": loss}
+                     for loss in ("logistic", "exponential")}),
+    "fig3": _Writes({
+        f"fig3_{tag}": {"cov": {"diag_blocks": [[1.0, 400], [top, 400]]}}
+        for tag, top in (("two", 2.0), ("four", 4.0))}),
+    "fig4": _Writes({"fig4_theory": {}}, pooled=("gaussian", "rademacher",
+                                                 "student_t:7"), trials=10),
+    "fig5": _Writes({"fig5": {}}, sweep=(
+        "mu_norm2", [k / 10 for k in range(1, 16)],
+        lambda rho2: {"mu": pm_block(np.sqrt(rho2))}), trials=50),
+    "fig6": _Writes({}, sweep=("norm", np.linspace(0.1, 8.0, 30),
+                               lambda v: {"w": pm_block(v)}), trials=50),
+    "fig7": _Writes({}, sweep=("norm", np.linspace(0.1, 2.0, 30), lambda v: {
+        "w_star": pm_block(v), "w": pm_block(v * np.sqrt(2.0 / 3.0))}),
+        trials=50),
+}
 
 
 def preset_config(name):
@@ -201,57 +227,37 @@ def _write_theory(out, stem, spec, seed, trials):
 
 
 def run_preset(name, out, trials=None, order=None):
-    """Run one preset at quad_order `order` (default 96); returns its files."""
+    """Run one preset at quad_order `order` (default 96); returns its files.
+
+    Its _WRITES row says what: a density table and report per document,
+    a table per feature law of the eigenvalues pooled over `trials` trials
+    (a whole number, default the row's), then a sweep table at `trials`
+    per value; the documents run them only when neither of those does.
+    A bad `trials` or config leaves no directory.
+    """
     cfg = preset_config(name)
+    row = _WRITES[name]
     if order is not None:
         cfg["quad_order"] = order
-    if trials is None:
-        trials = _DEFAULT_TRIALS.get(name, 1)
-    if trials < (1 if name == "fig4" else 0):
+    trials = row.trials if trials is None else _integer(trials, "trials")
+    if trials < (1 if row.pooled else 0):
         raise ConfigError(f"preset {name} cannot run {trials} trials")
     spec, seed = build_spec(cfg)     # a config error leaves no directory
     os.makedirs(out, exist_ok=True)
     files = []
-
-    if name in ("fig1a", "fig1b", "fig1cd"):
-        files += _write_theory(out, name, spec, seed, trials)
-    elif name == "fig2":
-        for loss in ("logistic", "exponential"):
-            files += _write_theory(out, f"fig2_{loss}",
-                                   *build_spec(dict(cfg, loss=loss)), trials)
-    elif name == "fig3":
-        for tag, top in (("two", 2.0), ("four", 4.0)):
-            c = dict(cfg, cov={"diag_blocks": [[1.0, 400], [top, 400]]})
-            files += _write_theory(out, f"fig3_{tag}", *build_spec(c), trials)
-    elif name == "fig4":
-        files += _write_theory(out, "fig4_theory", spec, seed, 0)
-        for dist in ("gaussian", "rademacher", "student_t:7"):
-            pooled = np.concatenate(
-                [s.eigenvalues for s in run_trials(
-                    spec, dist, [seed + k for k in range(trials)])])
-            tag = dist.replace(":", "")
-            files.append(emit_table(os.path.join(out, f"fig4_{tag}.csv"),
-                                    ["eigenvalue"], [[v] for v in pooled]))
-    elif name == "fig5":
-        files += _write_theory(out, "fig5", spec, seed, 0)
-
-        def rescale(c, rho2):
-            c["mu"] = "pm_block(%.17g)" % np.sqrt(rho2)
-            return c
-
-        files.append(sweep(cfg, _FIG5_RHO2, rescale,
-                           os.path.join(out, "fig5_sweep.csv"), "mu_norm2",
+    doc_trials = 0 if row.pooled or row.sweep else trials
+    for stem, change in row.docs.items():
+        built = build_spec(dict(cfg, **change)) if change else (spec, seed)
+        files += _write_theory(out, stem, *built, doc_trials)
+    for dist in row.pooled:
+        pooled = np.concatenate([s.eigenvalues for s in run_trials(
+            spec, dist, [seed + k for k in range(trials)])])
+        files.append(emit_table(
+            os.path.join(out, f"{name}_{dist.replace(':', '')}.csv"),
+            ["eigenvalue"], [[v] for v in pooled]))
+    if row.sweep:
+        label, values, vectors = row.sweep
+        files.append(sweep(cfg, values, lambda c, v: {**c, **vectors(v)},
+                           os.path.join(out, f"{name}_sweep.csv"), label,
                            trials))
-    else:  # fig6, fig7
-        def rescale(c, val):
-            if name == "fig6":
-                c["w"] = "pm_block(%.17g)" % val
-            else:
-                c["w_star"] = "pm_block(%.17g)" % val
-                c["w"] = "pm_block(%.17g)" % (val * np.sqrt(2.0 / 3.0))
-            return c
-
-        files.append(sweep(cfg, _FIG6_WNORM if name == "fig6" else _FIG7_WNORM,
-                           rescale, os.path.join(out, f"{name}_sweep.csv"),
-                           "norm", trials))
     return files

@@ -4,22 +4,45 @@ import os
 import numpy as np
 import pytest
 
-from hesspec import analyze, build_spec, run_preset
-from hesspec.presets import preset_config, sweep
+from hesspec import ConfigError, analyze, build_spec, run_preset
+from hesspec.presets import PRESETS, _WRITES, preset_config, sweep
 
 
-def test_fig2_reports_match_analyze(tmp_path):
-    files = run_preset("fig2", str(tmp_path), trials=0)
-    assert sorted(os.path.basename(f) for f in files) == [
-        "fig2_exponential_density.csv", "fig2_exponential_report.json",
-        "fig2_logistic_density.csv", "fig2_logistic_report.json"]
-    for loss in ("logistic", "exponential"):
-        spec, seed = build_spec(dict(preset_config("fig2"), loss=loss))
-        with open(tmp_path / f"fig2_{loss}_report.json") as fh:
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_preset_files_match_the_pipeline(tmp_path, name):
+    # each report is analyze() of its document's config, each sweep table
+    # sweep() on the preset's path, each pooled table trials x p values
+    row = _WRITES[name]
+    trials = 1 if row.pooled else 0
+    run_preset(name, str(tmp_path), trials=trials)
+    cfg = preset_config(name)
+    for stem, change in row.docs.items():
+        spec, seed = build_spec(dict(cfg, **change))
+        with open(tmp_path / f"{stem}_report.json") as fh:
             doc = json.load(fh)
         assert doc["seeds"] == []
         assert doc["spec_echo"]["seed"] == seed
         assert doc["results"] == json.loads(json.dumps(analyze(spec).results()))
+    for dist in row.pooled:
+        pooled = np.loadtxt(tmp_path / f"{name}_{dist.replace(':', '')}.csv",
+                            comments="#")
+        assert pooled.shape == (trials * cfg["p"],)
+    if row.sweep:
+        label, values, vectors = row.sweep
+        direct = sweep(cfg, values, lambda c, v: {**c, **vectors(v)},
+                       str(tmp_path / "direct.csv"), label, trials)
+        with open(direct, "rb") as fh:
+            assert (tmp_path / f"{name}_sweep.csv").read_bytes() == fh.read()
+
+
+@pytest.mark.parametrize("name, trials", [
+    ("fig4", 1.5), ("fig1a", 1.5), ("fig7", 0.5), ("fig1a", True),
+    ("fig5", "1")])
+def test_trials_not_a_whole_number_leave_no_directory(tmp_path, name, trials):
+    out = tmp_path / "out"
+    with pytest.raises(ConfigError, match="trials must be an integer"):
+        run_preset(name, str(out), trials=trials)
+    assert not out.exists()
 
 
 def test_spike_reports_build_no_density(tmp_path, monkeypatch):
@@ -64,6 +87,9 @@ def test_spike_reports_build_no_density(tmp_path, monkeypatch):
     ("fig5", 0, ["fig5_density.csv", "fig5_report.json", "fig5_sweep.csv"]),
     ("fig6", 0, ["fig6_sweep.csv"]),
     ("fig7", 0, ["fig7_sweep.csv"]),
+    ("fig2", 0, ["fig2_exponential_density.csv",
+                 "fig2_exponential_report.json", "fig2_logistic_density.csv",
+                 "fig2_logistic_report.json"]),
 ])
 def test_preset_writes_its_files(tmp_path, name, trials, files):
     written = run_preset(name, str(tmp_path), trials=trials)
