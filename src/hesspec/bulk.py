@@ -112,57 +112,50 @@ def _pole_sum(t, z, e, k=1, tail=0):
 
 def _iterate(eng, t, wts, c, z, start):
     """Newton's method for delta at each of an array of complex z, from
-    starts given as the arrays (delta, e(delta), E2(delta)); returns the
-    StieltjesPoint of arrays, one entry per z, of each last evaluation,
-    and the integer array (batched e1_e2 calls made, rows they evaluated).
+    the array of starting deltas; returns the StieltjesPoint of arrays,
+    one entry per z, of each last evaluation, and the integer array
+    (batched e1_e2 calls made, rows they evaluated).
 
     The root is that of F(delta) = c sum_j w_j t_j / (e(delta) t_j - z)
     - delta, whose derivative F'(delta) = E2 (1/n) tr CQCQ - 1 is the
     negated slope numerator; each is one pole sum (_pole_sum) over all
-    active rows.  A Newton candidate is taken only if it stays in the
-    half-plane of z, where the Stieltjes branch lies, and lowers
-    |F|; otherwise the step is the damped fixed-point step delta + F/2,
-    which maps that half-plane into itself, so a start in z's half-plane
-    stays there.  Each z leaves the active set once |F| < FP_TOL; one
-    whose residual is not below FP_TOL after FP_MAX_ITER steps has
-    failed, and the caller decides what that means.
+    active rows.  One e1_e2 call, one pass over the nodes, evaluates the
+    starts and then each step's one candidate per active row: the damped
+    fixed-point step delta + F/2, which maps z's half-plane, where the
+    Stieltjes branch lies, into itself, where the Newton candidate leaves
+    that half-plane or the row's last one did not lower |F| (and was
+    dropped), and else the Newton candidate.  A z leaves the active set
+    once |F| < FP_TOL; one still active after FP_MAX_ITER evaluations (its
+    iterations) has failed, and the caller decides what that means.
     """
     z = np.asarray(z, dtype=complex)
-    d, e, e2 = (np.array(v, dtype=complex) for v in start)
+    d = np.array(start, dtype=complex)
     wt_t, wt_tt = wts * t, wts * t * t
 
     def residual(z, d, e):
         return c * _pole_sum(t, z, e)(wt_t) - d
 
+    e, e2 = eng.e1_e2(d)
     F = residual(z, d, e)
     iterations = np.ones(len(z), dtype=int)
-    calls = np.zeros(2, dtype=int)
+    calls = np.array([1, len(z)])
+    damp = np.zeros(len(z), dtype=bool)       # last Newton candidate dropped
     act = np.flatnonzero(~(np.abs(F) < FP_TOL))
-    for _ in range(FP_MAX_ITER):
-        if not len(act):
-            break
+    while len(act) and calls[0] < FP_MAX_ITER:   # act was in every call
         iterations[act] += 1
-        za, Fa = z[act], F[act]
-        new = d[act] - Fa / (e2[act] * c * _pole_sum(t, za, e[act], 2)(wt_tt)
-                             - 1.0)
-        newton = new.imag * za.imag > 0
-        if newton.any():
-            cand = new[newton]
-            ce, ce2 = eng.e1_e2(cand)
-            cF = residual(za[newton], cand, ce)
-            took = np.abs(cF) < np.abs(Fa[newton])
-            rows = act[newton][took]
-            d[rows], e[rows], e2[rows], F[rows] = (cand[took], ce[took],
-                                                   ce2[took], cF[took])
-            newton[newton] = took
-            calls += 1, len(cand)
-        damp = act[~newton]
-        if len(damp):
-            step = d[damp] + 0.5 * F[damp]
-            d[damp] = step
-            e[damp], e2[damp] = eng.e1_e2(step)
-            F[damp] = residual(z[damp], step, e[damp])
-            calls += 1, len(damp)
+        za, da, Fa = z[act], d[act], F[act]
+        new = da - Fa / (e2[act] * c * _pole_sum(t, za, e[act], 2)(wt_tt)
+                         - 1.0)
+        newton = ~damp[act] & (new.imag * za.imag > 0)
+        cand = np.where(newton, new, da + 0.5 * Fa)
+        ce, ce2 = eng.e1_e2(cand)
+        cF = residual(za, cand, ce)
+        took = ~newton | (np.abs(cF) < np.abs(Fa))
+        rows = act[took]
+        d[rows], e[rows], e2[rows], F[rows] = (cand[took], ce[took],
+                                               ce2[took], cF[took])
+        damp[act] = ~took
+        calls += 1, len(act)
         act = act[~(np.abs(F[act]) < FP_TOL)]
     return StieltjesPoint(z=z, delta=d, m=_pole_sum(t, z, e)(wts), e=e,
                           iterations=iterations, residual=np.abs(F),
@@ -194,22 +187,22 @@ def solve_point(spec, z):
     """Solve for (delta, m) at one complex z, or at a real z off the support.
 
     A complex z runs the Newton solve of density (_iterate) on its own,
-    from delta = -1/z; NonConvergence is raised if it fails.  A real z is
+    from delta = -1/z, one pass over the nodes per step, damped where the
+    Newton candidate leaves z's half-plane or the last one did not lower
+    |F|; NonConvergence is raised if it fails.  A real z is
     inverted exactly on the exterior map, and one inside the support
     raises BranchViolation.
     """
     z = complex(z)
     if z.imag == 0.0:
         return _exterior(spec).solve(z.real)
-    eng = expectation_engine(spec)
-    d = -1.0 / z
-    pts, _ = _iterate(eng, *spec.atoms, spec.c, [z],
-                      [[v] for v in (d, *eng.e1_e2(d))])
+    pts, _ = _iterate(expectation_engine(spec), *spec.atoms, spec.c, [z],
+                      [-1.0 / z])
     point = StieltjesPoint(**{k: v[0].item() for k, v in vars(pts).items()})
     if not point.residual < FP_TOL:
         raise NonConvergence(
             f"Newton solve did not reach {FP_TOL:g} in {FP_MAX_ITER} "
-            f"iterations at z={z}", residual=point.residual)
+            f"evaluations at z={z}", residual=point.residual)
     if point.m.imag * z.imag > 0:
         return point
     raise BranchViolation(
@@ -291,18 +284,20 @@ def density(spec, grid):
     that the atom at 0 puts there for c > 1, so the atom is not drawn.  eps,
     1e-6 times the larger of 1 and the grid's span and reported as the curve's
     epsilon, only regularises these solves.  They run in the waves that
-    _waves assigns up front, one batched _iterate call per wave over all
-    intervals, between solved rows at the soft edges (_Exterior.edge_row).
-    Every start comes from the nearest converged rows on either side in
-    the interval's edge coordinate u (_edge_coordinate), where delta is
-    smooth: cubic Hermite between two, with d delta/du = delta'(z) dx/du
-    (stieltjes_derivatives, no engine call), a Taylor step from one, -1/z
-    from none, reflected into the upper half-plane.  A grid point exactly
-    on a soft edge, where F' = 0 at the edge's delta, starts from the
-    edge's quadratic at x + i*eps (_Exterior.edge_seed).  It seeds no
-    neighbour, nor does a point where the solver fails: that one is NaN,
-    and failures are counted in a WARNING; a DEBUG line gives the waves
-    and the batched evaluations.
+    _waves assigns up front, between solved rows at the soft edges
+    (_Exterior.edge_row), one _iterate call per wave over all intervals:
+    each step is one pass over the nodes at every unconverged row, damped
+    where its Newton candidate leaves the upper half-plane or its last one
+    did not lower |F|.  Every start comes from the nearest converged rows
+    on either side in the interval's edge coordinate u (_edge_coordinate),
+    where delta is smooth: cubic Hermite between two, with d delta/du =
+    delta'(z) dx/du (stieltjes_derivatives, no engine call), a Taylor step
+    from one, -1/z from none, reflected into the upper half-plane.  A grid
+    point exactly on a soft edge, where F' = 0 at the edge's delta, starts
+    from the edge's quadratic at x + i*eps (_Exterior.edge_seed).  It seeds
+    no neighbour, nor does a point where the solver fails: that one is
+    NaN, and failures are counted in a WARNING; a DEBUG line gives the
+    waves and the batched evaluations.
     """
     grid = np.asarray(grid, dtype=float)
     span = float(np.ptp(grid)) if len(grid) > 1 else 1.0
@@ -361,8 +356,8 @@ def density(spec, grid):
         edge = np.isin(x[at], list(ext.soft))
         seed[edge] = ext.edge_seed(x[at[edge]], z[edge])
         seed = seed.real + 1j * np.abs(seed.imag)
-        pts, calls = _iterate(eng, t, wts, spec.c, z, (seed, *eng.e1_e2(seed)))
-        counts += calls + (1, len(at))
+        pts, calls = _iterate(eng, t, wts, spec.c, z, seed)
+        counts += calls
         solved = (pts.residual < FP_TOL) & (pts.m.imag > 0)
         ok[at] = keep = solved & ~edge
         delta[at] = np.where(keep, pts.delta, 0.0)
@@ -449,15 +444,16 @@ def _open_gaps(t, w, c):
 
     The slope numerator is 1 - (E2 / e^2) chi(z / e) with chi(x) =
     c sum_j w_j t_j^2 / (t_j - x)^2, and E2 >= e^2, so a gap branch rises
-    only where chi < 1.  chi is convex on the gap: test its minimum.
+    only where chi < 1.  chi is convex on each gap, and its minimum is
+    where chi'(x) = 2c sum_j w_j t_j^2 / (t_j - x)^3, increasing across
+    the gap, vanishes: one bisection over all gaps finds it.
     """
-    def chi(x):
-        return c * np.sum(w * t * t / (t - x) ** 2)
-
-    return [j for j in range(len(t) - 1)
-            if optimize.minimize_scalar(
-                chi, bounds=(t[j], t[j + 1]), method="bounded",
-                options={"xatol": 1e-12 * t[j + 1]}).fun < 1.0]
+    wtt = w * t * t
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = _bisect(lambda x: (wtt / (t - x[:, None]) ** 2      # chi' / 2c
+                               / (t - x[:, None])).sum(1), t[:-1], t[1:])
+    chi = c * (wtt / (t - x[:, None]) ** 2).sum(1)
+    return np.flatnonzero(chi < 1.0).tolist()
 
 
 def _arc_side(bound, side, sigma, g):

@@ -370,8 +370,10 @@ def compare(spec, theory_density, spike_reports, trials, base_seed,
     outermost first among those on its side, picks index r on the left
     and -1 - r on the right.  `shared` goes to run_trials.
     """
-    if trials < 1:
-        raise DomainError(f"compare needs trials >= 1, got {trials}")
+    if (isinstance(trials, bool) or not isinstance(trials, (int, np.integer))
+            or trials < 1):
+        raise DomainError(f"compare needs an integer trials >= 1, "
+                          f"got {trials!r}")
     seeds = [base_seed + k for k in range(trials)]
     exact = support(spec, (-np.inf, np.inf))
     picks = []

@@ -154,6 +154,7 @@ class Analysis:
         """results() plus a 'comparison' entry, compare()'s report of
         `trials` finite-size trials seeded seed, seed+1, ... (every field
         but the seeds) and the feature law `dist`; returns (results, seeds)."""
+        trials = _integer(trials, "trials")
         if trials < 1:
             raise ConfigError(f"Monte Carlo needs trials >= 1, got {trials}")
         rep = compare(self.spec, self.curve, self.spikes, trials,

@@ -2,6 +2,7 @@ from math import comb
 
 import numpy as np
 import pytest
+from scipy import optimize
 
 from hesspec import (Diagonal, ProblemSpec, ResponseModel, ScaledIdentity,
                      WeightFn, analyze, build_spec, classify_g_support,
@@ -241,6 +242,33 @@ class TestDensity:
         assert np.all(np.isfinite(curve.density))
         assert 0 < len(rows) <= max_calls
         assert sum(rows) <= max_rows
+
+    @pytest.mark.parametrize("cfg", [
+        dict(preset_config("fig2"), loss="exponential"),
+        preset_config("fig7")], ids=["fig2-exponential", "fig7"])
+    def test_one_evaluation_per_newton_step(self, cfg, monkeypatch):
+        # a wave's first e1_e2 call evaluates its starts, and every later
+        # one takes one step of each active row, the damped step after a
+        # rejected Newton candidate included, so the slowest row is in
+        # every call; both densities have such rows
+        spec, _ = build_spec(cfg)
+        grid = np.linspace(*default_scan_range(spec), 400)
+        bulk._exterior(spec)                  # built before counting
+        rows = self.counted_e1_e2(monkeypatch)
+        waves = []
+        iterate = bulk._iterate
+
+        def recorded(*args):
+            pts, calls = iterate(*args)
+            waves.append((pts.iterations, calls))
+            return pts, calls
+
+        monkeypatch.setattr(bulk, "_iterate", recorded)
+        assert np.all(np.isfinite(density(spec, grid).density))
+        for iterations, calls in waves:
+            assert calls.tolist() == [iterations.max(), iterations.sum()]
+        assert len(rows) == sum(calls[0] for _, calls in waves)
+        assert sum(rows) == sum(calls[1] for _, calls in waves)
 
     @staticmethod
     def counted_iterate(monkeypatch, fail=None):
@@ -559,6 +587,24 @@ class TestMultiBulk:
         d = eps_density(spec, [left - 0.02, left + 0.02, right - 0.02,
                                right + 0.02])
         assert d[0] < 1e-3 < d[1] and d[3] < 1e-3 < d[2]
+
+    @pytest.mark.parametrize("w1, c", [(0.5, 800 / 6000), (0.2, 0.05),
+                                       (0.9, 0.5)])
+    def test_two_atom_gap_at_the_closed_form(self, w1, c):
+        # on atoms 1 < t2 the gap's chi has the minimum c (a + b)^3 /
+        # (t2 - 1)^2, a = w1^(1/3), b = (w2 t2^2)^(1/3): it opens iff that
+        # is below 1; checked 1e-9 relative to either side of the boundary
+        w = np.array([w1, 1.0 - w1])
+
+        def excess(t2):
+            a, b = np.cbrt(w * [1.0, t2 * t2])
+            return c * (a + b) ** 3 - (t2 - 1.0) ** 2
+
+        edge = optimize.brentq(excess, 1.0, 1e3, xtol=1e-15)
+        if w1 == 0.5:
+            assert edge == pytest.approx(2.1111054061, abs=1e-10)
+        for r, gaps in ((1 - 1e-9, []), (1 + 1e-9, [0])):
+            assert bulk._open_gaps(np.array([1.0, r * edge]), w, c) == gaps
 
 
 # The fig3 "four" covariance with w = 0, where the logistic curvature is the

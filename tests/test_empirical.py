@@ -19,7 +19,7 @@ from hesspec import _openblas, empirical
 from hesspec.bulk import SupportReport
 from hesspec.empirical import EmpiricalSpectrum
 from hesspec.presets import preset_config
-from hesspec.errors import DomainError, NumericError
+from hesspec.errors import ConfigError, DomainError, NumericError
 
 
 def signal_spec(rho=0.8, p=512, n=2048, seed=29):
@@ -339,11 +339,25 @@ class TestCompare:
         rep = compare(spec, an.curve, an.spikes, trials=4, base_seed=seed)
         assert rep.density_l1 < 0.25
 
-    @pytest.mark.parametrize("trials", [0, -1])
-    def test_no_trials_rejected(self, trials):
+    @staticmethod
+    def no_trials(monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a trial ran")
+        monkeypatch.setattr(empirical, "run_trials", forbidden)
+
+    @pytest.mark.parametrize("trials", [0, -1, True, 1.5, "2"])
+    def test_no_trials_rejected(self, trials, monkeypatch):
         spec, seed = signal_spec(p=16, n=64)
+        self.no_trials(monkeypatch)
         with pytest.raises(DomainError, match="trials >= 1"):
             compare(spec, None, [], trials=trials, base_seed=seed)
+
+    @pytest.mark.parametrize("trials", [0, True, 1.5, "2"])
+    def test_monte_carlo_needs_whole_trials(self, trials, monkeypatch):
+        spec, seed = signal_spec(p=16, n=64)
+        self.no_trials(monkeypatch)
+        with pytest.raises(ConfigError, match="trials"):
+            analyze(spec).monte_carlo(trials, seed)
 
 
 class TestStatistics:
