@@ -21,6 +21,20 @@ reads both projections and keeps the eigenfactor of the 2x2 covariance;
 its grid folds only where nodes share g, as the mirrored nodes of a
 mean-zero law do.  Rank-deficient laws (w parallel to w*, or zero
 vectors) drop to 1-D or 0-D grids automatically.
+
+After the fold, every node whose weight is below _WEIGHT_CUT times the
+largest weight is dropped: tensor products of Gauss-Hermite weights reach
+far below what can change a double, so fig1cd keeps 1,926 of its 4,608
+folded nodes.  The omitted weight W is at most _WEIGHT_CUT times the
+largest weight times the number of dropped nodes (9e-31 for fig1cd,
+6e-30 for a noisy factor's 294,912-node grid).  Each omitted term of e1
+is w f with f = g/(1 + g delta), and |f| <= 1/|Im delta| for complex
+delta, so the omitted part of e1 is at most W/|Im delta| and that of E2
+at most W/|Im delta|^2; a moment column's term carries one more factor,
+at most quadratic in the node.  On the admissible real arc f is finite
+at every node and grows at most polynomially in it (3h^2 - y, or
+g/(1 - g) near a trimmed bound), or as e^|h| for the exponential loss at
+delta = 0: far slower than the Gaussian weight falls.
 """
 from __future__ import annotations
 
@@ -45,6 +59,7 @@ DEFAULT_QUAD_ORDER = 96
 _INNER_NOISE_ORDER = 32
 _SWEEP_BYTES = 2 << 20   # (delta, node) intermediates of one sweep chunk
 _DOT_NODES = 10_000      # nodes per block of a sum; see _sums
+_WEIGHT_CUT = 1e-30      # folded nodes lighter than this x the heaviest go
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,13 +135,14 @@ class ExpectationEngine:
     """Precomputed node set (g_k, weight_k, weighted u-columns) for one
     problem spec, from the Gauss-Hermite rule of order spec.quad_order.
 
-    Construction whitens the projection law, marginalizes y and folds
-    the nodes that share a g value once (module docstring); each
-    expectation afterwards is one dot product per delta (and per block
-    of _DOT_NODES nodes) of the (delta, node) values with the node
-    weights, over one delta or a batch of them, which keeps the Newton
-    iterations cheap.
-    g and wt are the law of g, on its unique values in ascending order.
+    Construction whitens the projection law, marginalizes y, folds the
+    nodes that share a g value once and drops the nodes lighter than
+    _WEIGHT_CUT times the heaviest, within the bound of the module
+    docstring; each expectation afterwards is one dot product per delta
+    (and per block of _DOT_NODES nodes) of the (delta, node) values with
+    the node weights, over one delta or a batch of them, which keeps the
+    Newton iterations cheap.
+    g and wt are the kept law of g, on its unique values in ascending order.
     """
 
     def __init__(self, spec):
@@ -158,6 +174,10 @@ class ExpectationEngine:
                                u1 * u1])
         g, node = np.unique(g, return_inverse=True)
         cols = np.array([np.bincount(node, c, len(g)) for c in cols])
+        keep = cols[0] >= _WEIGHT_CUT * cols[0].max()
+        # np.compress keeps the rows C-contiguous for the row dots; a mask
+        # index on axis 1 would not
+        g, cols = g[keep], np.compress(keep, cols, axis=1)
         self.g = g
         self.wt = cols[0]
         # the node columns in each dtype the sums run in, so no call casts

@@ -606,6 +606,25 @@ class TestMultiBulk:
         for r, gaps in ((1 - 1e-9, []), (1 + 1e-9, [0])):
             assert bulk._open_gaps(np.array([1.0, r * edge]), w, c) == gaps
 
+    def test_gap_lists_match_bisection_to_adjacent_doubles(self):
+        # on random 2-7 atom laws, with c at random and 1e-9 relative to
+        # either side of one gap's boundary, the Newton minimum decides
+        # chi < 1 as chi' bisected to two adjacent doubles does
+        rng = np.random.default_rng(29)
+        for _ in range(300):
+            k = rng.integers(2, 8)
+            t = np.sort(np.exp(rng.uniform(-3.0, 3.0, k)))
+            w = rng.dirichlet(np.ones(k))
+            wtt = w * t * t
+            x = bulk._bisect(lambda x: (wtt / (t - x[:, None]) ** 3).sum(1),
+                             t[:-1], t[1:])
+            chi = (wtt / (t - x[:, None]) ** 2).sum(1)      # chi / c
+            edge = 1.0 / chi[rng.integers(k - 1)]
+            for c in (np.exp(rng.uniform(-5.0, 1.0)), (1 - 1e-9) * edge,
+                      (1 + 1e-9) * edge):
+                want = np.flatnonzero(c * chi < 1.0).tolist()
+                assert bulk._open_gaps(t, w, c) == want
+
 
 # The fig3 "four" covariance with w = 0, where the logistic curvature is the
 # constant 1/4.  Edges computed once with perfbench/oracles.py

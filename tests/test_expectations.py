@@ -11,7 +11,7 @@ from hesspec import (ProblemSpec, QuadratureGrid, ResponseModel,
 from hesspec.config import build_spec
 from hesspec.errors import ConfigError, PoleError
 from hesspec.models import sample_response
-from hesspec.presets import preset_config
+from hesspec.presets import PRESETS, preset_config
 
 
 def make_spec(loss="logistic", model=None, w=None, w_star=None, mu=None,
@@ -375,7 +375,8 @@ RANKS = {
 
 
 class TestFold:
-    """The folded node set regroups the tensor-grid sums exactly."""
+    """The folded node set regroups the tensor-grid sums exactly, and the
+    cut drops only nodes that cannot change a double."""
 
     DELTAS = np.array([0.0, 0.37, -0.2 + 0.5j, 1.3 - 0.8j, 0.9 + 1e-3j])
 
@@ -405,14 +406,60 @@ class TestFold:
         for have, want in zip(got, (e1, e2, moments, e1, e2, moments_sq)):
             assert np.max(np.abs(have - want)) <= 1e-13 * np.max(np.abs(want))
 
-    @pytest.mark.parametrize("name, loss, nodes", [
-        ("fig1b", "logistic", 96), ("fig1b", "square", 1),
-        ("fig1b", "exponential", 192), ("fig1cd", "phase_square", 96 ** 2 // 2)])
-    def test_node_counts(self, name, loss, nodes):
-        spec, _ = build_spec(dict(preset_config(name), loss=loss))
+    @pytest.mark.parametrize("name, loss, order, nodes", [
+        ("fig1b", "logistic", 96, 68), ("fig1b", "square", 96, 1),
+        ("fig1b", "exponential", 96, 136),
+        ("fig1cd", "phase_square", 96, 1926),
+        ("fig1cd", "phase_square", 400, 8630)])
+    def test_node_counts(self, name, loss, order, nodes):
+        # the fold leaves 96, 1, 192, 96^2 / 2 and 400^2 / 2 nodes; the cut
+        # keeps a count that grows about linearly in the order
+        spec, _ = build_spec(dict(preset_config(name), loss=loss,
+                                  quad_order=order))
         eng = expectation_engine(spec)
         assert len(eng.g) == len(eng.wt) == nodes
         assert eng.wt.sum() == pytest.approx(1.0, rel=1e-13)
+
+    NOISY = {"p": 400, "n": 2000, "w_star": "pm_block(1.0)",
+             "w": "gaussian_norm(0.8)", "loss": "phase_square",
+             "model": {"kind": "noisy_factor", "link": "tanh", "sigma": 0.3}}
+    COMPLEX = [-0.2 + 0.5j, 1.3 - 0.8j, 0.9 + 1e-3j, 0.5 + 1e-8j,
+               -0.02 + 1e-8j, -4.0 + 1e-8j]
+
+    @pytest.mark.parametrize("cfg, order", [
+        *[(preset_config(name), 96) for name in PRESETS],
+        (preset_config("fig1cd"), 200), (NOISY, 48)],
+        ids=[*PRESETS, "fig1cd-200", "noisy_factor-48"])
+    def test_pruned_sums_match_the_full_grid(self, cfg, order, monkeypatch):
+        spec, _ = build_spec(dict(cfg, quad_order=order))
+        eng = expectation_engine(spec)
+        # admissible real deltas: 0, a point on each bounded side of the
+        # arc and the arc end itself where no node lies on the bound
+        cls = classify_g_support(spec)
+        deltas = self.COMPLEX + [0.0]
+        if cls.lower_bound is not None and cls.lower_bound >= 0:
+            deltas.append(1.0)
+        if cls.upper_bound is not None and cls.upper_bound > 0:
+            deltas.append(-0.5 / cls.upper_bound)
+            if eng.g.max() < cls.upper_bound:
+                deltas.append(-1.0 / cls.upper_bound)   # fig7: delta = -1
+        deltas = np.array(deltas)
+        got = [*eng.sweep(deltas), eng.sweep(deltas, square=True)[2]]
+        want = map(np.array, zip(*unfolded_sums(spec, order, deltas)))
+        for have, full in zip(got, want):
+            assert np.max(np.abs(have - full)) <= 1e-14 * np.max(np.abs(full))
+
+        # the omitted weight is under the cut times the largest weight times
+        # the dropped count, and over |Im delta| >= 1e-8 it bounds the
+        # omitted part of e1 within the tolerance above
+        cut = expectations._WEIGHT_CUT
+        monkeypatch.setattr(expectations, "_WEIGHT_CUT", 0.0)
+        full = expectations.ExpectationEngine(spec)
+        dropped = ~np.isin(full.g, eng.g)
+        assert np.isin(eng.g, full.g).all()
+        omitted = full.wt[dropped].sum()
+        assert omitted <= cut * full.wt.max() * dropped.sum()
+        assert omitted / 1e-8 <= 1e-14 * np.max(np.abs(got[0]))
 
 
 class TestResponseLaw:
