@@ -36,8 +36,8 @@ read is one pole sum over the atoms of C (_pole_sum), at arrays of z.
 The density is the absolutely continuous part of the measure: exactly 0
 off the support, and Im m(x + i eps) / pi inside it, solved in a few
 batched waves scheduled up front and started between solved points at
-the soft edges (density).  The atom at 0 that c > 1 puts there is
-listed by support(), and its Lorentzian is taken out of the curve.
+the soft edges (density).  The atom at 0, decided by the exterior map,
+is listed by support(), and its Lorentzian is taken out of the curve.
 """
 from __future__ import annotations
 
@@ -210,29 +210,23 @@ def solve_point(spec, z):
 
 
 def default_scan_range(spec):
-    """Heuristic window for the bulk spectrum.
-
-    Uses the curvature bounds and the Marchenko-Pastur-type envelope
-    |H| <= max(g) * max eig(C) * (1 + sqrt(c))^2, padded by the mean
-    shift |mu|^2 and a 30% margin, so it contains the bulk when the law
-    of g is bounded.  When it is unbounded on a side the bulk has no
-    edge there, and the window is a quantile window: both bounds are the
-    0.05% and 99.95% quantiles of g under the quadrature weights.
+    """Heuristic window for the bulk spectrum: the Marchenko-Pastur-type
+    envelope |H| <= max(g) * max eig(C) * (1 + sqrt(c))^2 over the range
+    of g, with a 30% margin.  It frames the bulk, not the spikes: mu and
+    the signal directions reach the bulk only through the law of g.  When
+    that law is unbounded on a side the bulk has no edge there, and g's
+    range is its 0.05% and 99.95% quantiles under the quadrature weights.
     """
     cls = classify_g_support(spec)
     if cls.bounded:
         g_lo, g_hi = cls.lower_bound, cls.upper_bound
     else:
         eng = expectation_engine(spec)
-        rank = np.argsort(eng.g)
-        cdf = np.cumsum(eng.wt[rank])
-        g_lo, g_hi = eng.g[rank][np.searchsorted(cdf, [0.0005 * cdf[-1],
-                                                       0.9995 * cdf[-1]])]
-    t_max = float(spec.atoms[0][-1])
-    envelope = t_max * (1.0 + np.sqrt(spec.c)) ** 2
-    shift = float(spec.mu @ spec.mu) * max(abs(g_hi), abs(g_lo), 1e-3)
-    hi = max(g_hi, 0.0) * envelope + shift
-    lo = min(g_lo, 0.0) * envelope - shift
+        cdf = np.cumsum(eng.wt)
+        g_lo, g_hi = eng.g[np.searchsorted(cdf, [0.0005 * cdf[-1],
+                                                 0.9995 * cdf[-1]])]
+    envelope = float(spec.atoms[0][-1]) * (1.0 + np.sqrt(spec.c)) ** 2
+    lo, hi = min(g_lo, 0.0) * envelope, max(g_hi, 0.0) * envelope
     span = max(hi - lo, 1e-3)
     return lo - 0.3 * span - 1e-3, hi + 0.3 * span + 1e-3
 
@@ -280,8 +274,8 @@ def density(spec, grid):
 
     The curve is exactly 0 off the exact support (_Exterior.intervals).
     Inside, every grid point gets one Newton solve at x + i*eps (_iterate)
-    and reads Im m / pi less the Lorentzian (1 - 1/c) eps / (pi |x + i*eps|^2)
-    that the atom at 0 puts there for c > 1, so the atom is not drawn.  eps,
+    and reads Im m / pi less the Lorentzian atom * eps / (pi |x + i*eps|^2)
+    that the atom at 0 (_Exterior.atom) puts there, so it is not drawn.  eps,
     1e-6 times the larger of 1 and the grid's span and reported as the curve's
     epsilon, only regularises these solves.  They run in the waves that
     _waves assigns up front, between solved rows at the soft edges
@@ -308,8 +302,6 @@ def density(spec, grid):
     t, wts = spec.atoms
     eng = expectation_engine(spec)
     ext = _exterior(spec)
-    # the atom at 0 adds atom / |z|^2 to Im m at every z = x + i*eps
-    atom = max(0.0, 1.0 - 1.0 / spec.c) * epsilon
     # the rows, interval after interval in ascending x: the grid points of
     # interval iv (pos, their index in grid) between solved rows at its
     # soft edges (pos -1), with x, u, dx/du, delta and d delta/du
@@ -363,8 +355,9 @@ def density(spec, grid):
         delta[at] = np.where(keep, pts.delta, 0.0)
         slope[at] = np.where(
             keep, stieltjes_derivatives(spec, pts)[0] * dxdu[at], 0.0)
-        out[pos[at]] = np.where(
-            solved, (pts.m.imag - atom / np.abs(z) ** 2) / np.pi, np.nan)
+        # the atom at 0 adds ext.atom * epsilon / |z|^2 to Im m
+        out[pos[at]] = np.where(solved, (pts.m.imag - ext.atom * epsilon
+                                         / np.abs(z) ** 2) / np.pi, np.nan)
     failed = int(np.count_nonzero(np.isnan(out)))
     inside = int(np.count_nonzero(pos >= 0))
     _log.debug("density: %d intervals, %d interior points, %d soft edges, "
@@ -421,8 +414,6 @@ def _branch_z(t, w, c, gap, delta, e):
     if gap is None:
         pull = c * (w @ t) / delta
         lo, hi = poles.min(1) - pull, poles.max(1) - pull
-        if len(t) == 1:
-            return lo
         lo = np.where(delta < 0, np.maximum(lo, poles.max(1)), lo)
         hi = np.where(delta > 0, np.minimum(hi, poles.min(1)), hi)
     else:
@@ -502,7 +493,8 @@ class _Exterior:
     delta = infinity (z = 0) when g_min > 0.  Along it, delta = sigma
     tan(theta) with sigma = 1/|E g|, z and its slope are continuous.  The
     map holds the theta grid, the rising segments, each with its own
-    table and its edges polished on the slope, and the support.
+    table and its edges polished on the slope, the support, whether the
+    law of g is bounded, and the mass of the atom at 0.
     """
 
     def __init__(self, spec):
@@ -517,8 +509,11 @@ class _Exterior:
             _arc_side(cls.lower_bound, +1, self.sigma, eng.g)])
         self.segments = []
         self.soft = {}
-        # g = 0: H = 0, whose measure is the atom at 0 that the arc misses
+        self.bounded = cls.bounded
+        # g = 0: H = 0, whose measure is the atom at 0 that the arc misses;
+        # else rank H <= n puts mass 1 - 1/c there for c > 1
         self.g_zero = cls.lower_bound == cls.upper_bound == 0.0
+        self.atom = 1.0 if self.g_zero else max(0.0, 1.0 - 1.0 / self.c)
         if len(self.theta) == 1:
             return                    # g unbounded both ways: no exterior
         e, e2, moments = eng.sweep(self.delta(self.theta))
@@ -650,19 +645,18 @@ def support(spec, scan_range, curve=None):
     The spec's exact support (_Exterior.intervals) clipped to scan_range:
     (-inf, inf) keeps it whole, with an infinite end wherever g is
     unbounded on that side.  Edges are exact up to the quadrature of the
-    weight law.  For c > 1 the atom at 0 is listed as (0, 0) unless an
-    interval holds it, and so is the whole measure when g = 0, for every
-    c; bulk_count counts only intervals of positive length, so not the
-    atom.  curve is unused and kept for callers that pass it.
+    weight law.  The atom at 0 (_Exterior.atom) is listed as (0, 0)
+    unless an interval holds it; bulk_count counts only intervals of
+    positive length, so not the atom, and bounded is the exterior map's
+    flag.  curve is unused and kept for callers that pass it.
     """
     lo, hi = float(scan_range[0]), float(scan_range[1])
     ext = _exterior(spec)
     intervals = [(max(a, lo), min(b, hi)) for a, b in ext.intervals
                  if max(a, lo) < min(b, hi)]
-    if (spec.c > 1 or ext.g_zero) and lo <= 0.0 <= hi and not any(
+    if ext.atom > 0 and lo <= 0.0 <= hi and not any(
             a <= 0.0 <= b for a, b in intervals):
-        # rank H <= n < p: an atom of mass 1 - 1/c at 0 (of mass 1 at g = 0)
         intervals = sorted(intervals + [(0.0, 0.0)])
     return SupportReport(intervals=intervals,
                          bulk_count=sum(b > a for a, b in intervals),
-                         bounded=classify_g_support(spec).bounded)
+                         bounded=ext.bounded)

@@ -27,7 +27,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal, lapack
 
 from . import _openblas
-from .bulk import support
+from .bulk import _exterior, support
 from .errors import DomainError, NumericError
 from .features import _centred_features, sample_features
 from .models import curvature, sample_response
@@ -359,16 +359,16 @@ def compare(spec, theory_density, spike_reports, trials, base_seed,
     """Monte Carlo discrepancy metrics against the asymptotic theory.
 
     density_l1 is the integrated L1 distance between the pooled
-    eigenvalue histogram (Freedman-Diaconis bins) and the theory curve,
-    plus the atom at 0 that the curve does not draw: its mass, 1 with no
-    bulk (g = 0) and else max(0, 1 - 1/c) as rank H <= n, goes to the
-    theory bin holding 0, whatever the bulk covers.  Spike and alignment
-    errors compare the per-trial mean eigenpair to each theoretical
-    spike, with its standard error alongside.  Each spike makes one pick
-    of run_trials, in spike order: a spike in a gap of the exact support,
-    support(spec, (-inf, inf)), picks that gap; any other, ranked r
-    outermost first among those on its side, picks index r on the left
-    and -1 - r on the right.  `shared` goes to run_trials.
+    eigenvalue histogram (Freedman-Diaconis bins) and the theory curve on
+    its grid in any order, plus the atom at 0 that the curve does not
+    draw (_Exterior.atom), whose mass goes to the theory bin holding 0,
+    whatever the bulk covers.  Spike and alignment errors compare the
+    per-trial mean eigenpair to each theoretical spike, with its standard
+    error alongside.  Each spike makes one pick of run_trials, in spike
+    order: a spike in a gap of the exact support, support(spec, (-inf,
+    inf)), picks that gap; any other, ranked r outermost first among those
+    on its side, picks index r on the left and -1 - r on the right.
+    `shared` goes to run_trials.
     """
     if (isinstance(trials, bool) or not isinstance(trials, (int, np.integer))
             or trials < 1):
@@ -391,10 +391,11 @@ def compare(spec, theory_density, spike_reports, trials, base_seed,
     pooled = np.concatenate([s.eigenvalues for s in spectra])
     counts, edges = np.histogram(pooled, bins="fd", density=True)
     centers = 0.5 * (edges[:-1] + edges[1:])
-    theory = np.interp(centers, theory_density.grid,
-                       np.nan_to_num(theory_density.density, nan=0.0),
+    rank = np.argsort(theory_density.grid, kind="stable")
+    theory = np.interp(centers, theory_density.grid[rank],
+                       np.nan_to_num(theory_density.density[rank], nan=0.0),
                        left=0.0, right=0.0)
-    atom = 1.0 if exact.bulk_count == 0 else max(0.0, 1.0 - 1.0 / spec.c)
+    atom = _exterior(spec).atom
     if atom > 0:
         k = np.clip(np.searchsorted(edges, 0.0, "right") - 1, 0,
                     len(theory) - 1)

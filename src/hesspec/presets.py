@@ -168,9 +168,14 @@ class Analysis:
 def analyze(spec, scan_range=None, grid=400):
     """The Analysis of spec: its exact support, spikes and density on
     `grid` points of scan_range (default: the automatic window), each on
-    first use and on the Gauss-Hermite rule of order spec.quad_order."""
+    first use and on the Gauss-Hermite rule of order spec.quad_order.  A
+    window needs finite ends lo < hi, checked here with the grid."""
     if grid < 2:
         raise ConfigError(f"grid needs at least 2 points, got {grid}")
+    if scan_range is not None and not (np.isfinite(scan_range).all()
+                                       and scan_range[0] < scan_range[1]):
+        raise ConfigError(f"the window needs finite ends lo < hi, got "
+                          f"{scan_range!r}")
     return Analysis(spec, scan_range, grid)
 
 

@@ -10,7 +10,7 @@ from hesspec import (Diagonal, ProblemSpec, ResponseModel, ScaledIdentity,
                      stieltjes_derivatives, support)
 from hesspec import bulk
 from hesspec.errors import BranchViolation, HesspecError
-from hesspec.presets import PRESETS, preset_config
+from hesspec.presets import PRESETS, _WRITES, preset_config
 
 
 def quarter_wishart(p=512, n=2048):
@@ -518,6 +518,27 @@ class TestSupport:
         lo, hi = default_scan_range(spec)
         assert lo < 0.0625 and hi > 0.5625
 
+    @pytest.mark.parametrize("cfg", [
+        {"p": 512, "n": 2048, "mu": "pm_block(%.17g)" % np.sqrt(rho),
+         "model": "logistic", "loss": "logistic"}
+        for rho in (0.3, 1.0, 3.0, 10.0, 30.0)] + [
+        dict(preset_config(name), **_WRITES[name].docs[stem])
+        for name, stem in (("fig1a", "fig1a"), ("fig1b", "fig1b"),
+                           ("fig3", "fig3_two"), ("fig3", "fig3_four"),
+                           ("fig4", "fig4_theory"), ("fig5", "fig5"))],
+        ids=["signal:0.3", "signal:1", "signal:3", "signal:10", "signal:30",
+             "fig1a", "fig1b", "fig3_two", "fig3_four", "fig4", "fig5"])
+    def test_default_window_resolves_the_bulk(self, cfg):
+        # the mean moves isolated eigenvalues only, so the window frames the
+        # bulk whatever |mu|: a quarter of the points inside, the mass whole
+        spec, _ = build_spec(cfg)
+        curve = analyze(spec).curve
+        inside = sum(np.count_nonzero((a < curve.grid) & (curve.grid < b))
+                     for a, b in support(spec, (-np.inf, np.inf)).intervals)
+        mass = np.trapezoid(np.nan_to_num(curve.density), curve.grid)
+        assert inside >= 100
+        assert abs(mass - 1.0) <= 5e-3
+
     def test_empty_when_scanned_off_support(self):
         spec = quarter_wishart()
         rep = support(spec, (5.0, 6.0))
@@ -605,6 +626,19 @@ class TestMultiBulk:
             assert edge == pytest.approx(2.1111054061, abs=1e-10)
         for r, gaps in ((1 - 1e-9, []), (1 + 1e-9, [0])):
             assert bulk._open_gaps(np.array([1.0, r * edge]), w, c) == gaps
+
+    def test_one_atom_outer_branch_is_closed_form(self):
+        # one atom: the bracket is the point t e - c t / delta, which the
+        # bisection returns before any evaluation
+        spec, _ = build_spec({"p": 256, "n": 512, "cov": 2.0,
+                              "w": "pm_block(1.0)", "model": "logistic",
+                              "loss": "logistic"})
+        ext = bulk._exterior(spec)
+        t, w = spec.atoms
+        d = ext.delta(ext.theta[ext.theta != 0.0])
+        e = ext.eng.sweep(d)[0]
+        np.testing.assert_array_equal(bulk._branch_z(t, w, spec.c, None, d, e),
+                                      t[0] * e - spec.c * t[0] / d)
 
     def test_gap_lists_match_bisection_to_adjacent_doubles(self):
         # on random 2-7 atom laws, with c at random and 1e-9 relative to

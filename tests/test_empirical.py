@@ -12,9 +12,9 @@ from types import SimpleNamespace
 
 from hesspec import (ProblemSpec, ResponseModel, ScaledIdentity, WeightFn,
                      analyze, build_hessian, build_spec, compare, curvature,
-                     default_scan_range, extract_outliers, measure_alignment,
-                     run_trial, run_trials, sample_features, sample_response,
-                     support, worker_count)
+                     default_scan_range, density, extract_outliers,
+                     measure_alignment, run_trial, run_trials,
+                     sample_features, sample_response, support, worker_count)
 from hesspec import _openblas, empirical
 from hesspec.bulk import SupportReport
 from hesspec.empirical import EmpiricalSpectrum
@@ -324,6 +324,19 @@ class TestCompare:
         assert (0.0, 0.0) in an.support.intervals
         rep = compare(spec, an.curve, an.spikes, trials=4, base_seed=seed)
         assert rep.density_l1 < bound
+
+    def test_grid_order_leaves_density_l1(self):
+        # density reads any grid order, so the comparison must too
+        spec, seed = build_spec({"p": 200, "n": 800, "mu": "pm_block(1.0)",
+                                 "seed": 7})
+        an = analyze(spec)
+        grid = an.curve.grid
+        l1 = [compare(spec, density(spec, g), an.spikes, trials=2,
+                      base_seed=seed).density_l1
+              for g in (grid, grid[::-1],
+                        grid[np.random.default_rng(3).permutation(len(grid))])]
+        assert l1[0] < 0.1
+        assert l1[1] == l1[0] and l1[2] == l1[0]
 
     def test_atom_at_zero_inside_the_bulk(self):
         # c = 1.6 with the trimming weight: the bulk covers 0, so the exact

@@ -238,6 +238,22 @@ def test_report_writes_unbounded_ends_as_null(tmp_path, name, stem, intervals):
         want_left, rel=1e-12)
 
 
+@pytest.mark.parametrize("window", [(0.8, -0.1), (0.3, 0.3),
+                                    (np.nan, 1.0), (0.0, np.inf)],
+                         ids=["reversed", "empty", "nan", "infinite"])
+def test_bad_window_is_a_config_error(monkeypatch, window):
+    # analyze checks the window before anything is solved
+    import hesspec.bulk
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a density point was solved")
+
+    monkeypatch.setattr(hesspec.bulk, "_iterate", forbidden)
+    spec, _ = build_spec({"p": 64, "n": 256, "mu": "pm_block(1.0)"})
+    with pytest.raises(ConfigError, match="window"):
+        analyze(spec, window).curve
+
+
 def test_report_resolves_no_window(monkeypatch):
     # the support and spikes are exact functions of the model; only the
     # density curve reads the scan window
