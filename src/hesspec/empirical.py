@@ -358,11 +358,11 @@ def compare(spec, theory_density, spike_reports, trials, base_seed,
             dist="gaussian", shared=None):
     """Monte Carlo discrepancy metrics against the asymptotic theory.
 
-    density_l1 is the integrated L1 distance between the pooled
-    eigenvalue histogram (Freedman-Diaconis bins) and the theory curve on
-    its grid in any order, plus the atom at 0 that the curve does not
-    draw (_Exterior.atom), whose mass goes to the theory bin holding 0,
-    whatever the bulk covers.  Spike and alignment errors compare the
+    density_l1 sums over the Freedman-Diaconis bins of the pooled
+    eigenvalues |the bin's share of them - its theory mass|: the curve's
+    trapezoids in ascending grid order (0 outside the grid, NaN as 0)
+    plus the atom at 0 it does not draw (_Exterior.atom), counted as
+    numpy counts an eigenvalue at 0.  Spike and alignment errors compare the
     per-trial mean eigenpair to each theoretical spike, with its standard
     error alongside.  Each spike makes one pick of run_trials, in spike
     order: a spike in a gap of the exact support, support(spec, (-inf,
@@ -389,18 +389,18 @@ def compare(spec, theory_density, spike_reports, trials, base_seed,
     spectra = run_trials(spec, dist, seeds, picks, shared=shared)
 
     pooled = np.concatenate([s.eigenvalues for s in spectra])
-    counts, edges = np.histogram(pooled, bins="fd", density=True)
-    centers = 0.5 * (edges[:-1] + edges[1:])
+    counts, edges = np.histogram(pooled, bins="fd")
     rank = np.argsort(theory_density.grid, kind="stable")
-    theory = np.interp(centers, theory_density.grid[rank],
-                       np.nan_to_num(theory_density.density[rank], nan=0.0),
-                       left=0.0, right=0.0)
-    atom = _exterior(spec).atom
-    if atom > 0:
-        k = np.clip(np.searchsorted(edges, 0.0, "right") - 1, 0,
-                    len(theory) - 1)
-        theory[k] += atom / (edges[k + 1] - edges[k])
-    density_l1 = float(np.sum(np.abs(counts - theory) * np.diff(edges)))
+    x = theory_density.grid[rank]
+    f = np.nan_to_num(theory_density.density[rank], nan=0.0)
+    # the theory measure below each edge (numpy's last bin is closed): the
+    # curve's trapezoids, 0 outside its grid, and the atom as a step at 0
+    cdf = np.concatenate(([0.0], np.cumsum(np.diff(x) * (f[1:] + f[:-1]) / 2)))
+    j = np.clip(np.searchsorted(x, edges) - 1, 0, len(x) - 2)
+    t = np.clip(edges - x[j], 0.0, x[j + 1] - x[j])
+    below = cdf[j] + t * (f[j] + np.interp(x[j] + t, x, f)) / 2
+    below += _exterior(spec).atom * np.append(edges[:-1] > 0, edges[-1] >= 0)
+    density_l1 = float(np.sum(np.abs(counts / len(pooled) - np.diff(below))))
 
     spike_errors, alignment_errors = [], []
     spike_stderr, alignment_stderr = [], []

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from math import comb
 
 import numpy as np
@@ -9,7 +10,7 @@ from hesspec import (Diagonal, ProblemSpec, ResponseModel, ScaledIdentity,
                      default_scan_range, density, find_spikes, solve_point,
                      stieltjes_derivatives, support)
 from hesspec import bulk
-from hesspec.errors import BranchViolation, HesspecError
+from hesspec.errors import BranchViolation, HesspecError, NonConvergence
 from hesspec.presets import PRESETS, _WRITES, preset_config
 
 
@@ -106,6 +107,23 @@ class TestSolvePoint:
         z = 0.5625 + eps * 1j
         pt = solve_point(quarter_wishart(), z)
         assert abs(pt.m - mp_stieltjes(z, 0.25)) < 1e-9
+
+    def test_no_convergence_raises(self, monkeypatch):
+        monkeypatch.setattr(bulk, "FP_MAX_ITER", 1)
+        with pytest.raises(NonConvergence):
+            solve_point(quarter_wishart(), 0.3 + 1e-6j)
+
+    def test_wrong_branch_raises(self, monkeypatch):
+        # a converged root whose Im m has the sign opposite to Im z
+        solve = bulk._iterate
+
+        def conjugate(*args):
+            pts, calls = solve(*args)
+            return replace(pts, m=pts.m.conj()), calls
+
+        monkeypatch.setattr(bulk, "_iterate", conjugate)
+        with pytest.raises(BranchViolation):
+            solve_point(quarter_wishart(), 0.3 + 1e-6j)
 
 
 class TestDerivatives:

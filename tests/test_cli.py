@@ -185,6 +185,12 @@ class TestErrors:
                      "--range=" + text]) == 1
         assert capsys.readouterr().err.startswith("config error:")
 
+    @pytest.mark.parametrize("text", ["0.5", "0:1:2", "a:1"])
+    def test_range_not_a_pair_exits_one(self, mp_config, capsys, text):
+        assert main(["density", "--config", mp_config,
+                     "--range=" + text]) == 1
+        assert capsys.readouterr().err.startswith("config error:")
+
     @pytest.mark.parametrize("cfg", [
         {"p": "abc", "n": 16},
         {"p": 8, "n": 16, "cov": {"diag_blocks": [[1.0, "four"], [2.0, 4]]}},

@@ -94,8 +94,10 @@ class TestVectorsAndKeys:
         base(loss="logistic", weight="trim"),
         base(weight="clip"),
         {"n": 16},
+        base(mu="mu"),
     ], ids=["literal_length", "pm_block_odd_p", "unknown_pattern",
-            "not_a_vector", "loss_and_weight", "unknown_weight", "missing_p"])
+            "not_a_vector", "loss_and_weight", "unknown_weight", "missing_p",
+            "mu_alias_without_mu"])
     def test_rejected(self, cfg):
         with pytest.raises(ConfigError):
             build_spec(cfg)

@@ -147,6 +147,14 @@ class TestRunTrial:
         for _, vec in s.paired:
             assert np.linalg.norm(vec) == pytest.approx(1.0, rel=1e-12)
 
+    def test_eigensolver_failure_is_a_numeric_error(self, monkeypatch):
+        # NaN curvature makes a NaN Gram, on which dsterf reports info > 0
+        spec, seed = signal_spec(p=64, n=256)
+        monkeypatch.setattr(empirical, "curvature",
+                            lambda weight, y, h: np.full(len(h), np.nan))
+        with pytest.raises(NumericError):
+            run_trial(spec, "gaussian", seed)
+
 
 class TestTrialGram:
     @pytest.mark.parametrize("make", [lambda: signal_spec(p=96, n=384),
@@ -337,6 +345,33 @@ class TestCompare:
                         grid[np.random.default_rng(3).permutation(len(grid))])]
         assert l1[0] < 0.1
         assert l1[1] == l1[0] and l1[2] == l1[0]
+
+    @pytest.mark.parametrize("cfg, bound", [
+        ({**preset_config("fig3"),
+          "cov": {"diag_blocks": [[1.0, 400], [4.0, 400]]}}, 0.005),
+        ({"p": 400, "n": 200, "loss": "square", "seed": 3}, 0.01),
+    ], ids=["fig3_four", "c2"])
+    def test_theory_quantiles_give_no_error(self, monkeypatch, cfg, bound):
+        # pooled eigenvalues at the (k + 1/2)/N quantiles of the theory
+        # measure (the curve's trapezoids and the atom of mass
+        # max(0, 1 - 1/c) as exact zeros) read as the theory bin for bin
+        spec, seed = build_spec(cfg)
+        curve = analyze(spec).curve
+        rank = np.argsort(curve.grid, kind="stable")
+        x, f = curve.grid[rank], np.nan_to_num(curve.density[rank])
+        cdf = np.concatenate(([0.0],
+                              np.cumsum(np.diff(x) * (f[1:] + f[:-1]) / 2)))
+        atom, below = max(0.0, 1.0 - 1.0 / spec.c), np.interp(0.0, x, cdf)
+        q = (np.arange(4 * spec.p) + 0.5) / (4 * spec.p)
+        pooled = np.where(q < below, np.interp(q, cdf, x),
+                          np.where(q < below + atom, 0.0,
+                                   np.interp(q - atom, cdf, x)))
+        spectra = [EmpiricalSpectrum(eigenvalues=v, seed=seed + k)
+                   for k, v in enumerate(np.split(pooled, 4))]
+        monkeypatch.setattr(empirical, "run_trials",
+                            lambda *args, **kwargs: spectra)
+        rep = compare(spec, curve, [], trials=4, base_seed=seed)
+        assert rep.density_l1 <= bound
 
     def test_atom_at_zero_inside_the_bulk(self):
         # c = 1.6 with the trimming weight: the bulk covers 0, so the exact
@@ -623,6 +658,12 @@ class TestFortranArgument:
     def test_rejects(self, A):
         with pytest.raises(TypeError, match="Fortran-ordered"):
             self.call(A)
+
+    def test_nonzero_info_raises(self):
+        # dpotrf stops at the first non-positive pivot and reports it
+        A = np.asfortranarray([[1.0, 2.0], [2.0, 1.0]])
+        with pytest.raises(np.linalg.LinAlgError, match="info = 2"):
+            _openblas.lapack("dpotrf", "L", 2, A, 2)
 
 
 class TestBlasPinning:

@@ -461,6 +461,24 @@ class TestFold:
         assert omitted <= cut * full.wt.max() * dropped.sum()
         assert omitted / 1e-8 <= 1e-14 * np.max(np.abs(got[0]))
 
+    @pytest.mark.parametrize("cfg, order", [
+        (preset_config("fig1a"), 96), (preset_config("fig1b"), 96),
+        (dict(preset_config("fig2"), loss="exponential"), 96),
+        (preset_config("fig1cd"), 96), (NOISY, 48), (NOISY, 96)],
+        ids=["fig1a", "fig1b", "fig2-exponential", "fig1cd",
+             "noisy_factor-48", "noisy_factor-96"])
+    def test_pair_cut_keeps_every_bit(self, cfg, order, monkeypatch):
+        # the (y-atom, node) pairs dropped before the fold move no kept
+        # node; fig1b's first-moment columns cancel by 16 digits
+        spec, _ = build_spec(dict(cfg, quad_order=order))
+        cut = expectations.ExpectationEngine(spec)
+        monkeypatch.setattr(expectations, "_PAIR_CUT", 0.0)
+        full = expectations.ExpectationEngine(spec)
+        assert np.array_equal(cut.g, full.g)
+        for dtype in (float, complex):
+            assert np.array_equal(cut._cols[np.dtype(dtype)],
+                                  full._cols[np.dtype(dtype)])
+
 
 class TestResponseLaw:
     """At w = w* = 0 the folded engine's g values are the exact finite law

@@ -62,6 +62,19 @@ class TestCovSpectrum:
             np.testing.assert_allclose(cov.sqrt_apply(cov.sqrt_apply(v)),
                                        cov.apply(v), rtol=1e-12)
 
+    @pytest.mark.parametrize("make", [
+        lambda: ScaledIdentity(0.0), lambda: ScaledIdentity(np.inf),
+        lambda: Diagonal(np.array([1.0, -1.0])),
+        lambda: Diagonal(np.ones((2, 2))),
+        lambda: DenseSPD(np.ones((2, 3))),
+        lambda: DenseSPD(np.array([[1.0, 0.5], [0.0, 1.0]])),
+        lambda: cov_spectrum(DenseSPD(np.eye(3)), 4)],
+        ids=["zero_scale", "infinite_scale", "negative_entry",
+             "2d_entries", "not_square", "not_symmetric", "size_not_p"])
+    def test_rejected(self, make):
+        with pytest.raises(DomainError):
+            make()
+
 
 class TestAtomGrouping:
     """One grouping rule for every covariance form."""

@@ -83,6 +83,21 @@ class TestCurvatureIsSecondDerivative:
                                       curvature(w, -1.0, -h))
 
 
+class TestRejected:
+    @pytest.mark.parametrize("make", [
+        lambda: WeightFn(kind="preprocess", bounds=(0.0, 1.0)),
+        lambda: WeightFn(kind="hinge"),
+        lambda: loss_value("hinge", 1.0, 0.5),
+        lambda: sample_response(ResponseModel.logistic(), [0.0, np.nan],
+                                np.random.default_rng(0)),
+        lambda: preprocess_trim(1.0, 0.0)],
+        ids=["preprocess_without_map", "unknown_kind", "unknown_loss",
+             "non_finite_h_star", "nonpositive_c"])
+    def test_raises_domain_error(self, make):
+        with pytest.raises(DomainError):
+            make()
+
+
 class TestTrim:
     def test_fixed_points(self):
         c = 0.2

@@ -277,3 +277,8 @@ def test_report_echoes_the_quadrature_order(tmp_path):
     files = run_preset("fig1a", str(tmp_path), trials=0, order=48)
     with open(next(f for f in files if f.endswith(".json"))) as fh:
         assert json.load(fh)["spec_echo"]["quad_order"] == 48
+
+
+def test_unknown_preset_is_a_config_error():
+    with pytest.raises(ConfigError, match="unknown preset"):
+        preset_config("fig99")

@@ -9,6 +9,7 @@ from hesspec import (Diagonal, ProblemSpec, QuadratureGrid, ResponseModel,
                      resolvent_forms, signal_spike_closed_form, solve_point,
                      spike_det, spike_matrix, spike_matrix_deriv, support)
 from hesspec import spikes as spikes_module
+from hesspec.errors import ImaginaryLeak, MultiplicityViolation
 from hesspec.expectations import ExpectationEngine
 from hesspec.presets import preset_config
 
@@ -128,6 +129,21 @@ class TestAlignmentMatrix:
         spec = make_spec(512, 2048, mu=1.0)
         _, spikes = theory(spec)
         assert spikes[0].alignment[0, 0] > 0
+
+    def test_imaginary_determinant_raises(self):
+        sm = spikes_module.SpikeMatrix(
+            entries=np.array([[1.0 + 1e-3j]]), deriv=np.eye(1), z=2.0,
+            vqv=np.eye(1), active=np.array([0]))
+        with pytest.raises(ImaginaryLeak):
+            sm.det()
+
+    def test_double_root_raises(self):
+        # G = 0 on two columns: its zero eigenvalue is not simple
+        sm = spikes_module.SpikeMatrix(
+            entries=np.zeros((2, 2)), deriv=np.eye(2), z=2.0, vqv=np.eye(2),
+            active=np.array([0, 1]))
+        with pytest.raises(MultiplicityViolation):
+            sm.alignment()
 
 
 class TestModelSpike:
