@@ -117,20 +117,20 @@ def _iterate(eng, t, wts, c, z, start):
     (batched e1_e2 calls made, rows they evaluated).
 
     The root is that of F(delta) = c sum_j w_j t_j / (e(delta) t_j - z)
-    - delta, whose derivative F'(delta) = E2 (1/n) tr CQCQ - 1 is the
-    negated slope numerator; each is one pole sum (_pole_sum) over all
-    active rows.  One e1_e2 call, one pass over the nodes, evaluates the
-    starts and then each step's one candidate per active row: the damped
-    fixed-point step delta + F/2, which maps z's half-plane, where the
-    Stieltjes branch lies, into itself, where the Newton candidate leaves
-    that half-plane or the row's last one did not lower |F| (and was
-    dropped), and else the Newton candidate.  A z leaves the active set
-    once |F| < FP_TOL; one still active after FP_MAX_ITER evaluations (its
+    - delta, one pole sum (_pole_sum) over all active rows, whose
+    derivative F'(delta) is the negated slope numerator (_slope_sign).
+    One e1_e2 call, one pass over the nodes, evaluates the starts and
+    then each step's one candidate per active row: the damped fixed-point
+    step delta + F/2, which maps z's half-plane, where the Stieltjes
+    branch lies, into itself, where the Newton candidate leaves that
+    half-plane or the row's last one did not lower |F| (and was dropped),
+    and else the Newton candidate.  A z leaves the active set once
+    |F| < FP_TOL; one still active after FP_MAX_ITER evaluations (its
     iterations) has failed, and the caller decides what that means.
     """
     z = np.asarray(z, dtype=complex)
     d = np.array(start, dtype=complex)
-    wt_t, wt_tt = wts * t, wts * t * t
+    wt_t = wts * t
 
     def residual(z, d, e):
         return c * _pole_sum(t, z, e)(wt_t) - d
@@ -144,8 +144,7 @@ def _iterate(eng, t, wts, c, z, start):
     while len(act) and calls[0] < FP_MAX_ITER:   # act was in every call
         iterations[act] += 1
         za, da, Fa = z[act], d[act], F[act]
-        new = da - Fa / (e2[act] * c * _pole_sum(t, za, e[act], 2)(wt_tt)
-                         - 1.0)
+        new = da + Fa / _slope_sign(t, wts, c, za, e[act], e2[act])
         newton = ~damp[act] & (new.imag * za.imag > 0)
         cand = np.where(newton, new, da + 0.5 * Fa)
         ce, ce2 = eng.e1_e2(cand)
@@ -171,14 +170,13 @@ def stieltjes_derivatives(spec, point):
         m'     = (1/p) tr Q (E2 delta' C + I) Q,
     with Q the deterministic resolvent equivalent and E2 = point.e2 the
     squared effective curvature, read off the point, not the nodes.  The
-    three traces are sums over one pole matrix (_pole_sum).
+    traces are pole sums (_pole_sum), delta's denominator _slope_sign.
     """
     t, wts = spec.atoms
     e2 = point.e2
     over_sq = _pole_sum(t, point.z, point.e, 2)
     tr_qcq = spec.c * over_sq(wts * t)
-    tr_cqcq = spec.c * over_sq(wts * t * t)
-    delta_prime = tr_qcq / (1.0 - e2 * tr_cqcq)
+    delta_prime = tr_qcq / _slope_sign(t, wts, spec.c, point.z, point.e, e2)
     m_prime = over_sq(wts * (np.multiply.outer(e2 * delta_prime, t) + 1.0))
     return delta_prime, m_prime, e2
 
@@ -425,7 +423,8 @@ def _branch_z(t, w, c, gap, delta, e):
 
 
 def _slope_sign(t, w, c, z, e, e2):
-    """1 - E2 (1/n) tr CQCQ at arrays (z, e, E2): the sign of dz/ddelta."""
+    """The slope numerator 1 - E2 (1/n) tr CQCQ at arrays (z, e, E2): the
+    sign of dz/ddelta on the real axis and -F'(delta) in _iterate."""
     with np.errstate(divide="ignore", invalid="ignore"):
         return 1.0 - e2 * c * _pole_sum(t, z, e, 2)(w * t * t)
 

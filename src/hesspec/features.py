@@ -36,13 +36,13 @@ _NOISE_BLOCK_BYTES = 1 << 20    # Rademacher signs converted per row block
 
 class _Covariance:
     """A covariance C known through eigen(p): its eigenvalues and an
-    orthonormal eigenbasis, the basis None when C is diagonal."""
+    orthonormal eigenbasis, None when C is diagonal, else with a root."""
 
     def sqrt_apply(self, z):
         """C^{1/2} z for a length-p vector or a p x n matrix z."""
         vals, basis = self.eigen(len(z))
         root = np.sqrt(vals).reshape((-1,) + (1,) * (np.ndim(z) - 1))
-        return root * z if basis is None else basis @ (root * (basis.T @ z))
+        return root * z if basis is None else self.root @ z
 
 
 @dataclass(frozen=True)
@@ -112,6 +112,12 @@ class DenseSPD(_Covariance):
         if self.matrix.shape[0] != p:
             raise DomainError("covariance size does not match p")
         return self._eig
+
+    @cached_property
+    def root(self):
+        """C^{1/2} = B diag(sqrt(vals)) B^T, read by sqrt_apply and draws."""
+        vals, vecs = self._eig
+        return (vecs * np.sqrt(vals)) @ vecs.T
 
 
 @dataclass(frozen=True, eq=False)
@@ -296,31 +302,26 @@ def _standardized_noise(dist, shape, rng):
 
 
 def _centred_features(spec, dist, rng):
-    """The p x n matrix with columns C^{1/2} z_i, built in the noise
-    buffer (two p x n arrays while a dense C = B diag(vals) B^T is
-    applied: two dgemm calls on SciPy's BLAS, on the transposed views)."""
+    """The p x n matrix with columns C^{1/2} z_i: the noise buffer, its
+    rows scaled, for a diagonal C; for a dense C, a fresh buffer (two
+    p x n arrays meanwhile) from one dgemm of the cached root on SciPy's
+    BLAS, on the transposed views, the call numpy makes for root @ Z."""
     X = _standardized_noise(dist, (spec.p, spec.n), rng)
     vals, basis = spec.cov.eigen(spec.p)
-    root = np.sqrt(vals)[:, None]
     if basis is None:
-        X *= root
-    else:
-        p, n = X.shape
-        t = np.empty_like(X)    # t^T = X^T B, then X^T = t^T B^T
-        _openblas.blas("dgemm", "N", "T", n, p, p, 1.0, X.T, n, basis.T, p,
-                       0.0, t.T, n)
-        t *= root
-        _openblas.blas("dgemm", "N", "N", n, p, p, 1.0, t.T, n, basis.T, p,
-                       0.0, X.T, n)
-    return X
+        return np.multiply(X, np.sqrt(vals)[:, None], out=X)
+    out = np.empty_like(X)
+    _openblas.blas("dgemm", "N", "N", spec.n, spec.p, spec.p, 1.0, X.T,
+                   spec.n, spec.cov.root.T, spec.p, 0.0, out.T, spec.n)
+    return out
 
 
 def sample_features(spec, dist, rng):
     """Sample the p x n feature matrix X with columns mu + C^{1/2} z_i.
 
-    X is the noise buffer itself: C^{1/2} and mu are applied in place,
-    with the values of mu + cov.sqrt_apply(z), so a trial holds one
-    p x n array (two while a dense C is applied).
+    mu is added in place to C^{1/2} Z (_centred_features), with the
+    values of mu + cov.sqrt_apply(z), so a trial holds one p x n array
+    (two while a dense C is applied).
     """
     X = _centred_features(spec, dist, rng)
     X += spec.mu[:, None]

@@ -200,6 +200,20 @@ class TestTrialGram:
         np.testing.assert_allclose(got, want, rtol=0,
                                    atol=1e-12 * np.abs(want).max())
 
+    def test_dense_covariance_is_one_dgemm(self, monkeypatch):
+        # C^{1/2} is one cached matrix, applied to the draw in one product
+        spec, seed = build_spec({"p": 32, "n": 128, "cov": {"matrix": (
+            np.eye(32) + 0.3 * np.ones((32, 32))).tolist()}})
+        names, real = [], _openblas.blas
+
+        def counted(name, *args):
+            names.append(name)
+            real(name, *args)
+
+        monkeypatch.setattr(_openblas, "blas", counted)
+        run_trial(spec, "gaussian", seed)
+        assert names.count("dgemm") == 1
+
 
 class TestPickedSolve:
     """Edge cases of the solve: every eigenvalue, and eigenvectors only at
@@ -530,6 +544,20 @@ class TestSharedDraws:
         for (i, a), (j, b) in zip(got.paired, want.paired):
             assert i == j
             np.testing.assert_array_equal(a, b)
+
+    def test_dense_hit_is_bit_identical(self, noise_draws):
+        # a held draw of a dense C^{1/2} Z, read in place at mu = 0
+        Q, _ = np.linalg.qr(np.random.default_rng(1).standard_normal((48, 48)))
+        spec, seed = build_spec({"p": 48, "n": 192, "seed": 5, "cov": {
+            "matrix": ((Q * np.linspace(0.5, 3.0, 48)) @ Q.T).tolist()}})
+        shared = {}
+        got = [run_trial(spec, "gaussian", seed, [-1], shared=shared)
+               for _ in range(2)]
+        assert noise_draws == [(48, 192)]
+        want = run_trial(spec, "gaussian", seed, [-1])
+        for s in got:
+            np.testing.assert_array_equal(s.eigenvalues, want.eigenvalues)
+            np.testing.assert_array_equal(s.paired[0][1], want.paired[0][1])
 
     @pytest.mark.parametrize("change", [
         {"n": 240}, {"p": 40}, {"cov": 1.5},
