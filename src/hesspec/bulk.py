@@ -66,7 +66,8 @@ __all__ = [
 FP_TOL = 1e-11
 FP_MAX_ITER = 10_000
 _SIDE_POINTS = 160    # arc grid points toward 0 and toward each arc end
-_BISECT_MAX = 200     # secular-root halvings; 2 adjacent doubles come first
+_BISECT_MAX = 200     # _bisect's cap; lo < hi of one sign reach 2 adjacent
+                      # doubles within 53 + log2(hi / lo) halvings
 _LAST_RUN = 16        # unsolved points a run may hold before the last wave
 _WAVE_CUTS = 8        # runs a cutting wave makes of each longer run
 
@@ -434,33 +435,20 @@ def _open_gaps(t, w, c):
 
     The slope numerator is 1 - (E2 / e^2) chi(z / e) with chi(x) =
     c sum_j w_j t_j^2 / (t_j - x)^2, and E2 >= e^2, so a gap branch rises
-    only where chi < 1.  chi is convex on each gap, and its minimum is
-    where chi'(x) = 2c sum_j w_j t_j^2 / (t_j - x)^3, increasing across
-    the gap, vanishes.  Newton steps on chi', from the minimum of the gap's
-    two atoms alone and bisecting the bracket whenever a step leaves it,
-    find it in all gaps at once.  They stop once each gap's step or
-    bracket is within 1e-10 of its width: chi is flat at an interior
-    minimum, so it is then off by ~1e-20 relative.
+    only where chi < 1.  The gap's two atoms alone bound chi below by
+    c (a^1/3 + b^1/3)^3 / width^2, a and b their w t^2, and a gap whose
+    bound is not below 1 is closed.  On the others chi is convex, and its
+    minimum is the zero of chi'(x) = 2c sum_j w_j t_j^2 / (t_j - x)^3,
+    increasing across the gap, bisected to two adjacent doubles.
     """
     wtt = w * t * t
-    lo, hi = t[:-1], t[1:]
+    bound = c * (np.cbrt(wtt[:-1]) + np.cbrt(wtt[1:])) ** 3 / np.diff(t) ** 2
+    gaps = np.flatnonzero(bound < 1.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        # two atoms put it where (x - lo) / (hi - x) = (wtt_lo / wtt_hi)^1/3
-        r = np.cbrt(wtt[:-1] / wtt[1:])
-        x = (lo + r * hi) / (1.0 + r)
-        x = np.where((x > lo) & (x < hi), x, 0.5 * (lo + hi))
-        for _ in range(_BISECT_MAX):
-            d = 1.0 / (t - x[:, None])
-            terms = wtt * d * d                       # chi / c
-            slope = (terms * d).sum(1)                # chi' / 2c
-            lo, hi = np.where(slope < 0, x, lo), np.where(slope > 0, x, hi)
-            newton = slope / (3.0 * (terms * d * d).sum(1))
-            tol = 1e-10 * (t[1:] - t[:-1])
-            if np.all((np.abs(newton) <= tol) | (hi - lo <= tol)):
-                break
-            x = np.where((x - newton >= lo) & (x - newton <= hi),
-                         x - newton, 0.5 * (lo + hi))
-    return np.flatnonzero(c * terms.sum(1) < 1.0).tolist()
+        x = _bisect(lambda x: (wtt / (t - x[:, None]) ** 3).sum(1),
+                    t[gaps], t[gaps + 1])
+        chi = c * (wtt / (t - x[:, None]) ** 2).sum(1)
+    return gaps[chi < 1.0].tolist()
 
 
 def _arc_side(bound, side, sigma, g):

@@ -246,11 +246,6 @@ class ProblemSpec:
         W = self.V if basis is None else basis.T @ self.V
         return np.array([rows.T @ rows for rows in (W[ix] for ix in groups)])
 
-    @property
-    def grouped_grams(self):
-        """(atom, partial Gram) pairs of C's atoms."""
-        return [(float(t), g) for t, g in zip(self.atoms[0], self.grams)]
-
     def projection_law(self):
         return projection_law(self)
 

@@ -15,7 +15,8 @@ bulk._polish, the root polisher of the edges.  V^T Qbar V (with its
 z-derivative) and G each have one kernel, _vqv and _g, that serves a table
 and a single point alike.  One evaluation at a point (spike_matrix), which
 every reader of G shares, gives G and the explicit derivative G'(z); at a
-root, V^T u u^T V follows from the null vectors of G and from G'.
+simple root, V^T u u^T V is minus the residue of V^T Qbar V G^-1, read
+off the adjugate of G and Jacobi's formula (det G)' = tr(adj(G) G').
 
 Columns of V that vanish (e.g. mu = 0 or w = 0) are dropped so G
 shrinks to 2x2 or 1x1; the pure-signal case w = w* = 0 is exactly the
@@ -69,23 +70,24 @@ class SpikeMatrix:
         return det.real
 
     def alignment(self):
-        """V^T u u^T V at a root of det G from the left/right null vectors
-        of G and from G', in the full 3x3 indexing (0 for dropped columns)."""
-        G = self.entries.real
-        eigvals, right = np.linalg.eig(G)
-        idx = np.argsort(np.abs(eigvals))
-        if len(eigvals) > 1 and np.abs(eigvals[idx[1]]) <= 1e-6:
+        """V^T u u^T V at a simple root of det G, in the full 3x3 indexing
+        (0 for dropped columns): minus the residue of V^T Qbar V G^-1,
+        V^T Qbar V adj(G) / (det G)' with (det G)' = tr(adj(G) G') by
+        Jacobi's formula, symmetrised."""
+        G, deriv = self.entries.real, self.deriv.real
+        k = np.arange(len(G))
+        rest = np.array([k[k != i] for i in k])      # row i: all but i
+        # cofactor (i, j): (-1)^(i+j) det G without row i and column j,
+        # where numpy's det of a 0x0 matrix is 1
+        minors = G[rest[:, None, :, None], rest[:, None]]
+        adj = ((-1.0) ** np.add.outer(k, k) * np.linalg.det(minors)).T
+        slope = np.trace(adj @ deriv)
+        if abs(slope) <= 1e-12 * np.abs(adj).max() * np.abs(deriv).max():
             raise MultiplicityViolation(
-                f"zero eigenvalue of G({self.z}) is not simple")
-        v_r = np.real(right[:, idx[0]])
-        eigvals_l, left = np.linalg.eig(G.T)
-        j = int(np.argmin(np.abs(eigvals_l - eigvals[idx[0]])))
-        v_l = np.real(left[:, j])
-        xi = np.outer(v_r, v_l) / (v_l @ self.deriv.real @ v_r)
-        proj = -self.vqv.real @ xi
-        proj = 0.5 * (proj + proj.T)
+                f"the root of det G at z={self.z} is not simple")
+        proj = -self.vqv.real @ adj / slope
         out = np.zeros((3, 3))
-        out[np.ix_(self.active, self.active)] = proj
+        out[np.ix_(self.active, self.active)] = 0.5 * (proj + proj.T)
         return out
 
 

@@ -1,3 +1,4 @@
+import time
 from dataclasses import replace
 from math import comb
 
@@ -676,6 +677,55 @@ class TestMultiBulk:
                       (1 + 1e-9) * edge):
                 want = np.flatnonzero(c * chi < 1.0).tolist()
                 assert bulk._open_gaps(t, w, c) == want
+
+    @pytest.mark.parametrize("law, want", [
+        ("uniform", ([], [])), ("wishart", ([0], [])),
+        ("clusters", ([299, 599], [299]))])
+    def test_gap_lists_on_800_atoms(self, law, want):
+        # at c = 0.05 and 0.25 the bound and one bisection give the lists
+        # of chi' bisected to two adjacent doubles on every gap
+        t, w = eight_hundred_atoms(law)
+        wtt = w * t * t
+
+        def slope(x):                                       # chi' / 2c
+            d = 1.0 / (t - x[:, None])
+            return (wtt * d * d * d).sum(1)
+
+        x = bulk._bisect(slope, t[:-1], t[1:])
+        d = 1.0 / (t - x[:, None])
+        chi = (wtt * d * d).sum(1)                          # chi / c
+        for c, gaps in zip((0.05, 0.25), want):
+            assert np.flatnonzero(c * chi < 1.0).tolist() == gaps
+            assert bulk._open_gaps(t, w, c) == gaps
+
+    def test_gap_list_on_800_atoms_is_fast(self):
+        # the uniform law's narrowest gap (width 2.4e-7 at t = 1.37) is below
+        # what a width-relative tolerance can resolve in doubles; the closed
+        # form closes it, and the whole list takes milliseconds
+        t, w = eight_hundred_atoms("uniform")
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            bulk._open_gaps(t, w, 0.05)
+            times.append(time.perf_counter() - start)
+        assert min(times) < 0.1
+
+
+def eight_hundred_atoms(law):
+    """800 equal-weight atoms of C, sorted: uniform on (1, 3), the
+    eigenvalues of a sample covariance of 2,400 standard Gaussian draws in
+    dimension 800, or 300, 300 and 200 values at 1, 3 and 6 with 0.01 N(0, 1)
+    jitter (CI's three-cluster covariance); numpy seed 0."""
+    rng = np.random.default_rng(0)
+    if law == "uniform":
+        t = rng.uniform(1.0, 3.0, 800)
+    elif law == "wishart":
+        x = rng.standard_normal((800, 2400))
+        t = np.linalg.eigvalsh(x @ x.T / 2400)
+    else:
+        t = (np.repeat([1.0, 3.0, 6.0], [300, 300, 200])
+             + 0.01 * rng.standard_normal(800))
+    return np.sort(t), np.full(800, 1.0 / 800)
 
 
 # The fig3 "four" covariance with w = 0, where the logistic curvature is the

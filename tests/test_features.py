@@ -96,9 +96,9 @@ class TestAtomGrouping:
         for spec in specs[1:]:
             np.testing.assert_array_equal(spec.atoms[0], [s])
             np.testing.assert_array_equal(spec.atoms[1], [1.0])
-            ((t, gram),) = spec.grouped_grams
+            ((t, gram),) = zip(spec.atoms[0], spec.grams)
             assert t == s
-            np.testing.assert_allclose(gram, ref.grouped_grams[0][1],
+            np.testing.assert_allclose(gram, ref.grams[0],
                                        rtol=1e-12)
             np.testing.assert_allclose(spec.cov.sqrt_apply(Z),
                                        ref.cov.sqrt_apply(Z), rtol=1e-12)
@@ -117,7 +117,8 @@ class TestAtomGrouping:
         np.testing.assert_allclose(dense.atoms[0], diag.atoms[0], rtol=1e-12)
         np.testing.assert_allclose(dense.atoms[1], [2 / 6, 1 / 6, 3 / 6])
         np.testing.assert_array_equal(dense.atoms[1], diag.atoms[1])
-        for (t1, g1), (t2, g2) in zip(diag.grouped_grams, dense.grouped_grams):
+        for t1, g1, t2, g2 in zip(diag.atoms[0], diag.grams, dense.atoms[0],
+                                  dense.grams):
             assert t2 == pytest.approx(t1, rel=1e-12)
             np.testing.assert_allclose(g2, g1, atol=1e-10)
 
@@ -192,7 +193,7 @@ class TestProblemSpec:
         spec = make_spec(6, 24, mu=rng.standard_normal(6), cov=DenseSPD(C),
                          w_star=rng.standard_normal(6),
                          w=rng.standard_normal(6))
-        total = sum(g for _, g in spec.grouped_grams)
+        total = spec.grams.sum(0)
         np.testing.assert_allclose(total, spec.V.T @ spec.V, rtol=1e-10)
 
     def test_dimension_mismatch(self):

@@ -145,6 +145,14 @@ class TestAlignmentMatrix:
         with pytest.raises(MultiplicityViolation):
             sm.alignment()
 
+    def test_flat_determinant_raises(self):
+        # G = G' = diag(0, 1): det G = 0 with (det G)' = tr(adj(G) G') = 0
+        sm = spikes_module.SpikeMatrix(
+            entries=np.diag([0.0, 1.0]), deriv=np.diag([0.0, 1.0]), z=2.0,
+            vqv=np.eye(2), active=np.array([0, 1]))
+        with pytest.raises(MultiplicityViolation):
+            sm.alignment()
+
 
 class TestModelSpike:
     def test_scalar_solver_against_generic(self):
@@ -348,3 +356,42 @@ class TestOneEvaluationPerRoot:
         reports = find_spikes(spec, None)
         assert len(reports) >= 1
         assert calls == {"moments": 2 * len(reports), "slope": len(reports)}
+
+
+def contour_alignment(spec, rep, radius, nodes=32):
+    """-(1/2 pi i) times the integral of V^T Qbar V G^-1 around a circle of
+    the given radius about rep.location, as a trapezoid sum over the
+    nodes, in the full 3x3 indexing; each node reads spike_matrix at
+    complex z."""
+    out = np.zeros((3, 3), dtype=complex)
+    active = np.ix_(spec.active_columns, spec.active_columns)
+    for phi in 2.0 * np.pi * (np.arange(nodes) + 0.5) / nodes:
+        step = radius * np.exp(1j * phi)           # dz = i step dphi
+        gm = spike_matrix(spec, rep.location + step)
+        out[active] -= gm.vqv @ np.linalg.inv(gm.entries) * step / nodes
+    return out
+
+
+class TestResidueOracle:
+    """The alignment is minus the residue of V^T Qbar V G^-1 at the spike,
+    so it is the contour integral of that form on a circle that holds no
+    other spike and no edge."""
+
+    @pytest.mark.parametrize("cfg", [
+        preset_config("fig1b"), fig3_four(),
+        {"p": 512, "n": 2048, "mu": "pm_block(%.17g)" % np.sqrt(0.8),
+         "model": "logistic", "loss": "logistic"},
+        {"p": 800, "n": 8000, "w": "pm_block(8.0)", "model": "logistic",
+         "loss": "logistic"}], ids=["fig1b", "fig3_four", "signal0.8", "w8"])
+    def test_alignment_is_the_contour_integral(self, cfg):
+        spec, _ = build_spec(cfg)
+        reports = find_spikes(spec, None)
+        assert reports
+        scale = np.max(np.sum(spec.V ** 2, axis=0))
+        locations = np.array([rep.location for rep in reports])
+        for rep in reports:
+            others = np.abs(locations[locations != rep.location] - rep.location)
+            radius = 0.5 * min([rep.gap, *others])
+            np.testing.assert_allclose(contour_alignment(spec, rep, radius),
+                                       rep.alignment, rtol=0,
+                                       atol=1e-10 * scale)
