@@ -8,18 +8,24 @@ per sign of d in a block, n columns in all.  One tridiagonal reduction
 of H gives all p eigenvalues and, by inverse iteration, eigenvectors
 only at the caller's picks.  Every BLAS and LAPACK call of a trial runs
 on SciPy's OpenBLAS (see _openblas).  Trial k uses the Philox stream
-seeded with base_seed + k.  Several trials run at once on threads, one
-per usable core (at most HESSPEC_THREADS), each holding its p x n
+seeded with base_seed + k.
+
+Trials run in one pool (_pool), one per usable core (at most
+HESSPEC_THREADS), the calling thread among them; each holds its p x n
 feature matrix, 8 p n bytes, which the Gram overwrites, and H, 8 p^2.
-A sweep may keep each seed's centred draw C^{1/2} Z in a dict `shared`
-for the next trial of that seed under the same feature law; a trial
-with mu = 0 then reads it in place, through one Gram block of at most
-_GRAM_BLOCK_BYTES, instead of holding a p x n copy.
+A sweep hands the pool all its (value, seed) trials at once, seed-major,
+and consecutive trials of one seed under one feature law share that
+seed's centred draw C^{1/2} Z: it is drawn once, held from the first of
+them to the last and then dropped.  A trial with mu = 0 reads it in
+place, through one Gram block of at most _GRAM_BLOCK_BYTES, instead of
+holding a p x n copy.
 """
 from __future__ import annotations
 
 import logging
+import mmap
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -46,7 +52,7 @@ __all__ = [
 
 log = logging.getLogger("hesspec")
 
-_GRAM_BLOCK_BYTES = 8 << 20    # bytes of X per column block of the Gram
+_GRAM_BLOCK_BYTES = 1 << 20    # bytes of X per column block of the Gram
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,31 +198,50 @@ class _Tridiagonal:
         return {int(k): Z[:, j].copy() for j, k in enumerate(ks)}
 
 
+def _law(spec, dist):
+    """The feature law of a draw: (dist, n, eigenvalues of C, eigenbasis)."""
+    return (dist, spec.n, *spec.cov.eigen(spec.p))
+
+
+def _same_law(a, b):
+    """Whether two _law tuples are equal, field by field."""
+    return all(map(np.array_equal, a, b))
+
+
+def _mapped(shape):
+    """A zeroed float64 array of `shape` in an anonymous memory map of its
+    own, unmapped as soon as the array is freed.  Held draws live here
+    rather than in malloc: there a p x n array under glibc's 32 MiB mmap
+    ceiling comes from the arena of the pool thread that draws it and
+    stays resident in that arena once freed, so draws made by turns on
+    several threads pile up."""
+    return np.frombuffer(mmap.mmap(-1, 8 * int(np.prod(shape))),
+                         dtype=float).reshape(shape)
+
+
 @dataclass(frozen=True, eq=False)
 class _Draw:
     """One seed's centred features in a holder of shared draws."""
 
-    law: tuple                 # (dist, n, eigenvalues of C, eigenbasis)
+    law: tuple                 # _law of the draw
     centred: np.ndarray        # C^{1/2} Z, read-only
     state: dict                # the Philox state after the draw
 
 
-def _shared_features(spec, dist, seed, rng, shared):
-    """mu + C^{1/2} Z for seed, with C^{1/2} Z taken from the holder
-    `shared` when it was drawn there under the same law (rng then
-    continues from the state after that draw), else drawn from rng and
-    stored for the next call.  For mu = 0 this is the held, read-only
-    array itself; otherwise a fresh buffer."""
-    law = (dist, spec.n, *spec.cov.eigen(spec.p))
+def _held_draw(spec, dist, seed, shared):
+    """The _Draw of seed in the holder `shared` (a dict) when it was drawn
+    there under spec's feature law, else a new draw from seed's stream,
+    stored there in its place."""
+    law = _law(spec, dist)
     held = shared.get(seed)
-    if held is not None and all(map(np.array_equal, held.law, law)):
-        rng.bit_generator.state = held.state
-    else:
+    if held is None or not _same_law(held.law, law):
         shared.pop(seed, None)     # free the stale draw before the new one
-        centred = _centred_features(spec, dist, rng)
+        rng = np.random.Generator(np.random.Philox(seed))
+        centred = _centred_features(spec, dist, rng,
+                                    _mapped((spec.p, spec.n)))
         centred.flags.writeable = False
         held = shared[seed] = _Draw(law, centred, rng.bit_generator.state)
-    return held.centred + spec.mu[:, None] if spec.mu.any() else held.centred
+    return held
 
 
 def _pick_index(eigvals, pick):
@@ -253,7 +278,9 @@ def run_trial(spec, dist, seed, picks=(), shared=None):
     if shared is None:
         X = sample_features(spec, dist, rng)
     else:
-        X = _shared_features(spec, dist, seed, rng, shared)
+        held = _held_draw(spec, dist, seed, shared)
+        rng.bit_generator.state = held.state
+        X = held.centred + spec.mu[:, None] if spec.mu.any() else held.centred
     h_star = _project(X, spec.w_star)
     y = sample_response(spec.model, h_star, rng)
     h = _project(X, spec.w)
@@ -305,34 +332,100 @@ def measure_alignment(vec, target):
     return float((target @ np.asarray(vec, dtype=float)) ** 2 / nrm2)
 
 
-def run_trials(spec, dist, seeds, picks=(), shared=None):
-    """run_trial(spec, dist, seed, picks, shared) for each seed, in order.
+def _pool(jobs):
+    """Spectra of the trials jobs[i] = (spec, dist, seed, picks), in order.
 
-    min(len(seeds), worker_count()) trials run at once.  While several
-    do, SciPy's OpenBLAS is held at one thread, so results are the same
-    for any number of workers above one; one worker runs a plain loop and
-    leaves it alone.  Every run is a plain loop when its thread count
-    cannot be set and HESSPEC_THREADS is unset.  Draws that a holder
-    `shared` keeps for seeds not in this run are dropped first.
+    min(len(jobs), worker_count()) workers take them in order: the calling
+    thread and helper threads, with SciPy's OpenBLAS held at one thread
+    while several run, so results are the same for any number above one.
+    One worker, or a thread count that cannot be set while HESSPEC_THREADS
+    is unset, runs them in a plain loop on the calling thread and leaves
+    the count alone.
+
+    picks may be a function of no arguments: the calling thread calls
+    them in order first, while the helpers run the jobs already got, so
+    a sweep's theory runs beside its first trials.
+
+    A run of consecutive jobs of one seed and feature law (_law) shares
+    one draw: the first of them to take the run's lock draws it, and it is
+    freed once the run's last job has been handed out and every job of
+    the run has ended, so at most one per worker and the one being drawn
+    are alive.  A lone job draws its own features, as run_trial does.
     """
-    workers = min(len(seeds), worker_count())
+    jobs = list(jobs)
+    # joined[i]: job i has job i - 1's seed and feature law, so its draw
+    joined = [False, *(a[2] == b[2] and _same_law(_law(*a[:2]), _law(*b[:2]))
+                       for a, b in zip(jobs, jobs[1:])), False]
+    workers = min(len(jobs), worker_count())
     settable = _openblas.thread_control() is not None
     if not settable and not os.environ.get("HESSPEC_THREADS"):
         workers = 1
-    log.debug("run_trials: trials=%d workers=%d blas=%s draws=%s", len(seeds),
+    log.debug("pool: trials=%d workers=%d blas=%s draws=%s", len(jobs),
               workers, "settable" if settable else "not-settable",
-              "fresh" if shared is None else "shared")
-    if shared is not None:
-        for stale in shared.keys() - set(seeds):
-            del shared[stale]
+              "shared" if any(joined) else "fresh")
+    out = [None] * len(jobs)
+    ready = threading.Condition()
+    got, taken, run, failed = 0, 0, None, False
 
-    def one(seed):
-        return run_trial(spec, dist, seed, picks, shared=shared)
+    def step():
+        """Take the next job and run it; False when none is left or a job
+        has failed.  Its draw is not referenced once step returns."""
+        nonlocal taken, run
+        with ready:
+            ready.wait_for(lambda: failed or taken < got or got == len(jobs))
+            i = taken
+            if failed or i == len(jobs):
+                return False
+            taken += 1
+            if not joined[i]:                    # the first job of its run
+                run = (threading.Lock(), {}) if joined[i + 1] else None
+            mine = run
+            if not joined[i + 1]:                # the last job of its run
+                run = None
+        spec, dist, seed, picks = jobs[i]
+        shared = None
+        if mine is not None:
+            lock, shared = mine
+            with lock:                           # one draw per run
+                _held_draw(spec, dist, seed, shared)
+        out[i] = run_trial(spec, dist, seed, picks, shared=shared)
+        return True
+
+    def work(lead=False):
+        """Run jobs until none is left; the lead (the calling thread) first
+        gets every job's picks, in order, while the helpers run those got."""
+        nonlocal got, failed
+        try:
+            while lead and got < len(jobs) and not failed:
+                spec, dist, seed, picks = jobs[got]
+                if callable(picks):
+                    jobs[got] = spec, dist, seed, picks()
+                with ready:
+                    got += 1
+                    ready.notify_all()
+            while step():
+                pass
+        except BaseException:
+            with ready:
+                failed = True                    # the others take no more
+                ready.notify_all()
+            raise
 
     if workers < 2:
-        return [one(s) for s in seeds]
-    with _openblas.one_thread(), ThreadPoolExecutor(workers) as pool:
-        return list(pool.map(one, seeds))
+        work(lead=True)
+        return out
+    with _openblas.one_thread(), ThreadPoolExecutor(workers - 1) as pool:
+        helpers = [pool.submit(work) for _ in range(workers - 1)]
+        work(lead=True)
+        for helper in helpers:
+            helper.result()
+    return out
+
+
+def run_trials(spec, dist, seeds, picks=()):
+    """run_trial(spec, dist, seed, picks) for each seed, in order, as one
+    _pool: each trial draws its own features."""
+    return _pool([(spec, dist, seed, picks) for seed in seeds])
 
 
 def _gap_pick(support_report, lam):
@@ -354,28 +447,11 @@ def _mean_stderr(samples):
     return mean, float(np.std(samples, ddof=1) / np.sqrt(len(samples)))
 
 
-def compare(spec, theory_density, spike_reports, trials, base_seed,
-            dist="gaussian", shared=None):
-    """Monte Carlo discrepancy metrics against the asymptotic theory.
-
-    density_l1 sums over the Freedman-Diaconis bins of the pooled
-    eigenvalues |the bin's share of them - its theory mass|: the curve's
-    trapezoids in ascending grid order (0 outside the grid, NaN as 0)
-    plus the atom at 0 it does not draw (_Exterior.atom), counted as
-    numpy counts an eigenvalue at 0.  Spike and alignment errors compare the
-    per-trial mean eigenpair to each theoretical spike, with its standard
-    error alongside.  Each spike makes one pick of run_trials, in spike
-    order: a spike in a gap of the exact support, support(spec, (-inf,
-    inf)), picks that gap; any other, ranked r outermost first among those
-    on its side, picks index r on the left and -1 - r on the right.
-    `shared` goes to run_trials.
-    """
-    if (isinstance(trials, bool) or not isinstance(trials, (int, np.integer))
-            or trials < 1):
-        raise DomainError(f"compare needs an integer trials >= 1, "
-                          f"got {trials!r}")
-    seeds = [base_seed + k for k in range(trials)]
-    exact = support(spec, (-np.inf, np.inf))
+def _spike_picks(exact, spike_reports):
+    """One run_trial pick per spike, in spike order, given the exact
+    support: a spike in a gap of it picks that gap; any other, ranked r
+    outermost first among those on its side, picks index r on the left
+    and -1 - r on the right."""
     picks = []
     for i, rep in enumerate(spike_reports):
         # rank r outermost first, ties in spike order, among the spikes on
@@ -386,7 +462,38 @@ def compare(spec, theory_density, spike_reports, trials, base_seed,
                 if other.side == rep.side)
         picks.append(_gap_pick(exact, rep.location) or
                      (r if sign > 0 else -1 - r))
-    spectra = run_trials(spec, dist, seeds, picks, shared=shared)
+    return picks
+
+
+def compare(spec, theory_density, spike_reports, trials, base_seed,
+            dist="gaussian", spectra=None):
+    """Monte Carlo discrepancy metrics against the asymptotic theory.
+
+    density_l1 sums over the Freedman-Diaconis bins of the pooled
+    eigenvalues |the bin's share of them - its theory mass|: the curve's
+    trapezoids in ascending grid order (0 outside the grid, NaN as 0)
+    plus the atom at 0 it does not draw (_Exterior.atom), counted as
+    numpy counts an eigenvalue at 0.  Spike and alignment errors compare the
+    per-trial mean eigenpair to each theoretical spike, with its standard
+    error alongside; a trial's eigenpair for a spike is its pick of
+    _spike_picks on the exact support, support(spec, (-inf, inf)).
+
+    Without `spectra`, compare runs the trials of the seeds base_seed,
+    base_seed + 1, ... with run_trials.  `spectra` are those trials, run
+    by the caller with the same picks, as sweep does for all its values
+    in one pool; compare then only scores them.
+    """
+    if (isinstance(trials, bool) or not isinstance(trials, (int, np.integer))
+            or trials < 1):
+        raise DomainError(f"compare needs an integer trials >= 1, "
+                          f"got {trials!r}")
+    seeds = [base_seed + k for k in range(trials)]
+    if spectra is None:
+        picks = _spike_picks(support(spec, (-np.inf, np.inf)), spike_reports)
+        spectra = run_trials(spec, dist, seeds, picks)
+    elif [s.seed for s in spectra] != seeds:
+        raise DomainError(f"compare was given the trials of seeds "
+                          f"{[s.seed for s in spectra]}, not {seeds}")
 
     pooled = np.concatenate([s.eigenvalues for s in spectra])
     counts, edges = np.histogram(pooled, bins="fd")

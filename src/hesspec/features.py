@@ -276,19 +276,20 @@ def check_dist(dist):
     return dof
 
 
-def _standardized_noise(dist, shape, rng):
+def _standardized_noise(dist, shape, rng, out=None):
     """Zero-mean, unit-variance p x n noise of the law dist, built in
-    its draw's buffer: Rademacher signs are converted from the int64
-    draw in place, one row block of _NOISE_BLOCK_BYTES at a time."""
+    its draw's buffer, or in `out` when given: Rademacher signs are
+    converted from the int64 draw one row block of _NOISE_BLOCK_BYTES at
+    a time."""
     dof = check_dist(dist)
     if dof is not None:
         z = rng.standard_t(dof, size=shape)
-        z *= np.sqrt((dof - 2.0) / dof)
-        return z
+        return np.multiply(z, np.sqrt((dof - 2.0) / dof),
+                           out=z if out is None else out)
     if dist == "gaussian":
-        return rng.standard_normal(shape)
+        return rng.standard_normal(shape, out=out)
     bits = rng.integers(0, 2, size=shape, dtype=np.int64)
-    z = bits.view(float)
+    z = bits.view(float) if out is None else out
     rows = max(1, _NOISE_BLOCK_BYTES // (8 * shape[1]))
     for start in range(0, shape[0], rows):
         block = slice(start, start + rows)
@@ -296,16 +297,19 @@ def _standardized_noise(dist, shape, rng):
     return z
 
 
-def _centred_features(spec, dist, rng):
-    """The p x n matrix with columns C^{1/2} z_i: the noise buffer, its
-    rows scaled, for a diagonal C; for a dense C, a fresh buffer (two
-    p x n arrays meanwhile) from one dgemm of the cached root on SciPy's
-    BLAS, on the transposed views, the call numpy makes for root @ Z."""
-    X = _standardized_noise(dist, (spec.p, spec.n), rng)
+def _centred_features(spec, dist, rng, out=None):
+    """The p x n matrix with columns C^{1/2} z_i, in `out` when given:
+    the noise buffer, its rows scaled, for a diagonal C; for a dense C, a
+    fresh buffer (two p x n arrays meanwhile) from one dgemm of the cached
+    root on SciPy's BLAS, on the transposed views, the call numpy makes
+    for root @ Z."""
+    shape = (spec.p, spec.n)
     vals, basis = spec.cov.eigen(spec.p)
     if basis is None:
+        X = _standardized_noise(dist, shape, rng, out)
         return np.multiply(X, np.sqrt(vals)[:, None], out=X)
-    out = np.empty_like(X)
+    X = _standardized_noise(dist, shape, rng)
+    out = np.empty_like(X) if out is None else out
     _openblas.blas("dgemm", "N", "N", spec.n, spec.p, spec.p, 1.0, X.T,
                    spec.n, spec.cov.root.T, spec.p, 0.0, out.T, spec.n)
     return out

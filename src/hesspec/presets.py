@@ -17,14 +17,14 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
 
 from .bulk import default_scan_range, density, support
 from .config import _integer, build_spec, spec_echo
-from .empirical import compare, run_trials, worker_count
+from .empirical import _pool, _spike_picks, compare, run_trials
 from .errors import ConfigError
 from .features import ProblemSpec
 from .report import emit_document, emit_table
@@ -190,26 +190,37 @@ def sweep(cfg, values, rescale, path, label, trials=0):
     quadrature order is cfg's quad_order, read when each value's spec is
     built.
 
-    When the trials fit the worker pool (trials <= worker_count()), each
-    trial seed's centred features are drawn once and kept for the whole
-    sweep, one more p x n array per seed: every value whose feature law
-    (p, n, C, Gaussian noise) matches adds its own mu to them, so the
-    table is bit-identical to redrawing at every value.  A value with
-    mu = 0 reads them in place, one Gram block at a time, and copies
-    nothing (see empirical._gram).  More trials than workers redraw at
-    every value.
+    Every value's spec and Analysis are built first.  Then all (value,
+    seed) trials run in one pool (empirical._pool), seed-major: every
+    value of a seed before the next seed.  The calling thread solves the
+    values' theory in order while the pool's helpers run the trials of
+    the values already solved.  Each seed's centred features are drawn
+    once and held from its first trial to its last: every value whose
+    feature law (p, n, C, Gaussian noise) matches the value before adds
+    its own mu to them, so the table is bit-identical to drawing afresh
+    at every value with SciPy's OpenBLAS at the pool's thread count, and
+    a value with mu = 0 reads them in place (see empirical._gram).  A
+    value whose law differs draws anew.  compare() then scores each
+    value's trials.
     """
-    shared = {} if 1 <= trials <= worker_count() else None
+    built = [build_spec(rescale(dict(cfg), val)) for val in values]
+    analyses = [analyze(spec) for spec, _ in built]
+    if trials:
+        def picks(an):
+            an.curve       # compare reads it after the pool; solve it now
+            return _spike_picks(an.support, an.spikes)
+
+        spectra = _pool([(spec, "gaussian", seed + k, partial(picks, an))
+                         for k in range(trials)
+                         for an, (spec, seed) in zip(analyses, built)])
     rows = []
-    for val in values:
-        spec, seed = build_spec(rescale(dict(cfg), val))
-        an = analyze(spec)
+    for v, (val, an, (spec, seed)) in enumerate(zip(values, analyses, built)):
         first = an.spikes[0] if an.spikes else None
         row = ([val, first.location, first.gap, max(first.cos2(spec.V))]
                if first else [val, np.nan, 0.0, 0.0])
         if trials:
             rep = compare(spec, an.curve, an.spikes, trials, base_seed=seed,
-                          shared=shared)
+                          spectra=spectra[v::len(values)])
             row += ([rep.spike_errors[0][0], rep.alignment_errors[0][0]]
                     if first else [np.nan, np.nan])
         rows.append(row)

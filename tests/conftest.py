@@ -9,9 +9,9 @@ def noise_draws(monkeypatch):
     made = []
     real = features._standardized_noise
 
-    def counted(dist, shape, rng):
+    def counted(dist, shape, rng, out=None):
         made.append(shape)     # list.append is atomic across pool threads
-        return real(dist, shape, rng)
+        return real(dist, shape, rng, out)
 
     monkeypatch.setattr(features, "_standardized_noise", counted)
     return made

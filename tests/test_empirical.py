@@ -401,6 +401,23 @@ class TestCompare:
         rep = compare(spec, an.curve, an.spikes, trials=4, base_seed=seed)
         assert rep.density_l1 < 0.25
 
+    def test_given_spectra_are_scored_not_rerun(self, monkeypatch):
+        # compare scores the caller's trials of seeds base_seed, ... and
+        # refuses trials of other seeds
+        spec, seed = signal_spec(p=64, n=256)
+        an = analyze(spec)
+        want = compare(spec, an.curve, an.spikes, trials=2, base_seed=seed)
+        spectra = run_trials(spec, "gaussian", [seed, seed + 1], [-1])
+        self.no_trials(monkeypatch)
+        got = compare(spec, an.curve, an.spikes, trials=2, base_seed=seed,
+                      spectra=spectra)
+        assert got.density_l1 == want.density_l1
+        assert got.spike_errors == want.spike_errors
+        assert got.alignment_errors == want.alignment_errors
+        with pytest.raises(DomainError, match="seeds"):
+            compare(spec, an.curve, an.spikes, trials=2, base_seed=seed + 1,
+                    spectra=spectra)
+
     @staticmethod
     def no_trials(monkeypatch):
         def forbidden(*args, **kwargs):
@@ -582,31 +599,36 @@ class TestSharedDraws:
 
     def test_pool_keeps_one_draw_per_seed(self, monkeypatch, caplog,
                                           noise_draws):
-        # more workers than cores and a short switch interval, so trials
-        # interleave while they read and fill the holder
+        # more workers than cores and a short switch interval, so jobs
+        # interleave while a seed's first job draws; consecutive jobs of
+        # one seed and feature law share its draw, a change of law redraws
         caplog.set_level(logging.DEBUG, logger="hesspec")
         monkeypatch.setenv("HESSPEC_THREADS", "4")
-        spec, seed = signal_spec(p=32, n=128)
-        seeds = [seed + k for k in range(4)]
-        want = [s.eigenvalues for s in run_trials(spec, "gaussian", seeds)]
+        specs = [signal_spec(rho, p=32, n=128)[0] for rho in (0.5, 0.8, 1.2)]
+        specs.append(signal_spec(0.8, p=32, n=160)[0])      # another n
+        seeds = [29 + k for k in range(4)]
+        want = {id(spec): [s.eigenvalues for s in
+                           run_trials(spec, "gaussian", seeds, [-1])]
+                for spec in specs}
         del noise_draws[:]
-        shared = {}
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for run in range(3):
-                got = run_trials(spec, "gaussian", seeds, shared=shared)
-                for a, b in zip(got, want):
-                    np.testing.assert_array_equal(a.eigenvalues, b)
-            # seeds that leave the run leave the holder
-            run_trials(spec, "gaussian", seeds[2:] + [seed + 9], shared=shared)
+                got = empirical._pool([(spec, "gaussian", seed, [-1])
+                                       for seed in seeds for spec in specs])
+                for j, s in enumerate(got):
+                    k, spec = divmod(j, len(specs))
+                    assert s.seed == seeds[k]
+                    np.testing.assert_array_equal(
+                        s.eigenvalues, want[id(specs[spec])][k])
         finally:
             sys.setswitchinterval(interval)
-        assert len(noise_draws) == 5
-        assert sorted(shared) == [seed + 2, seed + 3, seed + 9]
-        assert re.search(r"trials=4 workers=4 blas=\S+ draws=shared",
+        assert len(noise_draws) == 3 * 2 * len(seeds)
+        assert re.search(r"trials=16 workers=4 blas=\S+ draws=shared",
                          caplog.text)
-        assert "draws=fresh" in caplog.text
+        assert re.search(r"trials=4 workers=4 blas=\S+ draws=fresh",
+                         caplog.text)
 
 
 class TestGramMemory:
@@ -777,12 +799,17 @@ class TestBlasPinning:
         caplog.set_level(logging.DEBUG, logger="hesspec")
         monkeypatch.setenv("HESSPEC_THREADS", "2")
         monkeypatch.setattr(_openblas, "thread_control", lambda: None)
-        monkeypatch.setattr(empirical, "run_trial",
-                            lambda spec, dist, seed, picks, shared=None:
-                            (seed, threading.current_thread()))
+        both = threading.Barrier(2, timeout=30)
+
+        def trial(spec, dist, seed, picks, shared=None):
+            if seed < 7:
+                both.wait()            # the first two trials run at once
+            return seed, threading.current_thread()
+
+        monkeypatch.setattr(empirical, "run_trial", trial)
         out = run_trials(None, "gaussian", [5, 6, 7])
         assert [s for s, _ in out] == [5, 6, 7]
-        assert threading.current_thread() not in {t for _, t in out}
+        assert len({t for _, t in out}) == 2
         assert "trials=3 workers=2 blas=not-settable" in caplog.text
 
 

@@ -1,10 +1,15 @@
 import json
 import os
+import sys
+import time
+import weakref
 
 import numpy as np
 import pytest
 
-from hesspec import ConfigError, analyze, build_spec, run_preset
+from hesspec import ConfigError, _openblas, analyze, build_spec, run_preset
+from hesspec.empirical import compare
+from hesspec.report import emit_table
 from hesspec.presets import PRESETS, _WRITES, preset_config, sweep
 
 
@@ -148,24 +153,38 @@ SWEEPS = {
 }
 
 
-@pytest.mark.parametrize("trials", [1, 2])
+def fresh_table(cfg, rescale, values, trials, path):
+    """The sweep's table from compare() run value by value, drawing afresh
+    at each, with SciPy's OpenBLAS at one thread as in the sweep's pool."""
+    rows = []
+    with _openblas.one_thread():
+        for val in values:
+            spec, seed = build_spec(rescale(dict(cfg), val))
+            an = analyze(spec)
+            first = an.spikes[0]
+            rep = compare(spec, an.curve, an.spikes, trials, seed)
+            rows.append([val, first.location, first.gap,
+                         max(first.cos2(spec.V)), rep.spike_errors[0][0],
+                         rep.alignment_errors[0][0]])
+    return emit_table(path, ["v", "lambda", "gap", "alignment",
+                             "empirical_lambda", "empirical_alignment"], rows)
+
+
+@pytest.mark.parametrize("trials", [1, 2, 3])
 @pytest.mark.parametrize("param", sorted(SWEEPS))
 def test_shared_draws_keep_the_table(tmp_path, monkeypatch, noise_draws,
                                      param, trials):
-    # trials <= workers: one draw per seed for the whole sweep, and the
-    # same bytes as a draw per value
-    import hesspec.presets
-
+    # one draw per seed for the whole sweep, and the same bytes as a
+    # fresh draw per value
     monkeypatch.setenv("HESSPEC_THREADS", "2")
     cfg, rescale, values = SWEEPS[param]
-    shared = sweep(cfg, values, rescale, str(tmp_path / "shared.csv"), param,
+    shared = sweep(cfg, values, rescale, str(tmp_path / "shared.csv"), "v",
                    trials=trials)
     assert len(noise_draws) == trials
-    real = hesspec.presets.compare
-    monkeypatch.setattr(hesspec.presets, "compare",
-                        lambda *args, shared=None, **kw: real(*args, **kw))
-    fresh = sweep(cfg, values, rescale, str(tmp_path / "fresh.csv"), param,
-                  trials=trials)
+    # the oracle's compare runs its trials in a plain loop
+    monkeypatch.setenv("HESSPEC_THREADS", "1")
+    fresh = fresh_table(cfg, rescale, values, trials,
+                        str(tmp_path / "fresh.csv"))
     assert len(noise_draws) == trials + trials * len(values)
     with open(shared, "rb") as a, open(fresh, "rb") as b:
         assert a.read() == b.read()
@@ -173,17 +192,65 @@ def test_shared_draws_keep_the_table(tmp_path, monkeypatch, noise_draws,
     assert np.isfinite(rows[:, 4:]).all()
 
 
-@pytest.mark.parametrize("trials, rescale, values", [
-    (3, _pm_block("mu"), [1.2, 1.5]),         # more trials than workers
-    (2, lambda c, n: dict(c, n=n), [256, 320]),
-    (2, lambda c, s: dict(c, cov=s), [1.0, 1.5]),
+@pytest.mark.parametrize("trials", [1, 6])
+def test_one_seed_is_drawn_once_under_contention(tmp_path, monkeypatch,
+                                                 noise_draws, trials):
+    # more workers than cores, a short switch interval and a slow draw, so
+    # the jobs of one seed wait while the first of them draws; a draw
+    # lives from its seed's first job to its last, so at most one per
+    # worker and the one being drawn are alive at any time
+    import hesspec.empirical
+
+    monkeypatch.setenv("HESSPEC_THREADS", "4")
+    alive, most = weakref.WeakValueDictionary(), []
+    real_draw, real_trial = (hesspec.empirical._centred_features,
+                             hesspec.empirical.run_trial)
+
+    def draw(*args):
+        # meanwhile the calling thread solves the other values' theory,
+        # so their jobs wait behind this draw
+        time.sleep(0.1)
+        out = real_draw(*args)
+        alive[len(most)] = out      # arrays are not hashable
+        most.append(len(alive))
+        return out
+
+    def trial(*args, **kw):
+        most.append(len(alive))
+        return real_trial(*args, **kw)
+
+    monkeypatch.setattr(hesspec.empirical, "_centred_features", draw)
+    monkeypatch.setattr(hesspec.empirical, "run_trial", trial)
+    cfg, rescale, values = SWEEPS["mu"]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        table = sweep(cfg, values, rescale, str(tmp_path / "s.csv"), "v",
+                      trials=trials)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(noise_draws) == trials
+    assert max(most) <= 4 + 1
+    monkeypatch.setenv("HESSPEC_THREADS", "1")
+    fresh = fresh_table(cfg, rescale, values, trials,
+                        str(tmp_path / "fresh.csv"))
+    with open(table, "rb") as a, open(fresh, "rb") as b:
+        assert a.read() == b.read()
+
+
+@pytest.mark.parametrize("trials, rescale, values, draws", [
+    (3, _pm_block("mu"), [1.2, 1.5], 3),      # more trials than workers
+    (2, lambda c, n: dict(c, n=n), [256, 320], 4),
+    (2, lambda c, s: dict(c, cov=s), [1.0, 1.5], 4),
 ], ids=["trials_above_workers", "n", "cov"])
 def test_sweep_redraws(tmp_path, monkeypatch, noise_draws, trials, rescale,
-                       values):
+                       values, draws):
+    # a draw per seed while the feature law holds, and one more per seed
+    # at each value that changes it
     monkeypatch.setenv("HESSPEC_THREADS", "2")
     cfg = dict(SWEEPS["mu"][0], mu="pm_block(1.5)")
     sweep(cfg, values, rescale, str(tmp_path / "s.csv"), "v", trials=trials)
-    assert len(noise_draws) == trials * len(values)
+    assert len(noise_draws) == draws
 
 
 def test_sweep_compares_through_the_presets_module(tmp_path, monkeypatch):
