@@ -10,21 +10,23 @@ only at the caller's picks.  Every BLAS and LAPACK call of a trial runs
 on SciPy's OpenBLAS (see _openblas).  Trial k uses the Philox stream
 seeded with base_seed + k.
 
-Trials run in one pool (_pool), one per usable core (at most
-HESSPEC_THREADS), the calling thread among them; each holds its p x n
-feature matrix, 8 p n bytes, which the Gram overwrites, and H, 8 p^2.
-A sweep hands the pool all its (value, seed) trials at once, seed-major,
-and consecutive trials of one seed under one feature law share that
-seed's centred draw C^{1/2} Z: it is drawn once, held from the first of
-them to the last and then dropped.  A trial with mu = 0 reads it in
-place, through one Gram block of at most _GRAM_BLOCK_BYTES, instead of
-holding a p x n copy.
+Trials run in one pool (_pool): the calling thread puts them on one
+FIFO queue, in order, and works beside helper threads, one worker per
+usable core (at most HESSPEC_THREADS); each holds its p x n feature
+matrix, 8 p n bytes, which the Gram overwrites, and H, 8 p^2.  A sweep
+hands the pool all its (value, seed) trials at once, seed-major, and a
+run of consecutive trials of one seed under one feature law shares one
+draw of that seed's centred features C^{1/2} Z (a _Run): the run's first
+trial draws it, and it is freed when the run's last trial ends.  A trial
+with mu = 0 reads it in place, through one Gram block of at most
+_GRAM_BLOCK_BYTES, instead of holding a p x n copy.
 """
 from __future__ import annotations
 
 import logging
 import mmap
 import os
+import queue
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -210,7 +212,7 @@ def _same_law(a, b):
 
 def _mapped(shape):
     """A zeroed float64 array of `shape` in an anonymous memory map of its
-    own, unmapped as soon as the array is freed.  Held draws live here
+    own, unmapped as soon as the array is freed.  A _Run's draw lives here
     rather than in malloc: there a p x n array under glibc's 32 MiB mmap
     ceiling comes from the arena of the pool thread that draws it and
     stays resident in that arena once freed, so draws made by turns on
@@ -219,29 +221,24 @@ def _mapped(shape):
                          dtype=float).reshape(shape)
 
 
-@dataclass(frozen=True, eq=False)
-class _Draw:
-    """One seed's centred features in a holder of shared draws."""
+class _Run:
+    """The draw shared by a run of consecutive trials of one seed and
+    feature law (see _pool): the first get draws the seed's centred
+    features into _mapped, read-only, and keeps the Philox state after
+    them; every get returns that (features, state)."""
 
-    law: tuple                 # _law of the draw
-    centred: np.ndarray        # C^{1/2} Z, read-only
-    state: dict                # the Philox state after the draw
+    def __init__(self):
+        self.lock, self.draw = threading.Lock(), None
 
-
-def _held_draw(spec, dist, seed, shared):
-    """The _Draw of seed in the holder `shared` (a dict) when it was drawn
-    there under spec's feature law, else a new draw from seed's stream,
-    stored there in its place."""
-    law = _law(spec, dist)
-    held = shared.get(seed)
-    if held is None or not _same_law(held.law, law):
-        shared.pop(seed, None)     # free the stale draw before the new one
-        rng = np.random.Generator(np.random.Philox(seed))
-        centred = _centred_features(spec, dist, rng,
-                                    _mapped((spec.p, spec.n)))
-        centred.flags.writeable = False
-        held = shared[seed] = _Draw(law, centred, rng.bit_generator.state)
-    return held
+    def get(self, spec, dist, seed):
+        with self.lock:
+            if self.draw is None:
+                rng = np.random.Generator(np.random.Philox(seed))
+                centred = _centred_features(spec, dist, rng,
+                                            _mapped((spec.p, spec.n)))
+                centred.flags.writeable = False
+                self.draw = centred, rng.bit_generator.state
+            return self.draw
 
 
 def _pick_index(eigvals, pick):
@@ -255,7 +252,7 @@ def _pick_index(eigvals, pick):
     return int(pool[np.argmin(np.abs(eigvals[pool] - lam))])
 
 
-def run_trial(spec, dist, seed, picks=(), shared=None):
+def run_trial(spec, dist, seed, picks=(), run=None):
     """Sample one Hessian; return all its eigenvalues and, in `paired`,
     one (index, eigenvector) per pick, in pick order.
 
@@ -265,28 +262,27 @@ def run_trial(spec, dist, seed, picks=(), shared=None):
     Without picks no eigenvector is solved for; each vector is a copy,
     so no p x p matrix outlives the trial.
 
-    With a holder `shared` (a dict), the centred features of seed are
-    reused from it when they were drawn under the same feature law
-    (dist, n and the eigen-decomposition of C), and drawn and stored
-    there otherwise; the spectrum is bit-identical to shared=None.
+    With a _Run `run`, whose trials all have this seed and feature law
+    (dist, n and the eigen-decomposition of C), the centred features are
+    run's draw, made by its first get, and spec's mu is added to a copy;
+    the spectrum is bit-identical to run=None, which draws them afresh.
 
-    The trial's peak memory, besides a held draw, is its own p x n
-    features (none when it reads a held draw with mu = 0), H and, on a
+    The trial's peak memory, besides a run's draw, is its own p x n
+    features (none when it reads a run's draw with mu = 0), H and, on a
     read-only draw, one Gram block of _GRAM_BLOCK_BYTES (see _gram).
     """
     rng = np.random.Generator(np.random.Philox(seed))
-    if shared is None:
+    if run is None:
         X = sample_features(spec, dist, rng)
     else:
-        held = _held_draw(spec, dist, seed, shared)
-        rng.bit_generator.state = held.state
-        X = held.centred + spec.mu[:, None] if spec.mu.any() else held.centred
+        centred, rng.bit_generator.state = run.get(spec, dist, seed)
+        X = centred + spec.mu[:, None] if spec.mu.any() else centred
     h_star = _project(X, spec.w_star)
     y = sample_response(spec.model, h_star, rng)
     h = _project(X, spec.w)
     d = np.asarray(curvature(spec.weight, y, h), dtype=float)
     H = _gram(X, d)
-    del X                      # overwritten or held; drop it before the solve
+    del X                      # overwritten or a run's; drop it before the solve
     try:
         T = _Tridiagonal(H)
         eigvals = T.eigenvalues()
@@ -335,22 +331,26 @@ def measure_alignment(vec, target):
 def _pool(jobs):
     """Spectra of the trials jobs[i] = (spec, dist, seed, picks), in order.
 
-    min(len(jobs), worker_count()) workers take them in order: the calling
-    thread and helper threads, with SciPy's OpenBLAS held at one thread
-    while several run, so results are the same for any number above one.
-    One worker, or a thread count that cannot be set while HESSPEC_THREADS
-    is unset, runs them in a plain loop on the calling thread and leaves
-    the count alone.
+    The calling thread puts every job on one FIFO queue, in order, then a
+    None per worker, and then works too: min(len(jobs), worker_count())
+    workers, itself and helper threads, take the jobs in order until they
+    take a None, with SciPy's OpenBLAS held at one thread while several
+    run, so results are the same for any number above one.  One worker,
+    or a thread count that cannot be set while HESSPEC_THREADS is unset,
+    runs them on the calling thread alone and leaves the count alone.  A
+    failure, in a job or in the queueing, stops every worker before its
+    next job and is raised here.
 
-    picks may be a function of no arguments: the calling thread calls
-    them in order first, while the helpers run the jobs already got, so
-    a sweep's theory runs beside its first trials.
+    picks may be a function of no arguments: the calling thread calls it
+    as it queues the job, while the helpers run the jobs already queued,
+    so a sweep's theory runs beside its first trials.
 
-    A run of consecutive jobs of one seed and feature law (_law) shares
-    one draw: the first of them to take the run's lock draws it, and it is
-    freed once the run's last job has been handed out and every job of
-    the run has ended, so at most one per worker and the one being drawn
-    are alive.  A lone job draws its own features, as run_trial does.
+    A run of two or more consecutive jobs of one seed and feature law
+    (_law) shares one _Run, which the first of them to get it draws.
+    Only the run's queued and running jobs refer to it, so its draw is
+    freed when the run's last job ends, and at most one draw per worker
+    and the one being drawn are alive.  A lone job draws its own
+    features, as run_trial does.
     """
     jobs = list(jobs)
     # joined[i]: job i has job i - 1's seed and feature law, so its draw
@@ -364,59 +364,47 @@ def _pool(jobs):
               workers, "settable" if settable else "not-settable",
               "shared" if any(joined) else "fresh")
     out = [None] * len(jobs)
-    ready = threading.Condition()
-    got, taken, run, failed = 0, 0, None, False
+    todo, failed = queue.SimpleQueue(), threading.Event()
 
-    def step():
-        """Take the next job and run it; False when none is left or a job
-        has failed.  Its draw is not referenced once step returns."""
-        nonlocal taken, run
-        with ready:
-            ready.wait_for(lambda: failed or taken < got or got == len(jobs))
-            i = taken
-            if failed or i == len(jobs):
-                return False
-            taken += 1
-            if not joined[i]:                    # the first job of its run
-                run = (threading.Lock(), {}) if joined[i + 1] else None
-            mine = run
-            if not joined[i + 1]:                # the last job of its run
-                run = None
-        spec, dist, seed, picks = jobs[i]
-        shared = None
-        if mine is not None:
-            lock, shared = mine
-            with lock:                           # one draw per run
-                _held_draw(spec, dist, seed, shared)
-        out[i] = run_trial(spec, dist, seed, picks, shared=shared)
-        return True
-
-    def work(lead=False):
-        """Run jobs until none is left; the lead (the calling thread) first
-        gets every job's picks, in order, while the helpers run those got."""
-        nonlocal got, failed
+    def work():
+        """Run queued jobs until a None, or until a job has failed."""
         try:
-            while lead and got < len(jobs) and not failed:
-                spec, dist, seed, picks = jobs[got]
-                if callable(picks):
-                    jobs[got] = spec, dist, seed, picks()
-                with ready:
-                    got += 1
-                    ready.notify_all()
-            while step():
-                pass
+            for i, picks, run in iter(todo.get, None):
+                if failed.is_set():
+                    return
+                spec, dist, seed, _ = jobs[i]
+                out[i] = run_trial(spec, dist, seed, picks, run)
+                del run            # no draw is kept while the queue waits
         except BaseException:
-            with ready:
-                failed = True                    # the others take no more
-                ready.notify_all()
+            failed.set()
             raise
 
+    def lead():
+        """Queue every job, its picks got, then a None per worker; work."""
+        run = None
+        try:
+            for i, (_, _, _, picks) in enumerate(jobs):
+                if failed.is_set():
+                    break
+                if not joined[i]:                # the first job of its run
+                    run = _Run() if joined[i + 1] else None
+                todo.put((i, picks() if callable(picks) else picks, run))
+            del run                              # its queued jobs hold it
+        except BaseException:
+            failed.set()
+            raise
+        finally:
+            # one per worker; the calling thread takes one even with no jobs
+            for _ in range(max(workers, 1)):
+                todo.put(None)
+        work()
+
     if workers < 2:
-        work(lead=True)
+        lead()
         return out
     with _openblas.one_thread(), ThreadPoolExecutor(workers - 1) as pool:
         helpers = [pool.submit(work) for _ in range(workers - 1)]
-        work(lead=True)
+        lead()
         for helper in helpers:
             helper.result()
     return out

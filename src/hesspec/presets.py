@@ -190,19 +190,24 @@ def sweep(cfg, values, rescale, path, label, trials=0):
     quadrature order is cfg's quad_order, read when each value's spec is
     built.
 
+    trials is a whole number >= 0, checked before anything is built.
     Every value's spec and Analysis are built first.  Then all (value,
     seed) trials run in one pool (empirical._pool), seed-major: every
     value of a seed before the next seed.  The calling thread solves the
-    values' theory in order while the pool's helpers run the trials of
-    the values already solved.  Each seed's centred features are drawn
-    once and held from its first trial to its last: every value whose
-    feature law (p, n, C, Gaussian noise) matches the value before adds
-    its own mu to them, so the table is bit-identical to drawing afresh
-    at every value with SciPy's OpenBLAS at the pool's thread count, and
-    a value with mu = 0 reads them in place (see empirical._gram).  A
-    value whose law differs draws anew.  compare() then scores each
+    values' theory in order as it queues their trials, while the pool's
+    helpers run the trials already queued.  The trials of one seed at
+    consecutive values of one feature law (p, n, C, Gaussian noise) share
+    one draw of its centred features, made by the first of them and freed
+    after the last (an empirical._Run); each value adds its own mu to
+    them, so the table is bit-identical to drawing afresh at every value
+    with SciPy's OpenBLAS at the pool's thread count, and a value with
+    mu = 0 reads them in place (see empirical._gram).  A value whose law
+    differs from the value before draws anew.  compare() then scores each
     value's trials.
     """
+    trials = _integer(trials, "trials")
+    if trials < 0:
+        raise ConfigError(f"a sweep cannot run {trials} trials")
     built = [build_spec(rescale(dict(cfg), val)) for val in values]
     analyses = [analyze(spec) for spec, _ in built]
     if trials:

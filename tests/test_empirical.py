@@ -7,7 +7,10 @@ import os
 import re
 import sys
 import threading
+import time
 import tracemalloc
+import weakref
+from functools import partial
 from types import SimpleNamespace
 
 from hesspec import (ProblemSpec, ResponseModel, ScaledIdentity, WeightFn,
@@ -443,8 +446,8 @@ class TestStatistics:
     def fake_trials(self, monkeypatch, tops):
         # one right spike; trial k has its top eigenvalue at tops[k] and
         # the unit top vector e_0, so every cos2 against mu is 1/2
-        def run(spec, dist, seeds, picks, shared=None):
-            assert picks == [-1] and shared is None
+        def run(spec, dist, seeds, picks):
+            assert picks == [-1]
             vec = np.eye(4)[0]
             return [EmpiricalSpectrum(
                 eigenvalues=np.array([0.0, 0.1, 0.2, top]), seed=s,
@@ -526,13 +529,12 @@ class TestSharedDraws:
                                "w": "mu", "model": "logistic",
                                "loss": "exponential"})
 
-        shared, got = {}, []
+        run, got = empirical._Run(), []
         for norm in (0.5, 1.5):            # the same law under another mu
             spec, seed = spec_at(norm)
-            got.append(run_trial(spec, "gaussian", seed, [0, -1],
-                                 shared=shared))
+            got.append(run_trial(spec, "gaussian", seed, [0, -1], run))
         assert noise_draws == [(48, 192)]
-        held = shared[seed].centred
+        held, _ = run.draw
         assert held.flags.writeable is False
         with pytest.raises(ValueError):
             held[0, 0] = 0.0
@@ -550,13 +552,13 @@ class TestSharedDraws:
         monkeypatch.setattr(empirical, "_GRAM_BLOCK_BYTES", 8 * 200 * 300)
         spec, seed = build_spec(dict(preset_config("fig7"), p=200, n=1000))
         assert not spec.mu.any()
-        shared = {}
-        run_trial(spec, "gaussian", seed, [-1], shared=shared)
-        before = shared[seed].centred.copy()
-        got = run_trial(spec, "gaussian", seed, [0, -1], shared=shared)
+        run = empirical._Run()
+        run_trial(spec, "gaussian", seed, [-1], run)
+        before = run.draw[0].copy()
+        got = run_trial(spec, "gaussian", seed, [0, -1], run)
         want = run_trial(spec, "gaussian", seed, [0, -1])
         assert noise_draws == [(200, 1000)] * 2
-        np.testing.assert_array_equal(shared[seed].centred, before)
+        np.testing.assert_array_equal(run.draw[0], before)
         np.testing.assert_array_equal(got.eigenvalues, want.eigenvalues)
         for (i, a), (j, b) in zip(got.paired, want.paired):
             assert i == j
@@ -567,9 +569,8 @@ class TestSharedDraws:
         Q, _ = np.linalg.qr(np.random.default_rng(1).standard_normal((48, 48)))
         spec, seed = build_spec({"p": 48, "n": 192, "seed": 5, "cov": {
             "matrix": ((Q * np.linspace(0.5, 3.0, 48)) @ Q.T).tolist()}})
-        shared = {}
-        got = [run_trial(spec, "gaussian", seed, [-1], shared=shared)
-               for _ in range(2)]
+        run = empirical._Run()
+        got = [run_trial(spec, "gaussian", seed, [-1], run) for _ in range(2)]
         assert noise_draws == [(48, 192)]
         want = run_trial(spec, "gaussian", seed, [-1])
         for s in got:
@@ -583,17 +584,16 @@ class TestSharedDraws:
         {"dist": "rademacher"},
     ], ids=["n", "p", "scale", "diagonal", "dense", "dist"])
     def test_another_law_redraws(self, noise_draws, change):
+        # two jobs of one seed, the second under another feature law
         cfg = {"p": 48, "n": 192, "mu": "pm_block(1.0)", "model": "logistic",
                "loss": "logistic", "seed": 5}
-        spec, seed = build_spec(cfg)
-        shared = {}
-        run_trial(spec, "gaussian", seed, shared=shared)
-        first = shared[seed]
+        first, seed = build_spec(cfg)
         change = dict(change)
         dist = change.pop("dist", "gaussian")
         spec, _ = build_spec(dict(cfg, **change))
-        got = run_trial(spec, dist, seed, shared=shared)
-        assert len(noise_draws) == 2 and shared[seed] is not first
+        got = empirical._pool([(first, "gaussian", seed, ()),
+                               (spec, dist, seed, ())])[1]
+        assert len(noise_draws) == 2
         want = run_trial(spec, dist, seed)
         np.testing.assert_array_equal(got.eigenvalues, want.eigenvalues)
 
@@ -630,6 +630,39 @@ class TestSharedDraws:
         assert re.search(r"trials=4 workers=4 blas=\S+ draws=fresh",
                          caplog.text)
 
+    def test_draw_is_freed_when_its_run_ends(self, monkeypatch):
+        # the helper runs jobs 0 and 1, which share a draw, while the
+        # calling thread is still getting job 2's picks: the draw must go
+        # as job 1 ends, not when the waiting helper takes its next job
+        monkeypatch.setenv("HESSPEC_THREADS", "2")
+        drawn, ended, freed = [], [], []
+        real_draw, real_trial = empirical._centred_features, run_trial
+
+        def draw(*args):
+            out = real_draw(*args)
+            drawn.append(weakref.ref(out))
+            return out
+
+        def trial(*args, **kw):
+            ended.append(real_trial(*args, **kw))
+            return ended[-1]
+
+        def picks():
+            for _ in range(500):
+                if len(ended) == 2 and drawn[0]() is None:
+                    break
+                time.sleep(0.01)
+            freed.append(drawn[0]() is None)
+            return ()
+
+        monkeypatch.setattr(empirical, "_centred_features", draw)
+        monkeypatch.setattr(empirical, "run_trial", trial)
+        spec, seed = signal_spec(p=32, n=128)
+        empirical._pool([(spec, "gaussian", seed, ()),
+                         (spec, "gaussian", seed, ()),
+                         (spec, "gaussian", seed + 1, picks)])
+        assert len(drawn) == 1 and freed == [True]
+
 
 class TestGramMemory:
     """What a trial allocates besides a held draw, with mixed-sign
@@ -658,10 +691,9 @@ class TestGramMemory:
 
     def test_held_draw_is_not_copied(self, case):
         spec, seed = case
-        shared = {}
-        run_trial(spec, "gaussian", seed, [-1], shared=shared)
-        peak = self.peak(
-            lambda: run_trial(spec, "gaussian", seed, [-1], shared=shared))
+        run = empirical._Run()
+        run_trial(spec, "gaussian", seed, [-1], run)
+        peak = self.peak(lambda: run_trial(spec, "gaussian", seed, [-1], run))
         assert peak < 8 * self.P * self.N
 
     def test_owned_draw_holds_no_minority_columns(self, case):
@@ -733,11 +765,11 @@ class TestBlasPinning:
         seen = []
         real = empirical.run_trial
 
-        def trial(spec, dist, seed, picks, shared=None):
+        def trial(spec, dist, seed, picks, run=None):
             seen.append(get())
             if fail:
                 raise NumericError("trial failed")
-            return real(spec, dist, seed, picks, shared=shared)
+            return real(spec, dist, seed, picks, run)
 
         caplog.set_level(logging.DEBUG, logger="hesspec")
         monkeypatch.setenv("HESSPEC_THREADS", "2")
@@ -764,7 +796,7 @@ class TestBlasPinning:
             monkeypatch.setenv("HESSPEC_THREADS", "1")
             monkeypatch.setattr(
                 empirical, "run_trial", lambda spec, dist, seed, picks,
-                shared=None: seen.append(get()))
+                run=None: seen.append(get()))
             spec, _ = signal_spec(p=8, n=32)
             run_trials(spec, "gaussian", [5, 6])
             assert seen == [2, 2] and get() == 2
@@ -788,7 +820,7 @@ class TestBlasPinning:
         elif _openblas.thread_control() is None:
             pytest.skip("SciPy's OpenBLAS thread count cannot be set")
         monkeypatch.setattr(empirical, "run_trial",
-                            lambda spec, dist, seed, picks, shared=None:
+                            lambda spec, dist, seed, picks, run=None:
                             (seed, threading.current_thread()))
         here = threading.current_thread()
         spec, _ = signal_spec(p=8, n=32)
@@ -801,7 +833,7 @@ class TestBlasPinning:
         monkeypatch.setattr(_openblas, "thread_control", lambda: None)
         both = threading.Barrier(2, timeout=30)
 
-        def trial(spec, dist, seed, picks, shared=None):
+        def trial(spec, dist, seed, picks, run=None):
             if seed < 7:
                 both.wait()            # the first two trials run at once
             return seed, threading.current_thread()
@@ -811,6 +843,55 @@ class TestBlasPinning:
         assert [s for s, _ in out] == [5, 6, 7]
         assert len({t for _, t in out}) == 2
         assert "trials=3 workers=2 blas=not-settable" in caplog.text
+
+    def test_failing_picks_stop_the_pool(self, monkeypatch, blas):
+        # the calling thread gets picks in order while the helper runs the
+        # jobs already queued; once picks 3 raises, no later picks is got
+        # and at most the trial the helper was starting begins
+        get, _ = blas
+        before = get()
+        events, error = [], ValueError("picks failed")
+
+        def picks(k):
+            events.append(("picks", k))
+            if k == 3:
+                events.append(("failed", k))
+                raise error
+            return ()
+
+        def trial(spec, dist, seed, picks, run=None):
+            events.append(("trial", seed))
+            time.sleep(0.02)
+            return seed
+
+        monkeypatch.setenv("HESSPEC_THREADS", "2")
+        monkeypatch.setattr(empirical, "run_trial", trial)
+        spec, _ = signal_spec(p=8, n=32)
+        with pytest.raises(ValueError) as caught:
+            empirical._pool([(spec, "gaussian", 5 + k, partial(picks, k))
+                             for k in range(8)])
+        assert caught.value is error
+        assert [k for what, k in events if what == "picks"] == [0, 1, 2, 3]
+        after = events[events.index(("failed", 3)) + 1:]
+        assert len(after) <= 1 and all(what == "trial" for what, _ in after)
+        assert get() == before
+
+    def test_empty_pool_starts_no_thread(self, monkeypatch):
+        monkeypatch.setenv("HESSPEC_THREADS", "2")
+        started, real = [], threading.Thread.start
+
+        def start(self):
+            started.append(self)
+            real(self)
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+        got = []
+        runner = threading.Thread(
+            target=lambda: got.append(empirical._pool([])), daemon=True)
+        runner.start()
+        runner.join(timeout=30)
+        assert not runner.is_alive() and got == [[]]
+        assert started == [runner]
 
 
 class TestSidePairing:
@@ -916,7 +997,7 @@ class TestPicks:
                               det_residual=0.0) for x, side in located]
         asked = []
 
-        def run(spec, dist, seeds, picks, shared=None):
+        def run(spec, dist, seeds, picks):
             asked.append(picks)
             ks = [empirical._pick_index(self.VALS, pick) for pick in picks]
             return [EmpiricalSpectrum(

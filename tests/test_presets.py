@@ -253,6 +253,15 @@ def test_sweep_redraws(tmp_path, monkeypatch, noise_draws, trials, rescale,
     assert len(noise_draws) == draws
 
 
+@pytest.mark.parametrize("trials", [True, 1.5, "2", -1])
+def test_sweep_rejects_trials_before_any_draw(tmp_path, noise_draws, trials):
+    cfg, rescale, values = SWEEPS["mu"]
+    with pytest.raises(ConfigError, match="trials"):
+        sweep(cfg, values, rescale, str(tmp_path / "s.csv"), "v",
+              trials=trials)
+    assert noise_draws == []
+
+
 def test_sweep_compares_through_the_presets_module(tmp_path, monkeypatch):
     # perfbench reads trials_per_s, density_l1 and mass_abs_err of a
     # sweep from these two module attributes, once per value
